@@ -62,6 +62,7 @@ from .estimators import (
 from .model import (
     ClassStats,
     Context,
+    DatasetError,
     DeterministicPolicy,
     DiscreteActionSpace,
     LoggedDataset,

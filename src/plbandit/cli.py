@@ -22,10 +22,11 @@ from . import continuous as cont
 from . import csc, estimators, simulator, verify
 from .model import (
     Context,
+    DatasetError,
     DeterministicPolicy,
+    LinearCostPolicy,
     LoggedDataset,
     PolicyClass,
-    RowDeterministicPolicy,
     TabularPolicy,
     class_stats,
     deterministic_class,
@@ -55,25 +56,23 @@ def _resolve_env(spec: str, seed: int):
     return simulator.load_environment(path)
 
 
-def _policy_to_json(policy, dataset: LoggedDataset | None = None) -> dict:
+def _policy_to_json(policy) -> dict:
     if isinstance(policy, DeterministicPolicy):
         return {
             "type": "deterministic",
             "assignment": list(policy.assignment),
             "num_actions": policy.num_actions,
         }
-    if isinstance(policy, RowDeterministicPolicy):
-        return {"type": "row_deterministic", "actions": list(policy.actions), "num_actions": policy.num_actions}
+    if isinstance(policy, LinearCostPolicy):
+        # JSON floats round-trip exactly, so a reloaded policy scores any
+        # dataset exactly as the trained one does.
+        return {
+            "type": "linear",
+            "weights": [[float(v) for v in row] for row in policy.weights],
+            "intercepts": [float(v) for v in policy.intercepts],
+        }
     if isinstance(policy, TabularPolicy):
         return {"type": "tabular", "table": [[float(v) for v in row] for row in policy.table]}
-    if dataset is not None:
-        # Feature-mode learners are frozen as their per-row action choices.
-        rows = policy.pmf_rows(dataset)
-        return {
-            "type": "row_deterministic",
-            "actions": [int(a) for a in np.argmax(rows, axis=1)],
-            "num_actions": dataset.num_actions,
-        }
     raise UsageError(f"cannot serialize policy of type {type(policy).__name__}")
 
 
@@ -81,8 +80,10 @@ def _policy_from_json(obj: dict):
     kind = obj["type"]
     if kind == "deterministic":
         return DeterministicPolicy(assignment=tuple(obj["assignment"]), num_actions=int(obj["num_actions"]))
-    if kind == "row_deterministic":
-        return RowDeterministicPolicy(actions=tuple(obj["actions"]), num_actions=int(obj["num_actions"]))
+    if kind == "linear":
+        return LinearCostPolicy(
+            weights=np.array(obj["weights"], dtype=float), intercepts=np.array(obj["intercepts"], dtype=float)
+        )
     if kind == "tabular":
         return TabularPolicy(table=np.array(obj["table"], dtype=float))
     raise UsageError(f"unknown policy type '{kind}'")
@@ -162,18 +163,22 @@ def cmd_train(args) -> int:
     metrics = _dataset_metrics(policy, dataset, args.beta)
     metrics["oracle"] = args.oracle
     if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
-        contexts = [Context(id=x) for x in sorted(set(int(i) for i in dataset.context_ids))]
-        stats = class_stats(pclass, _empirical_logging_policy(dataset), contexts)
+        stats = class_stats(pclass, _empirical_logging_policy(dataset), _seen_contexts(dataset))
         slack = estimators.confidence_slack(stats, dataset.n, args.alpha, args.beta)
         metrics["ucb_risk"] = objective + slack.value
         metrics["slack"] = slack.as_dict()
     if args.env is not None:
         metrics["exact_risk"] = simulator.exact_risk(policy, _resolve_env(args.env, args.seed))
-    _write_json(_policy_to_json(policy, dataset), f"{args.out}.policy.json")
+    _write_json(_policy_to_json(policy), f"{args.out}.policy.json")
     _write_json(metrics, f"{args.out}.metrics.json")
     print(f"{args.out}.policy.json")
     print(f"{args.out}.metrics.json")
     return 0
+
+
+def _seen_contexts(dataset: LoggedDataset) -> list[Context]:
+    # bincount, not np.unique: numpy 2.x's unique imports numpy.ma (~1 MB).
+    return [Context(id=int(x)) for x in np.flatnonzero(np.bincount(dataset.context_ids))]
 
 
 def _empirical_logging_policy(dataset: LoggedDataset) -> TabularPolicy:
@@ -223,8 +228,7 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
     env = _resolve_env(args.env, args.seed) if args.env else None
     stats = None
     if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
-        contexts = [Context(id=x) for x in sorted(set(int(i) for i in dataset.context_ids))]
-        stats = class_stats(pclass, _empirical_logging_policy(dataset), contexts)
+        stats = class_stats(pclass, _empirical_logging_policy(dataset), _seen_contexts(dataset))
 
     def one(beta: float) -> dict:
         policy, objective = csc.train_ipw_pl(dataset, beta, oracle, pclass)
@@ -385,7 +389,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as err:
+    except (UsageError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001 - CLI boundary

@@ -27,7 +27,16 @@ from typing import Sequence
 import numpy as np
 
 from .csc import CostMatrix
-from .model import PMF_ATOL, PROPENSITY_FLOOR, Context, MassPolicy, SupportError, _frozen
+from .model import (
+    PMF_ATOL,
+    PROPENSITY_FLOOR,
+    DatasetError,
+    MassPolicy,
+    SupportError,
+    _frozen,
+    _leading_rows,
+    check_index_range,
+)
 
 # Closed-window membership tolerance: grid points sitting exactly on a window
 # edge (up to float rounding) are included.
@@ -206,15 +215,8 @@ class GridMassPolicy(MassPolicy):
     def num_actions(self) -> int:
         return self.grid.k
 
-    def pmf(self, context: Context) -> np.ndarray:
-        if context.id is None:
-            raise ValueError("grid policy needs finite contexts")
-        return self.table[context.id]
-
-    def pmf_rows(self, dataset) -> np.ndarray:
-        if dataset.context_ids is None:
-            raise ValueError("grid policy needs finite contexts")
-        return self.table[dataset.context_ids]
+    def pmf_table(self, num_contexts: int) -> np.ndarray:
+        return _leading_rows(self.table, num_contexts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,11 +316,12 @@ class ContinuousLoggedDataset:
         object.__setattr__(self, "densities", tuple(self.densities))
         n = len(self.actions)
         if n < 1:
-            raise ValueError("dataset must contain at least one record")
+            raise DatasetError("dataset must contain at least one record")
         if len(self.context_ids) != n or len(self.losses) != n or len(self.densities) != n:
-            raise ValueError("dataset arrays are not aligned")
+            raise DatasetError("dataset arrays are not aligned")
         if self.num_contexts is None:
             object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
+        check_index_range("context id", self.context_ids, self.num_contexts)
 
     @property
     def n(self) -> int:
@@ -379,7 +382,7 @@ def build_modified_costs_continuous(
             raise SupportError(f"logged action has zero density at record {i}")
         idx = surrogate_set(float(dataset.actions[i]), grid, h)
         costs[i, idx] += dataset.losses[i] / (h_eff[idx] * mu_at)
-    return CostMatrix(costs=costs, context_ids=dataset.context_ids)
+    return CostMatrix(costs=costs, context_ids=dataset.context_ids, num_contexts=dataset.num_contexts)
 
 
 def continuous_ipw_risk(policy: SmoothedDensityPolicy, dataset: ContinuousLoggedDataset) -> float:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Protocol
 
@@ -31,16 +30,24 @@ from .model import (
     MassPolicy,
     PolicyClass,
     SupportError,
+    check_index_range,
+    context_sums,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class CostMatrix:
-    """An (n, num_actions) cost table aligned with the rows it was built from."""
+    """An (n, num_actions) cost table aligned with the rows it was built from.
+
+    Carries the row contexts (`context_ids` or `context_features`, and the
+    finite-context table size, inferred as max id + 1 when not given), so
+    MassPolicy.pmf_rows evaluates policies against it directly.
+    """
 
     costs: np.ndarray
     context_ids: np.ndarray | None = None
     context_features: np.ndarray | None = None
+    num_contexts: int | None = None
 
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=float)
@@ -49,6 +56,13 @@ class CostMatrix:
         if not np.all(np.isfinite(costs)):
             raise ValueError("cost matrix entries must be finite")
         object.__setattr__(self, "costs", costs)
+        if self.context_ids is not None:
+            ids = np.asarray(self.context_ids)
+            if len(ids) != len(costs):
+                raise ValueError("cost matrix needs one context id per row")
+            if self.num_contexts is None:
+                object.__setattr__(self, "num_contexts", int(ids.max()) + 1)
+            check_index_range("context id", ids, self.num_contexts)
 
     @property
     def n(self) -> int:
@@ -57,18 +71,6 @@ class CostMatrix:
     @property
     def num_actions(self) -> int:
         return self.costs.shape[1]
-
-    @cached_property
-    def _row_view(self) -> LoggedDataset:
-        # Dummy dataset carrying only the row contexts, so MassPolicy.pmf_rows
-        # can evaluate policies against this matrix.
-        return LoggedDataset(
-            actions=np.zeros(self.n, dtype=np.int64),
-            losses=np.zeros(self.n),
-            propensities=np.full((self.n, self.num_actions), 1.0 / self.num_actions),
-            context_ids=self.context_ids,
-            context_features=self.context_features,
-        )
 
     def to_csv(self, path: str | Path) -> None:
         """Debug export: row index, context id (blank in feature mode), cost columns."""
@@ -103,27 +105,27 @@ def build_modified_costs(dataset: LoggedDataset, beta: float) -> CostMatrix:
         costs=costs,
         context_ids=dataset.context_ids,
         context_features=dataset.context_features,
+        num_contexts=dataset.num_contexts,
     )
 
 
 def average_cost(policy: MassPolicy, costs: CostMatrix) -> float:
     """The CSC objective (1/n) sum_i sum_a pi(a|x_i) * costs[i][a]."""
-    rows = policy.pmf_rows(costs._row_view)
+    rows = policy.pmf_rows(costs)
     return float(np.mean((rows * costs.costs).sum(axis=1)))
 
 
 class EnumerationOracle:
-    """Exact argmin over the explicit members of a finite class, lowest index on ties."""
+    """Exact argmin over the explicit members of a finite class, lowest index on ties.
+
+    The objective is linear in pi, so every member is scored at once by
+    PolicyClass.member_sums; the common 1/n factor cannot change the argmin.
+    """
 
     def solve(self, costs: CostMatrix, policy_class: PolicyClass | None = None) -> MassPolicy:
         if policy_class is None or not policy_class.is_enumerated:
             raise ValueError("enumeration oracle needs an enumerated class")
-        best, best_value = None, np.inf
-        for member in policy_class.members:
-            value = average_cost(member, costs)
-            if value < best_value:
-                best, best_value = member, value
-        return best
+        return policy_class.members[int(np.argmin(policy_class.member_sums(costs.costs, costs)))]
 
 
 class PointwiseArgminOracle:
@@ -140,9 +142,8 @@ class PointwiseArgminOracle:
     def solve(self, costs: CostMatrix, policy_class: PolicyClass | None = None) -> DeterministicPolicy:
         if costs.context_ids is None:
             raise ValueError("pointwise argmin needs finite-context cost rows")
-        num_contexts = self.num_contexts or int(costs.context_ids.max()) + 1
-        summed = np.zeros((num_contexts, costs.num_actions))
-        np.add.at(summed, costs.context_ids, costs.costs)
+        num_contexts = self.num_contexts or costs.num_contexts
+        summed = context_sums(costs.costs, costs.context_ids, num_contexts)
         assignment = tuple(int(a) for a in np.argmin(summed, axis=1))
         return DeterministicPolicy(assignment=assignment, num_actions=costs.num_actions)
 

@@ -28,7 +28,6 @@ from .model import (
     MassPolicy,
     PolicyClass,
     SupportError,
-    policy_table,
 )
 
 TERM_ATOL = 1e-12
@@ -149,10 +148,10 @@ def _env_tables(policy: MassPolicy, env) -> tuple[np.ndarray, np.ndarray, np.nda
     if not hasattr(env, "loss_means"):
         raise ValueError("exact quantities need a finite discrete-action environment")
     dist = np.asarray(env.context_dist, dtype=float)
-    num_contexts, num_actions = np.asarray(env.loss_means).shape
-    mu = policy_table(env.logging_policy, num_contexts, num_actions)
+    num_contexts = np.asarray(env.loss_means).shape[0]
+    mu = env.logging_policy.pmf_table(num_contexts)
     _check_floor(mu)
-    pi = policy_table(policy, num_contexts, num_actions)
+    pi = policy.pmf_table(num_contexts)
     return dist, pi, mu
 
 
@@ -310,15 +309,16 @@ def beta_candidates(
 
     Each member pi gets beta_pi = sqrt(3*pmf_sup*ln(4|class|/a) / (4*N*PL_hat(pi))),
     the weight that balances the penalty against the beta-dependent slack term.
+    Every member's PL_hat comes from one contraction of the stacked member
+    tables with the per-context sums of 1/mu.
     """
     _check_alpha(alpha)
     if not policy_class.is_enumerated:
         raise ValueError("beta_candidates needs an enumerated class")
+    _check_floor(dataset.propensities)
     log_term = math.log(4.0 * stats.class_size / alpha)
-    out = []
-    for member in policy_class.members:
-        pl_hat = pseudo_loss(member, dataset)
-        if pl_hat <= 0:
-            raise ValueError("pseudo-loss must be positive")
-        out.append((member, math.sqrt(3.0 * stats.pmf_sup * log_term / (4.0 * dataset.n * pl_hat))))
-    return out
+    pl_hats = policy_class.member_sums(1.0 / dataset.propensities, dataset) / dataset.n
+    if np.any(pl_hats <= 0):
+        raise ValueError("pseudo-loss must be positive")
+    betas = np.sqrt(3.0 * stats.pmf_sup * log_term / (4.0 * dataset.n * pl_hats))
+    return list(zip(policy_class.members, betas.tolist()))

@@ -20,7 +20,7 @@ import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,21 @@ PMF_ATOL = 1e-9
 
 class SupportError(ValueError):
     """A propensity or density required by an importance weight is (near) zero."""
+
+
+class DatasetError(ValueError):
+    """A logged dataset is malformed: misaligned arrays or an index out of range."""
+
+
+def check_index_range(name: str, values: np.ndarray, upper: int) -> None:
+    """Reject any entry of `values` outside [0, upper), naming the first offending record.
+
+    Numpy would otherwise wrap a negative index into another row silently.
+    """
+    bad = np.flatnonzero((values < 0) | (values >= upper))
+    if bad.size:
+        i = int(bad[0])
+        raise DatasetError(f"{name} {int(values[i])} out of range [0, {upper}) at record {i}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -68,15 +83,37 @@ class DiscreteActionSpace:
 
 
 class MassPolicy(ABC):
-    """A policy producing a probability mass function over actions per context."""
+    """A policy producing a probability mass function over actions per context.
+
+    A finite-context policy is its (X, A) table: `pmf` and `pmf_rows` index
+    `pmf_table`, and enumerated classes stack the tables of their members.
+    """
 
     @abstractmethod
+    def pmf_table(self, num_contexts: int) -> np.ndarray:
+        """Pmf at every context id in [0, num_contexts), as a (num_contexts, num_actions) array."""
+
     def pmf(self, context: Context) -> np.ndarray:
         """Probability vector over actions for one context."""
+        if context.id is None:
+            raise ValueError(f"{type(self).__name__} needs finite contexts")
+        return self.pmf_table(context.id + 1)[context.id]
 
-    def pmf_rows(self, dataset: "LoggedDataset") -> np.ndarray:
-        """Pmf evaluated at every logged context, as an (n, num_actions) array."""
-        return np.stack([self.pmf(c) for c in dataset.iter_contexts()])
+    def pmf_rows(self, rows) -> np.ndarray:
+        """Pmf at every row's context, as an (n, num_actions) array.
+
+        `rows` is a LoggedDataset or a CostMatrix: anything carrying
+        `context_ids` (with `num_contexts`) or `context_features` per row.
+        """
+        if rows.context_ids is None:
+            raise ValueError(f"{type(self).__name__} needs finite contexts")
+        return self.pmf_table(rows.num_contexts)[rows.context_ids]
+
+
+def _leading_rows(table: np.ndarray, num_contexts: int) -> np.ndarray:
+    if table.shape[0] < num_contexts:
+        raise ValueError(f"policy covers {table.shape[0]} contexts, {num_contexts} needed")
+    return table[:num_contexts]
 
 
 def _check_pmf(p: np.ndarray) -> np.ndarray:
@@ -103,26 +140,24 @@ class TabularPolicy(MassPolicy):
     def num_actions(self) -> int:
         return self.table.shape[1]
 
-    def pmf(self, context: Context) -> np.ndarray:
-        if context.id is None:
-            raise ValueError("tabular policy needs finite contexts")
-        return self.table[context.id]
-
-    def pmf_rows(self, dataset: "LoggedDataset") -> np.ndarray:
-        if dataset.context_ids is None:
-            raise ValueError("tabular policy needs finite contexts")
-        return self.table[dataset.context_ids]
+    def pmf_table(self, num_contexts: int) -> np.ndarray:
+        return _leading_rows(self.table, num_contexts)
 
 
 @dataclass(frozen=True)
 class UniformPolicy(MassPolicy):
+    """The same uniform pmf at every context, finite or feature."""
+
     num_actions: int
+
+    def pmf_table(self, num_contexts: int) -> np.ndarray:
+        return np.full((num_contexts, self.num_actions), 1.0 / self.num_actions)
 
     def pmf(self, context: Context) -> np.ndarray:
         return np.full(self.num_actions, 1.0 / self.num_actions)
 
-    def pmf_rows(self, dataset: "LoggedDataset") -> np.ndarray:
-        return np.full((dataset.n, self.num_actions), 1.0 / self.num_actions)
+    def pmf_rows(self, rows) -> np.ndarray:
+        return np.full((rows.n, self.num_actions), 1.0 / self.num_actions)
 
 
 @dataclass(frozen=True)
@@ -140,41 +175,8 @@ class DeterministicPolicy(MassPolicy):
             raise ValueError("assignment actions out of range")
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
 
-    def action(self, context: Context) -> int:
-        if context.id is None:
-            raise ValueError("deterministic table policy needs finite contexts")
-        return self.assignment[context.id]
-
-    def pmf(self, context: Context) -> np.ndarray:
-        row = np.zeros(self.num_actions)
-        row[self.action(context)] = 1.0
-        return row
-
-    def pmf_rows(self, dataset: "LoggedDataset") -> np.ndarray:
-        if dataset.context_ids is None:
-            raise ValueError("deterministic table policy needs finite contexts")
-        chosen = np.asarray(self.assignment)[dataset.context_ids]
-        return np.eye(self.num_actions)[chosen]
-
-
-@dataclass(frozen=True, eq=False)
-class RowDeterministicPolicy(MassPolicy):
-    """One action per dataset row; serialization form for feature-mode learners.
-
-    Only meaningful against the dataset it was trained on (row i gets
-    `actions[i]` regardless of the context content).
-    """
-
-    actions: tuple[int, ...]
-    num_actions: int
-
-    def pmf(self, context: Context) -> np.ndarray:  # pragma: no cover - row-keyed
-        raise ValueError("row-deterministic policy is evaluated per dataset row, not per context")
-
-    def pmf_rows(self, dataset: "LoggedDataset") -> np.ndarray:
-        if len(self.actions) != dataset.n:
-            raise ValueError("row-deterministic policy does not match dataset length")
-        return np.eye(self.num_actions)[np.asarray(self.actions)]
+    def pmf_table(self, num_contexts: int) -> np.ndarray:
+        return np.eye(self.num_actions)[_leading_rows(np.asarray(self.assignment), num_contexts)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,16 +202,26 @@ class LinearCostPolicy(MassPolicy):
             raise ValueError("linear cost policy needs feature contexts")
         return int(np.argmin(self.scores(context.features)[0]))
 
+    def pmf_table(self, num_contexts: int) -> np.ndarray:
+        raise ValueError("linear cost policy needs feature contexts")
+
     def pmf(self, context: Context) -> np.ndarray:
         row = np.zeros(self.num_actions)
         row[self.action(context)] = 1.0
         return row
 
-    def pmf_rows(self, dataset: "LoggedDataset") -> np.ndarray:
-        if dataset.context_features is None:
+    def pmf_rows(self, rows) -> np.ndarray:
+        if rows.context_features is None:
             raise ValueError("linear cost policy needs feature contexts")
-        chosen = np.argmin(self.scores(dataset.context_features), axis=1)
+        chosen = np.argmin(self.scores(rows.context_features), axis=1)
         return np.eye(self.num_actions)[chosen]
+
+
+def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int) -> np.ndarray:
+    """Rows of an (n, A) array summed per context id, as a (num_contexts, A) array."""
+    summed = np.zeros((num_contexts, values.shape[1]))
+    np.add.at(summed, context_ids, values)
+    return summed
 
 
 @dataclass(frozen=True)
@@ -222,6 +234,10 @@ class PolicyClass:
 
     members: tuple[MassPolicy, ...] | None
     size: int
+    # Stacked member pmf tables, (size, X, A): built on first use, kept for the
+    # life of the class, and sliced for any smaller X. 8*size*X*A bytes.
+    # Threads racing on the first use may each build it; every copy is equal.
+    _tables: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 1:
@@ -242,6 +258,32 @@ class PolicyClass:
     def is_enumerated(self) -> bool:
         return self.members is not None
 
+    def tables(self, num_contexts: int) -> np.ndarray:
+        """Every member's pmf_table(num_contexts), stacked as a read-only (size, X, A) array."""
+        if not self.is_enumerated:
+            raise ValueError("member tables need an enumerated class")
+        cached = self._tables
+        if cached is None or cached.shape[1] < num_contexts:
+            cached = np.stack([m.pmf_table(num_contexts) for m in self.members])
+            cached.setflags(write=False)
+            object.__setattr__(self, "_tables", cached)
+        return cached[:, :num_contexts]
+
+    def member_sums(self, weights: np.ndarray, rows) -> np.ndarray:
+        """sum_i sum_a pi(a|x_i) * weights[i, a] for every member pi, as a (size,) array.
+
+        `rows` carries the row contexts (a LoggedDataset or CostMatrix). The
+        sum is linear in pi, so for finite contexts it is one contraction of
+        the stacked tables against `weights` summed per context:
+        O(n*A + size*X*A). Feature-mode rows evaluate pmf_rows per member.
+        """
+        if rows.context_ids is None:
+            return np.array([float((m.pmf_rows(rows) * weights).sum()) for m in self.members])
+        summed = context_sums(weights, rows.context_ids, rows.num_contexts)
+        # einsum, not BLAS: every member's sum runs in the same order, so
+        # identical tables give bitwise-identical values and ties stay exact.
+        return np.einsum("cxa,xa->c", self.tables(rows.num_contexts), summed)
+
 
 def deterministic_class(num_contexts: int, num_actions: int) -> PolicyClass:
     """All num_actions**num_contexts deterministic policies.
@@ -250,11 +292,17 @@ def deterministic_class(num_contexts: int, num_actions: int) -> PolicyClass:
     significant, so the lowest-index tie rule of the enumeration oracle agrees
     with per-context lowest-action tie-breaking.
     """
-    members = [
+    members = tuple(
         DeterministicPolicy(assignment=assign, num_actions=num_actions)
         for assign in itertools.product(range(num_actions), repeat=num_contexts)
-    ]
-    return PolicyClass.from_members(members)
+    )
+    # Member i's assignment is i written in base num_actions, context 0 the
+    # most significant digit: the order itertools.product yields.
+    place = num_actions ** np.arange(num_contexts - 1, -1, -1)
+    assignments = np.arange(len(members))[:, None] // place % num_actions
+    tables = np.eye(num_actions)[assignments]
+    tables.setflags(write=False)
+    return PolicyClass(members=members, size=len(members), _tables=tables)
 
 
 @dataclass(frozen=True)
@@ -328,7 +376,7 @@ class LoggedDataset:
         object.__setattr__(self, "losses", _frozen(np.asarray(self.losses, dtype=float)))
         object.__setattr__(self, "propensities", _frozen(np.asarray(self.propensities, dtype=float)))
         if (self.context_ids is None) == (self.context_features is None):
-            raise ValueError("dataset needs exactly one of context_ids / context_features")
+            raise DatasetError("dataset needs exactly one of context_ids / context_features")
         if self.context_ids is not None:
             object.__setattr__(self, "context_ids", _frozen(np.asarray(self.context_ids, dtype=np.int64)))
         else:
@@ -337,11 +385,15 @@ class LoggedDataset:
             )
         n = len(self.actions)
         if n < 1:
-            raise ValueError("dataset must contain at least one record")
-        if self.propensities.ndim != 2 or self.propensities.shape[0] != n or len(self.losses) != n:
-            raise ValueError("dataset arrays are not aligned")
-        if self.num_contexts is None and self.context_ids is not None:
-            object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
+            raise DatasetError("dataset must contain at least one record")
+        contexts = self.context_ids if self.context_ids is not None else self.context_features
+        if self.propensities.ndim != 2 or {len(self.propensities), len(self.losses), len(contexts)} != {n}:
+            raise DatasetError("dataset arrays are not aligned")
+        check_index_range("action", self.actions, self.num_actions)
+        if self.context_ids is not None:
+            if self.num_contexts is None:
+                object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
+            check_index_range("context id", self.context_ids, self.num_contexts)
 
     @property
     def n(self) -> int:
@@ -359,9 +411,6 @@ class LoggedDataset:
         if self.context_ids is not None:
             return Context(id=int(self.context_ids[i]))
         return Context(features=self.context_features[i])
-
-    def iter_contexts(self) -> Iterator[Context]:
-        return (self.context(i) for i in range(self.n))
 
     def record(self, i: int) -> LoggedRecord:
         return LoggedRecord(
@@ -417,32 +466,24 @@ def validate_dataset(dataset: LoggedDataset) -> list[str]:
             report.append(f"propensities do not sum to 1 at record {i}")
         if np.any(row <= PROPENSITY_FLOOR):
             report.append(f"zero propensity at record {i}")
-        a = dataset.actions[i]
-        if a < 0 or a >= dataset.num_actions:
-            report.append(f"action out of range at record {i}")
-        elif row[a] <= PROPENSITY_FLOOR:
+        if row[dataset.actions[i]] <= PROPENSITY_FLOOR:
             report.append(f"logged action has zero propensity at record {i}")
     return report
 
 
-def policy_table(policy: MassPolicy, num_contexts: int, num_actions: int | None = None) -> np.ndarray:
-    """Pmf of `policy` at every context id in [0, num_contexts), as an (X, A) array."""
-    if isinstance(policy, TabularPolicy) and policy.table.shape[0] >= num_contexts:
-        return np.asarray(policy.table[:num_contexts])
-    if isinstance(policy, DeterministicPolicy):
-        chosen = np.asarray(policy.assignment[:num_contexts])
-        return np.eye(policy.num_actions)[chosen]
-    if isinstance(policy, UniformPolicy):
-        return np.full((num_contexts, policy.num_actions), 1.0 / policy.num_actions)
-    return np.stack([policy.pmf(Context(id=x)) for x in range(num_contexts)])
+def _context_ids(contexts: Sequence[Context]) -> np.ndarray:
+    ids = [c.id for c in contexts]
+    if not ids:
+        raise ValueError("need at least one context")
+    if any(x is None for x in ids):
+        raise ValueError("policy tables need finite contexts")
+    return np.asarray(ids, dtype=np.int64)
 
 
-def pmf_extrema(policy: MassPolicy, contexts: Sequence[Context], num_actions: int | None = None) -> tuple[float, float]:
+def pmf_extrema(policy: MassPolicy, contexts: Sequence[Context]) -> tuple[float, float]:
     """(sup, inf) of the policy pmf over the given contexts and all actions."""
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("pmf_extrema needs at least one context")
-    rows = np.stack([policy.pmf(c) for c in contexts])
+    ids = _context_ids(contexts)
+    rows = policy.pmf_table(int(ids.max()) + 1)[ids]
     return float(rows.max()), float(rows.min())
 
 
@@ -458,22 +499,18 @@ def class_stats(
     """
     if not policy_class.is_enumerated:
         raise ValueError("class_stats needs an enumerated class; build ClassStats directly otherwise")
-    contexts = list(contexts)
-    if not contexts:
-        raise ValueError("class_stats needs at least one context")
-    mu_rows = np.stack([logging_policy.pmf(c) for c in contexts])
+    ids = _context_ids(contexts)
+    num_contexts = int(ids.max()) + 1
+    mu_rows = logging_policy.pmf_table(num_contexts)[ids]
     if np.any(mu_rows <= PROPENSITY_FLOOR):
         raise SupportError("logging policy has a zero propensity on the given contexts")
-    pmf_sup = 0.0
-    ratio_sup = 0.0
-    for member in policy_class.members:
-        rows = np.stack([member.pmf(c) for c in contexts])
-        pmf_sup = max(pmf_sup, float(rows.max()))
-        ratio_sup = max(ratio_sup, float((rows / mu_rows).max()))
+    # Largest member pmf per (context, action). Dividing by mu > 0 is monotone,
+    # so the largest ratio is this maximum over mu.
+    top = policy_class.tables(num_contexts).max(axis=0)[ids]
     return ClassStats(
-        pmf_sup=pmf_sup,
+        pmf_sup=float(top.max()),
         mu_pmf_inf=float(mu_rows.min()),
-        weight_ratio_sup=ratio_sup,
+        weight_ratio_sup=float((top / mu_rows).max()),
         class_size=policy_class.size,
     )
 
@@ -511,7 +548,7 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     with open(path) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if not lines or "header" not in lines[0]:
-        raise ValueError(f"{path}: missing header line")
+        raise DatasetError(f"{path}: missing header line")
     header = lines[0]["header"]
     num_actions = int(header["num_actions"])
     actions, losses, propensities = [], [], []
@@ -527,15 +564,18 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
         losses.append(float(row["loss"]))
         pmf = [float(v) for v in row["propensities"]]
         if len(pmf) != num_actions:
-            raise ValueError(f"{path}: propensity vector does not match header action count")
+            raise DatasetError(f"{path}: propensity vector does not match header action count")
         propensities.append(pmf)
     if ids and features:
-        raise ValueError(f"{path}: records mix finite and feature contexts")
-    return LoggedDataset(
-        actions=np.array(actions),
-        losses=np.array(losses),
-        propensities=np.array(propensities),
-        context_ids=np.array(ids) if ids else None,
-        context_features=np.array(features) if features else None,
-        num_contexts=int(header["num_contexts"]) if "num_contexts" in header else None,
-    )
+        raise DatasetError(f"{path}: records mix finite and feature contexts")
+    try:
+        return LoggedDataset(
+            actions=np.array(actions),
+            losses=np.array(losses),
+            propensities=np.array(propensities),
+            context_ids=np.array(ids) if ids else None,
+            context_features=np.array(features) if features else None,
+            num_contexts=int(header["num_contexts"]) if "num_contexts" in header else None,
+        )
+    except DatasetError as err:
+        raise DatasetError(f"{path}: {err}") from err

@@ -40,7 +40,6 @@ from .model import (
     LoggedDataset,
     MassPolicy,
     TabularPolicy,
-    policy_table,
 )
 
 
@@ -85,7 +84,7 @@ class SyntheticEnvironment:
 
     @cached_property
     def mu_table(self) -> np.ndarray:
-        return policy_table(self.logging_policy, self.num_contexts, self.num_actions)
+        return self.logging_policy.pmf_table(self.num_contexts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +188,7 @@ def exact_risk(policy, env) -> float:
         for x in range(env.num_contexts):
             total += env.context_dist[x] * pc_product_integral(policy.density_pieces(x), env.loss_fns[x])
         return total
-    table = policy_table(policy, env.num_contexts, env.num_actions)
+    table = policy.pmf_table(env.num_contexts)
     return float(env.context_dist @ (table * env.loss_means).sum(axis=1))
 
 

@@ -138,7 +138,7 @@ def check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
     contexts = _env_contexts(cfg.env)
     sup, _ = pmf_extrema(policy, contexts)
     mu_inf = float(cfg.env.mu_table.min())
-    pi_table = np.stack([policy.pmf(c) for c in contexts])
+    pi_table = policy.pmf_table(cfg.env.num_contexts)
     stats = ClassStats(
         pmf_sup=sup,
         mu_pmf_inf=mu_inf,

@@ -1,10 +1,18 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plbandit import verify
+from plbandit import csc, estimators, simulator, verify
 from plbandit.cli import main
+from plbandit.model import UniformPolicy, save_dataset_jsonl
 from plbandit.simulator import random_environment
 
 
@@ -78,6 +86,77 @@ class TestTrainEvaluate:
         assert run("train", "--dataset", dataset_path, "--oracle", "argmin", "--beta", 0.5, "--out", out) == 0
         policy = json.loads((tmp_path / "pw.policy.json").read_text())
         assert policy["type"] == "deterministic"
+
+
+    def test_regression_policy_scores_another_dataset(self, tmp_path):
+        # The saved policy must score a second dataset of the same length
+        # exactly as the in-memory policy does, not replay training rows.
+        rng = np.random.default_rng(5)
+
+        def feature_data(path, seed):
+            features = rng.random((60, 2))
+            labels = (features[:, 0] > features[:, 1]).astype(int)
+            data = simulator.supervised_to_bandit(features, labels, UniformPolicy(2), seed=seed)
+            save_dataset_jsonl(data, path)
+            return data
+
+        first = feature_data(tmp_path / "a.jsonl", 1)
+        second = feature_data(tmp_path / "b.jsonl", 2)
+        out = tmp_path / "reg"
+        assert run(
+            "train", "--dataset", tmp_path / "a.jsonl", "--oracle", "regression", "--beta", 0.1, "--out", out
+        ) == 0
+        assert json.loads((tmp_path / "reg.policy.json").read_text())["type"] == "linear"
+        assert run(
+            "evaluate", "--dataset", tmp_path / "b.jsonl", "--policy", tmp_path / "reg.policy.json",
+            "--beta", 0.1, "--out", tmp_path / "eval.json",
+        ) == 0
+        evaluated = json.loads((tmp_path / "eval.json").read_text())
+        policy = csc.RidgeRegressionOracle(ridge=1e-6).solve(csc.build_modified_costs(first, 0.1))
+        assert evaluated["ipw_risk"] == estimators.ipw_risk(policy, second)
+        assert evaluated["pseudo_loss"] == estimators.pseudo_loss(policy, second)
+        assert evaluated["objective"] == estimators.penalized_objective(policy, second, 0.1)
+
+
+CLEAN_DATASET = simulator.generate_logs(random_environment((0, 101), 4, 3), 30, seed=3)
+
+
+class TestCorruptDataset:
+    @settings(max_examples=20)
+    @given(
+        record=st.integers(0, CLEAN_DATASET.n - 1),
+        field=st.sampled_from(["action", "id"]),
+        offset=st.integers(-3, 3),
+    )
+    def test_out_of_range_index_exits_two(self, record, field, offset):
+        # offset < 0 gives a negative index; offset >= 0 gives bound + offset.
+        bound = CLEAN_DATASET.num_actions if field == "action" else CLEAN_DATASET.num_contexts
+        bad_value = offset if offset < 0 else bound + offset
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            save_dataset_jsonl(CLEAN_DATASET, tmp / "clean.jsonl")
+            lines = (tmp / "clean.jsonl").read_text().splitlines()
+            row = json.loads(lines[record + 1])
+            if field == "action":
+                row["action"] = bad_value
+            else:
+                row["context"]["id"] = bad_value
+            lines[record + 1] = json.dumps(row, sort_keys=True)
+            bad = tmp / "bad.jsonl"
+            bad.write_text("\n".join(lines) + "\n")
+            (tmp / "policy.json").write_text(
+                json.dumps({"type": "deterministic", "assignment": [0, 0, 0, 0], "num_actions": 3})
+            )
+            commands = [
+                ["train", "--dataset", bad, "--beta", 0.1, "--out", tmp / "m"],
+                ["evaluate", "--dataset", bad, "--policy", tmp / "policy.json", "--beta", 0.1],
+                ["sweep", "--dataset", bad, "--beta-grid", "0.1,1", "--out", tmp / "s.csv"],
+            ]
+            for argv in commands:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert run(*argv) == 2
+                assert f"at record {record}" in err.getvalue()
 
 
 class TestSweep:

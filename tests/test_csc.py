@@ -2,8 +2,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from plbandit import estimators, simulator
+from plbandit import csc, estimators, simulator
 from plbandit.csc import (
     CostMatrix,
     EnumerationOracle,
@@ -18,6 +20,7 @@ from plbandit.estimators import ipw_risk, penalized_objective, pseudo_loss
 from plbandit.model import (
     DeterministicPolicy,
     LoggedDataset,
+    MassPolicy,
     PolicyClass,
     TabularPolicy,
     deterministic_class,
@@ -110,6 +113,99 @@ class TestEnumerationOracle:
             reference, ref_value = brute_force_argmin(data, beta, pclass)
             assert learned is reference
             assert value == pytest.approx(ref_value, abs=1e-12)
+
+
+def assert_same_lowest_index_winner(data, beta, pclass, num_contexts):
+    """Enumeration, brute force and (on the full deterministic class) the
+    pointwise argmin all pick the same member."""
+    costs = build_modified_costs(data, beta)
+    learned = EnumerationOracle().solve(costs, pclass)
+    reference, _ = brute_force_argmin(data, beta, pclass)
+    assert learned is reference
+    pointwise = PointwiseArgminOracle(num_contexts=num_contexts).solve(costs)
+    assert pointwise.assignment == learned.assignment
+    return learned
+
+
+class TestExactTies:
+    """Ties built on purpose: every oracle must break them toward the lowest index."""
+
+    def test_duplicate_members(self):
+        env = simulator.random_environment(110, 2, 3)
+        data = simulator.generate_logs(env, 12, seed=111)
+        costs = build_modified_costs(data, 0.1)
+        best = EnumerationOracle().solve(costs, deterministic_class(2, 3))
+        twin = DeterministicPolicy(assignment=best.assignment, num_actions=3)
+        worse = DeterministicPolicy(assignment=tuple((a + 1) % 3 for a in best.assignment), num_actions=3)
+        pclass = PolicyClass.from_members([worse, best, twin])
+        assert EnumerationOracle().solve(costs, pclass) is best
+        assert brute_force_argmin(data, 0.1, pclass)[0] is best
+
+    def test_contexts_absent_from_the_data(self):
+        # Only context 1 of 4 is logged: members that differ only on the other
+        # contexts tie exactly, and the lowest index assigns them action 0.
+        data = dataset([0, 1, 2, 1], [0.9, 0.1, 0.7, 0.3], [[0.3, 0.5, 0.2]] * 4, ids=[1, 1, 1, 1])
+        pclass = deterministic_class(4, 3)
+        learned = assert_same_lowest_index_winner(data, 0.05, pclass, num_contexts=4)
+        assert learned.assignment == (0, 1, 0, 0)
+
+    def test_identical_cost_columns(self):
+        # Actions 0 and 1 share a propensity and never see a loss, so their
+        # cost columns are identical and cheapest; action 2 is logged with loss.
+        props = [[0.4, 0.4, 0.2]] * 6
+        data = dataset([2, 2, 2, 2, 2, 2], [0.5, 0.1, 0.9, 0.2, 0.3, 0.8], props, ids=[0, 1, 2, 0, 1, 2])
+        pclass = deterministic_class(3, 3)
+        learned = assert_same_lowest_index_winner(data, 0.3, pclass, num_contexts=3)
+        assert learned.assignment == (0, 0, 0)
+        assert pclass.members.index(learned) == 0
+
+    @given(st.data())
+    def test_dyadic_inputs_match_brute_force(self, draw):
+        # Propensities are powers of two and losses and beta are multiples of
+        # 1/8, and n is a power of two, so every sum and mean in either code
+        # path is exact: ties are real ties, whatever the summation order.
+        num_contexts = draw.draw(st.integers(1, 3))
+        num_actions = draw.draw(st.integers(2, 3))
+        n = draw.draw(st.sampled_from([1, 2, 4, 8]))
+        props = []
+        for _ in range(n):
+            pmf = [1.0]
+            while len(pmf) < num_actions:
+                k = draw.draw(st.integers(0, len(pmf) - 1))
+                pmf[k:k + 1] = [pmf[k] / 2, pmf[k] / 2]
+            props.append(draw.draw(st.permutations(pmf)))
+        data = LoggedDataset(
+            actions=np.array(draw.draw(st.lists(st.integers(0, num_actions - 1), min_size=n, max_size=n))),
+            losses=np.array(draw.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))) / 8,
+            propensities=np.array(props),
+            context_ids=np.array(draw.draw(st.lists(st.integers(0, num_contexts - 1), min_size=n, max_size=n))),
+            num_contexts=num_contexts,
+        )
+        beta = draw.draw(st.sampled_from([0.0, 0.125, 0.5, 1.0, 2.0]))
+        assert_same_lowest_index_winner(data, beta, deterministic_class(num_contexts, num_actions), num_contexts)
+
+    def test_large_class_solve_makes_no_per_member_calls(self, monkeypatch):
+        calls = {"pmf_rows": 0, "pmf_table": 0, "average_cost": 0}
+
+        def counting(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        env = simulator.random_environment(112, 6, 4)
+        data = simulator.generate_logs(env, 500, seed=113)
+        costs = build_modified_costs(data, 0.1)
+        pclass = deterministic_class(6, 4)
+        assert pclass.size == 4096
+        monkeypatch.setattr(MassPolicy, "pmf_rows", counting("pmf_rows", MassPolicy.pmf_rows))
+        monkeypatch.setattr(DeterministicPolicy, "pmf_table", counting("pmf_table", DeterministicPolicy.pmf_table))
+        monkeypatch.setattr(csc, "average_cost", counting("average_cost", csc.average_cost))
+        learned = EnumerationOracle().solve(costs, pclass)
+        assert calls == {"pmf_rows": 0, "pmf_table": 0, "average_cost": 0}
+        monkeypatch.undo()
+        assert learned.assignment == PointwiseArgminOracle(num_contexts=6).solve(costs).assignment
 
 
 class TestPointwiseArgminOracle:
@@ -244,6 +340,18 @@ class TestPessimismPath:
             policy, _ = train_ipw_pl(data, beta, EnumerationOracle(), pclass)
             path.append(pseudo_loss(policy, data))
         assert all(later <= earlier + 1e-12 for earlier, later in zip(path, path[1:]))
+
+
+class TestCostMatrix:
+    @pytest.mark.parametrize("ids, num_contexts", [([0, -1], None), ([0, 3], 3)])
+    def test_out_of_range_context_id_rejected(self, ids, num_contexts):
+        # np.add.at would fold a negative id into the last context's row.
+        with pytest.raises(ValueError):
+            CostMatrix(costs=np.ones((2, 2)), context_ids=np.array(ids), num_contexts=num_contexts)
+
+    def test_context_ids_must_align_with_rows(self):
+        with pytest.raises(ValueError):
+            CostMatrix(costs=np.ones((2, 2)), context_ids=np.array([0]))
 
 
 class TestCostMatrixCsv:

@@ -32,6 +32,7 @@ from plbandit.model import (
     SupportError,
     TabularPolicy,
     UniformPolicy,
+    deterministic_class,
 )
 
 # Frozen expected values, computed once with 50-digit arithmetic (mpmath) from
@@ -398,6 +399,25 @@ class TestBetaCandidates:
         pclass = PolicyClass.from_members([low_pl, high_pl])
         pairs = beta_candidates(pclass, data, STATS, 0.05)
         assert pairs[0][1] > pairs[1][1]
+
+    def test_matches_per_member_loop(self):
+        # Reference: the per-member pseudo_loss loop the contraction replaced.
+        env = simulator.random_environment(120, 3, 3)
+        data = simulator.generate_logs(env, 300, seed=121)
+        members = list(deterministic_class(3, 3).members) + [simulator.random_policy(122, 3, 3)]
+        pclass = PolicyClass.from_members(members)
+        stats = ClassStats(pmf_sup=1.0, mu_pmf_inf=0.1, weight_ratio_sup=10.0, class_size=pclass.size)
+        pairs = beta_candidates(pclass, data, stats, 0.05)
+        log_term = math.log(4.0 * pclass.size / 0.05)
+        assert all(got is member for (got, _), member in zip(pairs, members))
+        for member, beta in pairs:
+            expected = math.sqrt(3.0 * log_term / (4.0 * data.n * pseudo_loss(member, data)))
+            assert beta == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_propensity_rejected(self):
+        data = dataset([0], [0.1], [[1.0, 0.0]])
+        with pytest.raises(SupportError):
+            beta_candidates(PolicyClass.from_members([UniformPolicy(2)]), data, STATS, 0.05)
 
     def test_identical_policies_identical_betas(self):
         data = dataset([0], [0.1], [[0.8, 0.2]])

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from plbandit.model import (
     ClassStats,
     Context,
+    DatasetError,
     DeterministicPolicy,
     DiscreteActionSpace,
+    LinearCostPolicy,
     LoggedDataset,
     LoggedRecord,
     PolicyClass,
@@ -115,6 +117,21 @@ class TestClassStats:
         stats = ClassStats(pmf_sup=sup, mu_pmf_inf=inf, weight_ratio_sup=ratio, class_size=size)
         assert stats.mismatch == max(np.sqrt(sup / inf), ratio)
 
+    def test_matches_per_member_loop(self):
+        # Reference: the per-member, per-context loop the contraction replaced.
+        for seed in range(5):
+            env = simulator.random_environment((5, seed), 4, 3)
+            members = [simulator.random_policy((6, seed, j), 4, 3) for j in range(6)]
+            members += list(deterministic_class(4, 3).members[::7])
+            contexts = [Context(id=x) for x in (3, 1, 1, 2)]
+            mu_rows = np.stack([env.logging_policy.pmf(c) for c in contexts])
+            pmf_sup = max(float(np.stack([m.pmf(c) for c in contexts]).max()) for m in members)
+            ratio_sup = max(float((np.stack([m.pmf(c) for c in contexts]) / mu_rows).max()) for m in members)
+            stats = class_stats(PolicyClass.from_members(members), env.logging_policy, contexts)
+            assert stats.pmf_sup == pmf_sup
+            assert stats.weight_ratio_sup == ratio_sup
+            assert stats.mu_pmf_inf == float(mu_rows.min())
+
     def test_pmf_chain_for_mass_policies(self):
         # For enumerated mass-policy classes: mu_inf <= 1/|A| <= pmf_sup.
         for seed in range(5):
@@ -142,6 +159,42 @@ class TestPolicies:
         with pytest.raises(ValueError):
             TabularPolicy(np.array([[1.2, -0.2]]))
 
+    def test_pmf_tables(self):
+        assert np.array_equal(UniformPolicy(2).pmf_table(3), np.full((3, 2), 0.5))
+        assert np.array_equal(
+            DeterministicPolicy(assignment=(2, 0), num_actions=3).pmf_table(2), [[0, 0, 1], [1, 0, 0]]
+        )
+        table = np.array([[0.8, 0.2], [0.6, 0.4], [0.5, 0.5]])
+        assert np.array_equal(TabularPolicy(table).pmf_table(2), table[:2])
+        with pytest.raises(ValueError):
+            TabularPolicy(table).pmf_table(4)
+        with pytest.raises(ValueError):
+            LinearCostPolicy(weights=np.eye(2), intercepts=np.zeros(2)).pmf_table(1)
+
+    def test_pmf_rows_index_the_table(self):
+        data = simulator.generate_logs(simulator.random_environment((7, 0), 3, 3), 20, seed=8)
+        policy = simulator.random_policy((7, 1), 3, 3)
+        assert np.array_equal(policy.pmf_rows(data), policy.table[data.context_ids])
+        for i in range(data.n):
+            assert np.array_equal(policy.pmf(data.context(i)), policy.table[data.context_ids[i]])
+
+    def test_class_tables_stack_member_tables(self):
+        members = [simulator.random_policy((9, j), 3, 2) for j in range(4)] + [UniformPolicy(2)]
+        pclass = PolicyClass.from_members(members)
+        tables = pclass.tables(3)
+        assert tables.shape == (5, 3, 2)
+        for table, member in zip(tables, members):
+            assert np.array_equal(table, member.pmf_table(3))
+        assert not tables.flags.writeable
+        assert np.shares_memory(pclass.tables(2), tables)  # cached, sliced for fewer contexts
+
+    def test_deterministic_class_tables_match_members(self):
+        for num_contexts, num_actions in [(1, 2), (2, 3), (3, 4)]:
+            pclass = deterministic_class(num_contexts, num_actions)
+            tables = pclass.tables(num_contexts)
+            for table, member in zip(tables, pclass.members):
+                assert np.array_equal(table, member.pmf_table(num_contexts))
+
     def test_deterministic_class_order(self):
         pclass = deterministic_class(2, 3)
         assert pclass.size == 9
@@ -159,6 +212,47 @@ class TestPolicies:
             Context()
         with pytest.raises(ValueError):
             Context(id=1, features=np.array([1.0]))
+
+
+class TestDatasetIndexRanges:
+    @pytest.mark.parametrize(
+        "actions, ids, num_contexts, message",
+        [
+            ([0, 1, -1], [0, 1, 0], None, "action -1 out of range [0, 2) at record 2"),
+            ([0, 2, 1], [0, 1, 0], None, "action 2 out of range [0, 2) at record 1"),
+            ([0, 1, 1], [0, -1, 0], None, "context id -1 out of range [0, 1) at record 1"),
+            ([0, 1, 1], [0, 1, 3], 3, "context id 3 out of range [0, 3) at record 2"),
+        ],
+    )
+    def test_out_of_range_indices_rejected(self, actions, ids, num_contexts, message):
+        with pytest.raises(DatasetError) as err:
+            LoggedDataset(
+                actions=np.array(actions),
+                losses=np.zeros(3),
+                propensities=np.full((3, 2), 0.5),
+                context_ids=np.array(ids),
+                num_contexts=num_contexts,
+            )
+        assert message in str(err.value)
+
+    def test_misaligned_contexts_rejected(self):
+        with pytest.raises(DatasetError):
+            LoggedDataset(
+                actions=np.zeros(2, dtype=np.int64),
+                losses=np.zeros(2),
+                propensities=np.full((2, 2), 0.5),
+                context_ids=np.array([0]),
+            )
+
+    def test_loader_names_file_and_record(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"header": {"num_actions": 2, "num_contexts": 1}}\n'
+            '{"context": {"id": 0}, "action": 0, "loss": 0.1, "propensities": [0.5, 0.5]}\n'
+            '{"context": {"id": 0}, "action": -1, "loss": 0.1, "propensities": [0.5, 0.5]}\n'
+        )
+        with pytest.raises(DatasetError, match=r"bad\.jsonl: action -1 out of range \[0, 2\) at record 1"):
+            load_dataset_jsonl(path)
 
 
 class TestDatasetRoundTrips:
