@@ -1,10 +1,11 @@
 """Continuous-action bandwidth sweep with suggested grid sizes.
 
 Generates logs from a random continuous environment, then for each bandwidth
-on a reciprocal grid picks the suggested surrogate grid size, trains by
-per-context argmin on the modified grid costs, and records objective, exact
-risk and the pseudo-loss. Equivalent to `plbandit sweep --h-grid-m ...` but
-kept as a library-level script for experimentation.
+on a reciprocal grid picks the suggested surrogate grid size, trains with
+`continuous.train_smoothed` (per-context argmin on the modified grid costs),
+and records objective, exact risk and the pseudo-loss. Equivalent to
+`plbandit sweep --h-grid-m ...` but kept as a library-level script for
+experimentation.
 
 Usage: python scripts/bandwidth_sweep.py [--n 2000] [--m 8] [--out bandwidth.csv]
 """
@@ -12,10 +13,8 @@ Usage: python scripts/bandwidth_sweep.py [--n 2000] [--m 8] [--out bandwidth.csv
 import argparse
 import csv
 
-import numpy as np
-
 from plbandit import continuous as cont
-from plbandit import csc, simulator
+from plbandit import simulator
 
 
 def main() -> None:
@@ -36,17 +35,9 @@ def main() -> None:
     rows = []
     for h in cont.h_grid(args.m):
         k = cont.suggest_k(data.n, mu_inf, h, args.alpha)
-        grid = cont.SurrogateGrid(k)
-        costs = cont.build_modified_costs_continuous(data, grid, h, args.beta)
-        chosen = csc.PointwiseArgminOracle(num_contexts=data.num_contexts).solve(costs)
-        policy = cont.smooth(cont.GridMassPolicy(grid=grid, table=np.eye(k)[np.asarray(chosen.assignment)]), h)
-        row = {
-            "h": h,
-            "k": k,
-            "objective": cont.continuous_penalized_objective(policy, data, args.beta),
-            "pl_hat": cont.continuous_pseudo_loss(policy, data),
-            "exact_risk": simulator.exact_risk(policy, env),
-        }
+        policy, objective, pl_hat = cont.train_smoothed(data, k, h, args.beta)
+        exact = simulator.exact_risk(policy, env)
+        row = {"h": h, "k": k, "objective": objective, "pl_hat": pl_hat, "exact_risk": exact}
         rows.append(row)
         print(f"h={h:.4f}  k={k:>3}  objective={row['objective']:.4f}  exact_risk={row['exact_risk']:.4f}")
 

@@ -29,6 +29,7 @@ from .continuous import (
     smoothed_excess_bound,
     suggest_k,
     surrogate_set,
+    train_smoothed,
 )
 from .csc import (
     CostMatrix,

@@ -41,6 +41,7 @@ class UsageError(Exception):
 
 
 BUILTIN_ENVS = ("hard", "demo", "demo-continuous")
+SEED_HELP = "seed of a builtin --env; defaults to the seed in the dataset header"
 
 
 def _resolve_env(spec: str, seed: int):
@@ -146,10 +147,24 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _is_continuous_file(path: str) -> bool:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-    return header.get("header", {}).get("action_space") == "unit_interval"
+def _dataset_env(spec: str | None, seed: int | None, dataset_path: str):
+    """The environment a dataset is scored against, or None without --env.
+
+    A builtin environment is rebuilt from the seed in the dataset header; an
+    explicit --seed must agree with it.
+    """
+    if spec is None:
+        return None
+    if spec in BUILTIN_ENVS:
+        with open(dataset_path) as fh:
+            header_seed = json.loads(fh.readline()).get("header", {}).get("seed")
+        if seed is None:
+            if header_seed is None:
+                raise UsageError(f"--env {spec} needs --seed: {dataset_path} records no seed")
+            seed = header_seed
+        elif header_seed is not None and seed != header_seed:
+            raise UsageError(f"--seed {seed} contradicts the seed {header_seed} in {dataset_path}")
+    return _resolve_env(spec, seed)
 
 
 def cmd_train(args) -> int:
@@ -167,8 +182,9 @@ def cmd_train(args) -> int:
         slack = estimators.confidence_slack(stats, dataset.n, args.alpha, args.beta)
         metrics["ucb_risk"] = objective + slack.value
         metrics["slack"] = slack.as_dict()
-    if args.env is not None:
-        metrics["exact_risk"] = simulator.exact_risk(policy, _resolve_env(args.env, args.seed))
+    env = _dataset_env(args.env, args.seed, args.dataset)
+    if env is not None:
+        metrics["exact_risk"] = simulator.exact_risk(policy, env)
     _write_json(_policy_to_json(policy), f"{args.out}.policy.json")
     _write_json(metrics, f"{args.out}.metrics.json")
     print(f"{args.out}.policy.json")
@@ -194,8 +210,9 @@ def cmd_evaluate(args) -> int:
     with open(args.policy) as fh:
         policy = _policy_from_json(json.load(fh))
     metrics = _dataset_metrics(policy, dataset, args.beta)
-    if args.env is not None:
-        metrics["exact_risk"] = simulator.exact_risk(policy, _resolve_env(args.env, args.seed))
+    env = _dataset_env(args.env, args.seed, args.dataset)
+    if env is not None:
+        metrics["exact_risk"] = simulator.exact_risk(policy, env)
     if args.out:
         _write_json(metrics, args.out)
     print(json.dumps(metrics, sort_keys=True))
@@ -225,7 +242,7 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
     dataset = load_dataset_jsonl(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge, dataset)
-    env = _resolve_env(args.env, args.seed) if args.env else None
+    env = _dataset_env(args.env, args.seed, args.dataset)
     stats = None
     if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
         stats = class_stats(pclass, _empirical_logging_policy(dataset), _seen_contexts(dataset))
@@ -254,19 +271,17 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
 
 def _continuous_sweep(args, threads: int) -> list[dict]:
     dataset = cont.load_continuous_dataset_jsonl(args.dataset)
-    env = _resolve_env(args.env, args.seed) if args.env else None
+    violations = cont.validate_continuous_dataset(dataset)
+    if violations:
+        raise DatasetError(f"{args.dataset}: invalid dataset: {violations[0]} (+{len(violations) - 1} more)")
+    env = _dataset_env(args.env, args.seed, args.dataset)
     alpha = args.alpha if args.alpha is not None else 0.05
     beta = args.beta
     mu_inf = dataset.min_logging_density
 
     def one(h: float) -> dict:
         k = args.k if args.k is not None else cont.suggest_k(dataset.n, mu_inf, h, alpha)
-        grid = cont.SurrogateGrid(k)
-        costs = cont.build_modified_costs_continuous(dataset, grid, h, beta)
-        chosen = csc.PointwiseArgminOracle(num_contexts=dataset.num_contexts).solve(costs)
-        table = np.eye(k)[np.asarray(chosen.assignment)]
-        policy = cont.smooth(cont.GridMassPolicy(grid=grid, table=table), h)
-        objective = cont.continuous_penalized_objective(policy, dataset, beta)
+        policy, objective, pl_hat = cont.train_smoothed(dataset, k, h, beta)
         stats_slack = estimators.confidence_slack(
             _smoothed_stats(h, mu_inf, k, dataset.num_contexts), dataset.n, alpha, beta
         )
@@ -275,7 +290,7 @@ def _continuous_sweep(args, threads: int) -> list[dict]:
             "k": k,
             "h": h,
             "objective": objective,
-            "pl_hat": cont.continuous_pseudo_loss(policy, dataset),
+            "pl_hat": pl_hat,
             "ucb_risk": objective + stats_slack.value,
             "exact_risk": "",
         }
@@ -344,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--beta", type=float, required=True)
     train.add_argument("--alpha", type=float, default=None)
     train.add_argument("--env", default=None, help="adds exact risk to the metrics")
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     train.add_argument("--out", required=True, help="output prefix")
     train.set_defaults(func=cmd_train)
 
@@ -353,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--policy", required=True)
     ev.add_argument("--beta", type=float, required=True)
     ev.add_argument("--env", default=None)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_evaluate)
 
@@ -368,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--h-grid-m", type=int, default=None, help="bandwidths 1/1..1/m (continuous mode)")
     sweep.add_argument("--alpha", type=float, default=None)
     sweep.add_argument("--env", default=None)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     sweep.add_argument("--out", required=True, help="CSV path")
     sweep.set_defaults(func=cmd_sweep)
 

@@ -21,12 +21,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .csc import CostMatrix
+from .csc import CostMatrix, PointwiseArgminOracle
 from .model import (
     PMF_ATOL,
     PROPENSITY_FLOOR,
@@ -301,7 +302,12 @@ def inverse_density_integral(mu: PiecewiseConstant, lo: float, hi: float) -> flo
 
 @dataclass(frozen=True, eq=False)
 class ContinuousLoggedDataset:
-    """Logged records with actions in [0, 1] and a full logging density per record."""
+    """Logged records with actions in [0, 1] and a full logging density per record.
+
+    Every integral of the reduction depends on a record only through its
+    logging density, so the estimators work per distinct density
+    (`density_groups`), not per record.
+    """
 
     context_ids: np.ndarray
     actions: np.ndarray
@@ -327,28 +333,75 @@ class ContinuousLoggedDataset:
     def n(self) -> int:
         return len(self.actions)
 
+    @cached_property
+    def density_groups(self) -> tuple[tuple[PiecewiseConstantDensity, ...], np.ndarray]:
+        """The distinct logging densities, by content, in first-seen order, and
+        each record's index into them."""
+        by_content: dict[tuple[bytes, bytes], int] = {}
+        distinct: list[PiecewiseConstantDensity] = []
+        index = np.empty(self.n, dtype=np.intp)
+        for i, density in enumerate(self.densities):
+            g = by_content.setdefault((density.breaks.tobytes(), density.values.tobytes()), len(distinct))
+            if g == len(distinct):
+                distinct.append(density)
+            index[i] = g
+        return tuple(distinct), _frozen(index)
+
+    @cached_property
+    def logged_density(self) -> np.ndarray:
+        """mu_i(a_i) per record, one searchsorted per distinct density (value_at semantics)."""
+        distinct, index = self.density_groups
+        out = np.empty(self.n)
+        ends = np.cumsum(np.bincount(index))
+        for density, members in zip(distinct, np.split(np.argsort(index, kind="stable"), ends[:-1])):
+            pieces = np.searchsorted(density.breaks, self.actions[members], side="right") - 1
+            out[members] = density.values[np.clip(pieces, 0, len(density.values) - 1)]
+        return _frozen(out)
+
     @property
     def min_logging_density(self) -> float:
-        return min(d.min_density for d in self.densities)
+        return min(d.min_density for d in self.density_groups[0])
+
+
+def _window_mask(actions: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
+    """(n, K) closed-window membership, row i equal to surrogate_set(actions[i], ...)."""
+    bad = np.flatnonzero(~((actions >= -EDGE_TOL) & (actions <= 1.0 + EDGE_TOL)))
+    if len(bad):
+        raise DatasetError(f"action must lie in [0, 1] at record {bad[0]}")
+    a = actions[:, None]
+    return (points >= a - h / 2.0 - EDGE_TOL) & (points <= a + h / 2.0 + EDGE_TOL)
+
+
+def _checked_logged_density(dataset: ContinuousLoggedDataset) -> np.ndarray:
+    mu_at = dataset.logged_density
+    zero = np.flatnonzero(mu_at <= PROPENSITY_FLOOR)
+    if len(zero):
+        raise SupportError(f"logged action has zero density at record {zero[0]}")
+    return mu_at
 
 
 def validate_continuous_dataset(dataset: ContinuousLoggedDataset) -> list[str]:
-    """Record-level checks mirroring the discrete validator (empty report = valid)."""
-    report: list[str] = []
-    for i in range(dataset.n):
-        a, loss = float(dataset.actions[i]), float(dataset.losses[i])
-        if not (0.0 <= a <= 1.0):
-            report.append(f"action out of [0,1] at record {i}")
-        if not np.isfinite(loss) or loss < 0.0 or loss > 1.0:
-            report.append(f"loss out of [0,1] at record {i}")
-        density = dataset.densities[i]
-        if abs(density.integral() - 1.0) > PMF_ATOL:
-            report.append(f"density does not integrate to 1 at record {i}")
-        if density.min_density <= PROPENSITY_FLOOR:
-            report.append(f"zero logging density at record {i}")
-        elif 0.0 <= a <= 1.0 and density.value_at(a) <= PROPENSITY_FLOOR:
-            report.append(f"logged action has zero density at record {i}")
-    return report
+    """Record-level checks mirroring the discrete validator (empty report = valid).
+
+    Integral and minimum are checked once per distinct density; the report
+    lists every violation in record order.
+    """
+    distinct, index = dataset.density_groups
+    actions, losses = dataset.actions, dataset.losses
+    action_ok = (actions >= 0.0) & (actions <= 1.0)
+    loss_bad = ~np.isfinite(losses) | (losses < 0.0) | (losses > 1.0)
+    integral_bad = np.array([abs(d.integral() - 1.0) > PMF_ATOL for d in distinct])[index]
+    zero_piece = np.array([d.min_density <= PROPENSITY_FLOOR for d in distinct])[index]
+    zero_at_action = ~zero_piece & action_ok & (dataset.logged_density <= PROPENSITY_FLOOR)
+    checks = [
+        (~action_ok, "action out of [0,1]"),
+        (loss_bad, "loss out of [0,1]"),
+        (integral_bad, "density does not integrate to 1"),
+        (zero_piece, "zero logging density"),
+        (zero_at_action, "logged action has zero density"),
+    ]
+    flagged = sorted((int(i), rank) for rank, (mask, _) in enumerate(checks) for i in np.flatnonzero(mask))
+    return [f"{checks[rank][1]} at record {i}" for i, rank in flagged]
 
 
 def build_modified_costs_continuous(
@@ -362,6 +415,13 @@ def build_modified_costs_continuous(
         cost[i][j] = loss_i / (H_e(a~_j) * mu_i(a_i)) * 1{a~_j within h/2 of a_i}
                    + beta / H_e(a~_j) * integral of 1/mu_i over the clipped window of a~_j.
 
+    The beta part is one row per distinct logging density: a (K, pieces)
+    window-overlap matrix divided by the piece values, summed per window. That
+    is `reciprocal_integral` for every window at once, with the same rounding
+    for densities of fewer than 8 pieces (numpy sums shorter rows
+    sequentially), so windows that tie exactly still tie and the oracle's
+    lowest-index rule picks the same grid point as a per-record build.
+
     The grid-policy-weighted average of these costs equals the density-side
     penalized objective of the smoothed policy, exactly.
     """
@@ -371,44 +431,68 @@ def build_modified_costs_continuous(
     h_eff = _effective_bandwidths(points, h)
     lo = np.maximum(0.0, points - h / 2.0)
     hi = np.minimum(1.0, points + h / 2.0)
-    costs = np.zeros((dataset.n, grid.k))
-    for i in range(dataset.n):
-        mu = dataset.densities[i]
-        if beta > 0:
-            for j in range(grid.k):
-                costs[i, j] = beta / h_eff[j] * mu.reciprocal_integral(lo[j], hi[j])
-        mu_at = mu.value_at(float(dataset.actions[i]))
-        if mu_at <= PROPENSITY_FLOOR:
-            raise SupportError(f"logged action has zero density at record {i}")
-        idx = surrogate_set(float(dataset.actions[i]), grid, h)
-        costs[i, idx] += dataset.losses[i] / (h_eff[idx] * mu_at)
+    inside = _window_mask(dataset.actions, points, h)
+    mu_at = _checked_logged_density(dataset)
+    distinct, index = dataset.density_groups
+    beta_rows = np.zeros((len(distinct), grid.k))
+    if beta > 0:
+        for g, mu in enumerate(distinct):
+            overlaps = mu._overlaps(lo[:, None], hi[:, None])
+            touched = overlaps > 0
+            if np.any(touched & (mu.values <= PROPENSITY_FLOOR)):
+                first = int(np.argmax(index == g))
+                raise SupportError(f"zero-density piece inside the integration window at record {first}")
+            ratios = np.divide(overlaps, mu.values, out=np.zeros_like(overlaps), where=touched)
+            beta_rows[g] = beta / h_eff * ratios.sum(axis=1)
+    loss_part = dataset.losses[:, None] / (h_eff * mu_at[:, None])
+    costs = beta_rows[index] + np.where(inside, loss_part, 0.0)
     return CostMatrix(costs=costs, context_ids=dataset.context_ids, num_contexts=dataset.num_contexts)
 
 
 def continuous_ipw_risk(policy: SmoothedDensityPolicy, dataset: ContinuousLoggedDataset) -> float:
-    """Density-ratio weighted mean loss (1/N) sum_i pi(a_i|x_i)/mu_i(a_i) * loss_i."""
-    total = 0.0
-    for i in range(dataset.n):
-        mu_at = dataset.densities[i].value_at(float(dataset.actions[i]))
-        if mu_at <= PROPENSITY_FLOOR:
-            raise SupportError(f"logged action has zero density at record {i}")
-        total += policy.density(float(dataset.actions[i]), int(dataset.context_ids[i])) / mu_at * float(
-            dataset.losses[i]
-        )
-    return total / dataset.n
+    """Density-ratio weighted mean loss (1/N) sum_i pi(a_i|x_i)/mu_i(a_i) * loss_i.
+
+    pi(a_i|x_i) uses the closed windows of `SmoothedDensityPolicy.density`.
+    """
+    grid, h = policy.base.grid, policy.bandwidth
+    inside = _window_mask(dataset.actions, grid.points, h)
+    heights = policy.base.table[dataset.context_ids] / _effective_bandwidths(grid.points, h)
+    pi_at = np.where(inside, heights, 0.0).sum(axis=1)
+    return float((pi_at / _checked_logged_density(dataset)) @ dataset.losses) / dataset.n
 
 
 def continuous_pseudo_loss(policy, dataset: ContinuousLoggedDataset) -> float:
     """Pseudo-loss with densities: (1/N) sum_i integral of pi(a|x_i)/mu_i(a) da.
 
-    Computed by exact piecewise integration. Equals 1 whenever the logging
-    density is uniform (the integrand reduces to the policy density itself).
+    Computed by exact piecewise integration, once per distinct (context,
+    logging density) pair and weighted by its record count. Equals 1 whenever
+    the logging density is uniform (the integrand reduces to the policy
+    density itself).
     """
-    pieces = {x: policy.density_pieces(x) for x in set(int(c) for c in dataset.context_ids)}
+    distinct, index = dataset.density_groups
+    counts = np.bincount(dataset.context_ids * len(distinct) + index)
     total = 0.0
-    for i in range(dataset.n):
-        total += pc_ratio_integral(pieces[int(dataset.context_ids[i])], dataset.densities[i])
+    for pair in np.flatnonzero(counts):
+        x, g = divmod(int(pair), len(distinct))
+        total += int(counts[pair]) * pc_ratio_integral(policy.density_pieces(x), distinct[g])
     return total / dataset.n
+
+
+def train_smoothed(
+    dataset: ContinuousLoggedDataset, k: int, h: float, beta: float
+) -> tuple[SmoothedDensityPolicy, float, float]:
+    """Train a bandwidth-h smoothed policy over a K-point grid with one CSC call.
+
+    The per-context argmin of the modified grid costs, as a one-hot grid policy,
+    smoothed with bandwidth h. Returns (policy, density-side objective, pl_hat);
+    the pseudo-loss is computed once and serves both numbers.
+    """
+    grid = SurrogateGrid(k)
+    costs = build_modified_costs_continuous(dataset, grid, h, beta)
+    chosen = PointwiseArgminOracle(num_contexts=dataset.num_contexts).solve(costs)
+    policy = smooth(GridMassPolicy(grid=grid, table=np.eye(k)[np.asarray(chosen.assignment)]), h)
+    pl_hat = continuous_pseudo_loss(policy, dataset)
+    return policy, continuous_ipw_risk(policy, dataset) + beta * pl_hat, pl_hat
 
 
 def continuous_penalized_objective(policy, dataset: ContinuousLoggedDataset, beta: float) -> float:
@@ -508,26 +592,36 @@ def save_continuous_dataset_jsonl(
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
+    """Load a continuous dataset; records with equal (breaks, values) share one
+    validated density object."""
     with open(path) as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if not lines or "header" not in lines[0]:
-        raise ValueError(f"{path}: missing header line")
+        raise DatasetError(f"{path}: missing header line")
     header = lines[0]["header"]
     ids, actions, losses, densities = [], [], [], []
-    for row in lines[1:]:
+    interned: dict[tuple, PiecewiseConstantDensity] = {}
+    for i, row in enumerate(lines[1:]):
         ids.append(int(row["context"]["id"]))
         actions.append(float(row["action"]))
         losses.append(float(row["loss"]))
-        densities.append(
-            PiecewiseConstantDensity(
-                breaks=np.array(row["density"]["breaks"]),
-                values=np.array(row["density"]["values"]),
-            )
+        breaks, values = row["density"]["breaks"], row["density"]["values"]
+        key = (tuple(breaks), tuple(values))
+        density = interned.get(key)
+        if density is None:
+            try:
+                density = PiecewiseConstantDensity(breaks=np.array(breaks), values=np.array(values))
+            except ValueError as err:
+                raise DatasetError(f"{path}: {err} at record {i}") from err
+            interned[key] = density
+        densities.append(density)
+    try:
+        return ContinuousLoggedDataset(
+            context_ids=np.array(ids),
+            actions=np.array(actions),
+            losses=np.array(losses),
+            densities=tuple(densities),
+            num_contexts=int(header["num_contexts"]) if "num_contexts" in header else None,
         )
-    return ContinuousLoggedDataset(
-        context_ids=np.array(ids),
-        actions=np.array(actions),
-        losses=np.array(losses),
-        densities=tuple(densities),
-        num_contexts=int(header["num_contexts"]) if "num_contexts" in header else None,
-    )
+    except DatasetError as err:
+        raise DatasetError(f"{path}: {err}") from err

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plbandit import continuous as cont
 from plbandit import csc, estimators, simulator, verify
 from plbandit.cli import main
 from plbandit.model import UniformPolicy, save_dataset_jsonl
 from plbandit.simulator import random_environment
+
+from continuous_reference import reference_train_smoothed
 
 
 def run(*argv):
@@ -159,6 +162,90 @@ class TestCorruptDataset:
                 assert f"at record {record}" in err.getvalue()
 
 
+CLEAN_CONTINUOUS = simulator.generate_logs(simulator.random_continuous_environment((0, 202), 3), 30, seed=3)
+
+
+class TestCorruptContinuousDataset:
+    @settings(max_examples=20)
+    @given(
+        record=st.integers(0, CLEAN_CONTINUOUS.n - 1),
+        field=st.sampled_from(["loss", "action", "density"]),
+        bad=st.sampled_from([-0.25, 1.5, 7.0]),
+    )
+    def test_corrupt_record_exits_two(self, record, field, bad):
+        # A bad loss or action passes the loader and must be caught by the
+        # sweep's validation; a density that does not integrate to 1 is
+        # rejected by the loader.
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, tmp / "clean.jsonl")
+            lines = (tmp / "clean.jsonl").read_text().splitlines()
+            row = json.loads(lines[record + 1])
+            if field == "density":
+                row["density"]["values"] = [v * (1.0 + bad) for v in row["density"]["values"]]
+            else:
+                row[field] = bad
+            lines[record + 1] = json.dumps(row, sort_keys=True)
+            (tmp / "bad.jsonl").write_text("\n".join(lines) + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("sweep", "--dataset", tmp / "bad.jsonl", "--h-grid-m", 2, "--out", tmp / "s.csv")
+            assert code == 2
+            assert f"at record {record}" in err.getvalue()
+            assert not (tmp / "s.csv").exists()
+
+
+class TestHeaderSeed:
+    @pytest.fixture
+    def demo7(self, tmp_path):
+        out = tmp_path / "d"
+        assert run("generate", "--env", "demo", "--n", 200, "--seed", 7, "--out", out) == 0
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"type": "deterministic", "assignment": [0, 1, 2, 0], "num_actions": 3}))
+        return tmp_path, f"{out}.dataset.jsonl", f"{out}.env.json", policy
+
+    def commands(self, tmp_path, dataset, policy):
+        common = ["--dataset", dataset, "--beta"]
+        return {
+            "train": ["train", *common, 0.1, "--oracle", "argmin", "--out", tmp_path / "m"],
+            "evaluate": ["evaluate", *common, 0.1, "--policy", policy, "--out", tmp_path / "e"],
+            "sweep": ["sweep", *common[:2], "--beta-grid", "0.1", "--oracle", "argmin", "--out", tmp_path / "s"],
+        }
+
+    def exact_risk(self, tmp_path, command):
+        if command == "sweep":
+            with open(tmp_path / "s") as fh:
+                return float(next(csv.DictReader(fh))["exact_risk"])
+        return json.loads((tmp_path / ("m.metrics.json" if command == "train" else "e")).read_text())["exact_risk"]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_builtin_env_uses_header_seed(self, demo7, command):
+        tmp_path, dataset, env_file, policy = demo7
+        argv = self.commands(tmp_path, dataset, policy)[command]
+        assert run(*argv, "--env", env_file) == 0
+        from_file = self.exact_risk(tmp_path, command)
+        assert run(*argv, "--env", "demo") == 0
+        assert self.exact_risk(tmp_path, command) == from_file
+        assert run(*argv, "--env", "demo", "--seed", 7) == 0
+        assert self.exact_risk(tmp_path, command) == from_file
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    def test_contradicting_seed_exits_two(self, demo7, command, capsys):
+        tmp_path, dataset, _, policy = demo7
+        argv = self.commands(tmp_path, dataset, policy)[command]
+        assert run(*argv, "--env", "demo", "--seed", 0) == 2
+        assert "contradicts the seed 7" in capsys.readouterr().err
+
+    def test_header_without_seed_needs_flag(self, tmp_path, capsys):
+        data = simulator.generate_logs(random_environment((3, 101), 4, 3), 50, seed=3)
+        path = tmp_path / "noseed.jsonl"
+        save_dataset_jsonl(data, path)
+        argv = ["train", "--dataset", path, "--beta", 0.1, "--env", "demo", "--out", tmp_path / "m"]
+        assert run(*argv) == 2
+        assert "records no seed" in capsys.readouterr().err
+        assert run(*argv, "--seed", 3) == 0
+
+
 class TestSweep:
     def test_discrete_rows_and_pl_monotone(self, generated):
         tmp_path, dataset_path, env_path = generated
@@ -192,6 +279,29 @@ class TestSweep:
         assert len(rows) == 4
         assert all(r["k"] for r in rows)
         assert [float(r["h"]) for r in rows] == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
+
+    def test_continuous_rows_match_per_record_reference(self, tmp_path):
+        out = tmp_path / "c"
+        assert run("generate", "--env", "demo-continuous", "--n", 120, "--seed", 5, "--out", out) == 0
+        csv_path = tmp_path / "csweep.csv"
+        beta, alpha = 0.05, 0.05
+        assert run(
+            "sweep", "--dataset", f"{out}.dataset.jsonl", "--h-grid-m", 4, "--beta", beta,
+            "--env", "demo-continuous", "--out", csv_path,
+        ) == 0
+        data = cont.load_continuous_dataset_jsonl(f"{out}.dataset.jsonl")
+        env = simulator.load_environment(f"{out}.env.json")
+        with open(csv_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["h"]) for r in rows] == cont.h_grid(4)
+        for row in rows:
+            h, k = float(row["h"]), int(row["k"])
+            assert k == cont.suggest_k(data.n, data.min_logging_density, h, alpha)
+            policy, objective, pl_hat = reference_train_smoothed(data, k, h, beta)
+            assert float(row["objective"]) == pytest.approx(objective, rel=1e-12, abs=1e-12)
+            assert float(row["pl_hat"]) == pytest.approx(pl_hat, rel=1e-12, abs=1e-12)
+            exact = simulator.exact_risk(policy, env)
+            assert float(row["exact_risk"]) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_thread_env_variable(self, generated, monkeypatch):
         tmp_path, dataset_path, _ = generated

@@ -1,4 +1,7 @@
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,10 +29,19 @@ from plbandit.continuous import (
     smoothed_excess_bound,
     suggest_k,
     surrogate_set,
+    train_smoothed,
     validate_continuous_dataset,
 )
 from plbandit.estimators import oracle_inequality_bound, oracle_inequality_bound_tuned
-from plbandit.model import ClassStats, SupportError
+from plbandit.model import ClassStats, DatasetError, SupportError
+
+from continuous_reference import (
+    reference_costs,
+    reference_ipw,
+    reference_pseudo_loss,
+    reference_train_smoothed,
+    reference_validate,
+)
 
 UNIFORM = PiecewiseConstantDensity(breaks=np.array([0.0, 1.0]), values=np.array([1.0]))
 
@@ -368,3 +380,205 @@ class TestPiecewiseTypes:
         fn = PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 3.0]))
         assert fn.value_at(0.0) == 2.0
         assert fn.value_at(1.0) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# Grouped estimators against the per-record loop references.
+
+H_CHOICES = [1.0, 0.5, 1.0 / 3.0, 0.25, 0.2, 0.15]
+
+
+@st.composite
+def densities(draw):
+    """A piecewise-constant density with breaks on a 1/64 lattice."""
+    inner = sorted(draw(st.sets(st.integers(1, 63), max_size=3)))
+    breaks = np.array([0.0, *[b / 64.0 for b in inner], 1.0])
+    raw = np.array(draw(st.lists(st.floats(0.1, 4.0), min_size=len(breaks) - 1, max_size=len(breaks) - 1)))
+    return PiecewiseConstantDensity(breaks=breaks, values=raw / (np.diff(breaks) @ raw))
+
+
+def copy_density(density):
+    return PiecewiseConstantDensity(breaks=density.breaks.copy(), values=density.values.copy())
+
+
+@st.composite
+def grouped_datasets(draw):
+    """(dataset, k, h, beta) of one of three kinds:
+
+    shared  -- a few densities by content, but every record holds its own copy;
+    distinct -- every record has its own density;
+    edges   -- actions exactly on window edges a~_j +- h/2 and on density breaks.
+    """
+    kind = draw(st.sampled_from(["shared", "distinct", "edges"]))
+    n = draw(st.integers(1, 12))
+    num_contexts = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 8))
+    h = draw(st.sampled_from(H_CHOICES))
+    ids = draw(st.lists(st.integers(0, num_contexts - 1), min_size=n, max_size=n))
+    if kind == "distinct":
+        dens = [draw(densities()) for _ in range(n)]
+    else:
+        pool = draw(st.lists(densities(), min_size=1, max_size=3))
+        dens = [copy_density(pool[draw(st.integers(0, len(pool) - 1))]) for _ in range(n)]
+    if kind == "edges":
+        points = SurrogateGrid(k).points
+        actions = []
+        for density in dens:
+            edges = np.clip(np.concatenate([points - h / 2.0, points + h / 2.0]), 0.0, 1.0)
+            candidates = [*edges, *density.breaks]
+            actions.append(float(draw(st.sampled_from(candidates))))
+    else:
+        actions = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    losses = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    beta = draw(st.sampled_from([0.0, 0.01, 0.1, 1.0]))
+    dataset = ContinuousLoggedDataset(
+        context_ids=np.array(ids),
+        actions=np.array(actions),
+        losses=np.array(losses),
+        densities=tuple(dens),
+        num_contexts=num_contexts,
+    )
+    return dataset, k, h, beta
+
+
+class TestGroupedEstimators:
+    @given(case=grouped_datasets())
+    def test_costs_match_per_record_loop(self, case):
+        data, k, h, beta = case
+        grid = SurrogateGrid(k)
+        costs = build_modified_costs_continuous(data, grid, h, beta)
+        reference = reference_costs(data, grid, h, beta)
+        assert np.max(np.abs(costs.costs - reference)) <= 1e-12
+        oracle = csc.PointwiseArgminOracle(num_contexts=data.num_contexts)
+        reference_matrix = csc.CostMatrix(reference, context_ids=data.context_ids, num_contexts=data.num_contexts)
+        assert oracle.solve(costs).assignment == oracle.solve(reference_matrix).assignment
+
+    @given(case=grouped_datasets(), seed=st.integers(0, 2**16))
+    def test_ipw_and_pseudo_loss_match_per_record_loop(self, case, seed):
+        data, k, h, _ = case
+        policy = smooth(simulator.random_grid_policy(seed, data.num_contexts, k), h)
+        ipw, pseudo_loss = continuous_ipw_risk(policy, data), continuous_pseudo_loss(policy, data)
+        assert ipw == pytest.approx(reference_ipw(policy, data), rel=1e-12, abs=1e-12)
+        assert pseudo_loss == pytest.approx(reference_pseudo_loss(policy, data), rel=1e-12, abs=1e-12)
+
+    @given(case=grouped_datasets())
+    def test_train_smoothed_matches_reference_pipeline(self, case):
+        data, k, h, beta = case
+        policy, objective, pl_hat = train_smoothed(data, k, h, beta)
+        ref_policy, ref_objective, ref_pl_hat = reference_train_smoothed(data, k, h, beta)
+        assert np.array_equal(policy.base.table, ref_policy.base.table)
+        assert policy.bandwidth == h
+        assert objective == pytest.approx(ref_objective, rel=1e-12, abs=1e-12)
+        assert pl_hat == pytest.approx(ref_pl_hat, rel=1e-12, abs=1e-12)
+        assert objective == pytest.approx(continuous_penalized_objective(policy, data, beta), rel=1e-12, abs=1e-12)
+
+    def test_window_edge_membership_is_closed(self):
+        # a = 0.4 sits exactly on the edges of the windows of 0.3 and 0.5
+        # (h = 0.2), so both atoms count, as in SmoothedDensityPolicy.density;
+        # the right-continuous density_pieces(x).value_at(0.4) sees only 0.5.
+        policy = smooth(GridMassPolicy(grid=SurrogateGrid(5), table=np.full((1, 5), 0.2)), 0.2)
+        data = continuous_dataset([0.4], [1.0], [UNIFORM])
+        assert continuous_ipw_risk(policy, data) == pytest.approx(policy.density(0.4, 0)) == pytest.approx(2.0)
+        assert policy.density_pieces(0).value_at(0.4) == pytest.approx(1.0)
+
+    def test_groups_by_content_not_identity(self):
+        mu = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.5, 0.5]))
+        data = continuous_dataset([0.1, 0.7, 0.3], [0.2, 0.4, 0.9], [mu, UNIFORM, copy_density(mu)])
+        distinct, index = data.density_groups
+        assert distinct == (mu, UNIFORM)
+        assert index.tolist() == [0, 1, 0]
+        assert data.logged_density.tolist() == [1.5, 1.0, 1.5]
+
+    def test_zero_density_at_logged_action_rejected(self):
+        # A dataset cannot be built with a zero piece through the public
+        # constructors, so build the density without its checks.
+        mu = PiecewiseConstantDensity.__new__(PiecewiseConstantDensity)
+        object.__setattr__(mu, "breaks", np.array([0.0, 0.5, 1.0]))
+        object.__setattr__(mu, "values", np.array([2.0, 0.0]))
+        data = continuous_dataset([0.2, 0.8], [0.5, 0.5], [UNIFORM, mu])
+        policy = smooth(one_hot_grid_policy(2, 0), 0.5)
+        with pytest.raises(SupportError, match="at record 1"):
+            build_modified_costs_continuous(data, SurrogateGrid(2), 0.5, 0.0)
+        with pytest.raises(SupportError, match="at record 1"):
+            continuous_ipw_risk(policy, data)
+
+    def test_action_outside_unit_interval_rejected(self):
+        data = continuous_dataset([0.5, 1.5], [0.5, 0.5], [UNIFORM] * 2)
+        with pytest.raises(ValueError, match="at record 1"):
+            build_modified_costs_continuous(data, SurrogateGrid(3), 0.5, 0.1)
+        with pytest.raises(ValueError, match="at record 1"):
+            continuous_ipw_risk(smooth(one_hot_grid_policy(3, 0), 0.5), data)
+
+
+class TestValidatorMatchesLoop:
+    @given(
+        case=grouped_datasets(),
+        bad_actions=st.dictionaries(st.integers(0, 11), st.sampled_from([-0.5, 1.5, 2.0, float("nan")])),
+        bad_losses=st.dictionaries(st.integers(0, 11), st.sampled_from([-0.1, 7.0, float("inf"), float("nan")])),
+    )
+    def test_report_matches_per_record_loop(self, case, bad_actions, bad_losses):
+        data, _, _, _ = case
+        actions, losses = data.actions.copy(), data.losses.copy()
+        for i, value in bad_actions.items():
+            actions[i % data.n] = value
+        for i, value in bad_losses.items():
+            losses[i % data.n] = value
+        corrupt = ContinuousLoggedDataset(
+            context_ids=data.context_ids, actions=actions, losses=losses, densities=data.densities
+        )
+        assert validate_continuous_dataset(corrupt) == reference_validate(corrupt)
+
+    def test_unnormalized_and_zero_densities_reported_in_record_order(self):
+        class Unchecked(PiecewiseConstant):
+            @property
+            def min_density(self):
+                return float(self.values.min())
+
+        double = Unchecked(breaks=np.array([0.0, 1.0]), values=np.array([2.0]))
+        holed = Unchecked(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
+        data = continuous_dataset([0.2, 0.7, 1.5, 0.1], [0.5, 2.0, 0.5, 0.5], [UNIFORM, holed, double, double])
+        report = validate_continuous_dataset(data)
+        assert report == reference_validate(data)
+        assert report == [
+            "loss out of [0,1] at record 1",
+            "zero logging density at record 1",
+            "action out of [0,1] at record 2",
+            "density does not integrate to 1 at record 2",
+            "density does not integrate to 1 at record 3",
+        ]
+
+
+class TestLoaderInterning:
+    @given(case=grouped_datasets())
+    def test_interned_dataset_equals_uninterned(self, case):
+        data, k, h, beta = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            save_continuous_dataset_jsonl(data, path)
+            loaded = load_continuous_dataset_jsonl(path)
+        assert np.array_equal(loaded.actions, data.actions)
+        assert np.array_equal(loaded.losses, data.losses)
+        assert np.array_equal(loaded.context_ids, data.context_ids)
+        first_seen = {}
+        for da, db in zip(loaded.densities, data.densities):
+            assert np.array_equal(da.breaks, db.breaks) and np.array_equal(da.values, db.values)
+            # Equal content loads as one shared object.
+            assert da is first_seen.setdefault((db.breaks.tobytes(), db.values.tobytes()), da)
+        grid = SurrogateGrid(k)
+        assert np.array_equal(
+            build_modified_costs_continuous(loaded, grid, h, beta).costs,
+            build_modified_costs_continuous(data, grid, h, beta).costs,
+        )
+        assert validate_continuous_dataset(loaded) == validate_continuous_dataset(data) == []
+
+    def test_density_not_integrating_to_one_names_record(self, tmp_path):
+        data = continuous_dataset([0.2, 0.7], [0.5, 0.5], [UNIFORM, UNIFORM])
+        path = tmp_path / "data.jsonl"
+        save_continuous_dataset_jsonl(data, path)
+        lines = path.read_text().splitlines()
+        row = json.loads(lines[2])
+        row["density"]["values"] = [2.0]
+        lines[2] = json.dumps(row)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="integrate to 1.*at record 1"):
+            load_continuous_dataset_jsonl(path)
