@@ -31,6 +31,7 @@ from .model import (
     class_stats,
     deterministic_class,
     load_dataset_jsonl,
+    read_header,
     save_dataset_jsonl,
     validate_dataset,
 )
@@ -147,17 +148,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _load_valid(path: str, continuous: bool = False):
+    """Load a dataset file and validate it; any violation is a DatasetError (exit 2)."""
+    if continuous:
+        dataset = cont.load_continuous_dataset_jsonl(path)
+        violations = cont.validate_continuous_dataset(dataset)
+    else:
+        dataset = load_dataset_jsonl(path)
+        violations = validate_dataset(dataset)
+    if violations:
+        raise DatasetError(f"{path}: invalid dataset: {violations[0]} (+{len(violations) - 1} more)")
+    return dataset
+
+
 def _dataset_env(spec: str | None, seed: int | None, dataset_path: str):
     """The environment a dataset is scored against, or None without --env.
 
-    A builtin environment is rebuilt from the seed in the dataset header; an
-    explicit --seed must agree with it.
+    A builtin environment must be the one the dataset header names (a header
+    without `env` is accepted), and is rebuilt from the seed in the header;
+    an explicit --seed must agree with it.
     """
     if spec is None:
         return None
     if spec in BUILTIN_ENVS:
         with open(dataset_path) as fh:
-            header_seed = json.loads(fh.readline()).get("header", {}).get("seed")
+            header = read_header(fh, dataset_path)
+        header_env, header_seed = header.get("env"), header.get("seed")
+        if header_env is not None and header_env != spec:
+            raise UsageError(f"--env {spec} contradicts the env '{header_env}' in {dataset_path}")
         if seed is None:
             if header_seed is None:
                 raise UsageError(f"--env {spec} needs --seed: {dataset_path} records no seed")
@@ -168,10 +186,7 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str):
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset_jsonl(args.dataset)
-    violations = validate_dataset(dataset)
-    if violations:
-        raise UsageError(f"invalid dataset: {violations[0]} (+{len(violations) - 1} more)")
+    dataset = _load_valid(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge, dataset)
     policy, objective = csc.train_ipw_pl(dataset, args.beta, oracle, pclass)
@@ -206,7 +221,7 @@ def _empirical_logging_policy(dataset: LoggedDataset) -> TabularPolicy:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = load_dataset_jsonl(args.dataset)
+    dataset = _load_valid(args.dataset)
     with open(args.policy) as fh:
         policy = _policy_from_json(json.load(fh))
     metrics = _dataset_metrics(policy, dataset, args.beta)
@@ -239,7 +254,7 @@ def cmd_sweep(args) -> int:
 def _discrete_sweep(args, threads: int) -> list[dict]:
     if args.beta_grid is None:
         raise UsageError("discrete sweep needs --beta-grid")
-    dataset = load_dataset_jsonl(args.dataset)
+    dataset = _load_valid(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge, dataset)
     env = _dataset_env(args.env, args.seed, args.dataset)
@@ -270,10 +285,7 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
 
 
 def _continuous_sweep(args, threads: int) -> list[dict]:
-    dataset = cont.load_continuous_dataset_jsonl(args.dataset)
-    violations = cont.validate_continuous_dataset(dataset)
-    if violations:
-        raise DatasetError(f"{args.dataset}: invalid dataset: {violations[0]} (+{len(violations) - 1} more)")
+    dataset = _load_valid(args.dataset, continuous=True)
     env = _dataset_env(args.env, args.seed, args.dataset)
     alpha = args.alpha if args.alpha is not None else 0.05
     beta = args.beta

@@ -37,6 +37,12 @@ from .model import (
     _frozen,
     _leading_rows,
     check_index_range,
+    header_int,
+    index_problem,
+    is_number,
+    missing_field,
+    read_header,
+    read_record_chunks,
 )
 
 # Closed-window membership tolerance: grid points sitting exactly on a window
@@ -591,37 +597,61 @@ def save_continuous_dataset_jsonl(
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+_CONTINUOUS_KEYS = ("context.id", "action", "loss", "density.breaks", "density.values")
+
+
+def _scalar_problem(context_id, action, loss) -> str | None:
+    problem = index_problem("context.id", context_id)
+    if problem is not None:
+        return problem
+    for name, value in (("action", action), ("loss", loss)):
+        if not is_number(value):
+            return f"{name} {json.dumps(value)} is not a number"
+    return None
+
+
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
     """Load a continuous dataset; records with equal (breaks, values) share one
-    validated density object."""
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or "header" not in lines[0]:
-        raise DatasetError(f"{path}: missing header line")
-    header = lines[0]["header"]
+    validated density object.
+
+    As in `load_dataset_jsonl`, a line that is not a JSON object, a missing
+    field, a context id that is not a JSON integer, a non-numeric action or
+    loss, and a density that fails its checks raise DatasetError naming the
+    file and the 0-based record index.
+    """
     ids, actions, losses, densities = [], [], [], []
     interned: dict[tuple, PiecewiseConstantDensity] = {}
-    for i, row in enumerate(lines[1:]):
-        ids.append(int(row["context"]["id"]))
-        actions.append(float(row["action"]))
-        losses.append(float(row["loss"]))
-        breaks, values = row["density"]["breaks"], row["density"]["values"]
-        key = (tuple(breaks), tuple(values))
-        density = interned.get(key)
-        if density is None:
-            try:
-                density = PiecewiseConstantDensity(breaks=np.array(breaks), values=np.array(values))
-            except ValueError as err:
-                raise DatasetError(f"{path}: {err} at record {i}") from err
-            interned[key] = density
-        densities.append(density)
+    with open(path) as fh:
+        header = read_header(fh, path)
+        for start, records in read_record_chunks(fh, path):
+            for i, row in enumerate(records, start):
+                try:
+                    context_id, action, loss = row["context"]["id"], row["action"], row["loss"]
+                    breaks, values = row["density"]["breaks"], row["density"]["values"]
+                except (KeyError, TypeError):
+                    raise DatasetError(f"{path}: {missing_field(row, _CONTINUOUS_KEYS)} at record {i}") from None
+                problem = _scalar_problem(context_id, action, loss)
+                if problem is not None:
+                    raise DatasetError(f"{path}: {problem} at record {i}")
+                try:
+                    key = (tuple(breaks), tuple(values))
+                    density = interned.get(key)
+                    if density is None:
+                        density = PiecewiseConstantDensity(breaks=np.array(breaks), values=np.array(values))
+                        interned[key] = density
+                except (TypeError, ValueError) as err:
+                    raise DatasetError(f"{path}: {err} at record {i}") from err
+                ids.append(context_id)
+                actions.append(float(action))
+                losses.append(float(loss))
+                densities.append(density)
     try:
         return ContinuousLoggedDataset(
             context_ids=np.array(ids),
             actions=np.array(actions),
             losses=np.array(losses),
             densities=tuple(densities),
-            num_contexts=int(header["num_contexts"]) if "num_contexts" in header else None,
+            num_contexts=header_int(header, "num_contexts", path),
         )
     except DatasetError as err:
         raise DatasetError(f"{path}: {err}") from err

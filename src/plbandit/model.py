@@ -445,30 +445,42 @@ class LoggedDataset:
         return cls(**kwargs)
 
 
+# Report kinds of validate_dataset, in the order each record reports them.
+_VIOLATIONS = (
+    "non-finite loss",
+    "loss out of [0,1]",
+    "non-finite propensity",
+    "propensities do not sum to 1",
+    "zero propensity",
+    "logged action has zero propensity",
+)
+
+
 def validate_dataset(dataset: LoggedDataset) -> list[str]:
     """Check every record invariant; return a report of violations (empty = valid).
 
     Propensities below 1e-12 count as zero, guarding the 1/mu terms downstream.
+    The report lists each record's violations in record order; a record whose
+    propensity row is not finite reports nothing about that row beyond it.
     """
-    report: list[str] = []
-    p = dataset.propensities
-    for i in range(dataset.n):
-        loss = dataset.losses[i]
-        if not np.isfinite(loss):
-            report.append(f"non-finite loss at record {i}")
-        elif loss < 0.0 or loss > 1.0:
-            report.append(f"loss out of [0,1] at record {i}")
-        row = p[i]
-        if not np.all(np.isfinite(row)):
-            report.append(f"non-finite propensity at record {i}")
-            continue
-        if abs(row.sum() - 1.0) > PMF_ATOL:
-            report.append(f"propensities do not sum to 1 at record {i}")
-        if np.any(row <= PROPENSITY_FLOOR):
-            report.append(f"zero propensity at record {i}")
-        if row[dataset.actions[i]] <= PROPENSITY_FLOOR:
-            report.append(f"logged action has zero propensity at record {i}")
-    return report
+    losses, p = dataset.losses, dataset.propensities
+    finite_loss = np.isfinite(losses)
+    finite_row = np.isfinite(p).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_sum = np.abs(p.sum(axis=1) - 1.0) > PMF_ATOL
+    masks = np.stack(
+        [
+            ~finite_loss,
+            finite_loss & ((losses < 0.0) | (losses > 1.0)),
+            ~finite_row,
+            finite_row & off_sum,
+            finite_row & (p <= PROPENSITY_FLOOR).any(axis=1),
+            finite_row & (p[np.arange(dataset.n), dataset.actions] <= PROPENSITY_FLOOR),
+        ],
+        axis=1,
+    )
+    records, kinds = np.nonzero(masks)  # row-major: by record, then by kind
+    return [f"{_VIOLATIONS[k]} at record {i}" for i, k in zip(records.tolist(), kinds.tolist())]
 
 
 def _context_ids(contexts: Sequence[Context]) -> np.ndarray:
@@ -517,16 +529,40 @@ def class_stats(
 
 # ---------------------------------------------------------------------------
 # Dataset files: JSON Lines with a one-line header declaring the action count.
+# Records cross the file boundary as numpy columns, a bounded chunk at a time.
+
+# Bytes of record lines the loaders parse per json.loads call.
+CHUNK_BYTES = 1 << 18
+# Records the writer formats per writelines call.
+CHUNK_RECORDS = 4096
+
+_NUMBER_TYPES = {int, float}
 
 
-def _context_json(dataset: LoggedDataset, i: int) -> dict:
-    if dataset.context_ids is not None:
-        return {"id": int(dataset.context_ids[i])}
-    return {"features": [float(v) for v in dataset.context_features[i]]}
+def _json_texts(values: np.ndarray) -> list[str]:
+    """JSON text of each float of a 1-D array, or of each row of a 2-D one as a
+    list, exactly as json.dumps writes it (NaN and Infinity included).
+
+    The shortest-repr conversion is the slow step, and logged columns repeat
+    few values (one pmf per context, 0/1 losses), so each distinct value or
+    row is converted once. Values are keyed by their bits: 0.0 == -0.0.
+    """
+    bits = np.ascontiguousarray(values).view(np.int64).tolist()
+    if values.ndim == 2:
+        bits = list(map(tuple, bits))
+    distinct = list(dict.fromkeys(bits))
+    decoded = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
+    text = dict(zip(distinct, map(repr if np.isfinite(values).all() else json.dumps, decoded)))
+    return list(map(text.__getitem__, bits))
 
 
 def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict | None = None) -> None:
-    """Write `{"header": {"num_actions": ...}}` then one record object per line."""
+    """Write `{"header": {"num_actions": ...}}` then one record object per line.
+
+    Each record line is byte-identical to json.dumps(record, sort_keys=True)
+    (NaN and Infinity included); lines are formatted from columns and
+    written a chunk of records at a time.
+    """
     header = {"num_actions": dataset.num_actions}
     if dataset.num_contexts is not None:
         header["num_contexts"] = dataset.num_contexts
@@ -534,48 +570,241 @@ def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict 
         header.update(metadata)
     with open(path, "w") as fh:
         fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for i in range(dataset.n):
-            rec = {
-                "context": _context_json(dataset, i),
-                "action": int(dataset.actions[i]),
-                "loss": float(dataset.losses[i]),
-                "propensities": [float(v) for v in dataset.propensities[i]],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for lo in range(0, dataset.n, CHUNK_RECORDS):
+            rows = slice(lo, lo + CHUNK_RECORDS)
+            if dataset.context_ids is not None:
+                contexts = [f'{{"id": {c}}}' for c in dataset.context_ids[rows].tolist()]
+            else:
+                contexts = [f'{{"features": {f}}}' for f in _json_texts(dataset.context_features[rows])]
+            fh.writelines(
+                f'{{"action": {a}, "context": {c}, "loss": {loss}, "propensities": {p}}}\n'
+                for a, c, loss, p in zip(
+                    dataset.actions[rows].tolist(),
+                    contexts,
+                    _json_texts(dataset.losses[rows]),
+                    _json_texts(dataset.propensities[rows]),
+                )
+            )
+
+
+def read_header(fh, path: str | Path) -> dict:
+    """The header object on the first non-blank line of an open dataset file."""
+    line = fh.readline()
+    while line.isspace():
+        line = fh.readline()
+    try:
+        header = json.loads(line)["header"]
+    except (ValueError, KeyError, TypeError):
+        header = None
+    if not isinstance(header, dict):
+        raise DatasetError(f"{path}: missing header line")
+    return header
+
+
+def read_record_chunks(fh, path: str | Path):
+    """Yield (index of the first record, parsed records) for the rest of an open dataset file.
+
+    Blank lines are skipped. Each chunk of about CHUNK_BYTES is parsed by one
+    json.loads over the lines joined into a JSON array; a line that is not
+    valid JSON raises DatasetError naming its 0-based record index.
+    """
+    start = 0
+    while chunk := fh.readlines(CHUNK_BYTES):
+        lines = list(itertools.filterfalse(str.isspace, chunk))
+        if not lines:
+            continue
+        try:
+            records = json.loads("[" + ",".join(lines) + "]")
+        except ValueError:
+            records = None
+        if records is None or len(records) != len(lines):
+            # Every line parses alone exactly when the joined array parses
+            # with one element per line, so one of these lines fails.
+            for k, line in enumerate(lines):
+                try:
+                    json.loads(line)
+                except ValueError as err:
+                    raise DatasetError(f"{path}: invalid JSON ({err.msg}) at record {start + k}") from None
+        yield start, records
+        start += len(lines)
+
+
+def header_int(header: dict, key: str, path: str | Path) -> int | None:
+    """header[key], which must be a JSON integer, or None when the header lacks the key."""
+    if key not in header:
+        return None
+    problem = index_problem(f"header {key}", header[key])
+    if problem is not None:
+        raise DatasetError(f"{path}: {problem}")
+    return header[key]
+
+
+def index_problem(name: str, value) -> str | None:
+    """Why a parsed record's `name` is not a JSON integer that fits an int64, or None."""
+    if type(value) is not int:
+        return f"{name} {json.dumps(value)} is not an integer"
+    if not -(2**63) <= value < 2**63:
+        return f"{name} {value} out of range"
+    return None
+
+
+def is_number(value) -> bool:
+    """A JSON number that converts to a float (not a bool or string)."""
+    if type(value) is float:
+        return True
+    if type(value) is not int:
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def missing_field(record, keys: Sequence[str]) -> str | None:
+    """Why a parsed record cannot be read: it is not an object, or the first dotted key it lacks."""
+    if not isinstance(record, dict):
+        return "record is not a JSON object"
+    for key in keys:
+        obj, parts = record, key.split(".")
+        for depth, part in enumerate(parts, 1):
+            if not isinstance(obj, dict) or part not in obj:
+                return f"missing key '{'.'.join(parts[:depth])}'"
+            obj = obj[part]
+    return None
+
+
+def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | None:
+    """What stops one parsed discrete record from loading, or None.
+
+    `feature_dim` is None in a finite-context file, else the width of the
+    first record's feature vector.
+    """
+    ctx = record.get("context") if isinstance(record, dict) else None
+    if isinstance(ctx, dict):
+        other_mode = "id" in ctx if feature_dim is not None else "features" in ctx and "id" not in ctx
+        if other_mode:
+            return "records mix finite and feature contexts"
+    context_key = "context.id" if feature_dim is None else "context.features"
+    missing = missing_field(record, (context_key, "action", "loss", "propensities"))
+    if missing is not None:
+        return missing
+    if feature_dim is None:
+        problem = index_problem("context.id", ctx["id"])
+        if problem is not None:
+            return problem
+    else:
+        features = ctx["features"]
+        if type(features) is not list or not all(map(is_number, features)):
+            return "context.features is not a list of numbers"
+        if len(features) != feature_dim:
+            return f"context.features has {len(features)} entries, record 0 has {feature_dim}"
+    problem = index_problem("action", record["action"])
+    if problem is not None:
+        return problem
+    if not is_number(record["loss"]):
+        return f"loss {json.dumps(record['loss'])} is not a number"
+    props = record["propensities"]
+    if type(props) is not list or len(props) != num_actions:
+        return "propensity vector does not match header action count"
+    if not all(map(is_number, props)):
+        return "propensities are not all numbers"
+    return None
+
+
+def _number_rows(rows: list, width: int) -> bool:
+    return (
+        set(map(type, rows)) == {list}
+        and set(map(len, rows)) == {width}
+        and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES
+    )
+
+
+def _discrete_columns(records: list, num_actions: int, feature_dim: int | None):
+    """(contexts, actions, losses, propensities) arrays of a chunk of parsed records,
+    or None when some record needs `_record_problem` to say what is wrong."""
+    try:
+        ctxs = [r["context"] for r in records]
+        if feature_dim is None:
+            contexts = [c["id"] for c in ctxs]
+            ok = set(map(type, contexts)) == {int}
+        else:
+            contexts = [c["features"] for c in ctxs]
+            ok = not any("id" in c for c in ctxs) and _number_rows(contexts, feature_dim)
+        actions = [r["action"] for r in records]
+        losses = [r["loss"] for r in records]
+        props = [r["propensities"] for r in records]
+        if not (
+            ok
+            and set(map(type, actions)) == {int}
+            and set(map(type, losses)) <= _NUMBER_TYPES
+            and _number_rows(props, num_actions)
+        ):
+            return None
+        return (
+            np.array(contexts, dtype=np.int64 if feature_dim is None else float),
+            np.array(actions, dtype=np.int64),
+            np.array(losses, dtype=float),
+            np.array(props, dtype=float),
+        )
+    except (KeyError, TypeError, OverflowError):
+        return None
+
+
+def _feature_dim(record) -> int | None:
+    """None when the first record has a context id (or none at all), else its feature width."""
+    try:
+        ctx = record["context"]
+        if "id" in ctx:
+            return None
+        features = ctx["features"]
+    except (KeyError, TypeError):
+        return None
+    return len(features) if type(features) is list else 0
+
+
+def _chunk_error(path, start: int, records: list, num_actions: int, feature_dim: int | None) -> DatasetError:
+    for k, record in enumerate(records):
+        problem = _record_problem(record, num_actions, feature_dim)
+        if problem is not None:
+            return DatasetError(f"{path}: {problem} at record {start + k}")
+    return DatasetError(f"{path}: unreadable record among records {start} to {start + len(records) - 1}")
 
 
 def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
+    """Read a file written by save_dataset_jsonl.
+
+    Records are parsed a chunk at a time and kept only as numpy columns. A
+    line that is not a JSON object, a missing field, an action or context id
+    that is not a JSON integer, a loss or propensity that is not a number,
+    and a propensity vector of the wrong length raise DatasetError naming
+    the file and the 0-based record index.
+    """
     with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or "header" not in lines[0]:
-        raise DatasetError(f"{path}: missing header line")
-    header = lines[0]["header"]
-    num_actions = int(header["num_actions"])
-    actions, losses, propensities = [], [], []
-    ids: list[int] = []
-    features: list[list[float]] = []
-    for row in lines[1:]:
-        ctx = row["context"]
-        if "id" in ctx:
-            ids.append(int(ctx["id"]))
-        else:
-            features.append([float(v) for v in ctx["features"]])
-        actions.append(int(row["action"]))
-        losses.append(float(row["loss"]))
-        pmf = [float(v) for v in row["propensities"]]
-        if len(pmf) != num_actions:
-            raise DatasetError(f"{path}: propensity vector does not match header action count")
-        propensities.append(pmf)
-    if ids and features:
-        raise DatasetError(f"{path}: records mix finite and feature contexts")
+        header = read_header(fh, path)
+        num_actions = header_int(header, "num_actions", path)
+        if num_actions is None:
+            raise DatasetError(f"{path}: header lacks key 'num_actions'")
+        chunks = []
+        feature_dim = None
+        for start, records in read_record_chunks(fh, path):
+            if not chunks:
+                feature_dim = _feature_dim(records[0])
+            columns = _discrete_columns(records, num_actions, feature_dim)
+            if columns is None:
+                raise _chunk_error(path, start, records, num_actions, feature_dim)
+            chunks.append(columns)
+    if not chunks:
+        raise DatasetError(f"{path}: dataset must contain at least one record")
+    contexts, actions, losses, propensities = (np.concatenate(column) for column in zip(*chunks))
     try:
         return LoggedDataset(
-            actions=np.array(actions),
-            losses=np.array(losses),
-            propensities=np.array(propensities),
-            context_ids=np.array(ids) if ids else None,
-            context_features=np.array(features) if features else None,
-            num_contexts=int(header["num_contexts"]) if "num_contexts" in header else None,
+            actions=actions,
+            losses=losses,
+            propensities=propensities,
+            context_ids=contexts if feature_dim is None else None,
+            context_features=contexts if feature_dim is not None else None,
+            num_contexts=header_int(header, "num_contexts", path),
         )
     except DatasetError as err:
         raise DatasetError(f"{path}: {err}") from err

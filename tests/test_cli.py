@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import tempfile
@@ -51,6 +52,20 @@ class TestGenerate:
 
     def test_unknown_env(self, tmp_path):
         assert run("generate", "--env", "nope", "--n", 5, "--seed", 1, "--out", tmp_path / "x") == 2
+
+    # SHA-256 of `generate --n 1000 --seed 11` output, pinned at numpy 2.4.6:
+    # any change to the bytes a seed produces fails here.
+    @pytest.mark.parametrize(
+        "env, digest",
+        [
+            ("demo", "cf3f6c3223421b8c7e7f70c91c2c53937da2cd599515387e6bed0ea77a41d2ed"),
+            ("hard", "bbe1aa084b0dc146870ccf5bae9ff664a3c90d970c67cb460319323286f214fd"),
+            ("demo-continuous", "ad2ebd2f2efa4a5f4fe4c294e88625fbd39ddfd02e78000b5f51c7e256e86205"),
+        ],
+    )
+    def test_output_bytes_pinned(self, tmp_path, env, digest):
+        assert run("generate", "--env", env, "--n", 1000, "--seed", 11, "--out", tmp_path / "g") == 0
+        assert hashlib.sha256((tmp_path / "g.dataset.jsonl").read_bytes()).hexdigest() == digest
 
 
 class TestTrainEvaluate:
@@ -160,6 +175,129 @@ class TestCorruptDataset:
                 with contextlib.redirect_stderr(err):
                     assert run(*argv) == 2
                 assert f"at record {record}" in err.getvalue()
+
+
+def run_corrupted(edit, record: int) -> list[tuple[int, str]]:
+    """Apply `edit` to one record of a saved CLEAN_DATASET; (exit code, stderr) of train, evaluate, sweep."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_dataset_jsonl(CLEAN_DATASET, tmp / "clean.jsonl")
+        lines = (tmp / "clean.jsonl").read_text().splitlines()
+        lines[record + 1] = edit(json.loads(lines[record + 1]))
+        bad = tmp / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        (tmp / "policy.json").write_text(
+            json.dumps({"type": "deterministic", "assignment": [0, 0, 0, 0], "num_actions": 3})
+        )
+        commands = [
+            ["train", "--dataset", bad, "--beta", 0.1, "--out", tmp / "m"],
+            ["evaluate", "--dataset", bad, "--policy", tmp / "policy.json", "--beta", 0.1],
+            ["sweep", "--dataset", bad, "--beta-grid", "0.1,1", "--out", tmp / "s.csv"],
+        ]
+        results = []
+        for argv in commands:
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                results.append((run(*argv), err.getvalue()))
+            assert not (tmp / "s.csv").exists()
+        return results
+
+
+class TestMalformedRecord:
+    @settings(max_examples=20)
+    @given(record=st.integers(0, CLEAN_DATASET.n - 1), key=st.sampled_from(["action", "loss", "propensities", "context"]))
+    def test_missing_field_exits_two(self, record, key):
+        def edit(row):
+            del row[key]
+            return json.dumps(row)
+
+        for code, err in run_corrupted(edit, record):
+            assert code == 2
+            assert f"bad.jsonl: missing key '{key}' at record {record}" in err
+
+    @settings(max_examples=10)
+    @given(record=st.integers(0, CLEAN_DATASET.n - 1), line=st.sampled_from(["[1, 2]", '"x"', "7", "null"]))
+    def test_line_not_an_object_exits_two(self, record, line):
+        for code, err in run_corrupted(lambda row: line, record):
+            assert code == 2
+            assert f"record is not a JSON object at record {record}" in err
+
+    @settings(max_examples=20)
+    @given(
+        record=st.integers(0, CLEAN_DATASET.n - 1),
+        field=st.sampled_from(["action", "id"]),
+        value=st.sampled_from([1.7, 1.0, True, "1"]),
+    )
+    def test_non_integer_index_exits_two(self, record, field, value):
+        # Before, int() truncated 1.7 to 1 and the command exited 0.
+        def edit(row):
+            (row if field == "action" else row["context"])[field] = value
+            return json.dumps(row)
+
+        name = "action" if field == "action" else "context.id"
+        for code, err in run_corrupted(edit, record):
+            assert code == 2
+            assert f"{name} {json.dumps(value)} is not an integer at record {record}" in err
+
+
+class TestEveryEntryPointValidates:
+    @settings(max_examples=20)
+    @given(
+        record=st.integers(0, CLEAN_DATASET.n - 1),
+        field=st.sampled_from(["loss", "propensity", "scale"]),
+        value=st.sampled_from([-0.25, 1.5, 7.0, float("nan"), float("inf")]),
+    )
+    def test_invalid_values_exit_two(self, record, field, value):
+        # evaluate and sweep used to score such a file and exit 0.
+        def edit(row):
+            if field == "loss":
+                row["loss"] = value
+            elif field == "propensity":
+                row["propensities"][0] = value
+            else:
+                row["propensities"] = [p * (1.0 + value) for p in row["propensities"]]
+            return json.dumps(row)
+
+        for code, err in run_corrupted(edit, record):
+            assert code == 2
+            assert "bad.jsonl: invalid dataset: " in err
+            assert f"at record {record} (+" in err
+
+
+class TestHeaderEnv:
+    @pytest.fixture(scope="class")
+    def generated_by_env(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("envs")
+        files = {}
+        for env, contexts in (("demo", 4), ("hard", 2)):
+            assert run("generate", "--env", env, "--n", 200, "--seed", 4, "--out", tmp / env) == 0
+            policy = tmp / f"{env}.policy.json"
+            policy.write_text(json.dumps({"type": "deterministic", "assignment": [0] * contexts, "num_actions": 3}))
+            files[env] = (f"{tmp / env}.dataset.jsonl", policy)
+        return tmp, files
+
+    @settings(max_examples=18)
+    @given(
+        generated=st.sampled_from(["demo", "hard"]),
+        requested=st.sampled_from(["demo", "hard", "demo-continuous"]),
+        command=st.sampled_from(["train", "evaluate", "sweep"]),
+    )
+    def test_other_builtin_env_exits_two(self, generated_by_env, generated, requested, command):
+        tmp, files = generated_by_env
+        dataset, policy = files[generated]
+        argv = {
+            "train": ["train", "--dataset", dataset, "--beta", 0.1, "--oracle", "argmin", "--out", tmp / "m"],
+            "evaluate": ["evaluate", "--dataset", dataset, "--policy", policy, "--beta", 0.1, "--out", tmp / "e"],
+            "sweep": ["sweep", "--dataset", dataset, "--beta-grid", "0.1", "--oracle", "argmin", "--out", tmp / "s"],
+        }[command]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(*argv, "--env", requested)
+        if requested == generated:
+            assert code == 0
+        else:
+            assert code == 2
+            assert f"--env {requested} contradicts the env '{generated}'" in err.getvalue()
 
 
 CLEAN_CONTINUOUS = simulator.generate_logs(simulator.random_continuous_environment((0, 202), 3), 30, seed=3)

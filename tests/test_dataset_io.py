@@ -1,0 +1,392 @@
+"""The discrete dataset boundary against its per-record loop references.
+
+`save_dataset_jsonl`, `load_dataset_jsonl` and `validate_dataset` work on
+columns; `discrete_reference` keeps the record-by-record versions they
+replaced. The writer must produce the same bytes, the loader the same arrays
+bit for bit, and the validator the same report strings in the same order.
+"""
+
+import json
+import re
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plbandit import model, simulator
+from plbandit.model import (
+    CHUNK_BYTES,
+    PMF_ATOL,
+    DatasetError,
+    LoggedDataset,
+    load_dataset_jsonl,
+    save_dataset_jsonl,
+    validate_dataset,
+)
+
+from discrete_reference import reference_load, reference_save, reference_validate
+
+NAN, INF = float("nan"), float("inf")
+EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-7, 1e16, 0.1, 1 / 3,
+    2.2250738585072014e-308, 1.7976931348623157e308,
+]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS + [NAN, INF, -INF]), st.floats())
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "features", "x"]), inner),
+    max_leaves=6,
+)
+metadata = st.dictionaries(
+    st.sampled_from(["seed", "env", "rng", "note", "num_contexts"]),
+    st.one_of(st.integers(-5, 5), st.text(max_size=4), st.floats(allow_nan=False)),
+    max_size=3,
+)
+
+
+@st.composite
+def datasets(draw):
+    """Any dataset LoggedDataset accepts, with arbitrary floats (non-finite included)."""
+    n = draw(st.integers(1, 9))
+    num_actions = draw(st.integers(1, 4))
+
+    def column(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+
+    kwargs = dict(
+        actions=np.array(draw(st.lists(st.integers(0, num_actions - 1), min_size=n, max_size=n))),
+        losses=column((n,)),
+        propensities=column((n, num_actions)),
+    )
+    feature_dim = draw(st.none() | st.integers(0, 3))
+    if feature_dim is None:
+        kwargs["context_ids"] = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        kwargs["num_contexts"] = draw(st.none() | st.just(6))
+    else:
+        kwargs["context_features"] = column((n, feature_dim))
+    return LoggedDataset(**kwargs)
+
+
+def assert_bitwise_equal(a: LoggedDataset, b: LoggedDataset):
+    for name in ("actions", "losses", "propensities", "context_ids", "context_features"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None) == (y is None), name
+        if x is not None:
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+    assert a.num_contexts == b.num_contexts
+
+
+class TestSaveMatchesReference:
+    @settings(max_examples=150)
+    @given(data=datasets(), meta=metadata, chunk=st.sampled_from([1, 2, 4096]))
+    def test_bytes_equal(self, tmp_path_factory, data, meta, chunk):
+        tmp = tmp_path_factory.mktemp("save")
+        reference_save(data, tmp / "ref.jsonl", metadata=meta)
+        with mock.patch.object(model, "CHUNK_RECORDS", chunk):
+            save_dataset_jsonl(data, tmp / "new.jsonl", metadata=meta)
+        assert (tmp / "new.jsonl").read_bytes() == (tmp / "ref.jsonl").read_bytes()
+
+    def test_edge_floats_written_as_json_does(self, tmp_path):
+        values = np.array(EDGE_FLOATS + [NAN, INF, -INF])
+        data = LoggedDataset(
+            actions=np.zeros(len(values), dtype=np.int64),
+            losses=values,
+            propensities=np.stack([values, values[::-1]], axis=1),
+            context_features=values[:, None],
+        )
+        save_dataset_jsonl(data, tmp_path / "new.jsonl")
+        reference_save(data, tmp_path / "ref.jsonl")
+        text = (tmp_path / "new.jsonl").read_text()
+        assert text == (tmp_path / "ref.jsonl").read_text()
+        assert '"num_contexts"' not in text.splitlines()[0]
+        for token in ("-0.0", "5e-324", "1e+22", "NaN", "-Infinity"):
+            assert token in text
+
+
+def blank_lines_between(lines: list[str], positions: list[int], blanks: list[str]) -> str:
+    out = list(lines)
+    for pos, blank in sorted(zip(positions, blanks), reverse=True):
+        out.insert(min(pos, len(out)), blank)
+    return "".join(out)
+
+
+class TestLoadMatchesReference:
+    @settings(max_examples=100)
+    @given(
+        data=datasets(),
+        positions=st.lists(st.integers(0, 12), max_size=6),
+        blank=st.sampled_from(["\n", "   \n", "\t\n"]),
+        chunk=st.sampled_from([1, 60, 200, CHUNK_BYTES]),
+    )
+    def test_arrays_bitwise_equal(self, tmp_path_factory, data, positions, blank, chunk):
+        path = tmp_path_factory.mktemp("load") / "d.jsonl"
+        save_dataset_jsonl(data, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(blank_lines_between(lines, positions, [blank] * len(positions)))
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            loaded = load_dataset_jsonl(path)
+        assert_bitwise_equal(loaded, reference_load(path))
+
+    @pytest.fixture(scope="class")
+    def records_per_chunk(self, tmp_path_factory):
+        """A generated file, and how many of its record lines the loader's first chunk holds."""
+        data = simulator.generate_logs(simulator.random_environment((5, 101), 4, 3), 6000, seed=5)
+        path = tmp_path_factory.mktemp("chunks") / "full.jsonl"
+        save_dataset_jsonl(data, path, metadata={"seed": 5})
+        with open(path) as fh:
+            fh.readline()
+            per_chunk = len(fh.readlines(CHUNK_BYTES))
+        assert 1 < per_chunk < 3000
+        return path.read_text().splitlines(keepends=True), per_chunk
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_chunk_boundaries(self, tmp_path, records_per_chunk, offset, chunks):
+        lines, per_chunk = records_per_chunk
+        n = chunks * per_chunk + offset
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(lines[: n + 1]))
+        loaded = load_dataset_jsonl(path)
+        assert loaded.n == n
+        assert_bitwise_equal(loaded, reference_load(path))
+        # A blank line at the boundary shifts bytes but not record indices.
+        path.write_text("".join(lines[: per_chunk + 1] + ["\n"] + lines[per_chunk + 1 : n + 1]))
+        assert_bitwise_equal(load_dataset_jsonl(path), reference_load(path))
+
+    def test_error_in_a_later_chunk_names_its_record(self, tmp_path, records_per_chunk):
+        lines, per_chunk = records_per_chunk
+        bad = per_chunk + 7
+        row = json.loads(lines[bad + 1])
+        del row["loss"]
+        lines = lines[:]
+        lines[bad + 1] = json.dumps(row) + "\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n" + lines[0] + "\n" + "".join(lines[1:]))
+        with pytest.raises(DatasetError, match=rf"bad\.jsonl: missing key 'loss' at record {bad}$"):
+            load_dataset_jsonl(path)
+
+
+HEADER = '{"header": {"num_actions": 2}}\n'
+GOOD = {"context": {"id": 0}, "action": 1, "loss": 0.5, "propensities": [0.5, 0.5]}
+
+
+def load_lines(tmp_path, *records: str, header: str = HEADER) -> LoggedDataset:
+    path = tmp_path / "d.jsonl"
+    path.write_text(header + "".join(r + "\n" for r in records))
+    return load_dataset_jsonl(path)
+
+
+def with_field(key: str, value) -> str:
+    row = json.loads(json.dumps(GOOD))
+    if key.startswith("context."):
+        row["context"][key.split(".")[1]] = value
+    else:
+        row[key] = value
+    return json.dumps(row)
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("key", ["action", "loss", "propensities", "context"])
+    def test_missing_field(self, tmp_path, key):
+        row = dict(GOOD)
+        del row[key]
+        with pytest.raises(DatasetError, match=rf"d\.jsonl: missing key '{key}' at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), json.dumps(row))
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null"])
+    def test_not_an_object(self, tmp_path, line):
+        with pytest.raises(DatasetError, match=r"record is not a JSON object at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), line)
+
+    def test_invalid_json(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"d\.jsonl: invalid JSON \(.*\) at record 2$"):
+            load_lines(tmp_path, json.dumps(GOOD), json.dumps(GOOD), '{"context": ')
+
+    @pytest.mark.parametrize("key", ["action", "context.id"])
+    @pytest.mark.parametrize(
+        "value, text", [(1.7, "1.7"), (1.0, "1.0"), (True, "true"), ("1", '"1"'), (None, "null")]
+    )
+    def test_non_integer_index(self, tmp_path, key, value, text):
+        with pytest.raises(DatasetError, match=rf"{key} {text} is not an integer at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), with_field(key, value))
+
+    @pytest.mark.parametrize("key", ["action", "context.id"])
+    def test_index_beyond_int64(self, tmp_path, key):
+        with pytest.raises(DatasetError, match=rf"{key} {2**63} out of range at record 0$"):
+            load_lines(tmp_path, with_field(key, 2**63))
+
+    @pytest.mark.parametrize("value", ["0.5", True, None, [0.5], 10**400])
+    def test_non_numeric_loss(self, tmp_path, value):
+        with pytest.raises(DatasetError, match=r"loss .* is not a number at record 0$"):
+            load_lines(tmp_path, with_field("loss", value))
+
+    @pytest.mark.parametrize("value", [[0.5], [0.3, 0.3, 0.4], 0.5, {"a": 1}])
+    def test_wrong_propensity_vector(self, tmp_path, value):
+        message = r"propensity vector does not match header action count at record 1$"
+        with pytest.raises(DatasetError, match=message):
+            load_lines(tmp_path, json.dumps(GOOD), with_field("propensities", value))
+
+    def test_non_numeric_propensity(self, tmp_path):
+        with pytest.raises(DatasetError, match=r"propensities are not all numbers at record 0$"):
+            load_lines(tmp_path, with_field("propensities", [0.5, "0.5"]))
+
+    def test_first_bad_record_is_named(self, tmp_path):
+        # Record 2 lacks a loss, record 1 has a bad action: the earlier record wins.
+        no_loss = dict(GOOD)
+        del no_loss["loss"]
+        with pytest.raises(DatasetError, match=r"action 1.5 is not an integer at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), with_field("action", 1.5), json.dumps(no_loss))
+
+    def test_mixed_contexts(self, tmp_path):
+        features = json.dumps({**GOOD, "context": {"features": [0.1]}})
+        with pytest.raises(DatasetError, match=r"records mix finite and feature contexts at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), features)
+        with pytest.raises(DatasetError, match=r"records mix finite and feature contexts at record 1$"):
+            load_lines(tmp_path, features, json.dumps(GOOD))
+
+    def test_ragged_features(self, tmp_path):
+        rows = [json.dumps({**GOOD, "context": {"features": f}}) for f in ([0.1, 0.2], [0.3])]
+        with pytest.raises(DatasetError, match=r"context.features has 1 entries, record 0 has 2 at record 1$"):
+            load_lines(tmp_path, *rows)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("", "missing header line"),
+            ("\n\n", "missing header line"),
+            ('{"records": 1}\n', "missing header line"),
+            ('{"header": {}}\n', "header lacks key 'num_actions'"),
+            ('{"header": {"num_actions": "two"}}\n', 'header num_actions "two" is not an integer'),
+            ('{"header": {"num_actions": 2.0}}\n', "header num_actions 2.0 is not an integer"),
+            ('{"header": {"num_actions": 2, "num_contexts": 2.5}}\n', "header num_contexts 2.5 is not an integer"),
+        ],
+    )
+    def test_bad_header(self, tmp_path, header, message):
+        with pytest.raises(DatasetError, match=message):
+            load_lines(tmp_path, json.dumps(GOOD), header=header)
+
+    @settings(max_examples=300)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(["context", "context.id", "action", "loss", "propensities", "line"]),
+                st.none() | json_values,
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_any_malformed_record_is_named(self, tmp_path_factory, edits):
+        # Whatever a record holds, loading succeeds or raises DatasetError
+        # naming a record; it never fails with another exception.
+        rows = [json.loads(json.dumps(GOOD)) for _ in range(4)]
+        for record, key, value in edits:
+            row = rows[record]
+            if key == "line":
+                rows[record] = value
+            elif not isinstance(row, dict):
+                continue
+            elif key == "context.id" and isinstance(row.get("context"), dict):
+                row["context"]["id"] = value
+            elif value is None:
+                row.pop(key.split(".")[0], None)
+            else:
+                row[key.split(".")[0]] = value
+        try:
+            load_lines(tmp_path_factory.mktemp("fuzz"), *map(json.dumps, rows))
+        except DatasetError as err:
+            assert re.search(r"at record [0-3]$", str(err)), str(err)
+
+    def test_no_records(self, tmp_path):
+        with pytest.raises(DatasetError, match="at least one record"):
+            load_lines(tmp_path, "", "  ")
+
+
+CLEAN = simulator.generate_logs(simulator.random_environment((0, 101), 4, 3), 40, seed=3)
+corruptions = st.lists(
+    st.tuples(
+        st.integers(0, CLEAN.n - 1),
+        st.sampled_from(["loss", "entry", "logged", "scale"]),
+        st.sampled_from([NAN, INF, -INF, -0.25, 0.0, 1e-13, 1e-12, 1.0, 1.5, 7.0]),
+        st.integers(0, CLEAN.num_actions - 1),
+    ),
+    max_size=8,
+)
+
+
+class TestValidatorMatchesLoop:
+    @settings(max_examples=200)
+    @given(changes=corruptions)
+    def test_reports_equal(self, changes):
+        losses, props = CLEAN.losses.copy(), CLEAN.propensities.copy()
+        for record, kind, value, action in changes:
+            if kind == "loss":
+                losses[record] = value
+            elif kind == "entry":
+                props[record, action] = value
+            elif kind == "logged":
+                props[record, CLEAN.actions[record]] = value
+            else:
+                with np.errstate(invalid="ignore"):
+                    props[record] *= value
+        data = LoggedDataset(
+            actions=CLEAN.actions, losses=losses, propensities=props, context_ids=CLEAN.context_ids
+        )
+        assert validate_dataset(data) == reference_validate(data)
+
+    @given(
+        width=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+        ulps=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    )
+    def test_sum_at_the_tolerance_edge(self, width, seed, ulps):
+        # Rows summing to 1 +- PMF_ATOL, nudged by a few ulps either way; the
+        # widths cover numpy's sequential and pairwise summation.
+        rng = np.random.default_rng(seed)
+        rows = []
+        for sign, ulp in zip((1, 1, -1, -1), ulps):
+            row = rng.random(width) + 0.1
+            row /= row.sum()
+            row[-1] += sign * PMF_ATOL
+            row[-1] += ulp * np.spacing(row[-1])
+            rows.append(row)
+        data = LoggedDataset(
+            actions=np.zeros(4, dtype=np.int64),
+            losses=np.zeros(4),
+            propensities=np.array(rows),
+            context_ids=np.zeros(4),
+        )
+        assert validate_dataset(data) == reference_validate(data)
+
+    def test_edge_row_both_sides(self):
+        # 0.25 - PMF_ATOL rounds to a row whose sum misses 1 by just under
+        # PMF_ATOL; one ulp less misses by just over it.
+        low = 0.25 - PMF_ATOL
+        rows = np.array([[0.75, low], [0.75, np.nextafter(low, 0.0)], [0.75, 0.25 + PMF_ATOL]])
+        data = LoggedDataset(
+            actions=np.zeros(3, dtype=np.int64), losses=np.zeros(3), propensities=rows, context_ids=np.zeros(3)
+        )
+        assert validate_dataset(data) == reference_validate(data) == [
+            "propensities do not sum to 1 at record 1",
+            "propensities do not sum to 1 at record 2",
+        ]
+
+    def test_non_finite_row_skips_later_checks(self):
+        data = LoggedDataset(
+            actions=np.array([0, 1]),
+            losses=np.array([NAN, 2.0]),
+            propensities=np.array([[NAN, 0.0], [0.0, 0.5]]),
+            context_ids=np.array([0, 0]),
+        )
+        assert validate_dataset(data) == [
+            "non-finite loss at record 0",
+            "non-finite propensity at record 0",
+            "loss out of [0,1] at record 1",
+            "propensities do not sum to 1 at record 1",
+            "zero propensity at record 1",
+        ]
+        assert validate_dataset(data) == reference_validate(data)
