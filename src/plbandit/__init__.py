@@ -65,7 +65,6 @@ from .model import (
     Context,
     DatasetError,
     DeterministicPolicy,
-    DiscreteActionSpace,
     LoggedDataset,
     LoggedRecord,
     MassPolicy,

@@ -21,15 +21,14 @@ from typing import Protocol
 
 import numpy as np
 
-from .estimators import penalized_objective
+from .estimators import ipw_terms, penalized_objective, pl_terms
 from .model import (
-    PROPENSITY_FLOOR,
     LinearCostPolicy,
     DeterministicPolicy,
     LoggedDataset,
     MassPolicy,
     PolicyClass,
-    SupportError,
+    check_floor,
     check_index_range,
     context_sums,
 )
@@ -96,8 +95,7 @@ def build_modified_costs(dataset: LoggedDataset, beta: float) -> CostMatrix:
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    if np.any(dataset.propensities <= PROPENSITY_FLOOR):
-        raise SupportError("propensity below floor; support assumption violated")
+    check_floor(dataset.propensities)
     costs = beta / dataset.propensities
     idx = np.arange(dataset.n)
     costs[idx, dataset.actions] += dataset.losses / dataset.propensities[idx, dataset.actions]
@@ -200,13 +198,18 @@ def brute_force_argmin(
 ) -> tuple[MassPolicy, float]:
     """Reference minimizer: evaluate the penalized objective on every member.
 
-    Shares the lowest-index tie rule with the enumeration oracle.
+    Each value is mean(ipw_terms) + beta * mean(pl_terms), averaged over the
+    records, so it shares no summation with the oracles or with the estimators'
+    per-context sums. Shares the lowest-index tie rule with the enumeration
+    oracle.
     """
     if not policy_class.is_enumerated:
         raise ValueError("brute force needs an enumerated class")
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
     best, best_value = None, np.inf
     for member in policy_class.members:
-        value = penalized_objective(member, dataset, beta)
+        value = float(np.mean(ipw_terms(member, dataset))) + beta * float(np.mean(pl_terms(member, dataset)))
         if value < best_value:
             best, best_value = member, value
     return best, best_value

@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (
-    PROPENSITY_FLOOR,
     ClassStats,
-    Context,
     LoggedDataset,
     MassPolicy,
     PolicyClass,
-    SupportError,
+    check_floor,
 )
 
 TERM_ATOL = 1e-12
@@ -67,39 +65,46 @@ class RiskQuantities:
     sample_variance: float
 
 
-def _check_floor(values: np.ndarray) -> None:
-    if np.any(values <= PROPENSITY_FLOOR):
-        raise SupportError("propensity below floor; support assumption violated")
-
-
 def ipw_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     """Per-record importance-weighted losses pi(a_i|x_i)/mu(a_i|x_i) * loss_i."""
     rows = policy.pmf_rows(dataset)
     idx = np.arange(dataset.n)
     logged = dataset.propensities[idx, dataset.actions]
-    _check_floor(logged)
+    check_floor(logged)
     return rows[idx, dataset.actions] / logged * dataset.losses
 
 
 def pl_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     """Per-record importance-weight mass sum_a pi(a|x_i)/mu(a|x_i)."""
     rows = policy.pmf_rows(dataset)
-    _check_floor(dataset.propensities)
+    check_floor(dataset.propensities)
     return (rows / dataset.propensities).sum(axis=1)
 
 
 def ipw_risk(policy: MassPolicy, dataset: LoggedDataset) -> float:
-    """Inverse-propensity-weighted empirical risk (mean of :func:`ipw_terms`)."""
-    return float(np.mean(ipw_terms(policy, dataset)))
+    """Inverse-propensity-weighted empirical risk: the mean of :func:`ipw_terms`.
+
+    It is linear in pi, so finite contexts contract the policy's table with
+    `dataset.ipw_sums`, O(X*A) per call; feature contexts average the
+    per-record terms.
+    """
+    if dataset.context_ids is None:
+        return float(np.mean(ipw_terms(policy, dataset)))
+    table = policy.pmf_table(dataset.num_contexts)
+    return float(np.vdot(table, dataset.ipw_sums) / dataset.n)
 
 
 def pseudo_loss(policy: MassPolicy, dataset: LoggedDataset) -> float:
-    """Pseudo-loss (1/N) sum_i sum_a pi(a|x_i)/mu(a|x_i).
+    """Pseudo-loss (1/N) sum_i sum_a pi(a|x_i)/mu(a|x_i): the mean of :func:`pl_terms`.
 
     Always >= 1 for a proper pmf policy, since each inner sum dominates
-    sum_a pi(a|x_i) = 1 when every mu(a|x_i) <= 1.
+    sum_a pi(a|x_i) = 1 when every mu(a|x_i) <= 1. Finite contexts read it
+    from `dataset.pl_sums`, O(X*A) per call.
     """
-    return float(np.mean(pl_terms(policy, dataset)))
+    if dataset.context_ids is None:
+        return float(np.mean(pl_terms(policy, dataset)))
+    table = policy.pmf_table(dataset.num_contexts)
+    return float(np.vdot(table, dataset.pl_sums) / dataset.n)
 
 
 def penalized_objective(policy: MassPolicy, dataset: LoggedDataset, beta: float) -> float:
@@ -115,11 +120,10 @@ def sample_variance(values: np.ndarray) -> float:
 
 
 def risk_quantities(policy: MassPolicy, dataset: LoggedDataset) -> RiskQuantities:
-    terms = ipw_terms(policy, dataset)
     return RiskQuantities(
-        ipw_risk=float(np.mean(terms)),
+        ipw_risk=ipw_risk(policy, dataset),
         pseudo_loss=pseudo_loss(policy, dataset),
-        sample_variance=sample_variance(terms),
+        sample_variance=sample_variance(ipw_terms(policy, dataset)),
     )
 
 
@@ -134,8 +138,8 @@ def eb_objective(policy: MassPolicy, dataset: LoggedDataset, lam: float) -> floa
         raise ValueError("lam must be nonnegative")
     if dataset.n < 2:
         raise ValueError("variance penalty needs at least 2 records")
-    terms = ipw_terms(policy, dataset)
-    return float(np.mean(terms) + lam * np.sqrt(sample_variance(terms) / dataset.n))
+    variance = sample_variance(ipw_terms(policy, dataset))
+    return float(ipw_risk(policy, dataset) + lam * np.sqrt(variance / dataset.n))
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +154,7 @@ def _env_tables(policy: MassPolicy, env) -> tuple[np.ndarray, np.ndarray, np.nda
     dist = np.asarray(env.context_dist, dtype=float)
     num_contexts = np.asarray(env.loss_means).shape[0]
     mu = env.logging_policy.pmf_table(num_contexts)
-    _check_floor(mu)
+    check_floor(mu)
     pi = policy.pmf_table(num_contexts)
     return dist, pi, mu
 
@@ -315,7 +319,7 @@ def beta_candidates(
     _check_alpha(alpha)
     if not policy_class.is_enumerated:
         raise ValueError("beta_candidates needs an enumerated class")
-    _check_floor(dataset.propensities)
+    check_floor(dataset.propensities)
     log_term = math.log(4.0 * stats.class_size / alpha)
     pl_hats = policy_class.member_sums(1.0 / dataset.propensities, dataset) / dataset.n
     if np.any(pl_hats <= 0):

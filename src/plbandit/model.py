@@ -19,6 +19,7 @@ import itertools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -38,6 +39,12 @@ class SupportError(ValueError):
 
 class DatasetError(ValueError):
     """A logged dataset is malformed: misaligned arrays or an index out of range."""
+
+
+def check_floor(values: np.ndarray) -> None:
+    """Raise SupportError when any propensity in `values` is at or below PROPENSITY_FLOOR."""
+    if np.any(values <= PROPENSITY_FLOOR):
+        raise SupportError("propensity below floor; support assumption violated")
 
 
 def check_index_range(name: str, values: np.ndarray, upper: int) -> None:
@@ -71,15 +78,6 @@ class Context:
             raise ValueError("context id must be nonnegative")
         if self.features is not None:
             object.__setattr__(self, "features", _frozen(np.asarray(self.features, dtype=float)))
-
-
-@dataclass(frozen=True)
-class DiscreteActionSpace:
-    count: int
-
-    def __post_init__(self):
-        if self.count < 2:
-            raise ValueError("action space needs at least 2 actions")
 
 
 class MassPolicy(ABC):
@@ -218,10 +216,15 @@ class LinearCostPolicy(MassPolicy):
 
 
 def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int) -> np.ndarray:
-    """Rows of an (n, A) array summed per context id, as a (num_contexts, A) array."""
-    summed = np.zeros((num_contexts, values.shape[1]))
-    np.add.at(summed, context_ids, values)
-    return summed
+    """Rows of an (n, A) array summed per context id, as a (num_contexts, A) array.
+
+    np.bincount adds each cell's values in record order, starting from 0.0, as
+    np.add.at does, so sums of finite values are bitwise those of np.add.at.
+    """
+    num_actions = values.shape[1]
+    cells = (np.asarray(context_ids)[:, None] * num_actions + np.arange(num_actions)).ravel()
+    summed = np.bincount(cells, weights=np.ravel(values), minlength=num_contexts * num_actions)
+    return summed.reshape(num_contexts, num_actions)
 
 
 @dataclass(frozen=True)
@@ -362,6 +365,11 @@ class LoggedDataset:
     Exactly one of `context_ids` / `context_features` is set. `num_contexts`
     is the finite-context table size when known (generators set it; loaders
     infer max id + 1).
+
+    A finite-context dataset also carries `ipw_sums` and `pl_sums`, the two
+    (num_contexts, A) tables that the estimators contract with a policy's
+    pmf table. Each is built on first use and kept, read-only. Threads racing
+    on the first use may each build it; every copy is equal.
     """
 
     actions: np.ndarray
@@ -403,9 +411,32 @@ class LoggedDataset:
     def num_actions(self) -> int:
         return self.propensities.shape[1]
 
-    @property
-    def action_space(self) -> DiscreteActionSpace:
-        return DiscreteActionSpace(self.num_actions)
+    @cached_property
+    def ipw_sums(self) -> np.ndarray:
+        """loss_i / mu(a_i|x_i) summed over the records logged at each (context, action).
+
+        Raises SupportError when a logged propensity is below the floor.
+        """
+        idx = np.arange(self.n)
+        logged = self.propensities[idx, self.actions]
+        check_floor(logged)
+        cells = self._finite_ids() * self.num_actions + self.actions
+        summed = np.bincount(cells, weights=self.losses / logged, minlength=self.num_contexts * self.num_actions)
+        return _frozen(summed.reshape(self.num_contexts, self.num_actions))
+
+    @cached_property
+    def pl_sums(self) -> np.ndarray:
+        """1/mu(a|x_i) summed over the records at each context, for every action.
+
+        Raises SupportError when any propensity is below the floor.
+        """
+        check_floor(self.propensities)
+        return _frozen(context_sums(1.0 / self.propensities, self._finite_ids(), self.num_contexts))
+
+    def _finite_ids(self) -> np.ndarray:
+        if self.context_ids is None:
+            raise ValueError("per-context sums need finite contexts")
+        return self.context_ids
 
     def context(self, i: int) -> Context:
         if self.context_ids is not None:

@@ -65,9 +65,10 @@ class SyntheticEnvironment:
         means = np.asarray(self.loss_means, dtype=float)
         if dist.ndim != 1 or means.ndim != 2 or means.shape[0] != len(dist):
             raise ValueError("context_dist and loss_means are not aligned")
-        if np.any(dist < 0) or abs(dist.sum() - 1.0) > PMF_ATOL:
+        # Negated comparisons, so NaN entries fail too.
+        if not np.all(dist >= 0) or abs(dist.sum() - 1.0) > PMF_ATOL:
             raise ValueError("context_dist must be a probability vector")
-        if np.any(means < 0) or np.any(means > 1):
+        if not np.all((means >= 0) & (means <= 1)):
             raise ValueError("loss means must lie in [0, 1]")
         object.__setattr__(self, "context_dist", dist)
         object.__setattr__(self, "loss_means", means)
@@ -85,6 +86,22 @@ class SyntheticEnvironment:
     @cached_property
     def mu_table(self) -> np.ndarray:
         return self.logging_policy.pmf_table(self.num_contexts)
+
+    @cached_property
+    def context_cdf(self) -> np.ndarray:
+        """The cdf Generator.choice(p=context_dist) searches: the cumsum over its last entry."""
+        cdf = self.context_dist.cumsum()
+        cdf /= cdf[-1]
+        cdf.setflags(write=False)
+        return cdf
+
+    @cached_property
+    def mu_cdf_columns(self) -> np.ndarray:
+        """Cumulative logging pmf per context, by action, without the last action:
+        an (A - 1, X) array whose column x is the cdf that actions at x are drawn against."""
+        cdf = np.ascontiguousarray(np.cumsum(self.mu_table, axis=1).T[:-1])
+        cdf.setflags(write=False)
+        return cdf
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,9 +152,16 @@ def generate_logs(env, n: int, seed: int):
     rng = make_rng(seed)
     if isinstance(env, ContinuousEnvironment):
         return _generate_continuous(env, n, rng)
-    xs = rng.choice(env.num_contexts, size=n, p=env.context_dist)
-    mu_rows = env.mu_table[xs]
-    actions = _sample_categorical(rng, mu_rows)
+    # The draws rng.choice(p=context_dist) and _sample_categorical make, from
+    # the environment's cached cdfs: the same stream and the same records.
+    # _sample_categorical counts the cdf entries below u, capped at A - 1; the
+    # cdf never decreases, so that is the count over the first A - 1 entries.
+    xs = env.context_cdf.searchsorted(rng.random(n), side="right")
+    u = rng.random(n)
+    actions = np.zeros(n, dtype=np.int64)
+    for cdf in env.mu_cdf_columns:
+        actions += u > cdf.take(xs)
+    mu_rows = env.mu_table.take(xs, axis=0)
     means = env.loss_means[xs, actions]
     losses = (rng.random(n) < means).astype(float) if env.bernoulli_noise else means
     return LoggedDataset(

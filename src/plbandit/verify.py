@@ -8,6 +8,7 @@ around this module.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,8 +275,15 @@ ALL_CHECKS = [
 
 
 def run_verification(cfg: VerifyConfig) -> dict:
-    """Run every check; the report's `passed` is the conjunction."""
-    results = [check(cfg) for check in ALL_CHECKS]
+    """Run every check; the report's `passed` is the conjunction.
+
+    Each check's entry carries its wall time in `seconds` (time.perf_counter).
+    """
+    results, seconds = [], []
+    for check in ALL_CHECKS:
+        start = time.perf_counter()
+        results.append(check(cfg))
+        seconds.append(time.perf_counter() - start)
     return {
         "passed": bool(all(r.passed for r in results)),
         "num_passed": int(sum(bool(r.passed) for r in results)),
@@ -284,7 +292,8 @@ def run_verification(cfg: VerifyConfig) -> dict:
         "reps": cfg.reps,
         "seed": cfg.seed,
         "checks": [
-            {"name": r.name, "passed": bool(r.passed), "details": _jsonable(r.details)} for r in results
+            {"name": r.name, "passed": bool(r.passed), "seconds": t, "details": _jsonable(r.details)}
+            for r, t in zip(results, seconds)
         ],
     }
 

@@ -3,7 +3,10 @@
 These are the record-by-record writer, loader and validator that the columnar
 versions in `plbandit.model` replaced, kept verbatim (renamed) so tests can
 check that the library writes the same bytes, loads the same arrays and
-reports the same violations in the same order.
+reports the same violations in the same order. `reference_generate_logs` is
+the discrete branch of the generator that drew contexts with `rng.choice` and
+actions with `_sample_categorical`, kept verbatim, so tests can check that
+the library draws the same records per seed.
 """
 
 import json
@@ -12,6 +15,32 @@ from pathlib import Path
 import numpy as np
 
 from plbandit.model import PMF_ATOL, PROPENSITY_FLOOR, DatasetError, LoggedDataset
+from plbandit.simulator import make_rng
+
+
+def _sample_categorical(rng: np.random.Generator, pmf_rows: np.ndarray) -> np.ndarray:
+    cum = np.cumsum(pmf_rows, axis=1)
+    u = rng.random(len(pmf_rows))
+    return np.minimum((u[:, None] > cum).sum(axis=1), pmf_rows.shape[1] - 1)
+
+
+def reference_generate_logs(env, n: int, seed: int):
+    """Draw n i.i.d. logged records under a discrete environment's logging policy."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = make_rng(seed)
+    xs = rng.choice(env.num_contexts, size=n, p=env.context_dist)
+    mu_rows = env.mu_table[xs]
+    actions = _sample_categorical(rng, mu_rows)
+    means = env.loss_means[xs, actions]
+    losses = (rng.random(n) < means).astype(float) if env.bernoulli_noise else means
+    return LoggedDataset(
+        actions=actions,
+        losses=losses,
+        propensities=mu_rows,
+        context_ids=xs,
+        num_contexts=env.num_contexts,
+    )
 
 
 def reference_validate(dataset: LoggedDataset) -> list[str]:

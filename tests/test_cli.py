@@ -479,3 +479,11 @@ class TestVerifyHarness:
         json.dumps(report)
         names = {c["name"] for c in report["checks"]}
         assert {"discrete_reduction", "continuous_reduction", "smoothing_bounds"} <= names
+
+    def test_each_check_reports_its_seconds(self):
+        env = random_environment((0, 101), 3, 2)
+        cfg = verify.VerifyConfig(env=env, reps=5, alpha=0.05, seed=0, n=50)
+        report = verify.run_verification(cfg)
+        assert len(report["checks"]) == report["num_checks"] == len(verify.ALL_CHECKS)
+        for check in report["checks"]:
+            assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0

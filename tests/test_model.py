@@ -8,7 +8,6 @@ from plbandit.model import (
     Context,
     DatasetError,
     DeterministicPolicy,
-    DiscreteActionSpace,
     LinearCostPolicy,
     LoggedDataset,
     LoggedRecord,
@@ -202,10 +201,6 @@ class TestPolicies:
         assert assignments[0] == (0, 0)
         assert assignments[1] == (0, 1)
         assert assignments == sorted(assignments)
-
-    def test_action_space_needs_two_actions(self):
-        with pytest.raises(ValueError):
-            DiscreteActionSpace(1)
 
     def test_context_needs_exactly_one_mode(self):
         with pytest.raises(ValueError):
