@@ -14,7 +14,7 @@ import csv
 import numpy as np
 
 from plbandit import csc, estimators
-from plbandit.model import Context, TabularPolicy, class_stats, deterministic_class
+from plbandit.model import TabularPolicy, class_stats, deterministic_class
 from plbandit.simulator import SyntheticEnvironment, exact_risk, generate_logs
 
 
@@ -38,8 +38,7 @@ def main() -> None:
 
     env = default_environment()
     pclass = deterministic_class(env.num_contexts, env.num_actions)
-    contexts = [Context(id=x) for x in range(env.num_contexts)]
-    stats = class_stats(pclass, env.logging_policy, contexts)
+    stats = class_stats(pclass, np.arange(env.num_contexts), env.mu_table)
     risks = [exact_risk(m, env) for m in pclass.members]
     best = min(risks)
     pl_values = [estimators.exact_pl(m, env) for m in pclass.members]

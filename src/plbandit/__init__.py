@@ -24,8 +24,6 @@ from .continuous import (
     discretize,
     effective_bandwidth,
     h_grid,
-    inverse_density_integral,
-    smooth,
     smoothed_excess_bound,
     suggest_k,
     surrogate_set,
@@ -62,11 +60,9 @@ from .estimators import (
 )
 from .model import (
     ClassStats,
-    Context,
     DatasetError,
     DeterministicPolicy,
     LoggedDataset,
-    LoggedRecord,
     MassPolicy,
     PolicyClass,
     SupportError,

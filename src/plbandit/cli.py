@@ -21,7 +21,6 @@ import numpy as np
 from . import continuous as cont
 from . import csc, estimators, simulator, verify
 from .model import (
-    Context,
     DatasetError,
     DeterministicPolicy,
     LinearCostPolicy,
@@ -88,7 +87,31 @@ def _policy_from_json(obj: dict):
         )
     if kind == "tabular":
         return TabularPolicy(table=np.array(obj["table"], dtype=float))
-    raise UsageError(f"unknown policy type '{kind}'")
+    raise ValueError(f"unknown policy type '{kind}'")
+
+
+def _read_policy(obj, source: str, dataset: LoggedDataset):
+    """The policy a parsed JSON object describes, checked against the dataset it
+    scores; a malformed or mismatched policy is a UsageError naming `source`."""
+    try:
+        policy = _policy_from_json(obj)
+        if policy.num_actions != dataset.num_actions:
+            raise ValueError(f"policy has {policy.num_actions} actions, the dataset has {dataset.num_actions}")
+        if dataset.context_ids is not None:
+            policy.pmf_table(dataset.num_contexts)  # raises when the policy covers too few contexts
+    except KeyError as err:
+        raise UsageError(f"{source}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise UsageError(f"{source}: {err}") from None
+    return policy
+
+
+def _load_json(path: str | Path):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise UsageError(f"{path}: invalid JSON ({err})") from None
 
 
 def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
@@ -102,9 +125,12 @@ def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"policy class '{spec}' is neither 'all-det' nor a file")
-    with open(path) as fh:
-        obj = json.load(fh)
-    return PolicyClass.from_members([_policy_from_json(p) for p in obj["policies"]])
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or not isinstance(obj.get("policies"), list) or not obj["policies"]:
+        raise UsageError(f"{path}: needs a non-empty list under key 'policies'")
+    return PolicyClass.from_members(
+        [_read_policy(p, f"{path}: policy {i}", dataset) for i, p in enumerate(obj["policies"])]
+    )
 
 
 def _make_oracle(name: str, ridge: float, dataset: LoggedDataset):
@@ -161,12 +187,21 @@ def _load_valid(path: str, continuous: bool = False):
     return dataset
 
 
-def _dataset_env(spec: str | None, seed: int | None, dataset_path: str):
+def _shape(obj) -> str:
+    """The context and action counts of an environment or dataset, as text."""
+    contexts = "feature contexts" if obj.num_contexts is None else f"{obj.num_contexts} contexts"
+    if isinstance(obj, (simulator.ContinuousEnvironment, cont.ContinuousLoggedDataset)):
+        return f"{contexts} and continuous actions"
+    return f"{contexts} and {obj.num_actions} actions"
+
+
+def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset):
     """The environment a dataset is scored against, or None without --env.
 
     A builtin environment must be the one the dataset header names (a header
     without `env` is accepted), and is rebuilt from the seed in the header;
-    an explicit --seed must agree with it.
+    an explicit --seed must agree with it. The environment must have the
+    dataset's context and action counts.
     """
     if spec is None:
         return None
@@ -182,22 +217,25 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str):
             seed = header_seed
         elif header_seed is not None and seed != header_seed:
             raise UsageError(f"--seed {seed} contradicts the seed {header_seed} in {dataset_path}")
-    return _resolve_env(spec, seed)
+    env = _resolve_env(spec, seed)
+    if _shape(env) != _shape(dataset):
+        raise UsageError(f"--env {spec} has {_shape(env)}, but {dataset_path} has {_shape(dataset)}")
+    return env
 
 
 def cmd_train(args) -> int:
     dataset = _load_valid(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge, dataset)
+    env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     policy, objective = csc.train_ipw_pl(dataset, args.beta, oracle, pclass)
     metrics = _dataset_metrics(policy, dataset, args.beta)
     metrics["oracle"] = args.oracle
     if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
-        stats = class_stats(pclass, _empirical_logging_policy(dataset), _seen_contexts(dataset))
+        stats = class_stats(pclass, dataset.context_ids, dataset.propensities)
         slack = estimators.confidence_slack(stats, dataset.n, args.alpha, args.beta)
         metrics["ucb_risk"] = objective + slack.value
         metrics["slack"] = slack.as_dict()
-    env = _dataset_env(args.env, args.seed, args.dataset)
     if env is not None:
         metrics["exact_risk"] = simulator.exact_risk(policy, env)
     _write_json(_policy_to_json(policy), f"{args.out}.policy.json")
@@ -207,25 +245,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _seen_contexts(dataset: LoggedDataset) -> list[Context]:
-    # bincount, not np.unique: numpy 2.x's unique imports numpy.ma (~1 MB).
-    return [Context(id=int(x)) for x in np.flatnonzero(np.bincount(dataset.context_ids))]
-
-
-def _empirical_logging_policy(dataset: LoggedDataset) -> TabularPolicy:
-    # Logged propensity rows are exact logging pmfs, so any record of a context
-    # reproduces its logging row.
-    table = np.full((dataset.num_contexts, dataset.num_actions), 1.0 / dataset.num_actions)
-    table[dataset.context_ids] = dataset.propensities
-    return TabularPolicy(table)
-
-
 def cmd_evaluate(args) -> int:
     dataset = _load_valid(args.dataset)
-    with open(args.policy) as fh:
-        policy = _policy_from_json(json.load(fh))
+    policy = _read_policy(_load_json(args.policy), args.policy, dataset)
     metrics = _dataset_metrics(policy, dataset, args.beta)
-    env = _dataset_env(args.env, args.seed, args.dataset)
+    env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     if env is not None:
         metrics["exact_risk"] = simulator.exact_risk(policy, env)
     if args.out:
@@ -257,10 +281,10 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
     dataset = _load_valid(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge, dataset)
-    env = _dataset_env(args.env, args.seed, args.dataset)
+    env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     stats = None
     if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
-        stats = class_stats(pclass, _empirical_logging_policy(dataset), _seen_contexts(dataset))
+        stats = class_stats(pclass, dataset.context_ids, dataset.propensities)
 
     def one(beta: float) -> dict:
         policy, objective = csc.train_ipw_pl(dataset, beta, oracle, pclass)
@@ -286,7 +310,7 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
 
 def _continuous_sweep(args, threads: int) -> list[dict]:
     dataset = _load_valid(args.dataset, continuous=True)
-    env = _dataset_env(args.env, args.seed, args.dataset)
+    env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     alpha = args.alpha if args.alpha is not None else 0.05
     beta = args.beta
     mu_inf = dataset.min_logging_density
@@ -328,6 +352,10 @@ def _smoothed_stats(h: float, mu_inf: float, k: int, num_contexts: int):
 
 def cmd_verify(args) -> int:
     env = _resolve_env(args.env, args.seed)
+    if isinstance(env, simulator.ContinuousEnvironment):
+        raise UsageError(
+            f"verify needs a discrete environment, not '{args.env}'; its continuous checks build their own"
+        )
     dataset = load_dataset_jsonl(args.dataset) if args.dataset else None
     cfg = verify.VerifyConfig(
         env=env, reps=args.reps, alpha=args.alpha, seed=args.seed, n=args.n, dataset=dataset
@@ -357,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="simulate a logged dataset from an environment")
-    gen.add_argument("--env", required=True, help="builtin name (hard, demo) or env JSON path")
+    gen.add_argument("--env", required=True, help=f"builtin name ({', '.join(BUILTIN_ENVS)}) or env JSON path")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output prefix")

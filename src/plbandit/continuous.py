@@ -68,19 +68,13 @@ class SurrogateGrid:
         return j / self.k, (j + 1) / self.k
 
 
-def effective_bandwidth(a_tilde: float, h: float) -> float:
-    """Length of the smoothing window around a_tilde after clipping to [0, 1].
+def effective_bandwidth(points: np.ndarray, h: float) -> np.ndarray:
+    """H_e: length of the bandwidth-h smoothing window around each grid point
+    after clipping to [0, 1].
 
-    Always in [h/2, h]; equals h when the window fits inside the unit interval.
+    For points in (0, 1) and h in (0, 1] it lies in [h/2, h], and equals h
+    when the window fits inside the unit interval.
     """
-    if not (0.0 < a_tilde < 1.0):
-        raise ValueError("grid point must lie strictly inside (0, 1)")
-    if not (0.0 < h <= 1.0):
-        raise ValueError("bandwidth must lie in (0, 1]")
-    return min(1.0, a_tilde + h / 2.0) - max(0.0, a_tilde - h / 2.0)
-
-
-def _effective_bandwidths(points: np.ndarray, h: float) -> np.ndarray:
     return np.minimum(1.0, points + h / 2.0) - np.maximum(0.0, points - h / 2.0)
 
 
@@ -137,8 +131,8 @@ class PiecewiseConstant:
 
     def reciprocal_integral(self, lo: float, hi: float) -> float:
         """Exact integral of 1/f over [lo, hi]; every overlapped piece must be positive."""
-        if lo > hi:
-            raise ValueError("integration bounds out of order")
+        if not (0.0 <= lo <= hi <= 1.0):
+            raise ValueError("integration window must satisfy 0 <= lo <= hi <= 1")
         overlaps = self._overlaps(lo, hi)
         touched = overlaps > 0
         if np.any(self.values[touched] <= PROPENSITY_FLOOR):
@@ -239,15 +233,11 @@ class SmoothedDensityPolicy:
         if not (0.0 < self.bandwidth <= 1.0):
             raise ValueError("bandwidth must lie in (0, 1]")
 
-    @property
-    def density_cap(self) -> float:
-        return 2.0 / self.bandwidth
-
     def density(self, a: float, context_id: int) -> float:
         idx = surrogate_set(a, self.base.grid, self.bandwidth)
         if len(idx) == 0:
             return 0.0
-        h_eff = _effective_bandwidths(self.base.grid.points[idx], self.bandwidth)
+        h_eff = effective_bandwidth(self.base.grid.points[idx], self.bandwidth)
         return float((self.base.table[context_id, idx] / h_eff).sum())
 
     def density_pieces(self, context_id: int) -> PiecewiseConstant:
@@ -275,11 +265,6 @@ class PiecewiseDensityPolicy:
         return self.densities[context_id]
 
 
-def smooth(base: GridMassPolicy, h: float) -> SmoothedDensityPolicy:
-    """Smooth a grid policy into a density policy with bandwidth h."""
-    return SmoothedDensityPolicy(base=base, bandwidth=h)
-
-
 def discretize(policy, k: int, num_contexts: int) -> GridMassPolicy:
     """Bin a density policy into grid masses: atom j gets the mass on [a~_j - 1/2K, a~_j + 1/2K].
 
@@ -293,13 +278,6 @@ def discretize(policy, k: int, num_contexts: int) -> GridMassPolicy:
             lo, hi = grid.bin_edges(j)
             table[x, j] = pieces.integral(lo, hi)
     return GridMassPolicy(grid=grid, table=table)
-
-
-def inverse_density_integral(mu: PiecewiseConstant, lo: float, hi: float) -> float:
-    """Exact integral of 1/mu over [lo, hi]."""
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ValueError("integration window must satisfy 0 <= lo <= hi <= 1")
-    return mu.reciprocal_integral(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +412,7 @@ def build_modified_costs_continuous(
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     points = grid.points
-    h_eff = _effective_bandwidths(points, h)
+    h_eff = effective_bandwidth(points, h)
     lo = np.maximum(0.0, points - h / 2.0)
     hi = np.minimum(1.0, points + h / 2.0)
     inside = _window_mask(dataset.actions, points, h)
@@ -462,7 +440,7 @@ def continuous_ipw_risk(policy: SmoothedDensityPolicy, dataset: ContinuousLogged
     """
     grid, h = policy.base.grid, policy.bandwidth
     inside = _window_mask(dataset.actions, grid.points, h)
-    heights = policy.base.table[dataset.context_ids] / _effective_bandwidths(grid.points, h)
+    heights = policy.base.table[dataset.context_ids] / effective_bandwidth(grid.points, h)
     pi_at = np.where(inside, heights, 0.0).sum(axis=1)
     return float((pi_at / _checked_logged_density(dataset)) @ dataset.losses) / dataset.n
 
@@ -496,7 +474,9 @@ def train_smoothed(
     grid = SurrogateGrid(k)
     costs = build_modified_costs_continuous(dataset, grid, h, beta)
     chosen = PointwiseArgminOracle(num_contexts=dataset.num_contexts).solve(costs)
-    policy = smooth(GridMassPolicy(grid=grid, table=np.eye(k)[np.asarray(chosen.assignment)]), h)
+    policy = SmoothedDensityPolicy(
+        base=GridMassPolicy(grid=grid, table=np.eye(k)[np.asarray(chosen.assignment)]), bandwidth=h
+    )
     pl_hat = continuous_pseudo_loss(policy, dataset)
     return policy, continuous_ipw_risk(policy, dataset) + beta * pl_hat, pl_hat
 

@@ -14,9 +14,7 @@ different beta values must not interfere, which the sweep harness relies on.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Protocol
 
 import numpy as np
@@ -71,15 +69,6 @@ class CostMatrix:
     def num_actions(self) -> int:
         return self.costs.shape[1]
 
-    def to_csv(self, path: str | Path) -> None:
-        """Debug export: row index, context id (blank in feature mode), cost columns."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", "context_id"] + [f"cost_{a}" for a in range(self.num_actions)])
-            for i in range(self.n):
-                ctx = int(self.context_ids[i]) if self.context_ids is not None else ""
-                writer.writerow([i, ctx] + [repr(float(v)) for v in self.costs[i]])
-
 
 class CscOracle(Protocol):
     """Returns an in-class policy minimizing (1/n) sum_i sum_a pi(a|x_i) * costs[i][a]."""
@@ -121,8 +110,8 @@ class EnumerationOracle:
     """
 
     def solve(self, costs: CostMatrix, policy_class: PolicyClass | None = None) -> MassPolicy:
-        if policy_class is None or not policy_class.is_enumerated:
-            raise ValueError("enumeration oracle needs an enumerated class")
+        if policy_class is None:
+            raise ValueError("enumeration oracle needs a policy class")
         return policy_class.members[int(np.argmin(policy_class.member_sums(costs.costs, costs)))]
 
 
@@ -203,8 +192,6 @@ def brute_force_argmin(
     per-context sums. Shares the lowest-index tie rule with the enumeration
     oracle.
     """
-    if not policy_class.is_enumerated:
-        raise ValueError("brute force needs an enumerated class")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     best, best_value = None, np.inf

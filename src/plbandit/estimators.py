@@ -14,7 +14,6 @@ All functions are pure; inputs are immutable, so concurrent calls are safe.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -53,9 +52,6 @@ class BoundReport:
         if self.derived:
             out["derived"] = dict(self.derived)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -317,8 +313,6 @@ def beta_candidates(
     tables with the per-context sums of 1/mu.
     """
     _check_alpha(alpha)
-    if not policy_class.is_enumerated:
-        raise ValueError("beta_candidates needs an enumerated class")
     check_floor(dataset.propensities)
     log_term = math.log(4.0 * stats.class_size / alpha)
     pl_hats = policy_class.member_sums(1.0 / dataset.propensities, dataset) / dataset.n

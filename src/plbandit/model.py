@@ -64,38 +64,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class Context:
-    """A context, either an integer id (finite mode) or a feature vector."""
-
-    id: int | None = None
-    features: np.ndarray | None = None
-
-    def __post_init__(self):
-        if (self.id is None) == (self.features is None):
-            raise ValueError("context needs exactly one of id / features")
-        if self.id is not None and self.id < 0:
-            raise ValueError("context id must be nonnegative")
-        if self.features is not None:
-            object.__setattr__(self, "features", _frozen(np.asarray(self.features, dtype=float)))
-
-
 class MassPolicy(ABC):
     """A policy producing a probability mass function over actions per context.
 
-    A finite-context policy is its (X, A) table: `pmf` and `pmf_rows` index
-    `pmf_table`, and enumerated classes stack the tables of their members.
+    A finite-context policy is its (X, A) table: `pmf_rows` indexes
+    `pmf_table` by context id, and policy classes stack the tables of their
+    members.
     """
 
     @abstractmethod
     def pmf_table(self, num_contexts: int) -> np.ndarray:
         """Pmf at every context id in [0, num_contexts), as a (num_contexts, num_actions) array."""
-
-    def pmf(self, context: Context) -> np.ndarray:
-        """Probability vector over actions for one context."""
-        if context.id is None:
-            raise ValueError(f"{type(self).__name__} needs finite contexts")
-        return self.pmf_table(context.id + 1)[context.id]
 
     def pmf_rows(self, rows) -> np.ndarray:
         """Pmf at every row's context, as an (n, num_actions) array.
@@ -151,9 +130,6 @@ class UniformPolicy(MassPolicy):
     def pmf_table(self, num_contexts: int) -> np.ndarray:
         return np.full((num_contexts, self.num_actions), 1.0 / self.num_actions)
 
-    def pmf(self, context: Context) -> np.ndarray:
-        return np.full(self.num_actions, 1.0 / self.num_actions)
-
     def pmf_rows(self, rows) -> np.ndarray:
         return np.full((rows.n, self.num_actions), 1.0 / self.num_actions)
 
@@ -195,18 +171,8 @@ class LinearCostPolicy(MassPolicy):
     def scores(self, features: np.ndarray) -> np.ndarray:
         return np.atleast_2d(features) @ self.weights + self.intercepts
 
-    def action(self, context: Context) -> int:
-        if context.features is None:
-            raise ValueError("linear cost policy needs feature contexts")
-        return int(np.argmin(self.scores(context.features)[0]))
-
     def pmf_table(self, num_contexts: int) -> np.ndarray:
         raise ValueError("linear cost policy needs feature contexts")
-
-    def pmf(self, context: Context) -> np.ndarray:
-        row = np.zeros(self.num_actions)
-        row[self.action(context)] = 1.0
-        return row
 
     def pmf_rows(self, rows) -> np.ndarray:
         if rows.context_features is None:
@@ -229,42 +195,31 @@ def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int)
 
 @dataclass(frozen=True)
 class PolicyClass:
-    """A finite policy class: explicit members, or a bare size surrogate.
+    """A finite policy class given by its members.
 
-    `size` enters every bound through ln(4|class|/alpha); enumeration mode is
-    required by the oracles and the brute-force reference minimizer.
+    `size`, the member count, enters every bound through ln(4|class|/alpha).
     """
 
-    members: tuple[MassPolicy, ...] | None
-    size: int
+    members: tuple[MassPolicy, ...]
     # Stacked member pmf tables, (size, X, A): built on first use, kept for the
     # life of the class, and sliced for any smaller X. 8*size*X*A bytes.
     # Threads racing on the first use may each build it; every copy is equal.
     _tables: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("policy class size must be >= 1")
-        if self.members is not None and len(self.members) != self.size:
-            raise ValueError("size must equal member count in enumeration mode")
+        if not self.members:
+            raise ValueError("policy class needs at least one member")
 
     @classmethod
     def from_members(cls, members: Sequence[MassPolicy]) -> "PolicyClass":
-        members = tuple(members)
-        return cls(members=members, size=len(members))
-
-    @classmethod
-    def with_size(cls, size: int) -> "PolicyClass":
-        return cls(members=None, size=size)
+        return cls(members=tuple(members))
 
     @property
-    def is_enumerated(self) -> bool:
-        return self.members is not None
+    def size(self) -> int:
+        return len(self.members)
 
     def tables(self, num_contexts: int) -> np.ndarray:
         """Every member's pmf_table(num_contexts), stacked as a read-only (size, X, A) array."""
-        if not self.is_enumerated:
-            raise ValueError("member tables need an enumerated class")
         cached = self._tables
         if cached is None or cached.shape[1] < num_contexts:
             cached = np.stack([m.pmf_table(num_contexts) for m in self.members])
@@ -305,7 +260,7 @@ def deterministic_class(num_contexts: int, num_actions: int) -> PolicyClass:
     assignments = np.arange(len(members))[:, None] // place % num_actions
     tables = np.eye(num_actions)[assignments]
     tables.setflags(write=False)
-    return PolicyClass(members=members, size=len(members), _tables=tables)
+    return PolicyClass(members=members, _tables=tables)
 
 
 @dataclass(frozen=True)
@@ -343,19 +298,6 @@ class ClassStats:
             "mismatch",
             max(float(np.sqrt(self.pmf_sup / self.mu_pmf_inf)), float(self.weight_ratio_sup)),
         )
-
-
-@dataclass(frozen=True)
-class LoggedRecord:
-    """One logged interaction: context, chosen action, loss in [0,1], full logging pmf."""
-
-    context: Context
-    action: int
-    loss: float
-    logging_pmf: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "logging_pmf", _frozen(np.asarray(self.logging_pmf, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -438,43 +380,6 @@ class LoggedDataset:
             raise ValueError("per-context sums need finite contexts")
         return self.context_ids
 
-    def context(self, i: int) -> Context:
-        if self.context_ids is not None:
-            return Context(id=int(self.context_ids[i]))
-        return Context(features=self.context_features[i])
-
-    def record(self, i: int) -> LoggedRecord:
-        return LoggedRecord(
-            context=self.context(i),
-            action=int(self.actions[i]),
-            loss=float(self.losses[i]),
-            logging_pmf=self.propensities[i],
-        )
-
-    @property
-    def records(self) -> tuple[LoggedRecord, ...]:
-        return tuple(self.record(i) for i in range(self.n))
-
-    @classmethod
-    def from_records(cls, records: Sequence[LoggedRecord], num_contexts: int | None = None) -> "LoggedDataset":
-        records = list(records)
-        if not records:
-            raise ValueError("dataset must contain at least one record")
-        finite = records[0].context.id is not None
-        if any((r.context.id is not None) != finite for r in records):
-            raise ValueError("records mix finite and feature contexts")
-        kwargs = dict(
-            actions=np.array([r.action for r in records]),
-            losses=np.array([r.loss for r in records]),
-            propensities=np.stack([r.logging_pmf for r in records]),
-            num_contexts=num_contexts,
-        )
-        if finite:
-            kwargs["context_ids"] = np.array([r.context.id for r in records])
-        else:
-            kwargs["context_features"] = np.stack([r.context.features for r in records])
-        return cls(**kwargs)
-
 
 # Report kinds of validate_dataset, in the order each record reports them.
 _VIOLATIONS = (
@@ -514,42 +419,28 @@ def validate_dataset(dataset: LoggedDataset) -> list[str]:
     return [f"{_VIOLATIONS[k]} at record {i}" for i, k in zip(records.tolist(), kinds.tolist())]
 
 
-def _context_ids(contexts: Sequence[Context]) -> np.ndarray:
-    ids = [c.id for c in contexts]
-    if not ids:
-        raise ValueError("need at least one context")
-    if any(x is None for x in ids):
-        raise ValueError("policy tables need finite contexts")
-    return np.asarray(ids, dtype=np.int64)
-
-
-def pmf_extrema(policy: MassPolicy, contexts: Sequence[Context]) -> tuple[float, float]:
-    """(sup, inf) of the policy pmf over the given contexts and all actions."""
-    ids = _context_ids(contexts)
+def pmf_extrema(policy: MassPolicy, context_ids: np.ndarray) -> tuple[float, float]:
+    """(sup, inf) of the policy pmf over the given context ids and all actions."""
+    ids = np.asarray(context_ids, dtype=np.int64)
     rows = policy.pmf_table(int(ids.max()) + 1)[ids]
     return float(rows.max()), float(rows.min())
 
 
-def class_stats(
-    policy_class: PolicyClass,
-    logging_policy: MassPolicy,
-    contexts: Sequence[Context],
-) -> ClassStats:
-    """Compute ClassStats for an enumerated class over the given contexts.
+def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities: np.ndarray) -> ClassStats:
+    """ClassStats of a class against logging propensity rows.
 
-    Extrema are the empirical extrema over the supplied contexts; construct
-    ClassStats directly to supply analytic values instead.
+    Row i of `propensities` is the logging pmf at context `context_ids[i]`.
+    Extrema are taken over every row, so a context logged with different
+    rows contributes the smallest propensity and the largest ratio of any of
+    them. Construct ClassStats directly to supply analytic values instead.
     """
-    if not policy_class.is_enumerated:
-        raise ValueError("class_stats needs an enumerated class; build ClassStats directly otherwise")
-    ids = _context_ids(contexts)
-    num_contexts = int(ids.max()) + 1
-    mu_rows = logging_policy.pmf_table(num_contexts)[ids]
+    ids = np.asarray(context_ids, dtype=np.int64)
+    mu_rows = np.asarray(propensities, dtype=float)
     if np.any(mu_rows <= PROPENSITY_FLOOR):
         raise SupportError("logging policy has a zero propensity on the given contexts")
     # Largest member pmf per (context, action). Dividing by mu > 0 is monotone,
     # so the largest ratio is this maximum over mu.
-    top = policy_class.tables(num_contexts).max(axis=0)[ids]
+    top = policy_class.tables(int(ids.max()) + 1).max(axis=0)[ids]
     return ClassStats(
         pmf_sup=float(top.max()),
         mu_pmf_inf=float(mu_rows.min()),

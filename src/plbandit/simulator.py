@@ -261,25 +261,17 @@ def exact_risk_smoothed(base: PiecewiseDensityPolicy, h: float, env: ContinuousE
     return total
 
 
-def supervised_to_bandit(features: np.ndarray, labels: np.ndarray, logging, seed: int) -> LoggedDataset:
+def supervised_to_bandit(
+    features: np.ndarray, labels: np.ndarray, pmf_rows: np.ndarray, seed: int
+) -> LoggedDataset:
     """Convert a labeled multiclass dataset to bandit feedback.
 
-    Per example, an action is drawn from the logging policy and the loss is
-    the 0/1 misclassification of the true label. `logging` is a MassPolicy
-    over feature contexts or an (n, num_actions) propensity matrix.
+    Per example i, an action is drawn from the logging pmf `pmf_rows[i]` (an
+    (n, num_actions) matrix) and the loss is the 0/1 misclassification of the
+    true label.
     """
-    features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=np.int64)
-    if isinstance(logging, MassPolicy):
-        probe = LoggedDataset(
-            actions=np.zeros(len(labels), dtype=np.int64),
-            losses=np.zeros(len(labels)),
-            propensities=np.full((len(labels), 2), 0.5),
-            context_features=features,
-        )
-        pmf_rows = logging.pmf_rows(probe)
-    else:
-        pmf_rows = np.asarray(logging, dtype=float)
+    pmf_rows = np.asarray(pmf_rows, dtype=float)
     if np.any(labels < 0) or np.any(labels >= pmf_rows.shape[1]):
         raise ValueError("label out of action range")
     rng = make_rng(seed)

@@ -17,7 +17,6 @@ from . import continuous as cont
 from . import csc, estimators, simulator
 from .model import (
     ClassStats,
-    Context,
     LoggedDataset,
     PolicyClass,
     class_stats,
@@ -37,16 +36,11 @@ class CheckResult:
 @dataclass
 class VerifyConfig:
     env: simulator.SyntheticEnvironment
-    continuous_env: simulator.ContinuousEnvironment | None = None
     reps: int = 300
     alpha: float = 0.05
     seed: int = 0
     n: int = 500
     dataset: LoggedDataset | None = None  # externally supplied dataset to validate
-
-
-def _env_contexts(env) -> list[Context]:
-    return [Context(id=x) for x in range(env.num_contexts)]
 
 
 def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
@@ -99,7 +93,9 @@ def check_continuous_reduction(cfg: VerifyConfig, instances: int = 20) -> CheckR
         grid_policy = simulator.random_grid_policy(rng, num_contexts, k)
         costs = cont.build_modified_costs_continuous(data, grid_policy.grid, h, beta)
         grid_side = csc.average_cost(grid_policy, costs)
-        density_side = cont.continuous_penalized_objective(cont.smooth(grid_policy, h), data, beta)
+        density_side = cont.continuous_penalized_objective(
+            cont.SmoothedDensityPolicy(base=grid_policy, bandwidth=h), data, beta
+        )
         worst = max(worst, abs(grid_side - density_side))
     return CheckResult("continuous_reduction", worst <= 1e-9, {"max_gap": worst})
 
@@ -111,7 +107,7 @@ def check_variance_domination(cfg: VerifyConfig, pairs: int = 200) -> CheckResul
     for _ in range(pairs):
         env = simulator.random_environment(rng, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
         policy = simulator.random_policy(rng, env.num_contexts, env.num_actions)
-        sup, _ = pmf_extrema(policy, _env_contexts(env))
+        sup, _ = pmf_extrema(policy, np.arange(env.num_contexts))
         gap = estimators.exact_variance(policy, env) - sup * estimators.exact_pl(policy, env)
         worst = max(worst, gap)
     return CheckResult("variance_domination", worst <= 1e-10, {"max_violation": worst})
@@ -136,8 +132,7 @@ def check_pl_band_coverage(cfg: VerifyConfig) -> CheckResult:
 def check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
     """|R - ipw_risk| must stay within the per-policy confidence width."""
     policy = simulator.random_policy((cfg.seed, 6), cfg.env.num_contexts, cfg.env.num_actions)
-    contexts = _env_contexts(cfg.env)
-    sup, _ = pmf_extrema(policy, contexts)
+    sup, _ = pmf_extrema(policy, np.arange(cfg.env.num_contexts))
     mu_inf = float(cfg.env.mu_table.min())
     pi_table = policy.pmf_table(cfg.env.num_contexts)
     stats = ClassStats(
@@ -159,14 +154,14 @@ def check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_ucb_coverage(cfg: VerifyConfig, class_size: int = 8) -> CheckResult:
-    """R(pi) <= ucb_risk(pi) simultaneously over an enumerated class."""
+    """R(pi) <= ucb_risk(pi) simultaneously over a finite policy class."""
     rng = simulator.make_rng((cfg.seed, 7))
     members = [
         simulator.random_policy(rng, cfg.env.num_contexts, cfg.env.num_actions)
         for _ in range(class_size)
     ]
     pclass = PolicyClass.from_members(members)
-    stats = class_stats(pclass, cfg.env.logging_policy, _env_contexts(cfg.env))
+    stats = class_stats(pclass, np.arange(cfg.env.num_contexts), cfg.env.mu_table)
     truths = [simulator.exact_risk(m, cfg.env) for m in members]
     beta = 0.05
     hits = 0
@@ -207,12 +202,12 @@ def check_smoothing_bounds(cfg: VerifyConfig, instances: int = 10) -> CheckResul
         gamma = [0.05, 0.1, 0.4][int(rng.integers(0, 3))]
         smoothed_exact = simulator.exact_risk_smoothed(base, h, env)
         grid_policy = cont.discretize(base, k, num_contexts)
-        risk_k = simulator.exact_risk(cont.smooth(grid_policy, h), env)
+        risk_k = simulator.exact_risk(cont.SmoothedDensityPolicy(base=grid_policy, bandwidth=h), env)
         worst_disc = max(worst_disc, abs(risk_k - smoothed_exact) - min(1.0, 1.0 / (h * k)))
         tilde = simulator.random_grid_policy(rng, num_contexts, k)
         gap = abs(
-            simulator.exact_risk(cont.smooth(tilde, h), env)
-            - simulator.exact_risk(cont.smooth(tilde, h + gamma), env)
+            simulator.exact_risk(cont.SmoothedDensityPolicy(base=tilde, bandwidth=h), env)
+            - simulator.exact_risk(cont.SmoothedDensityPolicy(base=tilde, bandwidth=h + gamma), env)
         )
         worst_band = max(worst_band, gap - min(1.0, 2.0 * gamma / h))
     passed = worst_disc <= 1e-9 and worst_band <= 1e-9

@@ -11,9 +11,9 @@ import numpy as np
 
 from plbandit.continuous import (
     GridMassPolicy,
+    SmoothedDensityPolicy,
     SurrogateGrid,
     pc_ratio_integral,
-    smooth,
     surrogate_set,
 )
 from plbandit.model import PMF_ATOL, PROPENSITY_FLOOR
@@ -62,7 +62,7 @@ def reference_train_smoothed(dataset, k, h, beta):
     grid = SurrogateGrid(k)
     costs = reference_costs(dataset, grid, h, beta)
     assignment = reference_argmin(costs, dataset.context_ids, dataset.num_contexts)
-    policy = smooth(GridMassPolicy(grid=grid, table=np.eye(k)[assignment]), h)
+    policy = SmoothedDensityPolicy(GridMassPolicy(grid=grid, table=np.eye(k)[assignment]), h)
     pl_hat = reference_pseudo_loss(policy, dataset)
     return policy, reference_ipw(policy, dataset) + beta * pl_hat, pl_hat
 

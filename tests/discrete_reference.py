@@ -6,7 +6,9 @@ check that the library writes the same bytes, loads the same arrays and
 reports the same violations in the same order. `reference_generate_logs` is
 the discrete branch of the generator that drew contexts with `rng.choice` and
 actions with `_sample_categorical`, kept verbatim, so tests can check that
-the library draws the same records per seed.
+the library draws the same records per seed. `reference_objective` is the
+penalized objective as a pure-Python double loop over records, a second code
+path for the estimators' per-context contractions.
 """
 
 import json
@@ -41,6 +43,17 @@ def reference_generate_logs(env, n: int, seed: int):
         context_ids=xs,
         num_contexts=env.num_contexts,
     )
+
+
+def reference_objective(policy, dataset: LoggedDataset, beta: float) -> float:
+    """ipw_risk + beta * pseudo_loss, summed record by record in Python."""
+    table = policy.pmf_table(dataset.num_contexts)
+    total = 0.0
+    for i in range(dataset.n):
+        pmf, mu, action = table[dataset.context_ids[i]], dataset.propensities[i], dataset.actions[i]
+        total += pmf[action] / mu[action] * dataset.losses[i]
+        total += beta * sum(pmf[a] / mu[a] for a in range(len(pmf)))
+    return total / dataset.n
 
 
 def reference_validate(dataset: LoggedDataset) -> list[str]:

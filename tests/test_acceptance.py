@@ -12,7 +12,6 @@ import pytest
 from plbandit import continuous as cont
 from plbandit import csc, estimators, simulator
 from plbandit.model import (
-    Context,
     PolicyClass,
     TabularPolicy,
     class_stats,
@@ -69,7 +68,7 @@ def test_c02_continuous_reduction_equivalence():
         policy = simulator.random_grid_policy(rng, num_contexts, k)
         costs = cont.build_modified_costs_continuous(data, policy.grid, h, beta)
         grid_side = csc.average_cost(policy, costs)
-        density_side = cont.continuous_penalized_objective(cont.smooth(policy, h), data, beta)
+        density_side = cont.continuous_penalized_objective(cont.SmoothedDensityPolicy(policy, h), data, beta)
         worst = max(worst, abs(grid_side - density_side))
     elapsed = time.perf_counter() - start
     _report(2, worst <= 1e-9 and elapsed < 10.0, f"max gap {worst:.2e}, {elapsed:.2f}s")
@@ -81,7 +80,7 @@ def test_c03_variance_domination():
     for _ in range(200):
         env = simulator.random_environment(rng, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
         policy = simulator.random_policy(rng, env.num_contexts, env.num_actions)
-        sup, _ = pmf_extrema(policy, [Context(id=x) for x in range(env.num_contexts)])
+        sup, _ = pmf_extrema(policy, np.arange(env.num_contexts))
         gap = estimators.exact_variance(policy, env) - sup * estimators.exact_pl(policy, env)
         worst = max(worst, gap)
     _report(3, worst <= 1e-10, f"max violation {worst:.2e}")
@@ -108,7 +107,7 @@ def test_c05_simultaneous_ucb_validity():
     rng = simulator.make_rng((501,))
     members = [simulator.random_policy(rng, 4, 3) for _ in range(8)]
     pclass = PolicyClass.from_members(members)
-    stats = class_stats(pclass, env.logging_policy, [Context(id=x) for x in range(4)])
+    stats = class_stats(pclass, np.arange(4), env.mu_table)
     truths = [exact_risk(m, env) for m in members]
     beta = 0.05
     start = time.perf_counter()
@@ -127,7 +126,7 @@ def test_c05_simultaneous_ucb_validity():
 def test_c06_oracle_inequality_sanity():
     env = simulator.random_environment((601,), 2, 3)
     pclass = deterministic_class(2, 3)
-    stats = class_stats(pclass, env.logging_policy, [Context(id=x) for x in range(2)])
+    stats = class_stats(pclass, np.arange(2), env.mu_table)
     risks = np.array([exact_risk(m, env) for m in pclass.members])
     best = float(risks.min())
     pl_values = [estimators.exact_pl(m, env) for m in pclass.members]
@@ -157,11 +156,13 @@ def test_c07_smoothing_bounds():
         h = [0.2, 0.4, 0.5][i % 3]
         gamma = [0.05, 0.1, 0.3][i % 3]
         reference = exact_risk_smoothed(base, h, env)
-        gap_k = abs(exact_risk(cont.smooth(cont.discretize(base, k, num_contexts), h), env) - reference)
+        grid_policy = cont.discretize(base, k, num_contexts)
+        gap_k = abs(exact_risk(cont.SmoothedDensityPolicy(grid_policy, h), env) - reference)
         disc_viol += gap_k > min(1.0, 1.0 / (h * k)) + 1e-12
         tilde = simulator.random_grid_policy(rng, num_contexts, k)
         gap_h = abs(
-            exact_risk(cont.smooth(tilde, h), env) - exact_risk(cont.smooth(tilde, h + gamma), env)
+            exact_risk(cont.SmoothedDensityPolicy(tilde, h), env)
+            - exact_risk(cont.SmoothedDensityPolicy(tilde, h + gamma), env)
         )
         band_viol += gap_h > min(1.0, 2.0 * gamma / h) + 1e-12
     _report(7, disc_viol == 0 and band_viol == 0, f"violations {disc_viol}+{band_viol} of 50+50")
@@ -193,7 +194,7 @@ RATE_ENV = SyntheticEnvironment(
 
 def test_c09_rate_check():
     pclass = deterministic_class(2, 3)
-    stats = class_stats(pclass, RATE_ENV.logging_policy, [Context(id=x) for x in range(2)])
+    stats = class_stats(pclass, np.arange(2), RATE_ENV.mu_table)
     best = min(exact_risk(m, RATE_ENV) for m in pclass.members)
     means = []
     for n in [100, 400, 1600, 6400]:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from plbandit import continuous as cont
 from plbandit import csc, estimators, simulator, verify
 from plbandit.cli import main
-from plbandit.model import UniformPolicy, save_dataset_jsonl
+from plbandit.model import ClassStats, save_dataset_jsonl
 from plbandit.simulator import random_environment
 
 from continuous_reference import reference_train_smoothed
@@ -52,6 +52,11 @@ class TestGenerate:
 
     def test_unknown_env(self, tmp_path):
         assert run("generate", "--env", "nope", "--n", 5, "--seed", 1, "--out", tmp_path / "x") == 2
+
+    def test_help_lists_builtin_envs(self, capsys):
+        with pytest.raises(SystemExit):
+            run("generate", "--help")
+        assert "(hard, demo, demo-continuous)" in " ".join(capsys.readouterr().out.split())
 
     # SHA-256 of `generate --n 1000 --seed 11` output, pinned at numpy 2.4.6:
     # any change to the bytes a seed produces fails here.
@@ -92,6 +97,28 @@ class TestTrainEvaluate:
         for key in ("ipw_risk", "pseudo_loss", "objective"):
             assert evaluated[key] == metrics[key]
 
+    def test_ucb_slack_covers_every_logged_row(self, tmp_path):
+        # Context 0 is logged with two different propensity rows. The slack
+        # must use the smallest propensity of either, in any record order.
+        records = [
+            {"action": 1, "context": {"id": 0}, "loss": 0.5, "propensities": [0.01, 0.99]},
+            {"action": 0, "context": {"id": 0}, "loss": 0.2, "propensities": [0.5, 0.5]},
+            {"action": 0, "context": {"id": 1}, "loss": 0.4, "propensities": [0.5, 0.5]},
+        ]
+        texts = []
+        for name, order in (("forward", records), ("reversed", records[::-1])):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(json.dumps(r) + "\n" for r in [{"header": {"num_actions": 2}}, *order]))
+            assert run("train", "--dataset", path, "--beta", 0.1, "--alpha", 0.05, "--out", tmp_path / name) == 0
+            texts.append((tmp_path / f"{name}.metrics.json").read_text())
+        assert texts[0] == texts[1]
+        props = np.array([r["propensities"] for r in records])
+        # all-det over 2 contexts and 2 actions: 4 members, each pmf at most 1.
+        stats = ClassStats(
+            pmf_sup=1.0, mu_pmf_inf=float(props.min()), weight_ratio_sup=float((1.0 / props).max()), class_size=4
+        )
+        assert json.loads(texts[0])["slack"] == estimators.confidence_slack(stats, 3, 0.05, 0.1).as_dict()
+
     def test_unknown_oracle_is_usage_error(self, generated):
         tmp_path, dataset_path, _ = generated
         with pytest.raises(SystemExit) as exc:
@@ -114,7 +141,7 @@ class TestTrainEvaluate:
         def feature_data(path, seed):
             features = rng.random((60, 2))
             labels = (features[:, 0] > features[:, 1]).astype(int)
-            data = simulator.supervised_to_bandit(features, labels, UniformPolicy(2), seed=seed)
+            data = simulator.supervised_to_bandit(features, labels, np.full((60, 2), 0.5), seed=seed)
             save_dataset_jsonl(data, path)
             return data
 
@@ -333,6 +360,77 @@ class TestCorruptContinuousDataset:
             assert not (tmp / "s.csv").exists()
 
 
+class TestEnvShape:
+    @pytest.fixture
+    def files(self, tmp_path):
+        assert run("generate", "--env", "demo", "--n", 200, "--seed", 3, "--out", tmp_path / "d") == 0
+        assert run("generate", "--env", "hard", "--n", 50, "--seed", 1, "--out", tmp_path / "h") == 0
+        assert run("generate", "--env", "demo-continuous", "--n", 60, "--seed", 2, "--out", tmp_path / "c") == 0
+        simulator.save_environment(simulator.random_continuous_environment(5, 2), tmp_path / "c2.json")
+        c2 = tmp_path / "c2.json"
+        assert run("generate", "--env", c2, "--n", 60, "--seed", 2, "--out", tmp_path / "c2") == 0
+        for name, num_contexts in (("d", 4), ("h", 2)):
+            policy = {"type": "deterministic", "assignment": [0] * num_contexts, "num_actions": 3}
+            (tmp_path / f"{name}.policy.json").write_text(json.dumps(policy))
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "data, env, command",
+        [
+            (data, env, command)
+            for data, env in (("d", "h"), ("h", "d"), ("d", "c"))
+            for command in ("train", "evaluate", "sweep")
+        ]
+        + [("c", "c2", "sweep"), ("c2", "c", "sweep"), ("c", "d", "sweep")],
+    )
+    def test_mismatched_env_exits_two(self, files, data, env, command, capsys):
+        dataset = files / f"{data}.dataset.jsonl"
+        env_file = files / ("c2.json" if env == "c2" else f"{env}.env.json")
+        argv = {
+            "train": ["train", "--dataset", dataset, "--beta", 0.1, "--out", files / "m"],
+            "evaluate": ["evaluate", "--dataset", dataset, "--policy", files / f"{data}.policy.json", "--beta", 0.1],
+            "sweep": ["sweep", "--dataset", dataset, "--out", files / "s.csv"]
+            + (["--beta-grid", "0.1"] if data in ("d", "h") else ["--h-grid-m", 2]),
+        }[command]
+        assert run(*argv, "--env", env_file) == 2
+        err = capsys.readouterr().err
+        assert f"--env {env_file} has" in err and f"but {dataset} has" in err
+
+    def test_matching_env_file_accepted(self, files):
+        argv = ["train", "--dataset", files / "h.dataset.jsonl", "--beta", 0.1, "--out", files / "m"]
+        assert run(*argv, "--env", files / "h.env.json") == 0
+
+
+class TestMalformedPolicyFiles:
+    VALID = {"type": "deterministic", "assignment": [0, 1, 2, 0], "num_actions": 3}
+
+    @pytest.mark.parametrize(
+        "kind, obj, message",
+        [
+            ("policy", {"assignment": [0, 1, 2, 0], "num_actions": 3}, "policy.json: missing key 'type'"),
+            ("class", {"members": [VALID]}, "policy.json: needs a non-empty list under key 'policies'"),
+            ("policy", {**VALID, "assignment": [0, 1, 2, 5]}, "policy.json: assignment actions out of range"),
+            ("policy", {**VALID, "assignment": [0, 1]}, "policy.json: policy covers 2 contexts, 4 needed"),
+            ("policy", {"type": "tabular", "table": [[0.5, 0.5]] * 4}, "policy has 2 actions, the dataset has 3"),
+            ("class", {"policies": [VALID, {**VALID, "assignment": [9]}]}, "policy.json: policy 1: assignment"),
+            ("class", {"policies": [VALID, {"type": "tabular"}]}, "policy.json: policy 1: missing key 'table'"),
+            ("policy", '{"type": ', "policy.json: invalid JSON"),
+            ("class", "[", "policy.json: invalid JSON"),
+        ],
+    )
+    def test_exits_two_naming_the_file(self, tmp_path, kind, obj, message, capsys):
+        assert run("generate", "--env", "demo", "--n", 50, "--seed", 3, "--out", tmp_path / "d") == 0
+        path = tmp_path / "policy.json"
+        path.write_text(obj if isinstance(obj, str) else json.dumps(obj))
+        common = ["--dataset", tmp_path / "d.dataset.jsonl", "--beta", 0.1]
+        if kind == "policy":
+            argv = ["evaluate", *common, "--policy", path]
+        else:
+            argv = ["train", *common, "--class", path, "--out", tmp_path / "m"]
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestHeaderSeed:
     @pytest.fixture
     def demo7(self, tmp_path):
@@ -469,6 +567,11 @@ class TestVerify:
         bad.write_text("\n".join(lines) + "\n")
         code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad)
         assert code == 3
+
+
+    def test_continuous_env_is_usage_error(self, capsys):
+        assert run("verify", "--env", "demo-continuous", "--reps", 5, "--n", 50) == 2
+        assert "verify needs a discrete environment" in capsys.readouterr().err
 
 
 class TestVerifyHarness:

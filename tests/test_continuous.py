@@ -14,6 +14,7 @@ from plbandit.continuous import (
     GridMassPolicy,
     PiecewiseConstant,
     PiecewiseConstantDensity,
+    SmoothedDensityPolicy,
     SurrogateGrid,
     build_modified_costs_continuous,
     continuous_ipw_risk,
@@ -22,10 +23,8 @@ from plbandit.continuous import (
     discretize,
     effective_bandwidth,
     h_grid,
-    inverse_density_integral,
     load_continuous_dataset_jsonl,
     save_continuous_dataset_jsonl,
-    smooth,
     smoothed_excess_bound,
     suggest_k,
     surrogate_set,
@@ -106,32 +105,33 @@ class TestSurrogateSet:
 
 class TestSmoothing:
     def test_left_clipped_point_mass(self):
-        policy = smooth(one_hot_grid_policy(5, 0), 0.2)
+        policy = SmoothedDensityPolicy(one_hot_grid_policy(5, 0), 0.2)
         assert policy.density(0.05, 0) == pytest.approx(5.0)
         assert policy.density(0.19, 0) == pytest.approx(5.0)
         assert policy.density(0.25, 0) == 0.0
 
     def test_interior_point_mass(self):
-        policy = smooth(one_hot_grid_policy(5, 2), 0.2)
+        policy = SmoothedDensityPolicy(one_hot_grid_policy(5, 2), 0.2)
         assert policy.density(0.45, 0) == pytest.approx(5.0)
         assert policy.density(0.61, 0) == 0.0
 
     def test_density_integrates_to_one(self):
         for seed in range(8):
             k = 2 + seed % 5
-            policy = smooth(simulator.random_grid_policy((201, seed), 2, k), [0.2, 0.35, 0.5, 1.0][seed % 4])
+            h = [0.2, 0.35, 0.5, 1.0][seed % 4]
+            policy = SmoothedDensityPolicy(simulator.random_grid_policy((201, seed), 2, k), h)
             for x in range(2):
                 assert policy.density_pieces(x).integral() == pytest.approx(1.0, abs=1e-9)
 
     def test_density_capped_by_two_over_h(self):
         for seed in range(8):
             h = [0.2, 0.5, 0.9][seed % 3]
-            policy = smooth(simulator.random_grid_policy((202, seed), 1, 4 + seed), h)
+            policy = SmoothedDensityPolicy(simulator.random_grid_policy((202, seed), 1, 4 + seed), h)
             assert policy.density_pieces(0).values.max() <= 2.0 / h + 1e-12
 
     def test_bandwidth_domain(self):
         with pytest.raises(ValueError):
-            smooth(one_hot_grid_policy(3, 0), 1.5)
+            SmoothedDensityPolicy(one_hot_grid_policy(3, 0), 1.5)
 
 
 class TestDiscretize:
@@ -156,25 +156,30 @@ class TestDiscretize:
 
     def test_round_trip_mass_conservation(self):
         base = simulator.random_grid_policy(203, 2, 5)
-        again = discretize(smooth(base, 0.3), 5, 2)
+        again = discretize(SmoothedDensityPolicy(base, 0.3), 5, 2)
         assert np.allclose(again.table.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestInverseDensityIntegral:
     def test_uniform(self):
-        assert inverse_density_integral(UNIFORM, 0.2, 0.7) == pytest.approx(0.5)
+        assert UNIFORM.reciprocal_integral(0.2, 0.7) == pytest.approx(0.5)
 
     def test_two_pieces(self):
         mu = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.5, 0.5]))
-        assert inverse_density_integral(mu, 0.25, 0.75) == pytest.approx(2.0 / 3.0)
+        assert mu.reciprocal_integral(0.25, 0.75) == pytest.approx(2.0 / 3.0)
 
     def test_empty_window(self):
-        assert inverse_density_integral(UNIFORM, 0.4, 0.4) == 0.0
+        assert UNIFORM.reciprocal_integral(0.4, 0.4) == 0.0
+
+    @pytest.mark.parametrize("lo, hi", [(0.6, 0.4), (-0.1, 0.5), (0.5, 1.1)])
+    def test_window_outside_unit_interval_rejected(self, lo, hi):
+        with pytest.raises(ValueError, match="0 <= lo <= hi <= 1"):
+            UNIFORM.reciprocal_integral(lo, hi)
 
     def test_zero_piece_rejected(self):
         bad = PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
         with pytest.raises(SupportError):
-            inverse_density_integral(bad, 0.4, 0.6)
+            bad.reciprocal_integral(0.4, 0.6)
 
 
 class TestModifiedCostsContinuous:
@@ -203,7 +208,7 @@ class TestModifiedCostsContinuous:
             costs = build_modified_costs_continuous(data, policy.grid, h, beta)
             gap = abs(
                 csc.average_cost(policy, costs)
-                - continuous_penalized_objective(smooth(policy, h), data, beta)
+                - continuous_penalized_objective(SmoothedDensityPolicy(policy, h), data, beta)
             )
             worst = max(worst, gap)
         assert worst <= 1e-9
@@ -214,7 +219,7 @@ class TestContinuousEstimators:
         # K point masses smoothed with h = 1/K tile [0,1] into the uniform density.
         k = 4
         table = np.full((1, k), 1.0 / k)
-        policy = smooth(GridMassPolicy(grid=SurrogateGrid(k), table=table), 1.0 / k)
+        policy = SmoothedDensityPolicy(GridMassPolicy(grid=SurrogateGrid(k), table=table), 1.0 / k)
         data = continuous_dataset([0.1, 0.6, 0.9], [0.2, 0.4, 0.9], [UNIFORM] * 3)
         assert continuous_ipw_risk(policy, data) == pytest.approx(0.5)
         assert continuous_pseudo_loss(policy, data) == pytest.approx(1.0, abs=1e-9)
@@ -222,11 +227,11 @@ class TestContinuousEstimators:
     def test_uniform_logging_gives_unit_pseudo_loss_for_any_policy(self):
         data = continuous_dataset([0.3], [0.5], [UNIFORM])
         for seed in range(5):
-            policy = smooth(simulator.random_grid_policy((205, seed), 1, 3 + seed), 0.3)
+            policy = SmoothedDensityPolicy(simulator.random_grid_policy((205, seed), 1, 3 + seed), 0.3)
             assert continuous_pseudo_loss(policy, data) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_density_at_logged_actions(self):
-        policy = smooth(one_hot_grid_policy(5, 0), 0.2)  # supported on [0, 0.2]
+        policy = SmoothedDensityPolicy(one_hot_grid_policy(5, 0), 0.2)  # supported on [0, 0.2]
         data = continuous_dataset([0.8, 0.95], [0.5, 0.7], [UNIFORM] * 2)
         assert continuous_ipw_risk(policy, data) == 0.0
 
@@ -234,7 +239,7 @@ class TestContinuousEstimators:
         # Mass concentrated where the logging density is high: the integral of
         # pi/mu is 2/3 < 1, so no general lower bound of 1 holds here.
         mu = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.5, 0.5]))
-        policy = smooth(one_hot_grid_policy(2, 0), 0.5)  # density 2 on [0, 0.5]
+        policy = SmoothedDensityPolicy(one_hot_grid_policy(2, 0), 0.5)  # density 2 on [0, 0.5]
         data = continuous_dataset([0.2], [0.5], [mu])
         assert continuous_pseudo_loss(policy, data) == pytest.approx(2.0 / 3.0)
 
@@ -304,12 +309,12 @@ class TestSmoothingRiskBounds:
             gamma = [0.05, 0.2][i % 2]
             reference = simulator.exact_risk_smoothed(base, h, env)
             grid_policy = discretize(base, k, num_contexts)
-            gap_k = abs(simulator.exact_risk(smooth(grid_policy, h), env) - reference)
+            gap_k = abs(simulator.exact_risk(SmoothedDensityPolicy(grid_policy, h), env) - reference)
             assert gap_k <= min(1.0, 1.0 / (h * k)) + 1e-12
             tilde = simulator.random_grid_policy(rng, num_contexts, k)
             gap_h = abs(
-                simulator.exact_risk(smooth(tilde, h), env)
-                - simulator.exact_risk(smooth(tilde, h + gamma), env)
+                simulator.exact_risk(SmoothedDensityPolicy(tilde, h), env)
+                - simulator.exact_risk(SmoothedDensityPolicy(tilde, h + gamma), env)
             )
             assert gap_h <= min(1.0, 2.0 * gamma / h) + 1e-12
 
@@ -339,7 +344,7 @@ class TestExactRiskSmoothedOracle:
         base = simulator.random_density_policy(210, 2)
         h = 0.4
         reference = simulator.exact_risk_smoothed(base, h, env)
-        fine = simulator.exact_risk(smooth(discretize(base, 400, 2), h), env)
+        fine = simulator.exact_risk(SmoothedDensityPolicy(discretize(base, 400, 2), h), env)
         assert fine == pytest.approx(reference, abs=1.0 / (h * 400))
 
 
@@ -456,7 +461,7 @@ class TestGroupedEstimators:
     @given(case=grouped_datasets(), seed=st.integers(0, 2**16))
     def test_ipw_and_pseudo_loss_match_per_record_loop(self, case, seed):
         data, k, h, _ = case
-        policy = smooth(simulator.random_grid_policy(seed, data.num_contexts, k), h)
+        policy = SmoothedDensityPolicy(simulator.random_grid_policy(seed, data.num_contexts, k), h)
         ipw, pseudo_loss = continuous_ipw_risk(policy, data), continuous_pseudo_loss(policy, data)
         assert ipw == pytest.approx(reference_ipw(policy, data), rel=1e-12, abs=1e-12)
         assert pseudo_loss == pytest.approx(reference_pseudo_loss(policy, data), rel=1e-12, abs=1e-12)
@@ -476,7 +481,7 @@ class TestGroupedEstimators:
         # a = 0.4 sits exactly on the edges of the windows of 0.3 and 0.5
         # (h = 0.2), so both atoms count, as in SmoothedDensityPolicy.density;
         # the right-continuous density_pieces(x).value_at(0.4) sees only 0.5.
-        policy = smooth(GridMassPolicy(grid=SurrogateGrid(5), table=np.full((1, 5), 0.2)), 0.2)
+        policy = SmoothedDensityPolicy(GridMassPolicy(grid=SurrogateGrid(5), table=np.full((1, 5), 0.2)), 0.2)
         data = continuous_dataset([0.4], [1.0], [UNIFORM])
         assert continuous_ipw_risk(policy, data) == pytest.approx(policy.density(0.4, 0)) == pytest.approx(2.0)
         assert policy.density_pieces(0).value_at(0.4) == pytest.approx(1.0)
@@ -496,7 +501,7 @@ class TestGroupedEstimators:
         object.__setattr__(mu, "breaks", np.array([0.0, 0.5, 1.0]))
         object.__setattr__(mu, "values", np.array([2.0, 0.0]))
         data = continuous_dataset([0.2, 0.8], [0.5, 0.5], [UNIFORM, mu])
-        policy = smooth(one_hot_grid_policy(2, 0), 0.5)
+        policy = SmoothedDensityPolicy(one_hot_grid_policy(2, 0), 0.5)
         with pytest.raises(SupportError, match="at record 1"):
             build_modified_costs_continuous(data, SurrogateGrid(2), 0.5, 0.0)
         with pytest.raises(SupportError, match="at record 1"):
@@ -507,7 +512,7 @@ class TestGroupedEstimators:
         with pytest.raises(ValueError, match="at record 1"):
             build_modified_costs_continuous(data, SurrogateGrid(3), 0.5, 0.1)
         with pytest.raises(ValueError, match="at record 1"):
-            continuous_ipw_risk(smooth(one_hot_grid_policy(3, 0), 0.5), data)
+            continuous_ipw_risk(SmoothedDensityPolicy(one_hot_grid_policy(3, 0), 0.5), data)
 
 
 class TestValidatorMatchesLoop:

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -324,11 +322,6 @@ class TestBruteForce:
         policy, _ = brute_force_argmin(data, 0.1, PolicyClass.from_members([a, b]))
         assert policy is a
 
-    def test_needs_enumeration(self):
-        data = dataset([0], [0.5], [[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            brute_force_argmin(data, 0.1, PolicyClass.with_size(5))
-
 
 class TestPessimismPath:
     def test_pl_non_increasing_in_beta(self):
@@ -352,16 +345,3 @@ class TestCostMatrix:
     def test_context_ids_must_align_with_rows(self):
         with pytest.raises(ValueError):
             CostMatrix(costs=np.ones((2, 2)), context_ids=np.array([0]))
-
-
-class TestCostMatrixCsv:
-    def test_export_columns(self, tmp_path):
-        data = dataset([0, 1], [0.5, 0.2], [[0.5, 0.5]] * 2, ids=[0, 1])
-        costs = build_modified_costs(data, 0.1)
-        path = tmp_path / "costs.csv"
-        costs.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["row", "context_id", "cost_0", "cost_1"]
-        assert len(rows) == 3
-        assert float(rows[1][2]) == pytest.approx(1.2)

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from plbandit.model import (
     ClassStats,
-    Context,
     DatasetError,
     DeterministicPolicy,
     LinearCostPolicy,
     LoggedDataset,
-    LoggedRecord,
     PolicyClass,
     SupportError,
     TabularPolicy,
@@ -59,26 +57,25 @@ class TestValidateDataset:
 
 class TestPmfExtrema:
     def test_uniform(self):
-        contexts = [Context(id=0), Context(id=1)]
-        assert pmf_extrema(UniformPolicy(4), contexts) == (0.25, 0.25)
+        assert pmf_extrema(UniformPolicy(4), np.array([0, 1])) == (0.25, 0.25)
 
     def test_deterministic(self):
         policy = DeterministicPolicy(assignment=(1, 0), num_actions=3)
-        assert pmf_extrema(policy, [Context(id=0), Context(id=1)]) == (1.0, 0.0)
+        assert pmf_extrema(policy, np.array([0, 1])) == (1.0, 0.0)
 
     def test_table(self):
         policy = TabularPolicy(np.array([[0.8, 0.2], [0.6, 0.4]]))
-        assert pmf_extrema(policy, [Context(id=0), Context(id=1)]) == (0.8, 0.2)
+        assert pmf_extrema(policy, np.array([0, 1])) == (0.8, 0.2)
 
     def test_empty_contexts(self):
         with pytest.raises(ValueError):
-            pmf_extrema(UniformPolicy(2), [])
+            pmf_extrema(UniformPolicy(2), np.array([], dtype=np.int64))
 
 
 class TestClassStats:
     def test_matched_uniform(self):
         pclass = PolicyClass.from_members([UniformPolicy(2)])
-        stats = class_stats(pclass, UniformPolicy(2), [Context(id=0)])
+        stats = class_stats(pclass, np.array([0]), np.array([[0.5, 0.5]]))
         assert stats.pmf_sup == 0.5
         assert stats.mu_pmf_inf == 0.5
         assert stats.weight_ratio_sup == 1.0
@@ -86,8 +83,7 @@ class TestClassStats:
 
     def test_deterministic_vs_skewed_logging(self):
         pclass = PolicyClass.from_members([DeterministicPolicy(assignment=(1,), num_actions=2)])
-        mu = TabularPolicy(np.array([[0.8, 0.2]]))
-        stats = class_stats(pclass, mu, [Context(id=0)])
+        stats = class_stats(pclass, np.array([0]), np.array([[0.8, 0.2]]))
         assert stats.pmf_sup == 1.0
         assert stats.weight_ratio_sup == pytest.approx(5.0)
         assert stats.mismatch == pytest.approx(5.0)
@@ -97,14 +93,22 @@ class TestClassStats:
             TabularPolicy(np.array([[0.6, 0.4]])),
             TabularPolicy(np.array([[0.9, 0.1]])),
         ]
-        stats = class_stats(PolicyClass.from_members(members), UniformPolicy(2), [Context(id=0)])
+        stats = class_stats(PolicyClass.from_members(members), np.array([0]), np.array([[0.5, 0.5]]))
         assert stats.pmf_sup == 0.9
 
     def test_zero_propensity_rejected(self):
         pclass = PolicyClass.from_members([UniformPolicy(2)])
-        mu = DeterministicPolicy(assignment=(0,), num_actions=2)
         with pytest.raises(SupportError):
-            class_stats(pclass, mu, [Context(id=0)])
+            class_stats(pclass, np.array([0]), np.array([[1.0, 0.0]]))
+
+    def test_every_logged_row_counts(self):
+        # A context logged with two different rows: the extrema cover both,
+        # whatever their order.
+        pclass = deterministic_class(2, 2)
+        rows = np.array([[0.01, 0.99], [0.5, 0.5], [0.3, 0.7]])
+        for order in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
+            stats = class_stats(pclass, np.array([0, 0, 1])[order], rows[order])
+            assert (stats.pmf_sup, stats.mu_pmf_inf, stats.weight_ratio_sup) == (1.0, 0.01, 100.0)
 
     @given(
         sup=st.floats(min_value=1e-3, max_value=50.0),
@@ -122,11 +126,12 @@ class TestClassStats:
             env = simulator.random_environment((5, seed), 4, 3)
             members = [simulator.random_policy((6, seed, j), 4, 3) for j in range(6)]
             members += list(deterministic_class(4, 3).members[::7])
-            contexts = [Context(id=x) for x in (3, 1, 1, 2)]
-            mu_rows = np.stack([env.logging_policy.pmf(c) for c in contexts])
-            pmf_sup = max(float(np.stack([m.pmf(c) for c in contexts]).max()) for m in members)
-            ratio_sup = max(float((np.stack([m.pmf(c) for c in contexts]) / mu_rows).max()) for m in members)
-            stats = class_stats(PolicyClass.from_members(members), env.logging_policy, contexts)
+            ids = [3, 1, 1, 2]
+            mu_rows = np.stack([env.mu_table[x] for x in ids])
+            member_rows = [np.stack([m.pmf_table(4)[x] for x in ids]) for m in members]
+            pmf_sup = max(float(rows.max()) for rows in member_rows)
+            ratio_sup = max(float((rows / mu_rows).max()) for rows in member_rows)
+            stats = class_stats(PolicyClass.from_members(members), np.array(ids), mu_rows)
             assert stats.pmf_sup == pmf_sup
             assert stats.weight_ratio_sup == ratio_sup
             assert stats.mu_pmf_inf == float(mu_rows.min())
@@ -136,8 +141,7 @@ class TestClassStats:
         for seed in range(5):
             env = simulator.random_environment((2, seed), 3, 4)
             members = [simulator.random_policy((3, seed, j), 3, 4) for j in range(3)]
-            contexts = [Context(id=x) for x in range(3)]
-            stats = class_stats(PolicyClass.from_members(members), env.logging_policy, contexts)
+            stats = class_stats(PolicyClass.from_members(members), np.arange(3), env.mu_table)
             assert stats.mu_pmf_inf <= 1.0 / 4 <= stats.pmf_sup <= 1.0
 
 
@@ -147,8 +151,7 @@ class TestPolicies:
         width = len(raw[0])
         rows = np.array([r[:width] + [0.5] * (width - len(r)) for r in raw])
         policy = TabularPolicy(rows / rows.sum(axis=1, keepdims=True))
-        for x in range(rows.shape[0]):
-            pmf = policy.pmf(Context(id=x))
+        for pmf in policy.pmf_table(rows.shape[0]):
             assert abs(pmf.sum() - 1.0) <= 1e-9
             assert np.all(pmf >= 0)
 
@@ -174,8 +177,6 @@ class TestPolicies:
         data = simulator.generate_logs(simulator.random_environment((7, 0), 3, 3), 20, seed=8)
         policy = simulator.random_policy((7, 1), 3, 3)
         assert np.array_equal(policy.pmf_rows(data), policy.table[data.context_ids])
-        for i in range(data.n):
-            assert np.array_equal(policy.pmf(data.context(i)), policy.table[data.context_ids[i]])
 
     def test_class_tables_stack_member_tables(self):
         members = [simulator.random_policy((9, j), 3, 2) for j in range(4)] + [UniformPolicy(2)]
@@ -202,12 +203,6 @@ class TestPolicies:
         assert assignments[1] == (0, 1)
         assert assignments == sorted(assignments)
 
-    def test_context_needs_exactly_one_mode(self):
-        with pytest.raises(ValueError):
-            Context()
-        with pytest.raises(ValueError):
-            Context(id=1, features=np.array([1.0]))
-
 
 class TestDatasetIndexRanges:
     @pytest.mark.parametrize(
@@ -230,6 +225,17 @@ class TestDatasetIndexRanges:
             )
         assert message in str(err.value)
 
+    @pytest.mark.parametrize("ids, features", [(None, None), ([0, 1], [[0.1], [0.2]])])
+    def test_needs_exactly_one_context_mode(self, ids, features):
+        with pytest.raises(DatasetError, match="exactly one of context_ids / context_features"):
+            LoggedDataset(
+                actions=np.zeros(2, dtype=np.int64),
+                losses=np.zeros(2),
+                propensities=np.full((2, 2), 0.5),
+                context_ids=None if ids is None else np.array(ids),
+                context_features=None if features is None else np.array(features),
+            )
+
     def test_misaligned_contexts_rejected(self):
         with pytest.raises(DatasetError):
             LoggedDataset(
@@ -251,13 +257,6 @@ class TestDatasetIndexRanges:
 
 
 class TestDatasetRoundTrips:
-    def test_records_round_trip(self):
-        env = simulator.random_environment((4, 0), 3, 3)
-        data = simulator.generate_logs(env, 20, seed=5)
-        rebuilt = LoggedDataset.from_records(data.records, num_contexts=data.num_contexts)
-        assert np.array_equal(rebuilt.actions, data.actions)
-        assert np.array_equal(rebuilt.propensities, data.propensities)
-
     def test_jsonl_round_trip(self, tmp_path):
         env = simulator.random_environment((4, 1), 3, 3)
         data = simulator.generate_logs(env, 25, seed=6)
@@ -273,7 +272,7 @@ class TestDatasetRoundTrips:
 
     def test_feature_mode_jsonl(self, tmp_path):
         features = np.array([[0.1, 0.2], [0.3, 0.4]])
-        data = simulator.supervised_to_bandit(features, np.array([0, 1]), UniformPolicy(2), seed=3)
+        data = simulator.supervised_to_bandit(features, np.array([0, 1]), np.full((2, 2), 0.5), seed=3)
         path = tmp_path / "feat.jsonl"
         save_dataset_jsonl(data, path)
         loaded = load_dataset_jsonl(path)
@@ -289,5 +288,7 @@ class TestDatasetRoundTrips:
             load_dataset_jsonl(path)
 
     def test_record_invariants(self):
-        record = LoggedRecord(context=Context(id=0), action=1, loss=0.2, logging_pmf=np.array([0.4, 0.6]))
-        assert record.logging_pmf.flags.writeable is False
+        # Each record's logging pmf is a row of the dataset's read-only propensities.
+        data = single_context_dataset([0.4, 0.6], action=1, loss=0.2)
+        assert data.propensities.flags.writeable is False
+        assert data.propensities[0].flags.writeable is False

@@ -127,20 +127,20 @@ class TestSupervisedToBandit:
         c = 4
         labels = np.arange(1000) % c
         features = np.zeros((1000, 2))
-        data = supervised_to_bandit(features, labels, UniformPolicy(c), seed=32)
+        data = supervised_to_bandit(features, labels, np.full((1000, c), 1 / c), seed=32)
         expected = (c - 1) / c
         se = math.sqrt(expected * (1 - expected) / 1000)
         assert abs(float(np.mean(data.losses)) - expected) <= 3 * se
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            supervised_to_bandit(np.zeros((2, 1)), np.array([0, 5]), UniformPolicy(3), seed=33)
+            supervised_to_bandit(np.zeros((2, 1)), np.array([0, 5]), np.full((2, 3), 1 / 3), seed=33)
 
     def test_deterministic(self):
         features = np.linspace(0, 1, 20).reshape(10, 2)
         labels = np.arange(10) % 3
-        a = supervised_to_bandit(features, labels, UniformPolicy(3), seed=34)
-        b = supervised_to_bandit(features, labels, UniformPolicy(3), seed=34)
+        a = supervised_to_bandit(features, labels, np.full((10, 3), 1 / 3), seed=34)
+        b = supervised_to_bandit(features, labels, np.full((10, 3), 1 / 3), seed=34)
         assert np.array_equal(a.actions, b.actions)
         assert np.array_equal(a.losses, b.losses)
 
