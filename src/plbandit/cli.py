@@ -30,6 +30,7 @@ from .model import (
     class_stats,
     deterministic_class,
     load_dataset_jsonl,
+    load_json,
     read_header,
     save_dataset_jsonl,
     validate_dataset,
@@ -97,21 +98,12 @@ def _read_policy(obj, source: str, dataset: LoggedDataset):
         policy = _policy_from_json(obj)
         if policy.num_actions != dataset.num_actions:
             raise ValueError(f"policy has {policy.num_actions} actions, the dataset has {dataset.num_actions}")
-        if dataset.context_ids is not None:
-            policy.pmf_table(dataset.num_contexts)  # raises when the policy covers too few contexts
+        policy.pmf_rows(dataset)  # raises unless the policy covers every record's context
     except KeyError as err:
         raise UsageError(f"{source}: missing key {err}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, IndexError) as err:  # IndexError: weights that are not a matrix
         raise UsageError(f"{source}: {err}") from None
     return policy
-
-
-def _load_json(path: str | Path):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as err:
-            raise UsageError(f"{path}: invalid JSON ({err})") from None
 
 
 def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
@@ -125,7 +117,7 @@ def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"policy class '{spec}' is neither 'all-det' nor a file")
-    obj = _load_json(path)
+    obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("policies"), list) or not obj["policies"]:
         raise UsageError(f"{path}: needs a non-empty list under key 'policies'")
     return PolicyClass.from_members(
@@ -247,7 +239,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset = _load_valid(args.dataset)
-    policy = _read_policy(_load_json(args.policy), args.policy, dataset)
+    policy = _read_policy(load_json(args.policy), args.policy, dataset)
     metrics = _dataset_metrics(policy, dataset, args.beta)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     if env is not None:

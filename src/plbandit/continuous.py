@@ -23,18 +23,19 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from .csc import CostMatrix, PointwiseArgminOracle
 from .model import (
+    CHUNK_RECORDS,
     PMF_ATOL,
     PROPENSITY_FLOOR,
     DatasetError,
     MassPolicy,
     SupportError,
+    _check_pmf,
     _frozen,
+    _json_texts,
     _leading_rows,
     check_index_range,
     header_int,
@@ -106,9 +107,10 @@ class PiecewiseConstant:
         values = np.asarray(self.values, dtype=float)
         if len(breaks) != len(values) + 1:
             raise ValueError("need exactly one more break than values")
-        if abs(breaks[0]) > EDGE_TOL or abs(breaks[-1] - 1.0) > EDGE_TOL:
+        # Negated comparisons, so NaN breaks fail too.
+        if not (abs(breaks[0]) <= EDGE_TOL and abs(breaks[-1] - 1.0) <= EDGE_TOL):
             raise ValueError("breaks must start at 0 and end at 1")
-        if np.any(np.diff(breaks) <= 0):
+        if not np.all(np.diff(breaks) > 0):
             raise ValueError("breaks must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
@@ -117,9 +119,22 @@ class PiecewiseConstant:
         object.__setattr__(self, "breaks", _frozen(breaks))
         object.__setattr__(self, "values", _frozen(values))
 
+    @classmethod
+    def from_json(cls, obj: dict) -> PiecewiseConstant:
+        """The function a to_json object describes, checked as `cls` checks it."""
+        return cls(breaks=np.array(obj["breaks"]), values=np.array(obj["values"]))
+
+    def to_json(self) -> dict:
+        """The `{"breaks": [...], "values": [...]}` object the function is saved as."""
+        return {"breaks": self.breaks.tolist(), "values": self.values.tolist()}
+
     def value_at(self, a: float) -> float:
         i = int(np.searchsorted(self.breaks, a, side="right")) - 1
         return float(self.values[min(max(i, 0), len(self.values) - 1)])
+
+    def values_at(self, a: np.ndarray) -> np.ndarray:
+        """value_at of every entry of `a`."""
+        return self.values[np.clip(np.searchsorted(self.breaks, a, side="right") - 1, 0, len(self.values) - 1)]
 
     def _overlaps(self, lo: float, hi: float) -> np.ndarray:
         return np.clip(np.minimum(self.breaks[1:], hi) - np.maximum(self.breaks[:-1], lo), 0.0, None)
@@ -167,27 +182,22 @@ def _dedupe_breaks(breaks: np.ndarray) -> np.ndarray:
     return np.asarray(keep)
 
 
-def merged_breaks(*fns: PiecewiseConstant) -> np.ndarray:
-    return _dedupe_breaks(np.concatenate([f.breaks for f in fns]))
+def _merged_pieces(f: PiecewiseConstant, g: PiecewiseConstant) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f and g on each piece of their merged breaks, and the piece lengths."""
+    breaks = _dedupe_breaks(np.concatenate([f.breaks, g.breaks]))
+    mids = (breaks[:-1] + breaks[1:]) / 2.0
+    return f.values_at(mids), g.values_at(mids), np.diff(breaks)
 
 
 def pc_product_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
     """Exact integral of f * g over [0, 1]."""
-    breaks = merged_breaks(f, g)
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    lengths = np.diff(breaks)
-    fv = np.array([f.value_at(m) for m in mids])
-    gv = np.array([g.value_at(m) for m in mids])
+    fv, gv, lengths = _merged_pieces(f, g)
     return float((fv * gv * lengths).sum())
 
 
 def pc_ratio_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
     """Exact integral of f / g over [0, 1]; g must stay above the propensity floor."""
-    breaks = merged_breaks(f, g)
-    mids = (breaks[:-1] + breaks[1:]) / 2.0
-    lengths = np.diff(breaks)
-    fv = np.array([f.value_at(m) for m in mids])
-    gv = np.array([g.value_at(m) for m in mids])
+    fv, gv, lengths = _merged_pieces(f, g)
     if np.any(gv <= PROPENSITY_FLOOR):
         raise SupportError("zero-density piece in the ratio integrand")
     return float((fv / gv * lengths).sum())
@@ -205,11 +215,9 @@ class GridMassPolicy(MassPolicy):
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        if table.ndim != 2 or table.shape[1] != self.grid.k:
+        table = _check_pmf(self.table)
+        if table.shape[1] != self.grid.k:
             raise ValueError("table must be (num_contexts, k)")
-        if np.any(table < 0) or np.any(np.abs(table.sum(axis=1) - 1.0) > PMF_ATOL):
-            raise ValueError("rows must be pmfs over the grid")
         object.__setattr__(self, "table", _frozen(table))
 
     @property
@@ -258,9 +266,6 @@ class PiecewiseDensityPolicy:
 
     densities: tuple[PiecewiseConstantDensity, ...]
 
-    def density(self, a: float, context_id: int) -> float:
-        return self.densities[context_id].value_at(a)
-
     def density_pieces(self, context_id: int) -> PiecewiseConstant:
         return self.densities[context_id]
 
@@ -286,17 +291,18 @@ def discretize(policy, k: int, num_contexts: int) -> GridMassPolicy:
 
 @dataclass(frozen=True, eq=False)
 class ContinuousLoggedDataset:
-    """Logged records with actions in [0, 1] and a full logging density per record.
+    """Logged records with actions in [0, 1]: record i was logged under the
+    density `densities[density_index[i]]`.
 
     Every integral of the reduction depends on a record only through its
-    logging density, so the estimators work per distinct density
-    (`density_groups`), not per record.
+    logging density, so the estimators work once per density, not per record.
     """
 
     context_ids: np.ndarray
     actions: np.ndarray
     losses: np.ndarray
     densities: tuple[PiecewiseConstantDensity, ...]
+    density_index: np.ndarray
     num_contexts: int | None = None
 
     def __post_init__(self):
@@ -304,11 +310,13 @@ class ContinuousLoggedDataset:
         object.__setattr__(self, "actions", _frozen(np.asarray(self.actions, dtype=float)))
         object.__setattr__(self, "losses", _frozen(np.asarray(self.losses, dtype=float)))
         object.__setattr__(self, "densities", tuple(self.densities))
+        object.__setattr__(self, "density_index", _frozen(np.asarray(self.density_index, dtype=np.int64)))
         n = len(self.actions)
         if n < 1:
             raise DatasetError("dataset must contain at least one record")
-        if len(self.context_ids) != n or len(self.losses) != n or len(self.densities) != n:
+        if {len(self.context_ids), len(self.losses), len(self.density_index)} != {n}:
             raise DatasetError("dataset arrays are not aligned")
+        check_index_range("density index", self.density_index, len(self.densities))
         if self.num_contexts is None:
             object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
         check_index_range("context id", self.context_ids, self.num_contexts)
@@ -318,33 +326,19 @@ class ContinuousLoggedDataset:
         return len(self.actions)
 
     @cached_property
-    def density_groups(self) -> tuple[tuple[PiecewiseConstantDensity, ...], np.ndarray]:
-        """The distinct logging densities, by content, in first-seen order, and
-        each record's index into them."""
-        by_content: dict[tuple[bytes, bytes], int] = {}
-        distinct: list[PiecewiseConstantDensity] = []
-        index = np.empty(self.n, dtype=np.intp)
-        for i, density in enumerate(self.densities):
-            g = by_content.setdefault((density.breaks.tobytes(), density.values.tobytes()), len(distinct))
-            if g == len(distinct):
-                distinct.append(density)
-            index[i] = g
-        return tuple(distinct), _frozen(index)
-
-    @cached_property
     def logged_density(self) -> np.ndarray:
-        """mu_i(a_i) per record, one searchsorted per distinct density (value_at semantics)."""
-        distinct, index = self.density_groups
+        """mu_i(a_i) per record, one searchsorted per density (value_at semantics)."""
         out = np.empty(self.n)
-        ends = np.cumsum(np.bincount(index))
-        for density, members in zip(distinct, np.split(np.argsort(index, kind="stable"), ends[:-1])):
-            pieces = np.searchsorted(density.breaks, self.actions[members], side="right") - 1
-            out[members] = density.values[np.clip(pieces, 0, len(density.values) - 1)]
+        ends = np.cumsum(np.bincount(self.density_index, minlength=len(self.densities)))
+        members = np.split(np.argsort(self.density_index, kind="stable"), ends[:-1])
+        for density, rows in zip(self.densities, members):
+            out[rows] = density.values_at(self.actions[rows])
         return _frozen(out)
 
     @property
     def min_logging_density(self) -> float:
-        return min(d.min_density for d in self.density_groups[0])
+        """The smallest value of any density some record was logged under."""
+        return min(self.densities[g].min_density for g in np.unique(self.density_index))
 
 
 def _window_mask(actions: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
@@ -367,10 +361,10 @@ def _checked_logged_density(dataset: ContinuousLoggedDataset) -> np.ndarray:
 def validate_continuous_dataset(dataset: ContinuousLoggedDataset) -> list[str]:
     """Record-level checks mirroring the discrete validator (empty report = valid).
 
-    Integral and minimum are checked once per distinct density; the report
+    Integral and minimum are checked once per density; the report
     lists every violation in record order.
     """
-    distinct, index = dataset.density_groups
+    distinct, index = dataset.densities, dataset.density_index
     actions, losses = dataset.actions, dataset.losses
     action_ok = (actions >= 0.0) & (actions <= 1.0)
     loss_bad = ~np.isfinite(losses) | (losses < 0.0) | (losses > 1.0)
@@ -399,7 +393,7 @@ def build_modified_costs_continuous(
         cost[i][j] = loss_i / (H_e(a~_j) * mu_i(a_i)) * 1{a~_j within h/2 of a_i}
                    + beta / H_e(a~_j) * integral of 1/mu_i over the clipped window of a~_j.
 
-    The beta part is one row per distinct logging density: a (K, pieces)
+    The beta part is one row per logging density: a (K, pieces)
     window-overlap matrix divided by the piece values, summed per window. That
     is `reciprocal_integral` for every window at once, with the same rounding
     for densities of fewer than 8 pieces (numpy sums shorter rows
@@ -417,10 +411,11 @@ def build_modified_costs_continuous(
     hi = np.minimum(1.0, points + h / 2.0)
     inside = _window_mask(dataset.actions, points, h)
     mu_at = _checked_logged_density(dataset)
-    distinct, index = dataset.density_groups
-    beta_rows = np.zeros((len(distinct), grid.k))
+    index = dataset.density_index
+    beta_rows = np.zeros((len(dataset.densities), grid.k))
     if beta > 0:
-        for g, mu in enumerate(distinct):
+        for g in np.unique(index):
+            mu = dataset.densities[g]
             overlaps = mu._overlaps(lo[:, None], hi[:, None])
             touched = overlaps > 0
             if np.any(touched & (mu.values <= PROPENSITY_FLOOR)):
@@ -448,13 +443,13 @@ def continuous_ipw_risk(policy: SmoothedDensityPolicy, dataset: ContinuousLogged
 def continuous_pseudo_loss(policy, dataset: ContinuousLoggedDataset) -> float:
     """Pseudo-loss with densities: (1/N) sum_i integral of pi(a|x_i)/mu_i(a) da.
 
-    Computed by exact piecewise integration, once per distinct (context,
-    logging density) pair and weighted by its record count. Equals 1 whenever
-    the logging density is uniform (the integrand reduces to the policy
-    density itself).
+    Computed by exact piecewise integration, once per (context, logging
+    density) pair that some record has, weighted by its record count.
+    Equals 1 whenever the logging density is uniform (the integrand reduces
+    to the policy density itself).
     """
-    distinct, index = dataset.density_groups
-    counts = np.bincount(dataset.context_ids * len(distinct) + index)
+    distinct = dataset.densities
+    counts = np.bincount(dataset.context_ids * len(distinct) + dataset.density_index)
     total = 0.0
     for pair in np.flatnonzero(counts):
         x, g = divmod(int(pair), len(distinct))
@@ -556,25 +551,26 @@ def h_grid(m: int) -> list[float]:
 def save_continuous_dataset_jsonl(
     dataset: ContinuousLoggedDataset, path: str | Path, metadata: dict | None = None
 ) -> None:
+    """As save_dataset_jsonl: each line is json.dumps(record, sort_keys=True), written a chunk at a time."""
     header: dict = {"action_space": "unit_interval"}
     if dataset.num_contexts is not None:
         header["num_contexts"] = dataset.num_contexts
     if metadata:
         header.update(metadata)
+    density_texts = [json.dumps(d.to_json(), sort_keys=True) for d in dataset.densities]
     with open(path, "w") as fh:
         fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for i in range(dataset.n):
-            density = dataset.densities[i]
-            rec = {
-                "context": {"id": int(dataset.context_ids[i])},
-                "action": float(dataset.actions[i]),
-                "loss": float(dataset.losses[i]),
-                "density": {
-                    "breaks": [float(b) for b in density.breaks],
-                    "values": [float(v) for v in density.values],
-                },
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for lo in range(0, dataset.n, CHUNK_RECORDS):
+            rows = slice(lo, lo + CHUNK_RECORDS)
+            fh.writelines(
+                f'{{"action": {a}, "context": {{"id": {c}}}, "density": {d}, "loss": {loss}}}\n'
+                for a, c, d, loss in zip(
+                    _json_texts(dataset.actions[rows]),
+                    dataset.context_ids[rows].tolist(),
+                    map(density_texts.__getitem__, dataset.density_index[rows].tolist()),
+                    _json_texts(dataset.losses[rows]),
+                )
+            )
 
 
 _CONTINUOUS_KEYS = ("context.id", "action", "loss", "density.breaks", "density.values")
@@ -591,16 +587,18 @@ def _scalar_problem(context_id, action, loss) -> str | None:
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
-    """Load a continuous dataset; records with equal (breaks, values) share one
-    validated density object.
+    """Load a continuous dataset. Each distinct density content is validated
+    once and kept once; `density_index` numbers them in first-seen order.
 
     As in `load_dataset_jsonl`, a line that is not a JSON object, a missing
     field, a context id that is not a JSON integer, a non-numeric action or
     loss, and a density that fails its checks raise DatasetError naming the
     file and the 0-based record index.
     """
-    ids, actions, losses, densities = [], [], [], []
-    interned: dict[tuple, PiecewiseConstantDensity] = {}
+    ids, actions, losses, index, densities = [], [], [], [], []
+    # Parsed lists, and validated arrays' bytes, to the density's number.
+    by_text: dict[tuple, int] = {}
+    by_content: dict[tuple[bytes, bytes], int] = {}
     with open(path) as fh:
         header = read_header(fh, path)
         for start, records in read_record_chunks(fh, path):
@@ -615,22 +613,26 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
                     raise DatasetError(f"{path}: {problem} at record {i}")
                 try:
                     key = (tuple(breaks), tuple(values))
-                    density = interned.get(key)
-                    if density is None:
-                        density = PiecewiseConstantDensity(breaks=np.array(breaks), values=np.array(values))
-                        interned[key] = density
+                    g = by_text.get(key)
+                    if g is None:
+                        density = PiecewiseConstantDensity.from_json(row["density"])
+                        g = by_content.setdefault((density.breaks.tobytes(), density.values.tobytes()), len(densities))
+                        if g == len(densities):
+                            densities.append(density)
+                        by_text[key] = g
                 except (TypeError, ValueError) as err:
                     raise DatasetError(f"{path}: {err} at record {i}") from err
                 ids.append(context_id)
                 actions.append(float(action))
                 losses.append(float(loss))
-                densities.append(density)
+                index.append(g)
     try:
         return ContinuousLoggedDataset(
             context_ids=np.array(ids),
             actions=np.array(actions),
             losses=np.array(losses),
             densities=tuple(densities),
+            density_index=np.array(index, dtype=np.int64),
             num_contexts=header_int(header, "num_contexts", path),
         )
     except DatasetError as err:

@@ -177,6 +177,8 @@ class LinearCostPolicy(MassPolicy):
     def pmf_rows(self, rows) -> np.ndarray:
         if rows.context_features is None:
             raise ValueError("linear cost policy needs feature contexts")
+        if rows.context_features.shape[1] != len(self.weights):
+            raise ValueError(f"policy weights have {len(self.weights)} rows for {rows.context_features.shape[1]} features")
         chosen = np.argmin(self.scores(rows.context_features), axis=1)
         return np.eye(self.num_actions)[chosen]
 
@@ -507,6 +509,15 @@ def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict 
                     _json_texts(dataset.propensities[rows]),
                 )
             )
+
+
+def load_json(path: str | Path):
+    """The parsed JSON of a file; a file that is not valid JSON raises DatasetError naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as err:
+            raise DatasetError(f"{path}: invalid JSON ({err})") from None
 
 
 def read_header(fh, path: str | Path) -> dict:

@@ -37,9 +37,11 @@ from .continuous import (
 from .model import (
     PMF_ATOL,
     PROPENSITY_FLOOR,
+    DatasetError,
     LoggedDataset,
     MassPolicy,
     TabularPolicy,
+    load_json,
 )
 
 
@@ -115,7 +117,8 @@ class ContinuousEnvironment:
 
     def __post_init__(self):
         dist = np.asarray(self.context_dist, dtype=float)
-        if np.any(dist < 0) or abs(dist.sum() - 1.0) > PMF_ATOL:
+        # Negated comparisons, so NaN entries fail too.
+        if not np.all(dist >= 0) or abs(dist.sum() - 1.0) > PMF_ATOL:
             raise ValueError("context_dist must be a probability vector")
         if len(self.loss_fns) != len(dist) or len(self.logging_densities) != len(dist):
             raise ValueError("per-context tables are not aligned")
@@ -129,10 +132,6 @@ class ContinuousEnvironment:
     @property
     def num_contexts(self) -> int:
         return len(self.context_dist)
-
-    @property
-    def min_logging_density(self) -> float:
-        return min(d.min_density for d in self.logging_densities)
 
 
 def _sample_categorical(rng: np.random.Generator, pmf_rows: np.ndarray) -> np.ndarray:
@@ -173,30 +172,26 @@ def generate_logs(env, n: int, seed: int):
     )
 
 
-def _sample_piecewise(rng: np.random.Generator, density: PiecewiseConstantDensity) -> float:
-    masses = np.diff(density.breaks) * density.values
-    cum = np.cumsum(masses / masses.sum())
-    u = rng.random()
-    piece = min(int((u > cum).sum()), len(masses) - 1)
-    lo, hi = density.breaks[piece], density.breaks[piece + 1]
-    return float(lo + rng.random() * (hi - lo))
-
-
 def _generate_continuous(env: ContinuousEnvironment, n: int, rng: np.random.Generator) -> ContinuousLoggedDataset:
     xs = rng.choice(env.num_contexts, size=n, p=env.context_dist)
+    # Record i's two draws, in the order scalar draws make them: a piece, then a point in it.
+    draws = rng.random((n, 2))
     actions = np.empty(n)
     losses = np.empty(n)
-    densities = []
-    for i, x in enumerate(xs):
-        density = env.logging_densities[x]
-        actions[i] = _sample_piecewise(rng, density)
-        losses[i] = env.loss_fns[x].value_at(actions[i])
-        densities.append(density)
+    for x, (density, loss_fn) in enumerate(zip(env.logging_densities, env.loss_fns)):
+        rows = np.flatnonzero(xs == x)
+        masses = np.diff(density.breaks) * density.values
+        cum = np.cumsum(masses / masses.sum())
+        piece = np.minimum(cum.searchsorted(draws[rows, 0]), len(masses) - 1)
+        lo, hi = density.breaks[piece], density.breaks[piece + 1]
+        actions[rows] = lo + draws[rows, 1] * (hi - lo)
+        losses[rows] = loss_fn.values_at(actions[rows])
     return ContinuousLoggedDataset(
         context_ids=xs,
         actions=actions,
         losses=losses,
-        densities=tuple(densities),
+        densities=env.logging_densities,
+        density_index=xs,
         num_contexts=env.num_contexts,
     )
 
@@ -398,17 +393,13 @@ def random_density_policy(seed_or_rng, num_contexts: int, max_pieces: int = 4) -
 # Environment spec files.
 
 
-def _pc_json(fn: PiecewiseConstant) -> dict:
-    return {"breaks": [float(b) for b in fn.breaks], "values": [float(v) for v in fn.values]}
-
-
 def save_environment(env, path: str | Path, metadata: dict | None = None) -> None:
     if isinstance(env, ContinuousEnvironment):
         spec = {
             "type": "continuous",
             "context_dist": [float(v) for v in env.context_dist],
-            "loss": [_pc_json(fn) for fn in env.loss_fns],
-            "logging_density": [_pc_json(d) for d in env.logging_densities],
+            "loss": [fn.to_json() for fn in env.loss_fns],
+            "logging_density": [d.to_json() for d in env.logging_densities],
         }
     else:
         spec = {
@@ -426,23 +417,25 @@ def save_environment(env, path: str | Path, metadata: dict | None = None) -> Non
 
 
 def load_environment(path: str | Path):
-    with open(path) as fh:
-        spec = json.load(fh)
-    if spec["type"] == "continuous":
-        return ContinuousEnvironment(
-            context_dist=np.array(spec["context_dist"]),
-            loss_fns=tuple(
-                PiecewiseConstant(breaks=np.array(f["breaks"]), values=np.array(f["values"]))
-                for f in spec["loss"]
-            ),
-            logging_densities=tuple(
-                PiecewiseConstantDensity(breaks=np.array(f["breaks"]), values=np.array(f["values"]))
-                for f in spec["logging_density"]
-            ),
-        )
-    return SyntheticEnvironment(
-        context_dist=np.array(spec["context_dist"]),
-        loss_means=np.array(spec["loss_means"]),
-        logging_policy=TabularPolicy(np.array(spec["logging_pmf"])),
-        bernoulli_noise=bool(spec["bernoulli_noise"]),
-    )
+    """The environment a spec file describes; a malformed one raises DatasetError naming the file."""
+    spec = load_json(path)
+    try:
+        kind = spec["type"]
+        if kind == "continuous":
+            return ContinuousEnvironment(
+                context_dist=np.array(spec["context_dist"]),
+                loss_fns=tuple(map(PiecewiseConstant.from_json, spec["loss"])),
+                logging_densities=tuple(map(PiecewiseConstantDensity.from_json, spec["logging_density"])),
+            )
+        if kind == "discrete":
+            return SyntheticEnvironment(
+                context_dist=np.array(spec["context_dist"]),
+                loss_means=np.array(spec["loss_means"]),
+                logging_policy=TabularPolicy(np.array(spec["logging_pmf"])),
+                bernoulli_noise=bool(spec["bernoulli_noise"]),
+            )
+    except KeyError as err:
+        raise DatasetError(f"{path}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise DatasetError(f"{path}: {err}") from None
+    raise DatasetError(f"{path}: unknown environment type {json.dumps(kind)}")

@@ -431,6 +431,81 @@ class TestMalformedPolicyFiles:
         assert message in capsys.readouterr().err
 
 
+    LINEAR = {"type": "linear", "weights": [[1.0, 0.0], [0.0, 1.0]], "intercepts": [0.0, 0.0]}
+
+    @pytest.mark.parametrize(
+        "kind, obj, message",
+        [
+            ("policy", {"type": "tabular", "table": [[0.5, 0.5]]}, "policy.json: TabularPolicy needs finite"),
+            (
+                "policy",
+                {"type": "deterministic", "assignment": [0], "num_actions": 2},
+                "policy.json: DeterministicPolicy needs finite",
+            ),
+            (
+                "policy",
+                {**LINEAR, "weights": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
+                "policy.json: policy weights have 3 rows for 2 features",
+            ),
+            ("policy", {**LINEAR, "weights": [1.0, 0.0]}, "policy.json: tuple index out of range"),
+            (
+                "class",
+                {"policies": [LINEAR, {"type": "tabular", "table": [[0.5, 0.5]]}]},
+                "policy.json: policy 1: TabularPolicy needs finite",
+            ),
+        ],
+    )
+    def test_feature_dataset_exits_two_naming_the_file(self, tmp_path, kind, obj, message, capsys):
+        features = np.random.default_rng(0).random((40, 2))
+        labels = (features[:, 0] > features[:, 1]).astype(int)
+        data = simulator.supervised_to_bandit(features, labels, np.full((40, 2), 0.5), seed=1)
+        save_dataset_jsonl(data, tmp_path / "f.jsonl")
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(obj))
+        common = ["--dataset", tmp_path / "f.jsonl", "--beta", 0.1]
+        if kind == "policy":
+            argv = ["evaluate", *common, "--policy", path]
+        else:
+            argv = ["train", *common, "--class", path, "--out", tmp_path / "m"]
+        assert run(*argv) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestMalformedEnvFiles:
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("envfiles") / "d"
+        assert run("generate", "--env", "demo", "--n", 50, "--seed", 3, "--out", out) == 0
+        return f"{out}.dataset.jsonl"
+
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda spec: '{"type": ', "env.json: invalid JSON"),
+            (lambda spec: {k: v for k, v in spec.items() if k != "loss_means"}, "env.json: missing key 'loss_means'"),
+            (lambda spec: {**spec, "type": "weird"}, 'env.json: unknown environment type "weird"'),
+        ],
+        ids=["invalid-json", "missing-key", "unknown-type"],
+    )
+    def test_exits_two_naming_the_file(self, tmp_path, dataset, command, edit, message, capsys):
+        env_path = tmp_path / "env.json"
+        simulator.save_environment(random_environment((3, 101), 4, 3), env_path)
+        spec = edit(json.loads(env_path.read_text()))
+        env_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"type": "deterministic", "assignment": [0, 1, 2, 0], "num_actions": 3}))
+        argv = {
+            "generate": ["generate", "--n", 10, "--seed", 3, "--out", tmp_path / "g"],
+            "train": ["train", "--dataset", dataset, "--beta", 0.1, "--out", tmp_path / "m"],
+            "evaluate": ["evaluate", "--dataset", dataset, "--policy", policy, "--beta", 0.1],
+            "sweep": ["sweep", "--dataset", dataset, "--beta-grid", "0.1", "--out", tmp_path / "s.csv"],
+            "verify": ["verify", "--reps", 5, "--n", 50],
+        }[command]
+        assert run(*argv, "--env", env_path) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestHeaderSeed:
     @pytest.fixture
     def demo7(self, tmp_path):

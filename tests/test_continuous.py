@@ -56,13 +56,20 @@ def one_hot_grid_policy(k, index, num_contexts=1):
 
 
 def continuous_dataset(actions, losses, densities, ids=None):
+    """Record i logged under densities[i]; the same object is listed once."""
     n = len(actions)
+    distinct = tuple(dict.fromkeys(densities))
     return ContinuousLoggedDataset(
         context_ids=np.array(ids if ids is not None else [0] * n),
         actions=np.array(actions),
         losses=np.array(losses),
-        densities=tuple(densities),
+        densities=distinct,
+        density_index=np.array([distinct.index(d) for d in densities]),
     )
+
+
+def logged_densities(dataset):
+    return [dataset.densities[g] for g in dataset.density_index]
 
 
 class TestEffectiveBandwidth:
@@ -357,7 +364,7 @@ class TestContinuousDatasetIO:
         loaded = load_continuous_dataset_jsonl(path)
         assert np.array_equal(loaded.actions, data.actions)
         assert np.array_equal(loaded.context_ids, data.context_ids)
-        for da, db in zip(loaded.densities, data.densities):
+        for da, db in zip(logged_densities(loaded), logged_densities(data)):
             assert np.array_equal(da.breaks, db.breaks)
             assert np.array_equal(da.values, db.values)
         assert validate_continuous_dataset(loaded) == []
@@ -366,11 +373,46 @@ class TestContinuousDatasetIO:
         data = continuous_dataset([1.5], [0.5], [UNIFORM])
         assert any("action out of [0,1]" in v for v in validate_continuous_dataset(data))
 
+    @pytest.mark.parametrize("index, record", [([0, 2], 1), ([-1, 0], 0)])
+    def test_density_index_out_of_range_names_record(self, index, record):
+        message = f"density index {index[record]} out of range \\[0, 2\\) at record {record}"
+        with pytest.raises(DatasetError, match=message):
+            ContinuousLoggedDataset(
+                context_ids=np.zeros(2),
+                actions=np.array([0.2, 0.7]),
+                losses=np.array([0.5, 0.5]),
+                densities=(UNIFORM, UNIFORM),
+                density_index=np.array(index),
+            )
+
+    def test_min_logging_density_ignores_unused_densities(self):
+        low = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.9, 0.1]))
+        data = ContinuousLoggedDataset(
+            context_ids=np.array([0, 1]),
+            actions=np.array([0.2, 0.7]),
+            losses=np.array([0.5, 0.5]),
+            densities=(low, UNIFORM),
+            density_index=np.array([1, 1]),
+        )
+        assert data.min_logging_density == 1.0
+
 
 class TestPiecewiseTypes:
+    @pytest.mark.parametrize(
+        "table", [[[np.nan, 1.0]], [[np.inf, 0.0]], [[1.5, -0.5]], [[0.5, 0.6]], [[0.5, 0.5, 0.0]]]
+    )
+    def test_grid_mass_policy_rejects_bad_tables(self, table):
+        with pytest.raises(ValueError):
+            GridMassPolicy(grid=SurrogateGrid(2), table=np.array(table))
+
     def test_density_must_integrate_to_one(self):
         with pytest.raises(ValueError):
             PiecewiseConstantDensity(breaks=np.array([0.0, 1.0]), values=np.array([0.5]))
+
+    @pytest.mark.parametrize("breaks", [[0.0, np.nan, 1.0], [np.nan, 1.0], [0.0, np.nan]])
+    def test_nan_breaks_rejected(self, breaks):
+        with pytest.raises(ValueError, match="breaks must"):
+            PiecewiseConstant(breaks=np.array(breaks), values=np.ones(len(breaks) - 1))
 
     def test_density_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -408,27 +450,30 @@ def copy_density(density):
 
 @st.composite
 def grouped_datasets(draw):
-    """(dataset, k, h, beta) of one of three kinds:
+    """(dataset, k, h, beta) of one of four kinds:
 
-    shared  -- a few densities by content, but every record holds its own copy;
+    shared  -- a few densities by content, but every record has its own copy;
     distinct -- every record has its own density;
-    edges   -- actions exactly on window edges a~_j +- h/2 and on density breaks.
+    pooled  -- a few densities, some perhaps used by no record, indexed per record;
+    edges   -- pooled, with actions exactly on window edges a~_j +- h/2 and on density breaks.
     """
-    kind = draw(st.sampled_from(["shared", "distinct", "edges"]))
+    kind = draw(st.sampled_from(["shared", "distinct", "pooled", "edges"]))
     n = draw(st.integers(1, 12))
     num_contexts = draw(st.integers(1, 3))
     k = draw(st.integers(1, 8))
     h = draw(st.sampled_from(H_CHOICES))
     ids = draw(st.lists(st.integers(0, num_contexts - 1), min_size=n, max_size=n))
     if kind == "distinct":
-        dens = [draw(densities()) for _ in range(n)]
+        dens, index = [draw(densities()) for _ in range(n)], list(range(n))
     else:
-        pool = draw(st.lists(densities(), min_size=1, max_size=3))
-        dens = [copy_density(pool[draw(st.integers(0, len(pool) - 1))]) for _ in range(n)]
+        dens = draw(st.lists(densities(), min_size=1, max_size=3))
+        index = draw(st.lists(st.integers(0, len(dens) - 1), min_size=n, max_size=n))
+        if kind == "shared":
+            dens, index = [copy_density(dens[g]) for g in index], list(range(n))
     if kind == "edges":
         points = SurrogateGrid(k).points
         actions = []
-        for density in dens:
+        for density in (dens[g] for g in index):
             edges = np.clip(np.concatenate([points - h / 2.0, points + h / 2.0]), 0.0, 1.0)
             candidates = [*edges, *density.breaks]
             actions.append(float(draw(st.sampled_from(candidates))))
@@ -441,6 +486,7 @@ def grouped_datasets(draw):
         actions=np.array(actions),
         losses=np.array(losses),
         densities=tuple(dens),
+        density_index=np.array(index),
         num_contexts=num_contexts,
     )
     return dataset, k, h, beta
@@ -486,11 +532,17 @@ class TestGroupedEstimators:
         assert continuous_ipw_risk(policy, data) == pytest.approx(policy.density(0.4, 0)) == pytest.approx(2.0)
         assert policy.density_pieces(0).value_at(0.4) == pytest.approx(1.0)
 
-    def test_groups_by_content_not_identity(self):
+    def test_groups_by_content_not_identity(self, tmp_path):
         mu = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.5, 0.5]))
-        data = continuous_dataset([0.1, 0.7, 0.3], [0.2, 0.4, 0.9], [mu, UNIFORM, copy_density(mu)])
-        distinct, index = data.density_groups
-        assert distinct == (mu, UNIFORM)
+        saved = continuous_dataset([0.1, 0.7, 0.3], [0.2, 0.4, 0.9], [mu, UNIFORM, copy_density(mu)])
+        path = tmp_path / "data.jsonl"
+        save_continuous_dataset_jsonl(saved, path)
+        data = load_continuous_dataset_jsonl(path)
+        distinct, index = data.densities, data.density_index
+        assert [(d.breaks.tolist(), d.values.tolist()) for d in distinct] == [
+            (mu.breaks.tolist(), mu.values.tolist()),
+            (UNIFORM.breaks.tolist(), UNIFORM.values.tolist()),
+        ]
         assert index.tolist() == [0, 1, 0]
         assert data.logged_density.tolist() == [1.5, 1.0, 1.5]
 
@@ -529,7 +581,11 @@ class TestValidatorMatchesLoop:
         for i, value in bad_losses.items():
             losses[i % data.n] = value
         corrupt = ContinuousLoggedDataset(
-            context_ids=data.context_ids, actions=actions, losses=losses, densities=data.densities
+            context_ids=data.context_ids,
+            actions=actions,
+            losses=losses,
+            densities=data.densities,
+            density_index=data.density_index,
         )
         assert validate_continuous_dataset(corrupt) == reference_validate(corrupt)
 
@@ -565,7 +621,7 @@ class TestLoaderInterning:
         assert np.array_equal(loaded.losses, data.losses)
         assert np.array_equal(loaded.context_ids, data.context_ids)
         first_seen = {}
-        for da, db in zip(loaded.densities, data.densities):
+        for da, db in zip(logged_densities(loaded), logged_densities(data)):
             assert np.array_equal(da.breaks, db.breaks) and np.array_equal(da.values, db.values)
             # Equal content loads as one shared object.
             assert da is first_seen.setdefault((db.breaks.tobytes(), db.values.tobytes()), da)
@@ -575,6 +631,47 @@ class TestLoaderInterning:
             build_modified_costs_continuous(data, grid, h, beta).costs,
         )
         assert validate_continuous_dataset(loaded) == validate_continuous_dataset(data) == []
+
+    @given(
+        case=grouped_datasets(),
+        bad_actions=st.dictionaries(
+            st.integers(0, 11), st.sampled_from([-0.5, -0.0, 1.5, 1e300, float("nan"), float("-inf")])
+        ),
+        bad_losses=st.dictionaries(st.integers(0, 11), st.sampled_from([-0.1, 7.0, float("inf"), float("nan")])),
+    )
+    def test_saved_lines_equal_json_dumps(self, case, bad_actions, bad_losses):
+        data, _, _, _ = case
+        actions, losses = data.actions.copy(), data.losses.copy()
+        for i, value in bad_actions.items():
+            actions[i % data.n] = value
+        for i, value in bad_losses.items():
+            losses[i % data.n] = value
+        data = ContinuousLoggedDataset(
+            context_ids=data.context_ids,
+            actions=actions,
+            losses=losses,
+            densities=data.densities,
+            density_index=data.density_index,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            save_continuous_dataset_jsonl(data, path, metadata={"seed": 3})
+            lines = path.read_text().splitlines()
+        header = {"action_space": "unit_interval", "num_contexts": data.num_contexts, "seed": 3}
+        assert lines[0] == json.dumps({"header": header}, sort_keys=True)
+        expected = [
+            json.dumps(
+                {
+                    "context": {"id": int(data.context_ids[i])},
+                    "action": float(data.actions[i]),
+                    "loss": float(data.losses[i]),
+                    "density": {"breaks": [float(b) for b in mu.breaks], "values": [float(v) for v in mu.values]},
+                },
+                sort_keys=True,
+            )
+            for i, mu in enumerate(logged_densities(data))
+        ]
+        assert lines[1:] == expected
 
     def test_density_not_integrating_to_one_names_record(self, tmp_path):
         data = continuous_dataset([0.2, 0.7], [0.5, 0.5], [UNIFORM, UNIFORM])

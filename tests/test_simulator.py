@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from plbandit import estimators, simulator
 from plbandit.continuous import ContinuousLoggedDataset
@@ -22,6 +24,8 @@ from plbandit.simulator import (
     save_environment,
     supervised_to_bandit,
 )
+
+from continuous_reference import reference_generate_continuous
 
 
 class TestGenerateLogs:
@@ -60,8 +64,29 @@ class TestGenerateLogs:
         data = generate_logs(env, 30, seed=14)
         assert isinstance(data, ContinuousLoggedDataset)
         for i in range(data.n):
-            assert data.densities[i] is env.logging_densities[data.context_ids[i]]
+            assert data.densities[data.density_index[i]] is env.logging_densities[data.context_ids[i]]
             assert 0.0 <= data.actions[i] <= 1.0
+
+    @given(
+        env_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+        num_contexts=st.integers(1, 4),
+        max_pieces=st.integers(1, 4),
+        n=st.integers(1, 40),
+        never_drawn=st.sets(st.integers(0, 3), max_size=2),
+    )
+    def test_continuous_matches_per_record_reference(self, env_seed, seed, num_contexts, max_pieces, n, never_drawn):
+        env = simulator.random_continuous_environment(env_seed, num_contexts, max_pieces=max_pieces)
+        dist = env.context_dist.copy()
+        dist[[x for x in never_drawn if x < num_contexts - 1]] = 0.0
+        env = ContinuousEnvironment(dist / dist.sum(), env.loss_fns, env.logging_densities)
+        data = generate_logs(env, n, seed=seed)
+        reference = reference_generate_continuous(env, n, seed)
+        assert np.array_equal(data.context_ids, reference.context_ids)
+        assert np.array_equal(data.density_index, reference.density_index)
+        assert data.densities == reference.densities
+        assert data.actions.tobytes() == reference.actions.tobytes()
+        assert data.losses.tobytes() == reference.losses.tobytes()
 
     def test_empirical_moments_match_logging_policy(self):
         env = simulator.random_environment(15, 3, 3)
@@ -193,6 +218,11 @@ class TestEnvironmentFiles:
         for a, b in zip(loaded.logging_densities, env.logging_densities):
             assert np.allclose(a.breaks, b.breaks)
             assert np.allclose(a.values, b.values)
+
+    def test_continuous_context_dist_rejects_nan(self):
+        env = simulator.random_continuous_environment(53, 2)
+        with pytest.raises(ValueError, match="probability vector"):
+            ContinuousEnvironment(np.array([np.nan, 1.0]), env.loss_fns, env.logging_densities)
 
     def test_environment_validation(self):
         with pytest.raises(ValueError):
