@@ -41,7 +41,6 @@ from .csc import (
 )
 from .estimators import (
     BoundReport,
-    RiskQuantities,
     bennett_deviation,
     beta_candidates,
     confidence_slack,
@@ -55,7 +54,6 @@ from .estimators import (
     penalized_objective,
     pl_confidence_band,
     pseudo_loss,
-    risk_quantities,
     ucb_risk,
 )
 from .model import (

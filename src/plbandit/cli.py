@@ -2,8 +2,8 @@
 
 Outputs are machine-readable (JSON reports, CSV sweep tables); plotting is out
 of scope. Exit codes: 0 success, 2 validation/usage error, 3 verification
-failure, 1 anything else. Sweep rows may be computed concurrently (capped by
-the OPO_THREADS environment variable) but are always written in grid order.
+failure, 1 anything else. A sweep fits its grid points one after another and
+writes one row per point, in grid order.
 """
 
 from __future__ import annotations
@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +19,7 @@ import numpy as np
 from . import continuous as cont
 from . import csc, estimators, simulator, verify
 from .model import (
+    ClassStats,
     DatasetError,
     DeterministicPolicy,
     LinearCostPolicy,
@@ -101,7 +100,7 @@ def _read_policy(obj, source: str, dataset: LoggedDataset):
         policy.pmf_rows(dataset)  # raises unless the policy covers every record's context
     except KeyError as err:
         raise UsageError(f"{source}: missing key {err}") from None
-    except (TypeError, ValueError, IndexError) as err:  # IndexError: weights that are not a matrix
+    except (TypeError, ValueError) as err:
         raise UsageError(f"{source}: {err}") from None
     return policy
 
@@ -125,11 +124,11 @@ def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
     )
 
 
-def _make_oracle(name: str, ridge: float, dataset: LoggedDataset):
+def _make_oracle(name: str, ridge: float):
     if name == "enum":
         return csc.EnumerationOracle()
     if name == "argmin":
-        return csc.PointwiseArgminOracle(num_contexts=dataset.num_contexts)
+        return csc.PointwiseArgminOracle()
     return csc.RidgeRegressionOracle(ridge=ridge)
 
 
@@ -215,16 +214,26 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
     return env
 
 
-def cmd_train(args) -> int:
+def _training_setup(args):
+    """What `train` and the discrete `sweep` fit with: the validated dataset, the
+    policy class (enum only), the oracle, the --env environment (or None) and
+    the class statistics of --alpha (or None)."""
     dataset = _load_valid(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
-    oracle = _make_oracle(args.oracle, args.ridge, dataset)
+    oracle = _make_oracle(args.oracle, args.ridge)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
+    stats = None
+    if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
+        stats = class_stats(pclass, dataset.context_ids, dataset.propensities)
+    return dataset, pclass, oracle, env, stats
+
+
+def cmd_train(args) -> int:
+    dataset, pclass, oracle, env, stats = _training_setup(args)
     policy, objective = csc.train_ipw_pl(dataset, args.beta, oracle, pclass)
     metrics = _dataset_metrics(policy, dataset, args.beta)
     metrics["oracle"] = args.oracle
-    if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
-        stats = class_stats(pclass, dataset.context_ids, dataset.propensities)
+    if stats is not None:
         slack = estimators.confidence_slack(stats, dataset.n, args.alpha, args.beta)
         metrics["ucb_risk"] = objective + slack.value
         metrics["slack"] = slack.as_dict()
@@ -254,11 +263,7 @@ SWEEP_COLUMNS = ["beta", "k", "h", "objective", "pl_hat", "ucb_risk", "exact_ris
 
 
 def cmd_sweep(args) -> int:
-    threads = max(1, int(os.environ.get("OPO_THREADS", "1")))
-    if args.h_grid_m is not None:
-        rows = _continuous_sweep(args, threads)
-    else:
-        rows = _discrete_sweep(args, threads)
+    rows = _continuous_sweep(args) if args.h_grid_m is not None else _discrete_sweep(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
@@ -267,18 +272,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _discrete_sweep(args, threads: int) -> list[dict]:
+def _discrete_sweep(args) -> list[dict]:
     if args.beta_grid is None:
         raise UsageError("discrete sweep needs --beta-grid")
-    dataset = _load_valid(args.dataset)
-    pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
-    oracle = _make_oracle(args.oracle, args.ridge, dataset)
-    env = _dataset_env(args.env, args.seed, args.dataset, dataset)
-    stats = None
-    if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
-        stats = class_stats(pclass, dataset.context_ids, dataset.propensities)
-
-    def one(beta: float) -> dict:
+    dataset, pclass, oracle, env, stats = _training_setup(args)
+    rows = []
+    for beta in _parse_grid(args.beta_grid):
         policy, objective = csc.train_ipw_pl(dataset, beta, oracle, pclass)
         row = {
             "beta": beta,
@@ -293,21 +292,18 @@ def _discrete_sweep(args, threads: int) -> list[dict]:
             row["ucb_risk"] = objective + estimators.confidence_slack(stats, dataset.n, args.alpha, beta).value
         if env is not None:
             row["exact_risk"] = simulator.exact_risk(policy, env)
-        return row
-
-    betas = _parse_grid(args.beta_grid)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, betas))
+        rows.append(row)
+    return rows
 
 
-def _continuous_sweep(args, threads: int) -> list[dict]:
+def _continuous_sweep(args) -> list[dict]:
     dataset = _load_valid(args.dataset, continuous=True)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     alpha = args.alpha if args.alpha is not None else 0.05
     beta = args.beta
     mu_inf = dataset.min_logging_density
-
-    def one(h: float) -> dict:
+    rows = []
+    for h in cont.h_grid(args.h_grid_m):
         k = args.k if args.k is not None else cont.suggest_k(dataset.n, mu_inf, h, alpha)
         policy, objective, pl_hat = cont.train_smoothed(dataset, k, h, beta)
         stats_slack = estimators.confidence_slack(
@@ -324,16 +320,11 @@ def _continuous_sweep(args, threads: int) -> list[dict]:
         }
         if env is not None:
             row["exact_risk"] = simulator.exact_risk(policy, env)
-        return row
-
-    grid_h = cont.h_grid(args.h_grid_m)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, grid_h))
+        rows.append(row)
+    return rows
 
 
 def _smoothed_stats(h: float, mu_inf: float, k: int, num_contexts: int):
-    from .model import ClassStats
-
     return ClassStats(
         pmf_sup=2.0 / h,
         mu_pmf_inf=mu_inf,

@@ -8,8 +8,8 @@ enumeration oracle, lowest action index for the pointwise argmin. The
 regression oracle is approximate by nature and is excluded from the exact
 equivalence guarantees; it exists to exercise feature-mode scale.
 
-Oracles are pure functions of immutable inputs; concurrent calls with
-different beta values must not interfere, which the sweep harness relies on.
+Oracles are pure functions of immutable inputs, so one oracle serves every
+beta of a sweep.
 """
 
 from __future__ import annotations

@@ -54,13 +54,6 @@ class BoundReport:
         return out
 
 
-@dataclass(frozen=True)
-class RiskQuantities:
-    ipw_risk: float
-    pseudo_loss: float
-    sample_variance: float
-
-
 def ipw_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     """Per-record importance-weighted losses pi(a_i|x_i)/mu(a_i|x_i) * loss_i."""
     rows = policy.pmf_rows(dataset)
@@ -113,14 +106,6 @@ def penalized_objective(policy: MassPolicy, dataset: LoggedDataset, beta: float)
 def sample_variance(values: np.ndarray) -> float:
     """Population (1/N) variance."""
     return float(np.var(np.asarray(values, dtype=float)))
-
-
-def risk_quantities(policy: MassPolicy, dataset: LoggedDataset) -> RiskQuantities:
-    return RiskQuantities(
-        ipw_risk=ipw_risk(policy, dataset),
-        pseudo_loss=pseudo_loss(policy, dataset),
-        sample_variance=sample_variance(ipw_terms(policy, dataset)),
-    )
 
 
 def eb_objective(policy: MassPolicy, dataset: LoggedDataset, lam: float) -> float:

@@ -161,8 +161,15 @@ class LinearCostPolicy(MassPolicy):
     intercepts: np.ndarray  # (num_actions,)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(np.asarray(self.weights, dtype=float)))
-        object.__setattr__(self, "intercepts", _frozen(np.asarray(self.intercepts, dtype=float)))
+        weights = np.asarray(self.weights, dtype=float)
+        intercepts = np.asarray(self.intercepts, dtype=float)
+        if weights.ndim != 2 or intercepts.shape != weights.shape[1:]:
+            raise ValueError(
+                "linear policy needs 2-D weights and one intercept per column, "
+                f"not weights of shape {weights.shape} and intercepts of shape {intercepts.shape}"
+            )
+        object.__setattr__(self, "weights", _frozen(weights))
+        object.__setattr__(self, "intercepts", _frozen(intercepts))
 
     @property
     def num_actions(self) -> int:

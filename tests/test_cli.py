@@ -447,11 +447,22 @@ class TestMalformedPolicyFiles:
                 {**LINEAR, "weights": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
                 "policy.json: policy weights have 3 rows for 2 features",
             ),
-            ("policy", {**LINEAR, "weights": [1.0, 0.0]}, "policy.json: tuple index out of range"),
+            (
+                "policy",
+                {**LINEAR, "weights": [1.0, 0.0]},
+                "policy.json: linear policy needs 2-D weights and one intercept per column, "
+                "not weights of shape (2,) and intercepts of shape (2,)",
+            ),
             (
                 "class",
                 {"policies": [LINEAR, {"type": "tabular", "table": [[0.5, 0.5]]}]},
                 "policy.json: policy 1: TabularPolicy needs finite",
+            ),
+            (
+                "policy",
+                {**LINEAR, "intercepts": [0.0, 0.0, 0.0]},
+                "policy.json: linear policy needs 2-D weights and one intercept per column, "
+                "not weights of shape (2, 2) and intercepts of shape (3,)",
             ),
         ],
     )
@@ -614,14 +625,38 @@ class TestSweep:
             exact = simulator.exact_risk(policy, env)
             assert float(row["exact_risk"]) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
-    def test_thread_env_variable(self, generated, monkeypatch):
+    def test_rows_in_grid_order(self, generated):
         tmp_path, dataset_path, _ = generated
-        monkeypatch.setenv("OPO_THREADS", "4")
         out = tmp_path / "tsweep.csv"
         assert run("sweep", "--dataset", dataset_path, "--beta-grid", "0.5,0.1,0.01", "--out", out) == 0
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [float(r["beta"]) for r in rows] == [0.5, 0.1, 0.01]  # grid order preserved
+
+    @pytest.mark.parametrize("enum_alpha_env", [True, False], ids=["enum-alpha-env", "argmin"])
+    def test_rows_equal_train_at_each_beta(self, generated, enum_alpha_env):
+        tmp_path, dataset_path, env_path = generated
+        options = ["--oracle", "enum", "--alpha", 0.05, "--env", env_path] if enum_alpha_env else ["--oracle", "argmin"]
+        betas = [0.01, 0.1, 1.0]
+        out = tmp_path / "sweep.csv"
+        grid = ",".join(map(str, betas))
+        assert run("sweep", "--dataset", dataset_path, "--beta-grid", grid, *options, "--out", out) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        for beta, row in zip(betas, rows, strict=True):
+            prefix = tmp_path / f"train-{beta}"
+            assert run("train", "--dataset", dataset_path, "--beta", beta, *options, "--out", prefix) == 0
+            metrics = json.loads(Path(f"{prefix}.metrics.json").read_text())
+            for column, key in [
+                ("objective", "objective"),
+                ("pl_hat", "pseudo_loss"),
+                ("ucb_risk", "ucb_risk"),
+                ("exact_risk", "exact_risk"),
+            ]:
+                if enum_alpha_env or key in ("objective", "pseudo_loss"):
+                    assert float(row[column]) == metrics[key]
+                else:
+                    assert row[column] == "" and key not in metrics
 
 
 class TestVerify:

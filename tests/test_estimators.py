@@ -21,7 +21,6 @@ from plbandit.estimators import (
     penalized_objective,
     pl_confidence_band,
     pseudo_loss,
-    risk_quantities,
     ucb_risk,
 )
 from plbandit.model import (
@@ -465,12 +464,3 @@ class TestBoundReport:
                 confidence_slack(STATS, n, 0.1, 0.7),
             ]:
                 assert abs(report.value - sum(report.terms.values())) <= 1e-12
-
-
-class TestRiskQuantities:
-    def test_fields(self):
-        data = dataset([0, 1], [0.2, 0.8], [[0.5, 0.5]] * 2)
-        rq = risk_quantities(UniformPolicy(2), data)
-        assert rq.ipw_risk == pytest.approx(0.5)
-        assert rq.pseudo_loss == pytest.approx(2.0)
-        assert rq.sample_variance >= 0.0

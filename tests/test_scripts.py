@@ -35,11 +35,3 @@ def test_pessimism_payoff(tmp_path, monkeypatch):
     assert [r["beta"] for r in rows] == ["0.0", "0.001", "0.01", "0.1", "1.0", "10.0", "grid-by-exact-risk"]
     assert all(float(r["mean_excess_risk"]) >= -1e-12 for r in rows)
 
-
-def test_bandwidth_sweep(tmp_path, monkeypatch):
-    out = tmp_path / "bandwidth.csv"
-    run_script(monkeypatch, "bandwidth_sweep.py", "--n", 200, "--m", 2, "--out", out)
-    rows = read_rows(out)
-    assert set(rows[0]) == {"h", "k", "objective", "pl_hat", "exact_risk"}
-    assert [float(r["h"]) for r in rows] == [1.0, 0.5]
-    assert all(int(r["k"]) >= 1 for r in rows)
