@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -423,9 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_dir(out: str | None) -> None:
+    """Every file a command writes lies in the directory of its --out path or
+    prefix; it must exist before the command does any work."""
+    directory = os.path.dirname(out or "") or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"output directory '{directory}' does not exist (--out {out})")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out_dir(args.out)
         return args.func(args)
     except (UsageError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)

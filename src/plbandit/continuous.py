@@ -589,6 +589,8 @@ def _scalar_problem(context_id, action, loss) -> str | None:
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
     """Load a continuous dataset. Each distinct density content is validated
     once and kept once; `density_index` numbers them in first-seen order.
+    Records are read in file order from read_record_chunks (each distinct
+    line parsed once per chunk; a continuous log's lines rarely repeat).
 
     As in `load_dataset_jsonl`, a line that is not a JSON object, a missing
     field, a context id that is not a JSON integer, a non-numeric action or
@@ -601,8 +603,8 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
     by_content: dict[tuple[bytes, bytes], int] = {}
     with open(path) as fh:
         header = read_header(fh, path)
-        for start, records in read_record_chunks(fh, path):
-            for i, row in enumerate(records, start):
+        for start, records, inverse in read_record_chunks(fh, path):
+            for i, row in enumerate(map(records.__getitem__, inverse), start):
                 try:
                     context_id, action, loss = row["context"]["id"], row["action"], row["loss"]
                     breaks, values = row["density"]["breaks"], row["density"]["values"]

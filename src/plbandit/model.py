@@ -542,30 +542,38 @@ def read_header(fh, path: str | Path) -> dict:
 
 
 def read_record_chunks(fh, path: str | Path):
-    """Yield (index of the first record, parsed records) for the rest of an open dataset file.
+    """Yield (start, records, inverse) for the rest of an open dataset file.
 
-    Blank lines are skipped. Each chunk of about CHUNK_BYTES is parsed by one
-    json.loads over the lines joined into a JSON array; a line that is not
-    valid JSON raises DatasetError naming its 0-based record index.
+    Blank lines are skipped. Each chunk of about CHUNK_BYTES is keyed by the
+    exact text of its lines, and its distinct lines, in first-seen order, are
+    parsed by one json.loads over them joined into a JSON array: record
+    `start + k` is `records[inverse[k]]`. A simulated log has few distinct
+    lines (one propensity row per context, 0/1 losses), and each is parsed
+    once per chunk. A line that is not valid JSON raises DatasetError naming its
+    0-based record index; first-seen order makes the first bad distinct line
+    the first bad record.
     """
     start = 0
     while chunk := fh.readlines(CHUNK_BYTES):
         lines = list(itertools.filterfalse(str.isspace, chunk))
         if not lines:
             continue
+        number: dict[str, int] = {}
+        inverse = [number.setdefault(line, len(number)) for line in lines]
         try:
-            records = json.loads("[" + ",".join(lines) + "]")
+            records = json.loads("[" + ",".join(number) + "]")
         except ValueError:
             records = None
-        if records is None or len(records) != len(lines):
-            # Every line parses alone exactly when the joined array parses
-            # with one element per line, so one of these lines fails.
-            for k, line in enumerate(lines):
+        if records is None or len(records) != len(number):
+            # Every distinct line parses alone exactly when the joined array
+            # parses with one element per line, so one of these lines fails.
+            for line in number:
                 try:
                     json.loads(line)
                 except ValueError as err:
+                    k = lines.index(line)
                     raise DatasetError(f"{path}: invalid JSON ({err.msg}) at record {start + k}") from None
-        yield start, records
+        yield start, records, inverse
         start += len(lines)
 
 
@@ -714,29 +722,36 @@ def _chunk_error(path, start: int, records: list, num_actions: int, feature_dim:
 def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     """Read a file written by save_dataset_jsonl.
 
-    Records are parsed a chunk at a time and kept only as numpy columns. A
-    line that is not a JSON object, a missing field, an action or context id
-    that is not a JSON integer, a loss or propensity that is not a number,
-    and a propensity vector of the wrong length raise DatasetError naming
-    the file and the 0-based record index.
+    Records are parsed a chunk at a time, each distinct line once (see
+    read_record_chunks), and kept only as numpy columns: the distinct
+    records' columns, gathered once into record order. A line that is not a
+    JSON object, a missing field, an action or context id that is not a JSON
+    integer, a loss or propensity that is not a number, and a propensity
+    vector of the wrong length raise DatasetError naming the file and the
+    0-based record index of the first such record.
     """
     with open(path) as fh:
         header = read_header(fh, path)
         num_actions = header_int(header, "num_actions", path)
         if num_actions is None:
             raise DatasetError(f"{path}: header lacks key 'num_actions'")
-        chunks = []
+        chunks, inverses = [], []
         feature_dim = None
-        for start, records in read_record_chunks(fh, path):
+        offset = 0  # distinct records in the chunks before this one
+        for start, records, inverse in read_record_chunks(fh, path):
             if not chunks:
                 feature_dim = _feature_dim(records[0])
             columns = _discrete_columns(records, num_actions, feature_dim)
             if columns is None:
-                raise _chunk_error(path, start, records, num_actions, feature_dim)
+                expanded = list(map(records.__getitem__, inverse))
+                raise _chunk_error(path, start, expanded, num_actions, feature_dim)
             chunks.append(columns)
+            inverses.append(np.add(inverse, offset))
+            offset += len(records)
     if not chunks:
         raise DatasetError(f"{path}: dataset must contain at least one record")
-    contexts, actions, losses, propensities = (np.concatenate(column) for column in zip(*chunks))
+    order = np.concatenate(inverses)
+    contexts, actions, losses, propensities = (np.concatenate(column)[order] for column in zip(*chunks))
     try:
         return LoggedDataset(
             actions=actions,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plbandit import continuous as cont
-from plbandit import csc, estimators, simulator, verify
+from plbandit import cli, csc, estimators, simulator, verify
 from plbandit.cli import main
 from plbandit.model import ClassStats, save_dataset_jsonl
 from plbandit.simulator import random_environment
@@ -657,6 +657,42 @@ class TestSweep:
                     assert float(row[column]) == metrics[key]
                 else:
                     assert row[column] == "" and key not in metrics
+
+
+class TestMissingOutDirectory:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Make loading, generating and verifying fail the command (exit 1) if reached."""
+
+        def reached(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for target, name in [(cli, "_load_valid"), (simulator, "generate_logs"), (verify, "run_verification")]:
+            monkeypatch.setattr(target, name, reached)
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("generate", ["--env", "demo", "--n", 10, "--seed", 1]),
+            ("train", ["--dataset", "{d}", "--beta", 0.1]),
+            ("evaluate", ["--dataset", "{d}", "--policy", "{d}", "--beta", 0.1]),
+            ("sweep", ["--dataset", "{d}", "--beta-grid", "0.1,1"]),
+            ("verify", ["--env", "demo", "--reps", 5, "--n", 50]),
+        ],
+    )
+    def test_exits_two_naming_the_directory(self, generated, no_work, capsys, command, argv):
+        tmp_path, dataset_path, _ = generated
+        before = sorted(tmp_path.iterdir())
+        missing = tmp_path / "nodir"
+        argv = [dataset_path if a == "{d}" else a for a in argv]
+        assert run(command, *argv, "--out", missing / "x") == 2
+        assert f"output directory '{missing}' does not exist" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_prefix_ending_in_a_separator_names_that_directory(self, tmp_path, capsys):
+        prefix = f"{tmp_path / 'nodir'}/"
+        assert run("generate", "--env", "demo", "--n", 10, "--seed", 1, "--out", prefix) == 2
+        assert f"output directory '{tmp_path / 'nodir'}' does not exist" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -169,6 +169,58 @@ class TestLoadMatchesReference:
             load_dataset_jsonl(path)
 
 
+# Record texts a logged file repeats: few contexts, propensity rows and loss
+# values. Loss texts include 0 and 0.0 (equal floats) and -0.0 (equal to 0.0
+# but with its sign bit set), which must load bitwise as written.
+LOSS_TEXTS = ["0", "0.0", "-0.0", "1.0", "0.5"]
+PROPENSITY_TEXTS = ["[0.5, 0.5]", "[0.25, 0.75]", "[1, 0.0]"]
+CONTEXT_TEXTS = {
+    "id": ['{"id": 0}', '{"id": 1}', '{"id": 2}'],
+    "features": ['{"features": [0.1]}', '{"features": [-0.0]}', '{"features": [0.0]}'],
+}
+
+
+@st.composite
+def repeated_files(draw):
+    """A discrete dataset file whose record lines are drawn from a small alphabet,
+    so lines repeat within and across chunks, with blank lines between them
+    and each line ended by LF or CRLF (the last one perhaps not at all)."""
+    mode = draw(st.sampled_from(sorted(CONTEXT_TEXTS)))
+    record = st.builds(
+        '{{"action": {}, "context": {}, "loss": {}, "propensities": {}}}'.format,
+        st.sampled_from([0, 1]),
+        st.sampled_from(CONTEXT_TEXTS[mode]),
+        st.sampled_from(LOSS_TEXTS),
+        st.sampled_from(PROPENSITY_TEXTS),
+    )
+    header = '{"header": {"num_actions": 2}}'
+    lines = [header] + draw(st.lists(record, min_size=1, max_size=30))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text = [line + end for line, end in zip(lines, ends)]
+    positions = draw(st.lists(st.integers(1, len(text)), max_size=6))
+    blanks = draw(st.lists(st.sampled_from(["\n", "  \r\n", "\t\n"]), min_size=len(positions), max_size=len(positions)))
+    return blank_lines_between(text, positions, blanks)
+
+
+class TestRepeatedLines:
+    @settings(max_examples=200)
+    @given(text=repeated_files(), chunk=st.sampled_from([1, 60, 200, CHUNK_BYTES]))
+    def test_arrays_bitwise_equal(self, tmp_path_factory, text, chunk):
+        path = tmp_path_factory.mktemp("repeated") / "d.jsonl"
+        path.write_bytes(text.encode())
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            loaded = load_dataset_jsonl(path)
+        assert_bitwise_equal(loaded, reference_load(path))
+
+    def test_signed_zero_losses_stay_apart(self, tmp_path):
+        row = '{"action": 0, "context": {"id": 0}, "loss": %s, "propensities": [0.5, 0.5]}'
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + "".join(row % loss + "\n" for loss in ["0.0", "-0.0", "0.0", "-0.0"]))
+        assert np.signbit(load_dataset_jsonl(path).losses).tolist() == [False, True, False, True]
+
+
 HEADER = '{"header": {"num_actions": 2}}\n'
 GOOD = {"context": {"id": 0}, "action": 1, "loss": 0.5, "propensities": [0.5, 0.5]}
 
@@ -239,6 +291,51 @@ class TestLoaderErrors:
         del no_loss["loss"]
         with pytest.raises(DatasetError, match=r"action 1.5 is not an integer at record 1$"):
             load_lines(tmp_path, json.dumps(GOOD), with_field("action", 1.5), json.dumps(no_loss))
+
+    def test_repeated_malformed_record_named_at_first(self, tmp_path):
+        no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
+        bad_action = with_field("action", 1.5)
+        with pytest.raises(DatasetError, match=r"missing key 'loss' at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), no_loss, json.dumps(GOOD), bad_action, no_loss)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"context": ',
+            json.dumps(GOOD) + ", " + json.dumps(GOOD),  # two values: one line, two array elements
+            json.dumps(GOOD) + " " + json.dumps(GOOD),
+        ],
+    )
+    def test_repeated_invalid_json_named_at_first(self, tmp_path, line):
+        other = '{"context": 1'
+        with pytest.raises(DatasetError, match=r"d\.jsonl: invalid JSON \(.*\) at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), line, json.dumps(GOOD), other, line)
+
+    @pytest.mark.parametrize("chunk", [1, 200, CHUNK_BYTES])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (json.dumps({k: v for k, v in GOOD.items() if k != "action"}), "missing key 'action'"),
+            ('{"action": 1,', r"invalid JSON \(.*\)"),
+        ],
+    )
+    def test_bad_line_first_seen_in_a_later_chunk(self, tmp_path, chunk, bad, message):
+        # Records 0-7 repeat two good lines; the bad line first appears at
+        # record 8, in a later chunk for the small chunk sizes, and again at 10.
+        good = [json.dumps(GOOD), with_field("loss", 1.0)]
+        rows = good * 4 + [bad, good[0], bad, good[1]]
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            with pytest.raises(DatasetError, match=rf"{message} at record 8$"):
+                load_lines(tmp_path, *rows)
+
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    def test_record_zero_text_reused_after_a_mode_switch(self, tmp_path, chunk):
+        ids = json.dumps(GOOD)
+        features = json.dumps({**GOOD, "context": {"features": [0.1]}})
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            for first, other in [(ids, features), (features, ids)]:
+                with pytest.raises(DatasetError, match=r"records mix finite and feature contexts at record 2$"):
+                    load_lines(tmp_path, first, first, other, first, other)
 
     def test_mixed_contexts(self, tmp_path):
         features = json.dumps({**GOOD, "context": {"features": [0.1]}})
