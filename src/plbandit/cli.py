@@ -29,6 +29,7 @@ from .model import (
     TabularPolicy,
     class_stats,
     deterministic_class,
+    index_problem,
     load_dataset_jsonl,
     load_json,
     read_header,
@@ -81,7 +82,12 @@ def _policy_to_json(policy) -> dict:
 def _policy_from_json(obj: dict):
     kind = obj["type"]
     if kind == "deterministic":
-        return DeterministicPolicy(assignment=tuple(obj["assignment"]), num_actions=int(obj["num_actions"]))
+        assignment, num_actions = obj["assignment"], obj["num_actions"]
+        indices = [("num_actions", num_actions)] + [(f"assignment[{i}]", a) for i, a in enumerate(assignment)]
+        problem = next(filter(None, (index_problem(name, value) for name, value in indices)), None)
+        if problem:
+            raise ValueError(problem)
+        return DeterministicPolicy(assignment=tuple(assignment), num_actions=num_actions)
     if kind == "linear":
         return LinearCostPolicy(
             weights=np.array(obj["weights"], dtype=float), intercepts=np.array(obj["intercepts"], dtype=float)
@@ -424,18 +430,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dir(out: str | None) -> None:
+def _check_out_dir(command: str, out: str | None) -> None:
     """Every file a command writes lies in the directory of its --out path or
-    prefix; it must exist before the command does any work."""
+    prefix; it must exist before the command does any work. `generate` and
+    `train` append suffixes to --out, so it needs a file-name part; the other
+    commands write --out itself, so it must not be a directory."""
     directory = os.path.dirname(out or "") or "."
     if not os.path.isdir(directory):
         raise UsageError(f"output directory '{directory}' does not exist (--out {out})")
+    if command in ("generate", "train"):
+        if not os.path.basename(out):
+            raise UsageError(f"--out {out} names a directory; give a file-name prefix inside it")
+    elif out is not None and os.path.isdir(out):
+        raise UsageError(f"--out {out} is a directory; give a file path")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_out_dir(args.out)
+        _check_out_dir(args.command, args.out)
         return args.func(args)
     except (UsageError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)

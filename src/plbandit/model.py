@@ -10,18 +10,22 @@ integer index into an environment table, which is what the brute-force
 verification machinery needs. Feature mode (real-valued vectors) exists to
 feed the regression-based cost-sensitive oracle.
 
-All types are immutable after construction and safe to share across threads.
+Policies and datasets are not changed after construction. Some values are
+built on first use and then kept: a class's stacked tables, an `all-det`
+class's members, a dataset's per-context sums. plbandit runs no threads, and
+those writes take no lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from abc import ABC, abstractmethod
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -206,13 +210,14 @@ def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int)
 class PolicyClass:
     """A finite policy class given by its members.
 
-    `size`, the member count, enters every bound through ln(4|class|/alpha).
+    `members` is a tuple, or for `deterministic_class` a read-only sequence
+    that builds each member on first access. `size`, the member count, enters
+    every bound through ln(4|class|/alpha).
     """
 
-    members: tuple[MassPolicy, ...]
+    members: Sequence[MassPolicy]
     # Stacked member pmf tables, (size, X, A): built on first use, kept for the
     # life of the class, and sliced for any smaller X. 8*size*X*A bytes.
-    # Threads racing on the first use may each build it; every copy is equal.
     _tables: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -252,22 +257,48 @@ class PolicyClass:
         return np.einsum("cxa,xa->c", self.tables(rows.num_contexts), summed)
 
 
+class _DeterministicMembers(Sequence):
+    """The num_actions**num_contexts deterministic policies as a read-only sequence.
+
+    Member i's assignment is i written in base num_actions, context 0 the most
+    significant digit: the order itertools.product yields. A member is built
+    on first access and kept, so members[i] is members[i].
+    """
+
+    def __init__(self, num_contexts: int, num_actions: int):
+        self._num_actions = num_actions
+        self._digits = (num_actions,) * num_contexts
+        # One slot per member, None until decoded: 8 bytes a member, as a tuple.
+        self._decoded: list[DeterministicPolicy | None] = [None] * num_actions**num_contexts
+
+    def __len__(self) -> int:
+        return len(self._decoded)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        member = self._decoded[index]  # IndexError and TypeError as on a tuple
+        if member is None:
+            i = operator.index(index) % len(self)
+            assignment = np.unravel_index(i, self._digits)
+            member = self._decoded[i] = DeterministicPolicy(assignment=assignment, num_actions=self._num_actions)
+        return member
+
+
 def deterministic_class(num_contexts: int, num_actions: int) -> PolicyClass:
     """All num_actions**num_contexts deterministic policies.
 
     Member order is lexicographic in the assignment tuple with context 0 most
     significant, so the lowest-index tie rule of the enumeration oracle agrees
-    with per-context lowest-action tie-breaking.
+    with per-context lowest-action tie-breaking. Members are decoded from
+    their index on first access; the stacked tables are built here, from the
+    index digits.
     """
-    members = tuple(
-        DeterministicPolicy(assignment=assign, num_actions=num_actions)
-        for assign in itertools.product(range(num_actions), repeat=num_contexts)
-    )
-    # Member i's assignment is i written in base num_actions, context 0 the
-    # most significant digit: the order itertools.product yields.
-    place = num_actions ** np.arange(num_contexts - 1, -1, -1)
-    assignments = np.arange(len(members))[:, None] // place % num_actions
-    tables = np.eye(num_actions)[assignments]
+    members = _DeterministicMembers(num_contexts, num_actions)
+    # Row i is the digits of i, in the order np.unravel_index gives member i.
+    assignments = np.indices((num_actions,) * num_contexts).reshape(num_contexts, len(members)).T
+    # take, not fancy indexing: about ten times faster on the 4096-member class.
+    tables = np.eye(num_actions).take(assignments, axis=0)
     tables.setflags(write=False)
     return PolicyClass(members=members, _tables=tables)
 
@@ -319,8 +350,7 @@ class LoggedDataset:
 
     A finite-context dataset also carries `ipw_sums` and `pl_sums`, the two
     (num_contexts, A) tables that the estimators contract with a policy's
-    pmf table. Each is built on first use and kept, read-only. Threads racing
-    on the first use may each build it; every copy is equal.
+    pmf table. Each is built on first use and kept, read-only.
     """
 
     actions: np.ndarray

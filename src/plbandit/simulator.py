@@ -10,8 +10,9 @@ without truncation artifacts. Random draws come from a counter-based Philox
 generator; the seed is embedded in generated files, so within-build outputs
 are bit-reproducible.
 
-Environments are immutable. Generation of one dataset is single-threaded for
-stream determinism; independent datasets may be generated concurrently.
+An environment's fields are not changed after construction; its logging pmf
+table and cdfs are built on first use and kept. Generation draws one stream
+per dataset, in order, so a seed fixes the dataset. plbandit runs no threads.
 """
 
 from __future__ import annotations

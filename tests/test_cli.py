@@ -416,6 +416,9 @@ class TestMalformedPolicyFiles:
             ("class", {"policies": [VALID, {"type": "tabular"}]}, "policy.json: policy 1: missing key 'table'"),
             ("policy", '{"type": ', "policy.json: invalid JSON"),
             ("class", "[", "policy.json: invalid JSON"),
+            ("policy", {**VALID, "assignment": [0.9] * 4}, "policy.json: assignment[0] 0.9 is not an integer"),
+            ("policy", {**VALID, "assignment": [0, True, 2, 0]}, "policy.json: assignment[1] true is not an integer"),
+            ("policy", {**VALID, "num_actions": 3.9}, "policy.json: num_actions 3.9 is not an integer"),
         ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, kind, obj, message, capsys):
@@ -693,6 +696,25 @@ class TestMissingOutDirectory:
         prefix = f"{tmp_path / 'nodir'}/"
         assert run("generate", "--env", "demo", "--n", 10, "--seed", 1, "--out", prefix) == 2
         assert f"output directory '{tmp_path / 'nodir'}' does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, argv, out, message",
+        [
+            ("generate", ["--env", "demo", "--n", 10, "--seed", 1], "{dir}/", "--out {dir}/ names a directory"),
+            ("train", ["--dataset", "{d}", "--beta", 0.1], "{dir}/", "--out {dir}/ names a directory"),
+            ("evaluate", ["--dataset", "{d}", "--policy", "{d}", "--beta", 0.1], "{dir}", "--out {dir} is a directory"),
+            ("sweep", ["--dataset", "{d}", "--beta-grid", "0.1,1"], "{dir}", "--out {dir} is a directory"),
+            ("verify", ["--env", "demo", "--reps", 5, "--n", 50], "{dir}", "--out {dir} is a directory"),
+        ],
+    )
+    def test_out_naming_a_directory_exits_two(self, generated, no_work, capsys, command, argv, out, message):
+        tmp_path, dataset_path, _ = generated
+        directory = tmp_path / "outdir"
+        directory.mkdir()
+        argv = [dataset_path if a == "{d}" else a for a in argv]
+        assert run(command, *argv, "--out", out.format(dir=directory)) == 2
+        assert message.format(dir=directory) in capsys.readouterr().err
+        assert list(directory.iterdir()) == []
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plbandit import csc, estimators, simulator
+from plbandit import cli, csc, estimators, simulator
 from plbandit.csc import (
     CostMatrix,
     EnumerationOracle,
@@ -22,6 +22,7 @@ from plbandit.model import (
     PolicyClass,
     TabularPolicy,
     deterministic_class,
+    save_dataset_jsonl,
 )
 
 
@@ -156,6 +157,36 @@ class TestExactTies:
         learned = assert_same_lowest_index_winner(data, 0.3, pclass, num_contexts=3)
         assert learned.assignment == (0, 0, 0)
         assert pclass.members.index(learned) == 0
+
+    def test_contexts_absent_from_the_data_of_a_4096_member_class(self):
+        # Only contexts 1 and 4 of 6 are logged, so the members tie exactly in
+        # groups of 256; the lowest index of the winning group assigns action 0
+        # everywhere else.
+        props = [[0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]] * 4
+        data = dataset([3, 0, 2, 1, 0, 3, 1, 2], [0.1, 0.6, 0.2, 0.9, 0.8, 0.3, 0.5, 0.4], props, ids=[1, 4] * 4)
+        pclass = deterministic_class(6, 4)
+        costs = build_modified_costs(data, 0.05)
+        learned = EnumerationOracle().solve(costs, pclass)
+        assert learned is brute_force_argmin(data, 0.05, pclass)[0]
+        assert learned.assignment == PointwiseArgminOracle(num_contexts=6).solve(costs).assignment
+        assert [learned.assignment[x] for x in (0, 2, 3, 5)] == [0, 0, 0, 0]
+
+    def test_train_decodes_only_the_members_it_returns(self, tmp_path, monkeypatch):
+        # A log shaped like the benchmark's wide class: 6 contexts, 4 actions.
+        env = simulator.random_environment((0, 101), 6, 4)
+        simulator.save_environment(env, tmp_path / "env.json")
+        save_dataset_jsonl(simulator.generate_logs(env, 2000, seed=0), tmp_path / "d.jsonl")
+        built = []
+
+        def recording_class(num_contexts, num_actions):
+            built.append(deterministic_class(num_contexts, num_actions))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "deterministic_class", recording_class)
+        argv = ["train", "--dataset", tmp_path / "d.jsonl", "--beta", 0.1, "--alpha", 0.05]
+        assert cli.main([str(a) for a in argv + ["--env", tmp_path / "env.json", "--out", tmp_path / "m"]]) == 0
+        assert len(built) == 1 and built[0].size == 4096
+        assert sum(member is not None for member in built[0].members._decoded) < 10
 
     @given(st.data())
     def test_dyadic_inputs_match_brute_force(self, draw):

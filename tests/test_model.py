@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -202,6 +204,31 @@ class TestPolicies:
         assert assignments[0] == (0, 0)
         assert assignments[1] == (0, 1)
         assert assignments == sorted(assignments)
+
+    @pytest.mark.parametrize("num_contexts, num_actions", [(1, 2), (2, 3), (3, 4), (6, 4)])
+    def test_deterministic_class_members_in_product_order(self, num_contexts, num_actions):
+        members = deterministic_class(num_contexts, num_actions).members
+        assert [m.assignment for m in members] == list(itertools.product(range(num_actions), repeat=num_contexts))
+
+    def test_deterministic_class_members_index_like_a_tuple(self):
+        members = deterministic_class(3, 4).members
+        first = members[-59]
+        assert members[5] is first and members[-59] is first
+        reference = tuple(members)
+        assert len(members) == len(reference) == 64
+        assert reference[5] is first
+        for i in (0, 17, 63, -1, -17, -64):
+            assert members[i] is reference[i]
+        for s in (slice(None), slice(None, None, 7), slice(3, 40, 5), slice(-5, None), slice(50, 10, -3), slice(70, 80)):
+            assert members[s] == reference[s]
+        assert members[::7][1] is members[7]
+        assert members.index(members[42]) == 42
+        assert members.index(DeterministicPolicy(assignment=(2, 2, 2), num_actions=4)) == 42
+        with pytest.raises(ValueError):
+            members.index(DeterministicPolicy(assignment=(0, 0, 0, 0), num_actions=4))
+        for i in (64, -65):
+            with pytest.raises(IndexError):
+                members[i]
 
 
 class TestDatasetIndexRanges:
