@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import continuous as cont
 from . import csc, estimators, simulator, verify
 from .model import (
@@ -32,6 +30,7 @@ from .model import (
     index_problem,
     load_dataset_jsonl,
     load_json,
+    number_array,
     read_header,
     save_dataset_jsonl,
     validate_dataset,
@@ -90,10 +89,11 @@ def _policy_from_json(obj: dict):
         return DeterministicPolicy(assignment=tuple(assignment), num_actions=num_actions)
     if kind == "linear":
         return LinearCostPolicy(
-            weights=np.array(obj["weights"], dtype=float), intercepts=np.array(obj["intercepts"], dtype=float)
+            weights=number_array(obj["weights"], 2, "weights"),
+            intercepts=number_array(obj["intercepts"], 1, "intercepts"),
         )
     if kind == "tabular":
-        return TabularPolicy(table=np.array(obj["table"], dtype=float))
+        return TabularPolicy(table=number_array(obj["table"], 2, "table"))
     raise ValueError(f"unknown policy type '{kind}'")
 
 
@@ -341,6 +341,12 @@ def _smoothed_stats(h: float, mu_inf: float, k: int, num_contexts: int):
 
 
 def cmd_verify(args) -> int:
+    if args.reps < 1:
+        raise UsageError(f"--reps must be >= 1, not {args.reps}")
+    if args.n < 1:
+        raise UsageError(f"--n must be >= 1, not {args.n}")
+    if not 0.0 < args.alpha < 1.0:
+        raise UsageError(f"--alpha must lie in (0, 1), not {args.alpha}")
     env = _resolve_env(args.env, args.seed)
     if isinstance(env, simulator.ContinuousEnvironment):
         raise UsageError(

@@ -639,6 +639,25 @@ def is_number(value) -> bool:
     return True
 
 
+def number_array(value, ndim: int, key: str) -> np.ndarray:
+    """A parsed JSON value as a float array: nested lists, at most `ndim` deep,
+    of JSON numbers by the `is_number` rule.
+
+    A bool, a string, a null, a deeper list or a ragged list raises ValueError
+    naming `key`. A shallower value is returned as read; the caller's shape
+    checks name its shape.
+    """
+    leaves = [value]
+    for _ in range(ndim):
+        leaves = list(itertools.chain.from_iterable(v if type(v) is list else (v,) for v in leaves))
+    if not all(map(is_number, leaves)):
+        raise ValueError(f"{key} is not a {ndim}-D array of JSON numbers")
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:
+        raise ValueError(f"{key} is a ragged array") from None
+
+
 def missing_field(record, keys: Sequence[str]) -> str | None:
     """Why a parsed record cannot be read: it is not an object, or the first dotted key it lacks."""
     if not isinstance(record, dict):

@@ -43,6 +43,7 @@ from .model import (
     MassPolicy,
     TabularPolicy,
     load_json,
+    number_array,
 )
 
 
@@ -152,25 +153,63 @@ def generate_logs(env, n: int, seed: int):
     rng = make_rng(seed)
     if isinstance(env, ContinuousEnvironment):
         return _generate_continuous(env, n, rng)
-    # The draws rng.choice(p=context_dist) and _sample_categorical make, from
-    # the environment's cached cdfs: the same stream and the same records.
-    # _sample_categorical counts the cdf entries below u, capped at A - 1; the
-    # cdf never decreases, so that is the count over the first A - 1 entries.
-    xs = env.context_cdf.searchsorted(rng.random(n), side="right")
-    u = rng.random(n)
-    actions = np.zeros(n, dtype=np.int64)
-    for cdf in env.mu_cdf_columns:
-        actions += u > cdf.take(xs)
-    mu_rows = env.mu_table.take(xs, axis=0)
-    means = env.loss_means[xs, actions]
-    losses = (rng.random(n) < means).astype(float) if env.bernoulli_noise else means
+    k = _draws_per_record(env)
+    # One call of rng.random(k * n) draws what k calls of rng.random(n) do.
+    xs, actions, losses = _draw_discrete(env, rng.random(k * n).reshape(k, n))
     return LoggedDataset(
         actions=actions,
         losses=losses,
-        propensities=mu_rows,
+        propensities=env.mu_table.take(xs, axis=0),
         context_ids=xs,
         num_contexts=env.num_contexts,
     )
+
+
+def generate_log_block(env: SyntheticEnvironment, n: int, seeds) -> LoggedDataset:
+    """The discrete logs generate_logs(env, n, seed) draws for each seed, as one dataset.
+
+    Replicate r's record i is record r * n + i, and its context x is context
+    r * X + x of num_contexts = len(seeds) * X. np.bincount adds each cell's
+    values in record order, so the dataset's `ipw_sums` and `pl_sums`,
+    reshaped to (len(seeds), X, A), are bitwise each replicate's own.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    k = _draws_per_record(env)
+    uniforms = np.stack([make_rng(seed).random(k * n) for seed in seeds]).reshape(len(seeds), k, n)
+    xs, actions, losses = _draw_discrete(env, uniforms)
+    return LoggedDataset(
+        actions=actions.ravel(),
+        losses=losses.ravel(),
+        propensities=env.mu_table.take(xs.ravel(), axis=0),
+        context_ids=(xs + env.num_contexts * np.arange(len(seeds))[:, None]).ravel(),
+        num_contexts=len(seeds) * env.num_contexts,
+    )
+
+
+def _draws_per_record(env: SyntheticEnvironment) -> int:
+    """Uniforms per record: a context, an action and, with Bernoulli noise, the loss."""
+    return 3 if env.bernoulli_noise else 2
+
+
+def _draw_discrete(env: SyntheticEnvironment, uniforms: np.ndarray):
+    """Context ids, actions and losses of records, from uniforms of shape (..., k, n).
+
+    Row 0 draws the contexts, row 1 the actions and row 2, with Bernoulli
+    noise, the losses. These are the draws rng.choice(p=context_dist) and
+    _sample_categorical make, from the environment's cached cdfs: the same
+    records. _sample_categorical counts the cdf entries below u, capped at
+    A - 1; the cdf never decreases, so that is the count over the first
+    A - 1 entries.
+    """
+    xs = env.context_cdf.searchsorted(uniforms[..., 0, :], side="right")
+    u = uniforms[..., 1, :]
+    actions = np.zeros(xs.shape, dtype=np.int64)
+    for cdf in env.mu_cdf_columns:
+        actions += u > cdf.take(xs)
+    means = env.loss_means[xs, actions]
+    losses = (uniforms[..., 2, :] < means).astype(float) if env.bernoulli_noise else means
+    return xs, actions, losses
 
 
 def _generate_continuous(env: ContinuousEnvironment, n: int, rng: np.random.Generator) -> ContinuousLoggedDataset:
@@ -424,16 +463,18 @@ def load_environment(path: str | Path):
         kind = spec["type"]
         if kind == "continuous":
             return ContinuousEnvironment(
-                context_dist=np.array(spec["context_dist"]),
+                context_dist=number_array(spec["context_dist"], 1, "context_dist"),
                 loss_fns=tuple(map(PiecewiseConstant.from_json, spec["loss"])),
                 logging_densities=tuple(map(PiecewiseConstantDensity.from_json, spec["logging_density"])),
             )
         if kind == "discrete":
+            if type(spec["bernoulli_noise"]) is not bool:
+                raise ValueError("bernoulli_noise is not a JSON boolean")
             return SyntheticEnvironment(
-                context_dist=np.array(spec["context_dist"]),
-                loss_means=np.array(spec["loss_means"]),
-                logging_policy=TabularPolicy(np.array(spec["logging_pmf"])),
-                bernoulli_noise=bool(spec["bernoulli_noise"]),
+                context_dist=number_array(spec["context_dist"], 1, "context_dist"),
+                loss_means=number_array(spec["loss_means"], 2, "loss_means"),
+                logging_policy=TabularPolicy(number_array(spec["logging_pmf"], 2, "logging_pmf")),
+                bernoulli_noise=spec["bernoulli_noise"],
             )
     except KeyError as err:
         raise DatasetError(f"{path}: missing key {err}") from None

@@ -419,6 +419,16 @@ class TestMalformedPolicyFiles:
             ("policy", {**VALID, "assignment": [0.9] * 4}, "policy.json: assignment[0] 0.9 is not an integer"),
             ("policy", {**VALID, "assignment": [0, True, 2, 0]}, "policy.json: assignment[1] true is not an integer"),
             ("policy", {**VALID, "num_actions": 3.9}, "policy.json: num_actions 3.9 is not an integer"),
+            (
+                "policy",
+                {"type": "tabular", "table": [["0.5", "0.25", "0.25"]] * 4},
+                "policy.json: table is not a 2-D array of JSON numbers",
+            ),
+            (
+                "class",
+                {"policies": [VALID, {"type": "tabular", "table": [[0.5, 0.5, False]] * 4}]},
+                "policy.json: policy 1: table is not a 2-D array of JSON numbers",
+            ),
         ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, kind, obj, message, capsys):
@@ -467,6 +477,12 @@ class TestMalformedPolicyFiles:
                 "policy.json: linear policy needs 2-D weights and one intercept per column, "
                 "not weights of shape (2, 2) and intercepts of shape (3,)",
             ),
+            (
+                "policy",
+                {**LINEAR, "weights": [["1.0", 0.0], [0.0, 1.0]]},
+                "policy.json: weights is not a 2-D array of JSON numbers",
+            ),
+            ("policy", {**LINEAR, "intercepts": [0.0, None]}, "policy.json: intercepts is not a 1-D array of JSON numbers"),
         ],
     )
     def test_feature_dataset_exits_two_naming_the_file(self, tmp_path, kind, obj, message, capsys):
@@ -499,8 +515,29 @@ class TestMalformedEnvFiles:
             (lambda spec: '{"type": ', "env.json: invalid JSON"),
             (lambda spec: {k: v for k, v in spec.items() if k != "loss_means"}, "env.json: missing key 'loss_means'"),
             (lambda spec: {**spec, "type": "weird"}, 'env.json: unknown environment type "weird"'),
+            (lambda spec: {**spec, "bernoulli_noise": "false"}, "env.json: bernoulli_noise is not a JSON boolean"),
+            (
+                lambda spec: {**spec, "loss_means": [[True, False, True]] * 4},
+                "env.json: loss_means is not a 2-D array of JSON numbers",
+            ),
+            (
+                lambda spec: {**spec, "logging_pmf": [["0.5", "0.25", "0.25"]] * 4},
+                "env.json: logging_pmf is not a 2-D array of JSON numbers",
+            ),
+            (
+                lambda spec: {**spec, "context_dist": ["0.25"] * 4},
+                "env.json: context_dist is not a 1-D array of JSON numbers",
+            ),
         ],
-        ids=["invalid-json", "missing-key", "unknown-type"],
+        ids=[
+            "invalid-json",
+            "missing-key",
+            "unknown-type",
+            "string-noise",
+            "bool-loss-means",
+            "string-logging-pmf",
+            "string-context-dist",
+        ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, dataset, command, edit, message, capsys):
         env_path = tmp_path / "env.json"
@@ -736,6 +773,25 @@ class TestVerify:
         code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad)
         assert code == 3
 
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--reps", 0, "--reps must be >= 1, not 0"),
+            ("--reps", -3, "--reps must be >= 1, not -3"),
+            ("--n", 0, "--n must be >= 1, not 0"),
+            ("--alpha", 1.5, "--alpha must lie in (0, 1), not 1.5"),
+            ("--alpha", 0, "--alpha must lie in (0, 1), not 0.0"),
+        ],
+        ids=["reps-zero", "reps-negative", "n-zero", "alpha-above-one", "alpha-zero"],
+    )
+    def test_bad_flag_exits_two_before_any_check(self, monkeypatch, capsys, flag, value, message):
+        def reached(*args, **kwargs):
+            raise AssertionError("checks started before the flags were checked")
+
+        monkeypatch.setattr(verify, "run_verification", reached)
+        assert run("verify", "--env", "demo", "--reps", 5, "--n", 50, flag, value) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_continuous_env_is_usage_error(self, capsys):
         assert run("verify", "--env", "demo-continuous", "--reps", 5, "--n", 50) == 2
