@@ -116,10 +116,10 @@ def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
     if spec == "all-det":
         if dataset.context_ids is None:
             raise UsageError("--class all-det needs a finite-context dataset")
-        num = dataset.num_actions**dataset.num_contexts
-        if num > 200_000:
-            raise UsageError(f"all-det class would have {num} members; supply an explicit class file")
-        return deterministic_class(dataset.num_contexts, dataset.num_actions)
+        try:
+            return deterministic_class(dataset.num_contexts, dataset.num_actions)
+        except ValueError as err:
+            raise UsageError(f"{err}; supply an explicit class file") from None
     path = Path(spec)
     if not path.exists():
         raise UsageError(f"policy class '{spec}' is neither 'all-det' nor a file")
@@ -224,7 +224,11 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
 def _training_setup(args):
     """What `train` and the discrete `sweep` fit with: the validated dataset, the
     policy class (enum only), the oracle, the --env environment (or None) and
-    the class statistics of --alpha (or None)."""
+    the class statistics of --alpha (or None). The other oracles take no class,
+    so --alpha or a --class file with them is a usage error."""
+    if args.oracle != "enum" and (args.alpha is not None or args.policy_class != "all-det"):
+        flag = "--alpha" if args.alpha is not None else "--class"
+        raise UsageError(f"{flag} needs --oracle enum; --oracle {args.oracle} takes no policy class")
     dataset = _load_valid(args.dataset)
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge)
@@ -341,21 +345,16 @@ def _smoothed_stats(h: float, mu_inf: float, k: int, num_contexts: int):
 
 
 def cmd_verify(args) -> int:
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, not {args.reps}")
-    if args.n < 1:
-        raise UsageError(f"--n must be >= 1, not {args.n}")
-    if not 0.0 < args.alpha < 1.0:
-        raise UsageError(f"--alpha must lie in (0, 1), not {args.alpha}")
     env = _resolve_env(args.env, args.seed)
     if isinstance(env, simulator.ContinuousEnvironment):
         raise UsageError(
             f"verify needs a discrete environment, not '{args.env}'; its continuous checks build their own"
         )
-    dataset = load_dataset_jsonl(args.dataset) if args.dataset else None
-    cfg = verify.VerifyConfig(
-        env=env, reps=args.reps, alpha=args.alpha, seed=args.seed, n=args.n, dataset=dataset
-    )
+    try:
+        cfg = verify.VerifyConfig(env=env, reps=args.reps, alpha=args.alpha, seed=args.seed, n=args.n)
+    except ValueError as err:
+        raise UsageError(f"--{err}") from None
+    cfg.dataset = load_dataset_jsonl(args.dataset) if args.dataset else None
     report = verify.run_verification(cfg)
     for check in report["checks"]:
         print(("PASS " if check["passed"] else "FAIL ") + check["name"])

@@ -42,6 +42,7 @@ from .model import (
     index_problem,
     is_number,
     missing_field,
+    number_array,
     read_header,
     read_record_chunks,
 )
@@ -122,7 +123,7 @@ class PiecewiseConstant:
     @classmethod
     def from_json(cls, obj: dict) -> PiecewiseConstant:
         """The function a to_json object describes, checked as `cls` checks it."""
-        return cls(breaks=np.array(obj["breaks"]), values=np.array(obj["values"]))
+        return cls(breaks=number_array(obj["breaks"], 1, "breaks"), values=number_array(obj["values"], 1, "values"))
 
     def to_json(self) -> dict:
         """The `{"breaks": [...], "values": [...]}` object the function is saved as."""
@@ -577,6 +578,8 @@ _CONTINUOUS_KEYS = ("context.id", "action", "loss", "density.breaks", "density.v
 
 
 def _scalar_problem(context_id, action, loss) -> str | None:
+    if type(context_id) is int and -(2**63) <= context_id < 2**63 and type(action) is type(loss) is float:
+        return None  # the common record, decided without the calls below
     problem = index_problem("context.id", context_id)
     if problem is not None:
         return problem
@@ -598,7 +601,7 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
     file and the 0-based record index.
     """
     ids, actions, losses, index, densities = [], [], [], [], []
-    # Parsed lists, and validated arrays' bytes, to the density's number.
+    # Parsed lists of numbers, and validated arrays' bytes, to the density's number.
     by_text: dict[tuple, int] = {}
     by_content: dict[tuple[bytes, bytes], int] = {}
     with open(path) as fh:
@@ -615,7 +618,9 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
                     raise DatasetError(f"{path}: {problem} at record {i}")
                 try:
                     key = (tuple(breaks), tuple(values))
-                    g = by_text.get(key)
+                    # false and true equal and hash as 0 and 1, so a key holding
+                    # a bool could hit a number's entry; from_json rejects it.
+                    g = by_text.get(key) if bool not in map(type, key[0]) and bool not in map(type, key[1]) else None
                     if g is None:
                         density = PiecewiseConstantDensity.from_json(row["density"])
                         g = by_content.setdefault((density.breaks.tobytes(), density.values.tobytes()), len(densities))

@@ -103,16 +103,16 @@ def average_cost(policy: MassPolicy, costs: CostMatrix) -> float:
 
 
 class EnumerationOracle:
-    """Exact argmin over the explicit members of a finite class, lowest index on ties.
+    """Exact argmin over the members of a finite class, lowest index on ties.
 
-    The objective is linear in pi, so every member is scored at once by
-    PolicyClass.member_sums; the common 1/n factor cannot change the argmin.
+    PolicyClass.argmin scores every member at once, or solves all deterministic
+    maps per context; the common 1/n factor cannot change the argmin.
     """
 
     def solve(self, costs: CostMatrix, policy_class: PolicyClass | None = None) -> MassPolicy:
         if policy_class is None:
             raise ValueError("enumeration oracle needs a policy class")
-        return policy_class.members[int(np.argmin(policy_class.member_sums(costs.costs, costs)))]
+        return policy_class.argmin(costs.costs, costs)
 
 
 class PointwiseArgminOracle:

@@ -11,16 +11,15 @@ verification machinery needs. Feature mode (real-valued vectors) exists to
 feed the regression-based cost-sensitive oracle.
 
 Policies and datasets are not changed after construction. Some values are
-built on first use and then kept: a class's stacked tables, an `all-det`
-class's members, a dataset's per-context sums. plbandit runs no threads, and
-those writes take no lock.
+built on first use and then kept: an `all-det` class's members, a dataset's
+per-context sums. plbandit runs no threads, and those writes take no lock.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import operator
+import sys
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -216,9 +215,6 @@ class PolicyClass:
     """
 
     members: Sequence[MassPolicy]
-    # Stacked member pmf tables, (size, X, A): built on first use, kept for the
-    # life of the class, and sliced for any smaller X. 8*size*X*A bytes.
-    _tables: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -233,13 +229,12 @@ class PolicyClass:
         return len(self.members)
 
     def tables(self, num_contexts: int) -> np.ndarray:
-        """Every member's pmf_table(num_contexts), stacked as a read-only (size, X, A) array."""
-        cached = self._tables
-        if cached is None or cached.shape[1] < num_contexts:
-            cached = np.stack([m.pmf_table(num_contexts) for m in self.members])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_tables", cached)
-        return cached[:, :num_contexts]
+        """Every member's pmf_table(num_contexts), stacked as a (size, X, A) array: 8*size*X*A bytes."""
+        return np.stack([m.pmf_table(num_contexts) for m in self.members])
+
+    def pmf_max(self, num_contexts: int) -> np.ndarray:
+        """The largest pmf any member gives each (context, action), as an (X, A) array."""
+        return self.tables(num_contexts).max(axis=0)
 
     def member_sums(self, weights: np.ndarray, rows) -> np.ndarray:
         """sum_i sum_a pi(a|x_i) * weights[i, a] for every member pi, as a (size,) array.
@@ -256,6 +251,10 @@ class PolicyClass:
         # identical tables give bitwise-identical values and ties stay exact.
         return np.einsum("cxa,xa->c", self.tables(rows.num_contexts), summed)
 
+    def argmin(self, weights: np.ndarray, rows) -> MassPolicy:
+        """The member of least member_sums, the lowest index on ties."""
+        return self.members[int(np.argmin(self.member_sums(weights, rows)))]
+
 
 class _DeterministicMembers(Sequence):
     """The num_actions**num_contexts deterministic policies as a read-only sequence.
@@ -266,41 +265,53 @@ class _DeterministicMembers(Sequence):
     """
 
     def __init__(self, num_contexts: int, num_actions: int):
-        self._num_actions = num_actions
-        self._digits = (num_actions,) * num_contexts
-        # One slot per member, None until decoded: 8 bytes a member, as a tuple.
-        self._decoded: list[DeterministicPolicy | None] = [None] * num_actions**num_contexts
+        self.digits = (num_actions,) * num_contexts
+        self.num_actions = num_actions
+        self._decoded: dict[int, DeterministicPolicy] = {}
 
     def __len__(self) -> int:
-        return len(self._decoded)
+        return self.num_actions ** len(self.digits)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        member = self._decoded[index]  # IndexError and TypeError as on a tuple
-        if member is None:
-            i = operator.index(index) % len(self)
-            assignment = np.unravel_index(i, self._digits)
-            member = self._decoded[i] = DeterministicPolicy(assignment=assignment, num_actions=self._num_actions)
-        return member
+        i = range(len(self))[index]  # IndexError and TypeError as on a tuple
+        if isinstance(i, range):
+            return tuple(map(self.__getitem__, i))
+        if i not in self._decoded:
+            assignment = np.unravel_index(i, self.digits)
+            self._decoded[i] = DeterministicPolicy(assignment=assignment, num_actions=self.num_actions)
+        return self._decoded[i]
+
+
+class _DeterministicClass(PolicyClass):
+    """All deterministic maps: a member picks each context's action freely, so some
+    member puts pmf 1 on every (context, action) and the minimizer is per context."""
+
+    def pmf_max(self, num_contexts: int) -> np.ndarray:
+        return _leading_rows(np.ones((len(self.members.digits), self.members.num_actions)), num_contexts)
+
+    def argmin(self, weights: np.ndarray, rows) -> MassPolicy:
+        """The least-sum action at each context, the lowest on ties: the lowest-index minimizer."""
+        if rows.context_ids is None:
+            raise ValueError("all deterministic maps need finite contexts")
+        digits = self.members.digits
+        check_index_range("context id", rows.context_ids, len(digits))
+        summed = context_sums(weights, rows.context_ids, len(digits))
+        return self.members[np.ravel_multi_index(summed.argmin(axis=1), digits)]
 
 
 def deterministic_class(num_contexts: int, num_actions: int) -> PolicyClass:
     """All num_actions**num_contexts deterministic policies.
 
     Member order is lexicographic in the assignment tuple with context 0 most
-    significant, so the lowest-index tie rule of the enumeration oracle agrees
-    with per-context lowest-action tie-breaking. Members are decoded from
-    their index on first access; the stacked tables are built here, from the
-    index digits.
+    significant, so the lowest member index among the minimizers takes the
+    lowest least-cost action at every context. Members are decoded from their
+    index on first access. A member index must fit a Py_ssize_t, so a class
+    of more than sys.maxsize members raises ValueError.
     """
-    members = _DeterministicMembers(num_contexts, num_actions)
-    # Row i is the digits of i, in the order np.unravel_index gives member i.
-    assignments = np.indices((num_actions,) * num_contexts).reshape(num_contexts, len(members)).T
-    # take, not fancy indexing: about ten times faster on the 4096-member class.
-    tables = np.eye(num_actions).take(assignments, axis=0)
-    tables.setflags(write=False)
-    return PolicyClass(members=members, _tables=tables)
+    size = num_actions**num_contexts
+    if size > sys.maxsize:
+        raise ValueError(f"all-det class would have {size} members, more than a member index can hold")
+    return _DeterministicClass(members=_DeterministicMembers(num_contexts, num_actions))
 
 
 @dataclass(frozen=True)
@@ -477,9 +488,9 @@ def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities
     mu_rows = np.asarray(propensities, dtype=float)
     if np.any(mu_rows <= PROPENSITY_FLOOR):
         raise SupportError("logging policy has a zero propensity on the given contexts")
-    # Largest member pmf per (context, action). Dividing by mu > 0 is monotone,
-    # so the largest ratio is this maximum over mu.
-    top = policy_class.tables(int(ids.max()) + 1).max(axis=0)[ids]
+    # Dividing by mu > 0 is monotone, so the largest ratio is the largest
+    # member pmf over mu.
+    top = policy_class.pmf_max(int(ids.max()) + 1)[ids]
     return ClassStats(
         pmf_sup=float(top.max()),
         mu_pmf_inf=float(mu_rows.min()),

@@ -150,19 +150,9 @@ def generate_logs(env, n: int, seed: int):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = make_rng(seed)
     if isinstance(env, ContinuousEnvironment):
-        return _generate_continuous(env, n, rng)
-    k = _draws_per_record(env)
-    # One call of rng.random(k * n) draws what k calls of rng.random(n) do.
-    xs, actions, losses = _draw_discrete(env, rng.random(k * n).reshape(k, n))
-    return LoggedDataset(
-        actions=actions,
-        losses=losses,
-        propensities=env.mu_table.take(xs, axis=0),
-        context_ids=xs,
-        num_contexts=env.num_contexts,
-    )
+        return _generate_continuous(env, n, make_rng(seed))
+    return generate_log_block(env, n, [seed])
 
 
 def generate_log_block(env: SyntheticEnvironment, n: int, seeds) -> LoggedDataset:
@@ -176,13 +166,20 @@ def generate_log_block(env: SyntheticEnvironment, n: int, seeds) -> LoggedDatase
     if n < 1:
         raise ValueError("n must be >= 1")
     k = _draws_per_record(env)
+    # One call of rng.random(k * n) draws what k calls of rng.random(n) do. The
+    # uniforms are freed, and the ids offset in place, before the dataset copies
+    # its columns, so the one-seed block of generate_logs peaks no higher than
+    # a direct draw would.
     uniforms = np.stack([make_rng(seed).random(k * n) for seed in seeds]).reshape(len(seeds), k, n)
     xs, actions, losses = _draw_discrete(env, uniforms)
+    del uniforms
+    propensities = env.mu_table.take(xs.ravel(), axis=0)
+    xs += env.num_contexts * np.arange(len(seeds))[:, None]
     return LoggedDataset(
         actions=actions.ravel(),
         losses=losses.ravel(),
-        propensities=env.mu_table.take(xs.ravel(), axis=0),
-        context_ids=(xs + env.num_contexts * np.arange(len(seeds))[:, None]).ravel(),
+        propensities=propensities,
+        context_ids=xs.ravel(),
         num_contexts=len(seeds) * env.num_contexts,
     )
 

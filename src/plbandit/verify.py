@@ -42,6 +42,14 @@ class VerifyConfig:
     n: int = 500
     dataset: LoggedDataset | None = None  # externally supplied dataset to validate
 
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"reps must be >= 1, not {self.reps}")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, not {self.n}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha must lie in (0, 1), not {self.alpha}")
+
 
 def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
     """Generated logs must validate cleanly; a supplied dataset must too."""
@@ -56,8 +64,8 @@ def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_discrete_reduction(cfg: VerifyConfig, instances: int = 30) -> CheckResult:
-    """Training via one enumeration-oracle call must equal the brute-force argmin,
-    and the pointwise argmin must agree on the full deterministic class."""
+    """One enumeration-oracle call on the full deterministic class, and on an explicit
+    copy of it, must equal the brute-force argmin, and the pointwise argmin must agree."""
     rng = simulator.make_rng((cfg.seed, 2))
     worst = 0.0
     betas = [0.01, 0.1, 1.0]
@@ -70,10 +78,10 @@ def check_discrete_reduction(cfg: VerifyConfig, instances: int = 30) -> CheckRes
         pclass = deterministic_class(num_contexts, num_actions)
         learned, value = csc.train_ipw_pl(data, beta, csc.EnumerationOracle(), pclass)
         reference, ref_value = csc.brute_force_argmin(data, beta, pclass)
-        pointwise = csc.PointwiseArgminOracle(num_contexts=num_contexts).solve(
-            csc.build_modified_costs(data, beta)
-        )
-        if learned is not reference or pointwise.assignment != reference.assignment:
+        costs = csc.build_modified_costs(data, beta)
+        explicit = csc.EnumerationOracle().solve(costs, PolicyClass.from_members(pclass.members))
+        pointwise = csc.PointwiseArgminOracle(num_contexts=num_contexts).solve(costs)
+        if learned is not reference or explicit is not reference or pointwise.assignment != reference.assignment:
             return CheckResult("discrete_reduction", False, {"instance": i})
         worst = max(worst, abs(value - ref_value))
     return CheckResult("discrete_reduction", worst <= 1e-12, {"max_objective_gap": worst})

@@ -163,6 +163,55 @@ class TestTrainEvaluate:
         assert evaluated["objective"] == estimators.penalized_objective(policy, second, 0.1)
 
 
+class TestAllDetSize:
+    def test_class_beyond_two_hundred_thousand_members_trains(self, tmp_path):
+        # 4**12 = 16.8 M members, which the CLI used to refuse: the class is
+        # solved per context and never enumerated.
+        env = random_environment((0, 101), 12, 4)
+        data = simulator.generate_logs(env, 300, seed=0)
+        save_dataset_jsonl(data, tmp_path / "d.jsonl")
+        out = tmp_path / "m"
+        assert run("train", "--dataset", tmp_path / "d.jsonl", "--beta", 0.1, "--alpha", 0.05, "--out", out) == 0
+        policy = json.loads((tmp_path / "m.policy.json").read_text())
+        expected = csc.PointwiseArgminOracle().solve(csc.build_modified_costs(data, 0.1))
+        assert tuple(policy["assignment"]) == expected.assignment
+        props = data.propensities
+        stats = ClassStats(
+            pmf_sup=1.0, mu_pmf_inf=float(props.min()), weight_ratio_sup=float((1.0 / props).max()), class_size=4**12
+        )
+        metrics = json.loads((tmp_path / "m.metrics.json").read_text())
+        assert metrics["slack"] == estimators.confidence_slack(stats, data.n, 0.05, 0.1).as_dict()
+
+    def test_class_beyond_a_member_index_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        record = {"action": 0, "context": {"id": 63}, "loss": 0.5, "propensities": [0.5, 0.5]}
+        path.write_text(json.dumps({"header": {"num_actions": 2, "num_contexts": 64}}) + "\n" + json.dumps(record) + "\n")
+        assert run("train", "--dataset", path, "--beta", 0.1, "--out", tmp_path / "m") == 2
+        assert f"all-det class would have {2**64} members" in capsys.readouterr().err
+
+
+class TestFlagsTheOracleIgnores:
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("oracle", ["argmin", "regression"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--class"])
+    def test_exits_two_naming_the_flag(self, generated, capsys, command, oracle, flag):
+        # These combinations used to exit 0 with the flag silently dropped.
+        tmp_path, dataset_path, _ = generated
+        value = {"--alpha": 0.05, "--class": tmp_path / "nonexistent.json"}[flag]
+        argv = {
+            "train": ["train", "--beta", 0.1, "--out", tmp_path / "m"],
+            "sweep": ["sweep", "--beta-grid", "0.1", "--out", tmp_path / "s.csv"],
+        }[command]
+        assert run(*argv, "--dataset", dataset_path, "--oracle", oracle, flag, value) == 2
+        assert f"error: {flag} needs --oracle enum; --oracle {oracle} takes no policy class" in capsys.readouterr().err
+        assert not any(tmp_path.glob("m.*")) and not (tmp_path / "s.csv").exists()
+
+    def test_default_class_is_accepted(self, generated):
+        tmp_path, dataset_path, _ = generated
+        argv = ["--dataset", dataset_path, "--oracle", "argmin", "--class", "all-det", "--beta", 0.1]
+        assert run("train", *argv, "--out", tmp_path / "m") == 0
+
+
 CLEAN_DATASET = simulator.generate_logs(random_environment((0, 101), 4, 3), 30, seed=3)
 
 
@@ -327,6 +376,7 @@ class TestHeaderEnv:
             assert f"--env {requested} contradicts the env '{generated}'" in err.getvalue()
 
 
+DELETE = object()
 CLEAN_CONTINUOUS = simulator.generate_logs(simulator.random_continuous_environment((0, 202), 3), 30, seed=3)
 
 
@@ -358,6 +408,99 @@ class TestCorruptContinuousDataset:
             assert code == 2
             assert f"at record {record}" in err.getvalue()
             assert not (tmp / "s.csv").exists()
+
+
+class TestContinuousLoaderErrors:
+    """Each malformed record of a continuous log exits 2 naming the file and the record."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cont") / "clean.jsonl"
+        cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, path)
+        return path.read_text().splitlines()
+
+    def sweep(self, tmp_path, lines, record, text):
+        lines = list(lines)
+        lines[record + 1] = text
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        return run("sweep", "--dataset", tmp_path / "bad.jsonl", "--h-grid-m", 2, "--out", tmp_path / "s.csv")
+
+    @staticmethod
+    def edited(line, key, value):
+        row = json.loads(line)
+        *path, last = key.split(".")
+        target = row
+        for part in path:
+            target = target[part]
+        if value is DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        return json.dumps(row, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("context.id", DELETE, "missing key 'context.id'"),
+            ("action", DELETE, "missing key 'action'"),
+            ("loss", DELETE, "missing key 'loss'"),
+            ("density", DELETE, "missing key 'density'"),
+            ("density.values", DELETE, "missing key 'density.values'"),
+            ("context.id", 1.0, "context.id 1.0 is not an integer"),
+            ("context.id", True, "context.id true is not an integer"),
+            ("context.id", "1", 'context.id "1" is not an integer'),
+            ("action", "0.5", 'action "0.5" is not a number'),
+            ("action", None, "action null is not a number"),
+            ("loss", True, "loss true is not a number"),
+            ("loss", [0.5], "loss [0.5] is not a number"),
+            ("density.values", ["0.5", "1.5"], "values is not a 1-D array of JSON numbers"),
+            ("density.breaks", ["0", "0.5", "1"], "breaks is not a 1-D array of JSON numbers"),
+        ],
+    )
+    def test_malformed_field_exits_two(self, tmp_path, capsys, lines, key, value, message):
+        assert self.sweep(tmp_path, lines, 4, self.edited(lines[5], key, value)) == 2
+        assert f"bad.jsonl: {message} at record 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"text"', "3", "null"])
+    def test_not_an_object_exits_two(self, tmp_path, capsys, lines, text):
+        assert self.sweep(tmp_path, lines, 4, text) == 2
+        assert "bad.jsonl: record is not a JSON object at record 4" in capsys.readouterr().err
+
+    def test_invalid_json_exits_two(self, tmp_path, capsys, lines):
+        assert self.sweep(tmp_path, lines, 4, '{"context": ') == 2
+        assert "bad.jsonl: invalid JSON (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["first-break", "last-break", "value"])
+    def test_bool_equal_to_a_cached_number_exits_two(self, tmp_path, capsys, lines, edit):
+        # false and true equal 0 and 1: a density that a valid record loaded
+        # before must not let a bool in its place through.
+        row = json.loads(lines[1])
+        density = {"breaks": [0.0, 1.0], "values": [1.0]}
+        row["density"] = density
+        valid = json.dumps(row, sort_keys=True)
+        bad = json.loads(valid)
+        if edit == "value":
+            bad["density"]["values"] = [True]
+        else:
+            bad["density"]["breaks"][0 if edit == "first-break" else 1] = edit == "last-break"
+        assert self.sweep(tmp_path, [lines[0], valid, *lines[2:]], 4, json.dumps(bad, sort_keys=True)) == 2
+        name = "values" if edit == "value" else "breaks"
+        assert f"bad.jsonl: {name} is not a 1-D array of JSON numbers at record 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_env_with_string_loss_values_exits_two(self, tmp_path, capsys, command):
+        env_path = tmp_path / "env.json"
+        simulator.save_environment(simulator.random_continuous_environment((0, 202), 3), env_path)
+        spec = json.loads(env_path.read_text())
+        spec["loss"][0]["values"] = [str(v) for v in spec["loss"][0]["values"]]
+        env_path.write_text(json.dumps(spec))
+        cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, tmp_path / "d.jsonl")
+        argv = {
+            "generate": ["generate", "--n", 10, "--seed", 3, "--out", tmp_path / "g"],
+            "sweep": ["sweep", "--dataset", tmp_path / "d.jsonl", "--h-grid-m", 2, "--out", tmp_path / "s.csv"],
+        }[command]
+        assert run(*argv, "--env", env_path) == 2
+        assert "env.json: values is not a 1-D array of JSON numbers" in capsys.readouterr().err
 
 
 class TestEnvShape:

@@ -186,7 +186,28 @@ class TestExactTies:
         argv = ["train", "--dataset", tmp_path / "d.jsonl", "--beta", 0.1, "--alpha", 0.05]
         assert cli.main([str(a) for a in argv + ["--env", tmp_path / "env.json", "--out", tmp_path / "m"]]) == 0
         assert len(built) == 1 and built[0].size == 4096
-        assert sum(member is not None for member in built[0].members._decoded) < 10
+        assert len(built[0].members._decoded) == 1
+
+    def test_rounding_tie_goes_to_the_minimizer(self):
+        # Every member's summed cost rounds to 1e16, so scoring whole members
+        # cannot tell them apart; per context, action 1 is the cheaper at
+        # context 1, and the all-det class returns the exact minimizer.
+        costs = CostMatrix(costs=np.array([[1e16, 1e16], [1.0, 0.5]]), context_ids=np.array([0, 1]))
+        pclass = deterministic_class(2, 2)
+        assert len(set(pclass.member_sums(costs.costs, costs).tolist())) == 1
+        learned = EnumerationOracle().solve(costs, pclass)
+        assert learned.assignment == (0, 1) == PointwiseArgminOracle().solve(costs).assignment
+        assert learned is pclass.members[1]
+
+    def test_contexts_beyond_the_class_are_rejected(self):
+        costs = CostMatrix(costs=np.ones((2, 2)), context_ids=np.array([0, 2]))
+        with pytest.raises(ValueError, match=r"context id 2 out of range \[0, 2\) at record 1"):
+            EnumerationOracle().solve(costs, deterministic_class(2, 2))
+
+    def test_feature_rows_are_rejected(self):
+        costs = CostMatrix(costs=np.ones((2, 2)), context_features=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="finite contexts"):
+            EnumerationOracle().solve(costs, deterministic_class(2, 2))
 
     @given(st.data())
     def test_dyadic_inputs_match_brute_force(self, draw):

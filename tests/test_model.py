@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -187,8 +188,7 @@ class TestPolicies:
         assert tables.shape == (5, 3, 2)
         for table, member in zip(tables, members):
             assert np.array_equal(table, member.pmf_table(3))
-        assert not tables.flags.writeable
-        assert np.shares_memory(pclass.tables(2), tables)  # cached, sliced for fewer contexts
+        assert np.array_equal(pclass.tables(2), tables[:, :2])
 
     def test_deterministic_class_tables_match_members(self):
         for num_contexts, num_actions in [(1, 2), (2, 3), (3, 4)]:
@@ -196,6 +196,30 @@ class TestPolicies:
             tables = pclass.tables(num_contexts)
             for table, member in zip(tables, pclass.members):
                 assert np.array_equal(table, member.pmf_table(num_contexts))
+
+    def test_deterministic_class_statistics_are_closed_form(self):
+        # Some member puts pmf 1 on every (context, action), so pmf_sup is 1 and
+        # the largest ratio is the largest 1/mu, bitwise what the member tables give.
+        ids = np.array([0, 2, 1, 2, 0])
+        props = np.array([[0.25, 0.75], [0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.6, 0.4]])
+        pclass = deterministic_class(3, 2)
+        explicit = PolicyClass.from_members(pclass.members)
+        assert np.array_equal(pclass.pmf_max(3), explicit.pmf_max(3))
+        assert class_stats(pclass, ids, props) == class_stats(explicit, ids, props)
+        assert class_stats(pclass, ids, props) == ClassStats(1.0, 0.1, 10.0, 8)
+        with pytest.raises(ValueError, match="policy covers 3 contexts, 4 needed"):
+            class_stats(pclass, np.array([3]), props[:1])
+
+    def test_deterministic_class_beyond_a_member_index_raises(self):
+        assert deterministic_class(31, 4).size == 4**31 <= sys.maxsize
+        with pytest.raises(ValueError, match=f"would have {2**64} members"):
+            deterministic_class(64, 2)
+
+    def test_deterministic_class_memo_holds_only_decoded_members(self):
+        members = deterministic_class(12, 4).members
+        assert len(members) == 4**12
+        assert members[-1].assignment == (3,) * 12 and members[-1] is members[4**12 - 1]
+        assert len(members._decoded) == 1
 
     def test_deterministic_class_order(self):
         pclass = deterministic_class(2, 3)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plbandit import cli, simulator, verify
+from plbandit.model import PolicyClass
 
 from verify_reference import (
     reference_check_confidence_coverage,
@@ -84,3 +85,31 @@ class TestCoverageChecks:
                 assert not result.passed and mismatch["batched"] != mismatch["direct"]
                 fired.append(cell)
         assert fired
+
+
+class TestVerifyConfig:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reps", 0, "reps must be >= 1, not 0"),
+            ("n", -2, "n must be >= 1, not -2"),
+            ("alpha", 0.0, r"alpha must lie in \(0, 1\), not 0.0"),
+            ("alpha", 1.0, r"alpha must lie in \(0, 1\), not 1.0"),
+            ("alpha", float("nan"), r"alpha must lie in \(0, 1\), not nan"),
+        ],
+    )
+    def test_bad_field_raises_naming_it(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            verify.VerifyConfig(env=ENVS["demo"](0), **{field: value})
+
+
+class TestDiscreteReduction:
+    def test_passes(self):
+        assert verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0))).passed
+
+    def test_covers_the_explicit_class_contraction(self, monkeypatch):
+        # The all-det class is solved per context; the check also solves an
+        # explicit copy of it, so a wrong contraction must fail the check.
+        monkeypatch.setattr(PolicyClass, "argmin", lambda self, weights, rows: self.members[-1])
+        result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
+        assert not result.passed and "instance" in result.details
