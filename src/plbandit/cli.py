@@ -225,16 +225,19 @@ def _training_setup(args):
     """What `train` and the discrete `sweep` fit with: the validated dataset, the
     policy class (enum only), the oracle, the --env environment (or None) and
     the class statistics of --alpha (or None). The other oracles take no class,
-    so --alpha or a --class file with them is a usage error."""
+    so --alpha or a --class file with them is a usage error, and class
+    statistics need finite contexts, so --alpha on feature contexts is one too."""
     if args.oracle != "enum" and (args.alpha is not None or args.policy_class != "all-det"):
         flag = "--alpha" if args.alpha is not None else "--class"
         raise UsageError(f"{flag} needs --oracle enum; --oracle {args.oracle} takes no policy class")
     dataset = _load_valid(args.dataset)
+    if args.alpha is not None and dataset.context_ids is None:
+        raise UsageError(f"--alpha needs finite contexts; {args.dataset} has feature contexts")
     pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
     oracle = _make_oracle(args.oracle, args.ridge)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     stats = None
-    if args.alpha is not None and pclass is not None and dataset.context_ids is not None:
+    if args.alpha is not None:
         stats = class_stats(pclass, dataset.context_ids, dataset.propensities)
     return dataset, pclass, oracle, env, stats
 

@@ -532,31 +532,52 @@ def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict 
     """Write `{"header": {"num_actions": ...}}` then one record object per line.
 
     Each record line is byte-identical to json.dumps(record, sort_keys=True)
-    (NaN and Infinity included); lines are formatted from columns and
-    written a chunk of records at a time.
+    (NaN and Infinity included). Records are written a chunk at a time. A
+    chunk's records are keyed by the bits of their row (context id or
+    features, action, loss, propensities), and only its distinct rows, in
+    first-seen order, are formatted from columns: a simulated log has few
+    (one propensity row per context, 0/1 losses).
     """
     header = {"num_actions": dataset.num_actions}
     if dataset.num_contexts is not None:
         header["num_contexts"] = dataset.num_contexts
     if metadata:
         header.update(metadata)
+    if dataset.context_ids is not None:
+        contexts = dataset.context_ids[:, None]
+    else:
+        contexts = dataset.context_features.view(np.int64)
+    width = contexts.shape[1]
     with open(path, "w") as fh:
         fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
         for lo in range(0, dataset.n, CHUNK_RECORDS):
             rows = slice(lo, lo + CHUNK_RECORDS)
+            block = np.hstack(
+                [
+                    contexts[rows],
+                    dataset.actions[rows, None],
+                    dataset.losses[rows, None].view(np.int64),
+                    dataset.propensities[rows].view(np.int64),
+                ]
+            )
+            keys = block.view(np.dtype((np.void, block.shape[1] * 8))).ravel().tolist()
+            number: dict[bytes, int] = {}
+            inverse = [number.setdefault(key, len(number)) for key in keys]
+            distinct = np.frombuffer(b"".join(number), dtype=np.int64).reshape(len(number), -1)
             if dataset.context_ids is not None:
-                contexts = [f'{{"id": {c}}}' for c in dataset.context_ids[rows].tolist()]
+                texts = [f'{{"id": {c}}}' for c in distinct[:, 0].tolist()]
             else:
-                contexts = [f'{{"features": {f}}}' for f in _json_texts(dataset.context_features[rows])]
-            fh.writelines(
+                texts = [f'{{"features": {f}}}' for f in _json_texts(distinct[:, :width].view(np.float64))]
+            lines = [
                 f'{{"action": {a}, "context": {c}, "loss": {loss}, "propensities": {p}}}\n'
                 for a, c, loss, p in zip(
-                    dataset.actions[rows].tolist(),
-                    contexts,
-                    _json_texts(dataset.losses[rows]),
-                    _json_texts(dataset.propensities[rows]),
+                    distinct[:, width].tolist(),
+                    texts,
+                    _json_texts(distinct[:, width + 1].view(np.float64)),
+                    _json_texts(distinct[:, width + 2 :].view(np.float64)),
                 )
-            )
+            ]
+            fh.writelines(map(lines.__getitem__, inverse))
 
 
 def load_json(path: str | Path):

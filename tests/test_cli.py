@@ -206,6 +206,25 @@ class TestFlagsTheOracleIgnores:
         assert f"error: {flag} needs --oracle enum; --oracle {oracle} takes no policy class" in capsys.readouterr().err
         assert not any(tmp_path.glob("m.*")) and not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_alpha_on_feature_contexts_exits_two(self, tmp_path, capsys, command):
+        # Class statistics need finite contexts; this used to exit 0 with no ucb_risk.
+        features = np.random.default_rng(0).random((40, 2))
+        labels = (features[:, 0] > features[:, 1]).astype(int)
+        data = simulator.supervised_to_bandit(features, labels, np.full((40, 2), 0.5), seed=1)
+        save_dataset_jsonl(data, tmp_path / "f.jsonl")
+        linear = {"type": "linear", "weights": [[1.0, 0.0], [0.0, 1.0]], "intercepts": [0.0, 0.0]}
+        (tmp_path / "class.json").write_text(json.dumps({"policies": [linear]}))
+        argv = {
+            "train": ["train", "--beta", 0.1, "--out", tmp_path / "m"],
+            "sweep": ["sweep", "--beta-grid", "0.1", "--out", tmp_path / "s.csv"],
+        }[command]
+        common = ["--dataset", tmp_path / "f.jsonl", "--class", tmp_path / "class.json"]
+        assert run(*argv, *common, "--alpha", 0.05) == 2
+        assert f"error: --alpha needs finite contexts; {tmp_path / 'f.jsonl'} has feature contexts" in capsys.readouterr().err
+        assert not any(tmp_path.glob("m.*")) and not (tmp_path / "s.csv").exists()
+        assert run(*argv, *common) == 0
+
     def test_default_class_is_accepted(self, generated):
         tmp_path, dataset_path, _ = generated
         argv = ["--dataset", dataset_path, "--oracle", "argmin", "--class", "all-det", "--beta", 0.1]

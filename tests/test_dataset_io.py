@@ -70,6 +70,50 @@ def datasets(draw):
     return LoggedDataset(**kwargs)
 
 
+NAN_A, NAN_B = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)
+
+
+@st.composite
+def pooled_datasets(draw):
+    """A dataset of at most 60 records drawn, interleaved, from a pool of at
+    most 5 rows, so the same records repeat within and across writer chunks.
+
+    The pool is a drawn base row, with a 0.0 loss and a 0.0 first propensity,
+    and up to four variants of it that differ from it in bits only: a -0.0
+    loss; a -0.0 first propensity; a NaN loss and last propensity of either
+    of two payloads; a feature with its sign bit flipped.
+    """
+    num_actions = draw(st.integers(1, 3))
+    feature_dim = draw(st.none() | st.integers(0, 3))
+    action = draw(st.integers(0, num_actions - 1))
+    probs = np.array(draw(st.lists(floats, min_size=num_actions, max_size=num_actions)))
+    width = feature_dim or 0
+    features = np.array(draw(st.lists(floats, min_size=width, max_size=width)), dtype=float)
+
+    def row(loss=0.0, first=0.0, last=None, flip=False):
+        p = probs.copy()
+        p[0] = first
+        if last is not None:
+            p[-1] = last
+        f = features.copy()
+        if flip:
+            f[0] = -f[0]
+        return f, loss, p
+
+    variants = [row(loss=-0.0), row(first=-0.0), row(loss=NAN_A, last=NAN_A), row(loss=NAN_B, last=NAN_B)]
+    if width:
+        variants.append(row(flip=True))
+    pool = [row()] + draw(st.permutations(variants))[:4]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=60))
+    feats, losses, props = zip(*(pool[i] for i in picks))
+    kwargs = dict(actions=np.full(len(picks), action), losses=np.array(losses), propensities=np.stack(props))
+    if feature_dim is None:
+        kwargs["context_ids"] = np.full(len(picks), draw(st.integers(0, 5)))
+    else:
+        kwargs["context_features"] = np.stack(feats)
+    return LoggedDataset(**kwargs)
+
+
 def assert_bitwise_equal(a: LoggedDataset, b: LoggedDataset):
     for name in ("actions", "losses", "propensities", "context_ids", "context_features"):
         x, y = getattr(a, name), getattr(b, name)
@@ -104,6 +148,30 @@ class TestSaveMatchesReference:
         assert '"num_contexts"' not in text.splitlines()[0]
         for token in ("-0.0", "5e-324", "1e+22", "NaN", "-Infinity"):
             assert token in text
+
+    @settings(max_examples=200)
+    @given(data=pooled_datasets(), chunk=st.sampled_from([1, 2, 3, 4096]))
+    def test_repeated_records_bytes_equal(self, tmp_path_factory, data, chunk):
+        tmp = tmp_path_factory.mktemp("pooled")
+        reference_save(data, tmp / "ref.jsonl")
+        with mock.patch.object(model, "CHUNK_RECORDS", chunk):
+            save_dataset_jsonl(data, tmp / "new.jsonl")
+        assert (tmp / "new.jsonl").read_bytes() == (tmp / "ref.jsonl").read_bytes()
+
+    def test_formats_distinct_records_only(self, tmp_path):
+        data = simulator.generate_logs(simulator.random_environment(0, 4, 3), 20_000, seed=0)
+        rows = np.column_stack(
+            [data.context_ids, data.actions, data.losses.view(np.int64), data.propensities.view(np.int64)]
+        )
+        chunks = range(0, data.n, model.CHUNK_RECORDS)
+        distinct = sum(len(np.unique(rows[lo : lo + model.CHUNK_RECORDS], axis=0)) for lo in chunks)
+        assert distinct <= 4 * 3 * 2 * len(chunks)
+        with mock.patch.object(model, "_json_texts", wraps=model._json_texts) as spy:
+            save_dataset_jsonl(data, tmp_path / "d.jsonl")
+        for ndim in (1, 2):  # the loss column, then the propensity rows
+            given_rows = [len(c.args[0]) for c in spy.call_args_list if c.args[0].ndim == ndim]
+            assert len(given_rows) == len(chunks)
+            assert sum(given_rows) <= distinct
 
 
 def blank_lines_between(lines: list[str], positions: list[int], blanks: list[str]) -> str:
