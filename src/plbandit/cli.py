@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -291,7 +292,7 @@ def _discrete_sweep(args) -> list[dict]:
         raise UsageError("discrete sweep needs --beta-grid")
     dataset, pclass, oracle, env, stats = _training_setup(args)
     rows = []
-    for beta in _parse_grid(args.beta_grid):
+    for beta in args.beta_grid:
         policy, objective = csc.train_ipw_pl(dataset, beta, oracle, pclass)
         row = {
             "beta": beta,
@@ -368,14 +369,37 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 3
 
 
-def _parse_grid(text: str) -> list[float]:
+# Flag types: argparse rejects a bad value with exit 2, naming the flag,
+# before the command loads anything.
+
+
+def _nonnegative(text: str) -> float:
+    """--beta, --ridge and each --beta-grid entry: a finite number >= 0."""
     try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as err:
-        raise UsageError(f"bad grid '{text}'") from err
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not '{text}'")
+    return value
+
+
+def _beta_grid(text: str) -> list[float]:
+    values = [_nonnegative(v) for v in text.split(",") if v.strip()]
     if not values:
-        raise UsageError("grid must be non-empty")
+        raise argparse.ArgumentTypeError("needs at least one beta")
     return values
+
+
+def _positive_int(text: str) -> int:
+    """--k and --h-grid-m: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not '{text}'")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -393,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--dataset", required=True)
     train.add_argument("--class", dest="policy_class", default="all-det")
     train.add_argument("--oracle", choices=["enum", "argmin", "regression"], default="enum")
-    train.add_argument("--ridge", type=float, default=1e-6)
-    train.add_argument("--beta", type=float, required=True)
+    train.add_argument("--ridge", type=_nonnegative, default=1e-6)
+    train.add_argument("--beta", type=_nonnegative, required=True)
     train.add_argument("--alpha", type=float, default=None)
     train.add_argument("--env", default=None, help="adds exact risk to the metrics")
     train.add_argument("--seed", type=int, default=None, help=SEED_HELP)
@@ -404,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="recompute metrics for a saved policy")
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--policy", required=True)
-    ev.add_argument("--beta", type=float, required=True)
+    ev.add_argument("--beta", type=_nonnegative, required=True)
     ev.add_argument("--env", default=None)
     ev.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     ev.add_argument("--out", default=None)
@@ -414,11 +438,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--dataset", required=True)
     sweep.add_argument("--class", dest="policy_class", default="all-det")
     sweep.add_argument("--oracle", choices=["enum", "argmin", "regression"], default="enum")
-    sweep.add_argument("--ridge", type=float, default=1e-6)
-    sweep.add_argument("--beta-grid", default=None, help="comma-separated betas (discrete mode)")
-    sweep.add_argument("--beta", type=float, default=0.1, help="fixed beta (continuous mode)")
-    sweep.add_argument("--k", type=int, default=None, help="grid size; default suggests per bandwidth")
-    sweep.add_argument("--h-grid-m", type=int, default=None, help="bandwidths 1/1..1/m (continuous mode)")
+    sweep.add_argument("--ridge", type=_nonnegative, default=1e-6)
+    sweep.add_argument("--beta-grid", type=_beta_grid, default=None, help="comma-separated betas (discrete mode)")
+    sweep.add_argument("--beta", type=_nonnegative, default=0.1, help="fixed beta (continuous mode)")
+    sweep.add_argument("--k", type=_positive_int, default=None, help="grid size; default suggests per bandwidth")
+    sweep.add_argument("--h-grid-m", type=_positive_int, default=None, help="bandwidths 1/1..1/m (continuous mode)")
     sweep.add_argument("--alpha", type=float, default=None)
     sweep.add_argument("--env", default=None)
     sweep.add_argument("--seed", type=int, default=None, help=SEED_HELP)
@@ -438,11 +462,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out_dir(command: str, out: str | None) -> None:
-    """Every file a command writes lies in the directory of its --out path or
-    prefix; it must exist before the command does any work. `generate` and
-    `train` append suffixes to --out, so it needs a file-name part; the other
-    commands write --out itself, so it must not be a directory."""
+def _check_paths(args) -> None:
+    """The --dataset and --policy files must exist, and every file a command
+    writes lies in the directory of its --out path or prefix, which must exist
+    too, before the command does any work. `generate` and `train` append
+    suffixes to --out, so it needs a file-name part; the other commands write
+    --out itself, so it must not be a directory."""
+    for flag in ("dataset", "policy"):
+        path = getattr(args, flag, None)
+        if path is not None and not os.path.exists(path):
+            raise UsageError(f"--{flag} {path} does not exist")
+    command, out = args.command, args.out
     directory = os.path.dirname(out or "") or "."
     if not os.path.isdir(directory):
         raise UsageError(f"output directory '{directory}' does not exist (--out {out})")
@@ -456,7 +486,7 @@ def _check_out_dir(command: str, out: str | None) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_out_dir(args.command, args.out)
+        _check_paths(args)
         return args.func(args)
     except (UsageError, DatasetError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -45,8 +45,13 @@ class DatasetError(ValueError):
 
 
 def check_floor(values: np.ndarray) -> None:
-    """Raise SupportError when any propensity in `values` is at or below PROPENSITY_FLOOR."""
-    if np.any(values <= PROPENSITY_FLOOR):
+    """Raise SupportError when any propensity in `values` is at or below PROPENSITY_FLOOR.
+
+    NaN compares false, so it passes. The ndarray method, not np.any: the guard
+    runs thousands of times per `verify`, and np.any's wrapper costs more than
+    the comparison.
+    """
+    if (values <= PROPENSITY_FLOOR).any():
         raise SupportError("propensity below floor; support assumption violated")
 
 
@@ -100,9 +105,11 @@ def _check_pmf(p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 2:
         raise ValueError("pmf table must be 2-dimensional")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
-        raise ValueError("pmf entries must be finite and nonnegative")
-    if np.any(np.abs(p.sum(axis=1) - 1.0) > PMF_ATOL):
+    # One pass decides: min propagates NaN, and an infinite entry makes its row
+    # sum infinite. Which message applies is sorted out only on failure.
+    if not (p.min(initial=0.0) >= 0.0 and abs(p.sum(axis=1) - 1.0).max(initial=0.0) <= PMF_ATOL):
+        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) < np.inf):
+            raise ValueError("pmf entries must be finite and nonnegative")
         raise ValueError("pmf rows must sum to 1 within 1e-9")
     return p
 
@@ -285,6 +292,13 @@ class _DeterministicMembers(Sequence):
 class _DeterministicClass(PolicyClass):
     """All deterministic maps: a member picks each context's action freely, so some
     member puts pmf 1 on every (context, action) and the minimizer is per context."""
+
+    def tables(self, num_contexts: int) -> np.ndarray:
+        """The stacked member tables in closed form, without decoding a member:
+        row x of np.indices holds context x's action for every member, in member order."""
+        digits = self.members.digits
+        assignments = _leading_rows(np.indices(digits).reshape(len(digits), -1), num_contexts)
+        return np.eye(self.members.num_actions)[assignments.T]
 
     def pmf_max(self, num_contexts: int) -> np.ndarray:
         return _leading_rows(np.ones((len(self.members.digits), self.members.num_actions)), num_contexts)

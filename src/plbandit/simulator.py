@@ -69,14 +69,15 @@ class SyntheticEnvironment:
         means = np.asarray(self.loss_means, dtype=float)
         if dist.ndim != 1 or means.ndim != 2 or means.shape[0] != len(dist):
             raise ValueError("context_dist and loss_means are not aligned")
-        # Negated comparisons, so NaN entries fail too.
-        if not np.all(dist >= 0) or abs(dist.sum() - 1.0) > PMF_ATOL:
+        # Negated comparisons, so NaN entries fail too: min and max propagate NaN.
+        # ndarray methods, not np.all: verify builds hundreds of environments.
+        if not (dist.min(initial=0.0) >= 0 and abs(dist.sum() - 1.0) <= PMF_ATOL):
             raise ValueError("context_dist must be a probability vector")
-        if not np.all((means >= 0) & (means <= 1)):
+        if not (means.min(initial=0.0) >= 0 and means.max(initial=0.0) <= 1):
             raise ValueError("loss means must lie in [0, 1]")
         object.__setattr__(self, "context_dist", dist)
         object.__setattr__(self, "loss_means", means)
-        if np.any(self.mu_table <= PROPENSITY_FLOOR):
+        if (self.mu_table <= PROPENSITY_FLOOR).any():
             raise ValueError("logging policy must be strictly positive everywhere")
 
     @property

@@ -65,7 +65,8 @@ def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
 
 def check_discrete_reduction(cfg: VerifyConfig, instances: int = 30) -> CheckResult:
     """One enumeration-oracle call on the full deterministic class, and on an explicit
-    copy of it, must equal the brute-force argmin, and the pointwise argmin must agree."""
+    copy of it, must equal the brute-force argmin, and the pointwise argmin must agree.
+    A failure names the paths that disagreed and the instance's beta, X and A."""
     rng = simulator.make_rng((cfg.seed, 2))
     worst = 0.0
     betas = [0.01, 0.1, 1.0]
@@ -81,8 +82,15 @@ def check_discrete_reduction(cfg: VerifyConfig, instances: int = 30) -> CheckRes
         costs = csc.build_modified_costs(data, beta)
         explicit = csc.EnumerationOracle().solve(costs, PolicyClass.from_members(pclass.members))
         pointwise = csc.PointwiseArgminOracle(num_contexts=num_contexts).solve(costs)
-        if learned is not reference or explicit is not reference or pointwise.assignment != reference.assignment:
-            return CheckResult("discrete_reduction", False, {"instance": i})
+        agree = {
+            "enumeration": learned is reference,
+            "explicit": explicit is reference,
+            "pointwise": pointwise.assignment == reference.assignment,
+        }
+        failed = [path for path, ok in agree.items() if not ok]
+        if failed:
+            details = {"instance": i, "paths": failed, "beta": beta, "X": num_contexts, "A": num_actions}
+            return CheckResult("discrete_reduction", False, details)
         worst = max(worst, abs(value - ref_value))
     return CheckResult("discrete_reduction", worst <= 1e-12, {"max_objective_gap": worst})
 

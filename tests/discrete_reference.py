@@ -8,7 +8,9 @@ the discrete branch of the generator that drew contexts with `rng.choice` and
 actions with `_sample_categorical`, kept verbatim, so tests can check that
 the library draws the same records per seed. `reference_objective` is the
 penalized objective as a pure-Python double loop over records, a second code
-path for the estimators' per-context contractions.
+path for the estimators' per-context contractions. `reference_brute_force_argmin`
+is `csc.brute_force_argmin` as it was before it scored members in blocks: one
+`ipw_terms` and one `pl_terms` call per member.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from plbandit.estimators import ipw_terms, pl_terms
 from plbandit.model import PMF_ATOL, PROPENSITY_FLOOR, DatasetError, LoggedDataset
 from plbandit.simulator import make_rng
 
@@ -54,6 +57,18 @@ def reference_objective(policy, dataset: LoggedDataset, beta: float) -> float:
         total += pmf[action] / mu[action] * dataset.losses[i]
         total += beta * sum(pmf[a] / mu[a] for a in range(len(pmf)))
     return total / dataset.n
+
+
+def reference_brute_force_argmin(dataset: LoggedDataset, beta: float, policy_class):
+    """Reference minimizer: evaluate the penalized objective on every member."""
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+    best, best_value = None, np.inf
+    for member in policy_class.members:
+        value = float(np.mean(ipw_terms(member, dataset))) + beta * float(np.mean(pl_terms(member, dataset)))
+        if value < best_value:
+            best, best_value = member, value
+    return best, best_value
 
 
 def reference_validate(dataset: LoggedDataset) -> list[str]:

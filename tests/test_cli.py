@@ -916,6 +916,81 @@ class TestMissingOutDirectory:
         assert list(directory.iterdir()) == []
 
 
+class TestFlagValues:
+    """A bad --beta, --beta-grid entry, --ridge, --k or --h-grid-m exits 2 naming
+    the flag, before any file is loaded."""
+
+    BASE = {
+        "train": ["train", "--dataset", "{d}", "--beta", "0.1", "--out", "{o}"],
+        "evaluate": ["evaluate", "--dataset", "{d}", "--policy", "{d}", "--beta", "0.1"],
+        "continuous sweep": ["sweep", "--dataset", "{d}", "--h-grid-m", "2", "--out", "{o}.csv"],
+        "discrete sweep": ["sweep", "--dataset", "{d}", "--beta-grid", "0.1", "--out", "{o}.csv"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("train", "--beta", "nan"),
+            ("train", "--beta", "inf"),
+            ("train", "--beta", "1e400"),
+            ("train", "--beta", "-1"),
+            ("evaluate", "--beta", "nan"),
+            ("evaluate", "--beta", "inf"),
+            ("evaluate", "--beta", "-1"),
+            ("continuous sweep", "--beta", "nan"),
+            ("continuous sweep", "--beta", "-inf"),
+            ("continuous sweep", "--beta", "-1"),
+            ("discrete sweep", "--beta-grid", "-0.1,0.1"),
+            ("discrete sweep", "--beta-grid", "0.1,nan"),
+            ("discrete sweep", "--beta-grid", "0.1,1e400"),
+            ("discrete sweep", "--beta-grid", "0.1,x"),
+            ("discrete sweep", "--beta-grid", ","),
+            ("continuous sweep", "--h-grid-m", "0"),
+            ("continuous sweep", "--k", "0"),
+            ("continuous sweep", "--k", "-2"),
+            ("train", "--ridge", "-1"),
+            ("train", "--ridge", "nan"),
+            ("discrete sweep", "--ridge", "-1"),
+        ],
+    )
+    def test_exits_two_naming_the_flag(self, generated, monkeypatch, capsys, command, flag, value):
+        def reached(*args, **kwargs):
+            raise AssertionError("a file was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_valid", reached)
+        tmp_path, dataset_path, _ = generated
+        argv = [a.format(d=dataset_path, o=tmp_path / "out") for a in self.BASE[command]]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, f"{flag}={value}")
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
+
+    def test_zero_beta_is_accepted(self, generated):
+        tmp_path, dataset_path, _ = generated
+        assert run("train", "--dataset", dataset_path, "--beta", "0", "--out", tmp_path / "m") == 0
+        assert run("sweep", "--dataset", dataset_path, "--beta-grid", "0,0.1", "--out", tmp_path / "s.csv") == 0
+
+
+class TestMissingInputFile:
+    @pytest.mark.parametrize(
+        "command, argv, flag",
+        [
+            ("train", ["--dataset", "{m}", "--beta", 0.1, "--out", "{o}"], "--dataset"),
+            ("evaluate", ["--dataset", "{m}", "--policy", "{d}", "--beta", 0.1], "--dataset"),
+            ("evaluate", ["--dataset", "{d}", "--policy", "{m}", "--beta", 0.1], "--policy"),
+            ("sweep", ["--dataset", "{m}", "--beta-grid", "0.1", "--out", "{o}"], "--dataset"),
+            ("verify", ["--env", "demo", "--reps", 5, "--n", 50, "--dataset", "{m}"], "--dataset"),
+        ],
+    )
+    def test_exits_two_naming_the_flag_and_path(self, generated, monkeypatch, capsys, command, argv, flag):
+        monkeypatch.setattr(verify, "run_verification", lambda cfg: pytest.fail("verify ran"))
+        tmp_path, dataset_path, _ = generated
+        missing = tmp_path / "absent.jsonl"
+        values = {"{m}": missing, "{d}": dataset_path, "{o}": tmp_path / "out"}
+        assert run(command, *[values.get(a, a) for a in argv]) == 2
+        assert f"error: {flag} {missing} does not exist" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_clean_run_exits_zero(self, tmp_path):
         report_path = tmp_path / "report.json"

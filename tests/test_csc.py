@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plbandit import cli, csc, estimators, simulator
+from plbandit import cli, csc, estimators, model, simulator
 from plbandit.csc import (
     CostMatrix,
     EnumerationOracle,
@@ -14,16 +16,20 @@ from plbandit.csc import (
     build_modified_costs,
     train_ipw_pl,
 )
-from plbandit.estimators import ipw_risk, penalized_objective, pseudo_loss
+from plbandit.estimators import ipw_risk, ipw_terms, penalized_objective, pl_terms, pseudo_loss
 from plbandit.model import (
     DeterministicPolicy,
+    LinearCostPolicy,
     LoggedDataset,
     MassPolicy,
     PolicyClass,
     TabularPolicy,
+    UniformPolicy,
     deterministic_class,
     save_dataset_jsonl,
 )
+
+from discrete_reference import reference_brute_force_argmin
 
 
 def dataset(actions, losses, propensities, ids=None):
@@ -183,6 +189,7 @@ class TestExactTies:
             return built[-1]
 
         monkeypatch.setattr(cli, "deterministic_class", recording_class)
+        monkeypatch.setattr(model._DeterministicClass, "tables", lambda self, x: pytest.fail("tables() on train"))
         argv = ["train", "--dataset", tmp_path / "d.jsonl", "--beta", 0.1, "--alpha", 0.05]
         assert cli.main([str(a) for a in argv + ["--env", tmp_path / "env.json", "--out", tmp_path / "m"]]) == 0
         assert len(built) == 1 and built[0].size == 4096
@@ -360,7 +367,67 @@ class TestTrainIpwPl:
         assert value == penalized_objective(policy, data, 0.2)
 
 
+@st.composite
+def brute_force_cases(draw):
+    """A finite- or feature-context log, a policy class over it and a beta.
+
+    n reaches 300 and A reaches 9, past numpy's 8-wide pairwise-sum unroll, so
+    a sum or mean taken in another order than the per-member one shows. Classes
+    hold repeated members and equal tables, so ties occur.
+    """
+    num_actions = draw(st.integers(2, 9))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(200, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    props = rng.random((n, num_actions)) ** 4 + draw(st.sampled_from([0.01, 0.5]))
+    props /= props.sum(axis=1, keepdims=True)
+    actions = rng.integers(0, num_actions, n)
+    losses = np.where(rng.random(n) < 0.5, rng.integers(0, 2, n), rng.random(n))
+    size = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        num_contexts = draw(st.integers(1, 4))
+        ids = rng.integers(0, num_contexts, n)
+        data = LoggedDataset(actions, losses, props, context_ids=ids, num_contexts=num_contexts)
+        if num_actions**num_contexts <= 256 and draw(st.booleans()):
+            return data, deterministic_class(num_contexts, num_actions), draw(st.sampled_from([0.0, 0.01, 0.5, 3.0]))
+        members = [simulator.random_policy(rng, num_contexts, num_actions) for _ in range(size)]
+        assignment = tuple(rng.integers(0, num_actions, num_contexts))
+        members += [UniformPolicy(num_actions), DeterministicPolicy(assignment, num_actions)]
+        members += [TabularPolicy(members[0].table)]
+    else:
+        dim = draw(st.integers(1, 3))
+        data = LoggedDataset(actions, losses, props, context_features=rng.normal(size=(n, dim)))
+        members = [LinearCostPolicy(rng.normal(size=(dim, num_actions)), rng.normal(size=num_actions)) for _ in range(size)]
+        members += [UniformPolicy(num_actions)]
+    members += [members[int(rng.integers(len(members)))]]
+    order = rng.permutation(len(members))
+    pclass = PolicyClass.from_members([members[i] for i in order])
+    return data, pclass, draw(st.sampled_from([0.0, 0.01, 0.5, 3.0]))
+
+
 class TestBruteForce:
+    @settings(max_examples=100)
+    @given(brute_force_cases(), st.sampled_from(["one", "two", "whole class"]))
+    def test_blocks_equal_the_per_member_loop(self, case, block):
+        data, pclass, beta = case
+        cells = data.propensities.size
+        budget = {"one": 1, "two": 2 * cells, "whole class": (pclass.size + 1) * cells}[block]
+        with mock.patch.object(csc, "_BLOCK_CELLS", budget):
+            values = csc._member_values(data, beta, pclass)
+            best, value = brute_force_argmin(data, beta, pclass)
+        per_member = [
+            float(np.mean(ipw_terms(m, data))) + beta * float(np.mean(pl_terms(m, data))) for m in pclass.members
+        ]
+        assert np.array(values).tobytes() == np.array(per_member).tobytes()
+        reference, ref_value = reference_brute_force_argmin(data, beta, pclass)
+        assert best is reference
+        assert np.float64(value).tobytes() == np.float64(ref_value).tobytes()
+
+    def test_decodes_only_the_winner(self):
+        data = simulator.generate_logs(simulator.random_environment(5, 3, 4), 50, seed=6)
+        pclass = deterministic_class(3, 4)
+        best, _ = brute_force_argmin(data, 0.1, pclass)
+        assert list(pclass.members._decoded.values()) == [best]
+
     def test_single_member(self):
         data = dataset([0], [0.5], [[0.5, 0.5]])
         member = TabularPolicy(np.array([[0.4, 0.6]]))

@@ -16,6 +16,8 @@ from plbandit.model import (
     SupportError,
     TabularPolicy,
     UniformPolicy,
+    _check_pmf,
+    check_floor,
     class_stats,
     deterministic_class,
     load_dataset_jsonl,
@@ -148,6 +150,51 @@ class TestClassStats:
             assert stats.mu_pmf_inf <= 1.0 / 4 <= stats.pmf_sup <= 1.0
 
 
+NAN, INF = float("nan"), float("inf")
+NOT_A_PMF = "pmf entries must be finite and nonnegative"
+OFF_SUM = "pmf rows must sum to 1 within 1e-9"
+
+
+class TestGuards:
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[NAN, 1.0]], NOT_A_PMF),
+            ([[1.0, 0.0], [NAN, NAN]], NOT_A_PMF),
+            ([[INF, 0.0]], NOT_A_PMF),
+            ([[-INF, 1.0]], NOT_A_PMF),
+            ([[1.2, -0.2]], NOT_A_PMF),
+            ([[0.7, 0.2]], OFF_SUM),
+            ([[1e308, 1e308]], OFF_SUM),
+            (np.zeros((2, 0)), OFF_SUM),
+            ([0.5, 0.5], "pmf table must be 2-dimensional"),
+        ],
+        ids=["nan", "nan-row", "inf", "minus-inf", "negative", "off-sum", "sum-overflows", "no-actions", "1-d"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_check_pmf_messages(self, table, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _check_pmf(table)
+
+    @pytest.mark.parametrize("table", [[[0.0, 1.0]], [[1e-13, 1.0 - 1e-13]], np.zeros((0, 3))])
+    def test_check_pmf_accepts_zeros_and_no_rows(self, table):
+        assert np.array_equal(_check_pmf(table), np.asarray(table, dtype=float))
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.5, 1e-12], [0.5, 0.0], [0.5, -0.1], [-INF], [NAN, 0.0], [[0.5, 0.5], [1.0, 1e-13]]],
+        ids=["at-floor", "zero", "negative", "minus-inf", "nan-beside-zero", "2-d"],
+    )
+    def test_check_floor_raises(self, values):
+        with pytest.raises(SupportError, match="^propensity below floor; support assumption violated$"):
+            check_floor(np.array(values))
+
+    @pytest.mark.parametrize("values", [[0.5, NAN], [INF, 0.5], [1.1e-12], np.zeros(0)], ids=["nan", "inf", "above-floor", "empty"])
+    def test_check_floor_passes(self, values):
+        # NaN compares false against the floor, so it passes, as before.
+        check_floor(np.array(values))
+
+
 class TestPolicies:
     @given(st.lists(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=2, max_size=5), min_size=1, max_size=4))
     def test_tabular_rows_are_pmfs(self, raw):
@@ -191,11 +238,21 @@ class TestPolicies:
         assert np.array_equal(pclass.tables(2), tables[:, :2])
 
     def test_deterministic_class_tables_match_members(self):
-        for num_contexts, num_actions in [(1, 2), (2, 3), (3, 4)]:
-            pclass = deterministic_class(num_contexts, num_actions)
-            tables = pclass.tables(num_contexts)
-            for table, member in zip(tables, pclass.members):
-                assert np.array_equal(table, member.pmf_table(num_contexts))
+        # tables() is closed form: it must equal the decoded members' tables
+        # stacked, for the leading contexts too, and decode no member.
+        for num_contexts, num_actions in itertools.product(range(1, 5), repeat=2):
+            for leading in range(1, num_contexts + 1):
+                pclass = deterministic_class(num_contexts, num_actions)
+                tables = pclass.tables(leading)
+                assert not pclass.members._decoded
+                stacked = np.stack([member.pmf_table(leading) for member in pclass.members])
+                assert tables.dtype == stacked.dtype and tables.tobytes() == stacked.tobytes()
+                assert tables.shape == (num_actions**num_contexts, leading, num_actions)
+            message = f"policy covers {num_contexts} contexts, {num_contexts + 1} needed"
+            with pytest.raises(ValueError, match=message):
+                pclass.tables(num_contexts + 1)
+            with pytest.raises(ValueError, match=message):
+                pclass.members[0].pmf_table(num_contexts + 1)
 
     def test_deterministic_class_statistics_are_closed_form(self):
         # Some member puts pmf 1 on every (context, action), so pmf_sup is 1 and

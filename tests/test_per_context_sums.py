@@ -2,7 +2,8 @@
 
 `ipw_risk` and `pseudo_loss` contract a policy's pmf table with
 `LoggedDataset.ipw_sums` / `pl_sums`. The per-record means of `ipw_terms` and
-`pl_terms` are the reference, and `brute_force_argmin` keeps using them.
+`pl_terms` are the reference, and `brute_force_argmin` averages the same
+per-record terms, bitwise as a per-member loop over them would.
 `context_sums` must equal np.add.at bit for bit, and `generate_logs` must
 draw the same records as the generator it replaced (`discrete_reference`).
 """

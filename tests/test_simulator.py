@@ -27,6 +27,8 @@ from plbandit.simulator import (
 
 from continuous_reference import reference_generate_continuous
 
+NAN, INF = float("nan"), float("inf")
+
 
 class TestGenerateLogs:
     def test_rejects_empty(self):
@@ -218,6 +220,39 @@ class TestEnvironmentFiles:
         for a, b in zip(loaded.logging_densities, env.logging_densities):
             assert np.allclose(a.breaks, b.breaks)
             assert np.allclose(a.values, b.values)
+
+    @pytest.mark.parametrize(
+        "dist, means, logging, message",
+        [
+            ([NAN, 1.0], [[0.5, 0.5]] * 2, None, "context_dist must be a probability vector"),
+            ([INF, 0.0], [[0.5, 0.5]] * 2, None, "context_dist must be a probability vector"),
+            ([-INF, 1.0], [[0.5, 0.5]] * 2, None, "context_dist must be a probability vector"),
+            ([1.5, -0.5], [[0.5, 0.5]] * 2, None, "context_dist must be a probability vector"),
+            ([0.6, 0.6], [[0.5, 0.5]] * 2, None, "context_dist must be a probability vector"),
+            ([], np.zeros((0, 2)), None, "context_dist must be a probability vector"),
+            ([1.0], [[NAN, 0.5]], None, r"loss means must lie in \[0, 1\]"),
+            ([1.0], [[INF, 0.5]], None, r"loss means must lie in \[0, 1\]"),
+            ([1.0], [[-INF, 0.5]], None, r"loss means must lie in \[0, 1\]"),
+            ([1.0], [[-0.1, 0.5]], None, r"loss means must lie in \[0, 1\]"),
+            ([1.0], [[0.2, 1.4]], None, r"loss means must lie in \[0, 1\]"),
+            ([1.0], [[0.2, 0.4]], [[1.0, 0.0]], "logging policy must be strictly positive everywhere"),
+            ([1.0], [[0.2, 0.4]], [[1.0 - 1e-12, 1e-12]], "logging policy must be strictly positive everywhere"),
+            ([1.0], [[0.2, 0.4]] * 2, None, "context_dist and loss_means are not aligned"),
+        ],
+        ids=[
+            "dist-nan", "dist-inf", "dist-minus-inf", "dist-negative", "dist-off-sum", "dist-empty",
+            "means-nan", "means-inf", "means-minus-inf", "means-negative", "means-above-one",
+            "logging-zero", "logging-at-floor", "misaligned",
+        ],
+    )
+    def test_environment_guard_messages(self, dist, means, logging, message):
+        logging_policy = UniformPolicy(2) if logging is None else TabularPolicy(np.array(logging))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SyntheticEnvironment(np.array(dist), np.array(means), logging_policy)
+
+    def test_environment_accepts_boundary_means(self):
+        env = SyntheticEnvironment(np.array([0.25, 0.75]), np.array([[0.0, 1.0], [1.0, 0.0]]), UniformPolicy(2))
+        assert env.num_contexts == 2 and env.num_actions == 2
 
     def test_continuous_context_dist_rejects_nan(self):
         env = simulator.random_continuous_environment(53, 2)

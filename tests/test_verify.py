@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plbandit import cli, simulator, verify
-from plbandit.model import PolicyClass
+from plbandit import cli, csc, model, simulator, verify
+from plbandit.model import DeterministicPolicy, PolicyClass
 
 from verify_reference import (
     reference_check_confidence_coverage,
@@ -113,3 +113,25 @@ class TestDiscreteReduction:
         monkeypatch.setattr(PolicyClass, "argmin", lambda self, weights, rows: self.members[-1])
         result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
         assert not result.passed and "instance" in result.details
+        assert result.details["paths"] == ["explicit"]
+
+    @pytest.mark.parametrize(
+        "path, target, name, broken",
+        [
+            ("enumeration", model._DeterministicClass, "argmin", lambda self, weights, rows: self.members[-1]),
+            # An empty assignment is never the reference's.
+            ("pointwise", csc.PointwiseArgminOracle, "solve", lambda self, costs: DeterministicPolicy((), 2)),
+        ],
+    )
+    def test_failure_names_the_path_and_the_instance(self, monkeypatch, path, target, name, broken):
+        monkeypatch.setattr(target, name, broken)
+        result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
+        assert not result.passed
+        details = result.details
+        assert details["paths"] == [path]
+        assert details["beta"] == [0.01, 0.1, 1.0][details["instance"] % 3]
+        assert 1 <= details["X"] <= 4 and 2 <= details["A"] <= 3
+
+    def test_passing_details_hold_only_the_gap(self):
+        result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
+        assert result.passed and list(result.details) == ["max_objective_gap"]
