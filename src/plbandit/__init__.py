@@ -24,7 +24,7 @@ from .continuous import (
     discretize,
     effective_bandwidth,
     h_grid,
-    smoothed_excess_bound,
+    smoothed_class_stats,
     suggest_k,
     surrogate_set,
     train_smoothed,

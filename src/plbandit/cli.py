@@ -19,7 +19,6 @@ from pathlib import Path
 from . import continuous as cont
 from . import csc, estimators, simulator, verify
 from .model import (
-    ClassStats,
     DatasetError,
     DeterministicPolicy,
     LinearCostPolicy,
@@ -156,8 +155,6 @@ def _write_json(obj: dict, path: str | Path) -> None:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 1:
-        raise UsageError("n must be >= 1")
     env = _resolve_env(args.env, args.seed)
     data = simulator.generate_logs(env, args.n, seed=args.seed)
     metadata = {"seed": args.seed, "rng": "philox", "env": args.env}
@@ -222,20 +219,25 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
     return env
 
 
-def _training_setup(args):
-    """What `train` and the discrete `sweep` fit with: the validated dataset, the
-    policy class (enum only), the oracle, the --env environment (or None) and
-    the class statistics of --alpha (or None). The other oracles take no class,
-    so --alpha or a --class file with them is a usage error, and class
-    statistics need finite contexts, so --alpha on feature contexts is one too."""
-    if args.oracle != "enum" and (args.alpha is not None or args.policy_class != "all-det"):
+def _training_setup(args, betas: list[float]):
+    """What `train` and the discrete `sweep` fit `betas` with: the validated
+    dataset, the policy class (enum only), the oracle, the --env environment
+    (or None) and the class statistics of --alpha (or None). Usage errors:
+    --alpha or a --class file with an oracle that takes no class, and --alpha
+    with a zero beta (the slack divides by beta) or on feature contexts. An
+    unset sweep --class, --oracle or --ridge means all-det, enum or 1e-6."""
+    oracle_name, policy_class = args.oracle or "enum", args.policy_class or "all-det"
+    if oracle_name != "enum" and (args.alpha is not None or policy_class != "all-det"):
         flag = "--alpha" if args.alpha is not None else "--class"
-        raise UsageError(f"{flag} needs --oracle enum; --oracle {args.oracle} takes no policy class")
+        raise UsageError(f"{flag} needs --oracle enum; --oracle {oracle_name} takes no policy class")
+    if args.alpha is not None and 0.0 in betas:
+        given = "--beta 0" if args.command == "train" else "a 0 in --beta-grid"
+        raise UsageError(f"--alpha needs beta > 0, not {given}: the ucb_risk slack divides by beta")
     dataset = _load_valid(args.dataset)
     if args.alpha is not None and dataset.context_ids is None:
         raise UsageError(f"--alpha needs finite contexts; {args.dataset} has feature contexts")
-    pclass = _load_policy_class(args.policy_class, dataset) if args.oracle == "enum" else None
-    oracle = _make_oracle(args.oracle, args.ridge)
+    pclass = _load_policy_class(policy_class, dataset) if oracle_name == "enum" else None
+    oracle = _make_oracle(oracle_name, 1e-6 if args.ridge is None else args.ridge)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     stats = None
     if args.alpha is not None:
@@ -244,7 +246,7 @@ def _training_setup(args):
 
 
 def cmd_train(args) -> int:
-    dataset, pclass, oracle, env, stats = _training_setup(args)
+    dataset, pclass, oracle, env, stats = _training_setup(args, [args.beta])
     policy, objective = csc.train_ipw_pl(dataset, args.beta, oracle, pclass)
     metrics = _dataset_metrics(policy, dataset, args.beta)
     metrics["oracle"] = args.oracle
@@ -277,8 +279,18 @@ def cmd_evaluate(args) -> int:
 SWEEP_COLUMNS = ["beta", "k", "h", "objective", "pl_hat", "ucb_risk", "exact_risk"]
 
 
+# The flags only one sweep mode reads, by argparse dest; the other mode rejects them.
+DISCRETE_SWEEP_FLAGS = {"beta_grid": "--beta-grid", "policy_class": "--class", "oracle": "--oracle", "ridge": "--ridge"}
+CONTINUOUS_SWEEP_FLAGS = {"k": "--k", "beta": "--beta"}
+
+
 def cmd_sweep(args) -> int:
-    rows = _continuous_sweep(args) if args.h_grid_m is not None else _discrete_sweep(args)
+    continuous = args.h_grid_m is not None
+    mode = "continuous sweep (--h-grid-m)" if continuous else "discrete sweep (no --h-grid-m)"
+    for dest, flag in (DISCRETE_SWEEP_FLAGS if continuous else CONTINUOUS_SWEEP_FLAGS).items():
+        if getattr(args, dest) is not None:
+            raise UsageError(f"{flag} does not apply to a {mode}")
+    rows = _continuous_sweep(args) if continuous else _discrete_sweep(args)
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
@@ -290,7 +302,7 @@ def cmd_sweep(args) -> int:
 def _discrete_sweep(args) -> list[dict]:
     if args.beta_grid is None:
         raise UsageError("discrete sweep needs --beta-grid")
-    dataset, pclass, oracle, env, stats = _training_setup(args)
+    dataset, pclass, oracle, env, stats = _training_setup(args, args.beta_grid)
     rows = []
     for beta in args.beta_grid:
         policy, objective = csc.train_ipw_pl(dataset, beta, oracle, pclass)
@@ -312,25 +324,26 @@ def _discrete_sweep(args) -> list[dict]:
 
 
 def _continuous_sweep(args) -> list[dict]:
+    beta = 0.1 if args.beta is None else args.beta
+    if beta == 0.0:
+        raise UsageError("--h-grid-m needs --beta > 0: the ucb_risk slack of every row divides by beta")
     dataset = _load_valid(args.dataset, continuous=True)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     alpha = args.alpha if args.alpha is not None else 0.05
-    beta = args.beta
     mu_inf = dataset.min_logging_density
     rows = []
     for h in cont.h_grid(args.h_grid_m):
         k = args.k if args.k is not None else cont.suggest_k(dataset.n, mu_inf, h, alpha)
         policy, objective, pl_hat = cont.train_smoothed(dataset, k, h, beta)
-        stats_slack = estimators.confidence_slack(
-            _smoothed_stats(h, mu_inf, k, dataset.num_contexts), dataset.n, alpha, beta
-        )
+        stats = cont.smoothed_class_stats(h, mu_inf, k**dataset.num_contexts)
+        slack = estimators.confidence_slack(stats, dataset.n, alpha, beta)
         row = {
             "beta": beta,
             "k": k,
             "h": h,
             "objective": objective,
             "pl_hat": pl_hat,
-            "ucb_risk": objective + stats_slack.value,
+            "ucb_risk": objective + slack.value,
             "exact_risk": "",
         }
         if env is not None:
@@ -339,25 +352,13 @@ def _continuous_sweep(args) -> list[dict]:
     return rows
 
 
-def _smoothed_stats(h: float, mu_inf: float, k: int, num_contexts: int):
-    return ClassStats(
-        pmf_sup=2.0 / h,
-        mu_pmf_inf=mu_inf,
-        weight_ratio_sup=2.0 / (h * mu_inf),
-        class_size=k**num_contexts,
-    )
-
-
 def cmd_verify(args) -> int:
     env = _resolve_env(args.env, args.seed)
     if isinstance(env, simulator.ContinuousEnvironment):
         raise UsageError(
             f"verify needs a discrete environment, not '{args.env}'; its continuous checks build their own"
         )
-    try:
-        cfg = verify.VerifyConfig(env=env, reps=args.reps, alpha=args.alpha, seed=args.seed, n=args.n)
-    except ValueError as err:
-        raise UsageError(f"--{err}") from None
+    cfg = verify.VerifyConfig(env=env, reps=args.reps, alpha=args.alpha, seed=args.seed, n=args.n)
     cfg.dataset = load_dataset_jsonl(args.dataset) if args.dataset else None
     report = verify.run_verification(cfg)
     for check in report["checks"]:
@@ -373,14 +374,27 @@ def cmd_verify(args) -> int:
 # before the command loads anything.
 
 
+def _number(text: str) -> float:
+    """The float `text` spells, or nan if it spells none."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _nonnegative(text: str) -> float:
     """--beta, --ridge and each --beta-grid entry: a finite number >= 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _number(text)
     if not 0.0 <= value < math.inf:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not '{text}'")
+    return value
+
+
+def _alpha(text: str) -> float:
+    """--alpha: a number strictly between 0 and 1."""
+    value = _number(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, not '{text}'")
     return value
 
 
@@ -392,7 +406,7 @@ def _beta_grid(text: str) -> list[float]:
 
 
 def _positive_int(text: str) -> int:
-    """--k and --h-grid-m: an integer >= 1."""
+    """--k, --h-grid-m, --n and --reps: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -408,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="simulate a logged dataset from an environment")
     gen.add_argument("--env", required=True, help=f"builtin name ({', '.join(BUILTIN_ENVS)}) or env JSON path")
-    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--n", type=_positive_int, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True, help="output prefix")
     gen.set_defaults(func=cmd_generate)
@@ -419,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--oracle", choices=["enum", "argmin", "regression"], default="enum")
     train.add_argument("--ridge", type=_nonnegative, default=1e-6)
     train.add_argument("--beta", type=_nonnegative, required=True)
-    train.add_argument("--alpha", type=float, default=None)
+    train.add_argument("--alpha", type=_alpha, default=None)
     train.add_argument("--env", default=None, help="adds exact risk to the metrics")
     train.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     train.add_argument("--out", required=True, help="output prefix")
@@ -436,14 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid sweep; CSV row per grid point")
     sweep.add_argument("--dataset", required=True)
-    sweep.add_argument("--class", dest="policy_class", default="all-det")
-    sweep.add_argument("--oracle", choices=["enum", "argmin", "regression"], default="enum")
-    sweep.add_argument("--ridge", type=_nonnegative, default=1e-6)
-    sweep.add_argument("--beta-grid", type=_beta_grid, default=None, help="comma-separated betas (discrete mode)")
-    sweep.add_argument("--beta", type=_nonnegative, default=0.1, help="fixed beta (continuous mode)")
-    sweep.add_argument("--k", type=_positive_int, default=None, help="grid size; default suggests per bandwidth")
+    # The flags of one mode default to None, so the other can reject them (cmd_sweep).
+    sweep.add_argument("--class", dest="policy_class", help="discrete mode; default all-det")
+    sweep.add_argument("--oracle", choices=["enum", "argmin", "regression"], help="discrete mode; default enum")
+    sweep.add_argument("--ridge", type=_nonnegative, help="discrete mode; default 1e-6")
+    sweep.add_argument("--beta-grid", type=_beta_grid, help="comma-separated betas (discrete mode)")
+    sweep.add_argument("--beta", type=_nonnegative, help="fixed beta (continuous mode); default 0.1")
+    sweep.add_argument("--k", type=_positive_int, help="grid size (continuous mode); default suggests per bandwidth")
     sweep.add_argument("--h-grid-m", type=_positive_int, default=None, help="bandwidths 1/1..1/m (continuous mode)")
-    sweep.add_argument("--alpha", type=float, default=None)
+    sweep.add_argument("--alpha", type=_alpha, default=None)
     sweep.add_argument("--env", default=None)
     sweep.add_argument("--seed", type=int, default=None, help=SEED_HELP)
     sweep.add_argument("--out", required=True, help="CSV path")
@@ -451,9 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the bound/reduction verification suite")
     ver.add_argument("--env", default="demo")
-    ver.add_argument("--reps", type=int, default=300)
-    ver.add_argument("--alpha", type=float, default=0.05)
-    ver.add_argument("--n", type=int, default=500)
+    ver.add_argument("--reps", type=_positive_int, default=300)
+    ver.add_argument("--alpha", type=_alpha, default=0.05)
+    ver.add_argument("--n", type=_positive_int, default=500)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--dataset", default=None, help="also validate this dataset file")
     ver.add_argument("--out", default=None, help="report JSON path")

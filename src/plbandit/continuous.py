@@ -30,6 +30,7 @@ from .model import (
     CHUNK_RECORDS,
     PMF_ATOL,
     PROPENSITY_FLOOR,
+    ClassStats,
     DatasetError,
     MassPolicy,
     SupportError,
@@ -488,45 +489,23 @@ def continuous_penalized_objective(policy, dataset: ContinuousLoggedDataset, bet
 # Bounds and hyper-parameter guidance for the smoothed class.
 
 
-def smoothed_excess_bound(
-    n: int,
-    alpha: float,
-    h: float,
-    mu_density_inf: float,
-    class_size: int,
-    beta: float | None = None,
-    pl_hat: float | None = None,
-    exact_pl_value: float | None = None,
-) -> float:
-    """Excess-risk bound for bandwidth-h smoothed classes.
-
-    Substituting pmf_sup = 2/h and mismatch = 2/(h * mu_density_inf) into the
-    generic discrete bounds gives, for fixed beta (with comparator estimate
-    pl_hat):
+def smoothed_class_stats(h: float, mu_density_inf: float, class_size: int) -> ClassStats:
+    """ClassStats of `class_size` bandwidth-h smoothed policies against logging
+    densities of at least mu_density_inf. A smoothed density is at most 2/h, so
+    pmf_sup = 2/h and weight_ratio_sup = 2/(h * mu_density_inf); with these the
+    class-wide bounds of `estimators` hold for the smoothed class. For one,
+    oracle_inequality_bound is then
 
         2*beta*pl_hat + (3/beta + 16/mu_density_inf) * ln(4|class|/a) / (n*h)
 
-    and at the tuned weight (with the comparator's exact pseudo-loss):
+    and oracle_inequality_bound_tuned is
 
         6*sqrt(PL * ln(4|class|/a) / (n*h)) + 24*ln(4|class|/a) / (n*h*mu_density_inf)
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    if not (0.0 < h <= 1.0):
-        raise ValueError("bandwidth must lie in (0, 1]")
-    if mu_density_inf <= 0:
-        raise ValueError("mu_density_inf must be positive")
-    log_term = math.log(4.0 * class_size / alpha)
-    if beta is not None:
-        if pl_hat is None:
-            raise ValueError("fixed-beta variant needs pl_hat")
-        if beta <= 0:
-            raise ValueError("beta must be positive")
-        return 2.0 * beta * pl_hat + (3.0 / beta + 16.0 / mu_density_inf) * log_term / (n * h)
-    if exact_pl_value is None:
-        raise ValueError("pass beta+pl_hat or exact_pl_value")
-    return 6.0 * math.sqrt(exact_pl_value * log_term / (n * h)) + 24.0 * log_term / (
-        n * h * mu_density_inf
+    if not (0.0 < h <= 1.0 and mu_density_inf > 0):
+        raise ValueError("bandwidth must lie in (0, 1] and mu_density_inf must be positive")
+    return ClassStats(
+        pmf_sup=2.0 / h, mu_pmf_inf=mu_density_inf, weight_ratio_sup=2.0 / (h * mu_density_inf), class_size=class_size
     )
 
 

@@ -169,6 +169,16 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
+def _log_union(class_size: int, alpha: float) -> float:
+    """ln(4|class|/a): the log of one float product wherever that is finite, else
+    ln|class| + ln 4 - ln a, as math.log takes an int of any size (such as k**X)."""
+    try:
+        product = 4.0 * class_size / alpha
+    except OverflowError:  # an int beyond the float range
+        product = math.inf
+    return math.log(product) if product < math.inf else math.log(class_size) + math.log(4.0) - math.log(alpha)
+
+
 def bennett_deviation(variance: float, n: int, alpha: float, value_range: float = 1.0) -> float:
     """One-sided Bennett deviation sqrt(2*Var*ln(1/a)/N) + range*ln(1/a)/(3N).
 
@@ -241,7 +251,7 @@ def confidence_slack(stats: ClassStats, n: int, alpha: float, beta: float) -> Bo
     _check_alpha(alpha)
     if beta <= 0:
         raise ValueError("beta must be positive")
-    log_term = math.log(4.0 * stats.class_size / alpha)
+    log_term = _log_union(stats.class_size, alpha)
     beta_term = 3.0 * stats.pmf_sup * log_term / (4.0 * beta * n)
     cross_term = math.sqrt(8.0 * stats.pmf_sup / (3.0 * stats.mu_pmf_inf)) * log_term / n
     range_term = log_term * stats.weight_ratio_sup / (3.0 * n)
@@ -268,7 +278,7 @@ def oracle_inequality_bound(stats: ClassStats, n: int, alpha: float, beta: float
         raise ValueError("beta must be positive")
     if pl_hat < 0:
         raise ValueError("pl_hat must be nonnegative")
-    log_term = math.log(4.0 * stats.class_size / alpha)
+    log_term = _log_union(stats.class_size, alpha)
     return 2.0 * beta * pl_hat + (1.5 * stats.pmf_sup / beta + 8.0 * stats.mismatch) * log_term / n
 
 
@@ -280,7 +290,7 @@ def oracle_inequality_bound_tuned(stats: ClassStats, n: int, alpha: float, exact
     _check_alpha(alpha)
     if exact_pl_value < 0:
         raise ValueError("exact_pl_value must be nonnegative")
-    log_term = math.log(4.0 * stats.class_size / alpha)
+    log_term = _log_union(stats.class_size, alpha)
     return math.sqrt(18.0 * stats.pmf_sup * exact_pl_value * log_term / n) + 12.0 * stats.mismatch * log_term / n
 
 
@@ -299,7 +309,7 @@ def beta_candidates(
     """
     _check_alpha(alpha)
     check_floor(dataset.propensities)
-    log_term = math.log(4.0 * stats.class_size / alpha)
+    log_term = _log_union(stats.class_size, alpha)
     pl_hats = policy_class.member_sums(1.0 / dataset.propensities, dataset) / dataset.n
     if np.any(pl_hats <= 0):
         raise ValueError("pseudo-loss must be positive")

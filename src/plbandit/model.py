@@ -339,8 +339,9 @@ class ClassStats:
     class_size     number of policies the union bound runs over.
 
     `mismatch` is always recomputed from the other fields. Densities are
-    allowed (pmf_sup may exceed 1), which is how the smoothed continuous-action
-    class reuses the discrete bounds.
+    allowed (pmf_sup may exceed 1): `continuous.smoothed_class_stats` is how
+    the smoothed continuous-action class reaches the discrete bounds. The
+    class size may be an int beyond the float range.
     """
 
     pmf_sup: float
@@ -496,7 +497,7 @@ def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities
     Row i of `propensities` is the logging pmf at context `context_ids[i]`.
     Extrema are taken over every row, so a context logged with different
     rows contributes the smallest propensity and the largest ratio of any of
-    them. Construct ClassStats directly to supply analytic values instead.
+    them. `continuous.smoothed_class_stats` supplies analytic values instead.
     """
     ids = np.asarray(context_ids, dtype=np.int64)
     mu_rows = np.asarray(propensities, dtype=float)

@@ -16,7 +16,6 @@ import numpy as np
 from . import continuous as cont
 from . import csc, estimators, simulator
 from .model import (
-    ClassStats,
     LoggedDataset,
     PolicyClass,
     class_stats,
@@ -63,14 +62,14 @@ def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
     return CheckResult("dataset_validation", passed, details)
 
 
-def check_discrete_reduction(cfg: VerifyConfig, instances: int = 30) -> CheckResult:
+def check_discrete_reduction(cfg: VerifyConfig) -> CheckResult:
     """One enumeration-oracle call on the full deterministic class, and on an explicit
     copy of it, must equal the brute-force argmin, and the pointwise argmin must agree.
     A failure names the paths that disagreed and the instance's beta, X and A."""
     rng = simulator.make_rng((cfg.seed, 2))
     worst = 0.0
     betas = [0.01, 0.1, 1.0]
-    for i in range(instances):
+    for i in range(30):
         num_contexts = int(rng.integers(1, 5))
         num_actions = int(rng.integers(2, 4))
         env = simulator.random_environment(rng, num_contexts, num_actions)
@@ -95,11 +94,11 @@ def check_discrete_reduction(cfg: VerifyConfig, instances: int = 30) -> CheckRes
     return CheckResult("discrete_reduction", worst <= 1e-12, {"max_objective_gap": worst})
 
 
-def check_continuous_reduction(cfg: VerifyConfig, instances: int = 20) -> CheckResult:
+def check_continuous_reduction(cfg: VerifyConfig) -> CheckResult:
     """Grid-side CSC objective == density-side penalized objective (exact integration)."""
     rng = simulator.make_rng((cfg.seed, 3))
     worst = 0.0
-    for i in range(instances):
+    for i in range(20):
         num_contexts = int(rng.integers(1, 4))
         env = simulator.random_continuous_environment(rng, num_contexts)
         data = simulator.generate_logs(env, int(rng.integers(1, 7)), seed=(cfg.seed, 3, i))
@@ -116,11 +115,11 @@ def check_continuous_reduction(cfg: VerifyConfig, instances: int = 20) -> CheckR
     return CheckResult("continuous_reduction", worst <= 1e-9, {"max_gap": worst})
 
 
-def check_variance_domination(cfg: VerifyConfig, pairs: int = 200) -> CheckResult:
+def check_variance_domination(cfg: VerifyConfig) -> CheckResult:
     """exact_variance(pi) <= pmf_sup(pi) * exact_pl(pi) on random finite instances."""
     rng = simulator.make_rng((cfg.seed, 4))
     worst = -np.inf
-    for _ in range(pairs):
+    for _ in range(200):
         env = simulator.random_environment(rng, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
         policy = simulator.random_policy(rng, env.num_contexts, env.num_actions)
         sup, _ = pmf_extrema(policy, np.arange(env.num_contexts))
@@ -186,15 +185,8 @@ def check_pl_band_coverage(cfg: VerifyConfig) -> CheckResult:
 def check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
     """|R - ipw_risk| must stay within the per-policy confidence width."""
     policy = simulator.random_policy((cfg.seed, 6), cfg.env.num_contexts, cfg.env.num_actions)
-    sup, _ = pmf_extrema(policy, np.arange(cfg.env.num_contexts))
-    mu_inf = float(cfg.env.mu_table.min())
+    stats = class_stats(PolicyClass.from_members([policy]), np.arange(cfg.env.num_contexts), cfg.env.mu_table)
     pi_table = policy.pmf_table(cfg.env.num_contexts)
-    stats = ClassStats(
-        pmf_sup=sup,
-        mu_pmf_inf=mu_inf,
-        weight_ratio_sup=float((pi_table / cfg.env.mu_table).max()),
-        class_size=1,
-    )
     truth = simulator.exact_risk(policy, cfg.env)
     ipw_sums, pl_sums = _replicate_sums(cfg, 6)
     ipw_hats = _scores(pi_table, ipw_sums, cfg.n)
@@ -210,13 +202,10 @@ def check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
     return _guarded(result, [ipw_hats[0], pl_hats[0]], direct)
 
 
-def check_ucb_coverage(cfg: VerifyConfig, class_size: int = 8) -> CheckResult:
-    """R(pi) <= ucb_risk(pi) simultaneously over a finite policy class."""
+def check_ucb_coverage(cfg: VerifyConfig) -> CheckResult:
+    """R(pi) <= ucb_risk(pi) simultaneously over a class of eight random policies."""
     rng = simulator.make_rng((cfg.seed, 7))
-    members = [
-        simulator.random_policy(rng, cfg.env.num_contexts, cfg.env.num_actions)
-        for _ in range(class_size)
-    ]
+    members = [simulator.random_policy(rng, cfg.env.num_contexts, cfg.env.num_actions) for _ in range(8)]
     pclass = PolicyClass.from_members(members)
     stats = class_stats(pclass, np.arange(cfg.env.num_contexts), cfg.env.mu_table)
     truths = [simulator.exact_risk(m, cfg.env) for m in members]
@@ -249,11 +238,11 @@ def check_pessimism_path(cfg: VerifyConfig) -> CheckResult:
     return CheckResult("pessimism_path", monotone, {"pl_path": path})
 
 
-def check_smoothing_bounds(cfg: VerifyConfig, instances: int = 10) -> CheckResult:
+def check_smoothing_bounds(cfg: VerifyConfig) -> CheckResult:
     """Discretization and bandwidth-perturbation risk bounds, exact integration."""
     rng = simulator.make_rng((cfg.seed, 9))
     worst_disc, worst_band = -np.inf, -np.inf
-    for _ in range(instances):
+    for _ in range(10):
         num_contexts = int(rng.integers(1, 4))
         env = simulator.random_continuous_environment(rng, num_contexts)
         base = simulator.random_density_policy(rng, num_contexts)
@@ -276,19 +265,20 @@ def check_smoothing_bounds(cfg: VerifyConfig, instances: int = 10) -> CheckResul
     )
 
 
-def check_unbiasedness(cfg: VerifyConfig, policies: int = 4, draws: int = 10_000) -> CheckResult:
-    """Monte Carlo means of ipw_risk / pseudo_loss match the exact values within 3 s.e."""
+def check_unbiasedness(cfg: VerifyConfig) -> CheckResult:
+    """Monte Carlo means of ipw_risk / pseudo_loss over 10 000 draws, for four
+    random policies, match the exact values within 3 s.e."""
     rng = simulator.make_rng((cfg.seed, 10))
     ok = True
     worst_z = 0.0
-    for j in range(policies):
+    for j in range(4):
         policy = simulator.random_policy(rng, cfg.env.num_contexts, cfg.env.num_actions)
-        data = simulator.generate_logs(cfg.env, draws, seed=(cfg.seed, 10, j))
+        data = simulator.generate_logs(cfg.env, 10_000, seed=(cfg.seed, 10, j))
         for terms, truth in [
             (estimators.ipw_terms(policy, data), simulator.exact_risk(policy, cfg.env)),
             (estimators.pl_terms(policy, data), estimators.exact_pl(policy, cfg.env)),
         ]:
-            se = float(np.std(terms)) / np.sqrt(draws) + 1e-12
+            se = float(np.std(terms)) / np.sqrt(data.n) + 1e-12
             z = abs(float(np.mean(terms)) - truth) / se
             worst_z = max(worst_z, z)
             ok = ok and z <= 3.0

@@ -47,8 +47,10 @@ class TestGenerate:
         assert "num_actions" in lines[0]
 
     def test_n_must_be_positive(self, tmp_path, capsys):
-        assert run("generate", "--env", "hard", "--n", 0, "--seed", 1, "--out", tmp_path / "x") == 2
-        assert "n must be >= 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run("generate", "--env", "hard", "--n", 0, "--seed", 1, "--out", tmp_path / "x")
+        assert exc.value.code == 2
+        assert "argument --n: must be an integer >= 1, not '0'" in capsys.readouterr().err
 
     def test_unknown_env(self, tmp_path):
         assert run("generate", "--env", "nope", "--n", 5, "--seed", 1, "--out", tmp_path / "x") == 2
@@ -827,6 +829,40 @@ class TestSweep:
             exact = simulator.exact_risk(policy, env)
             assert float(row["exact_risk"]) == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_continuous_ucb_risk_is_objective_plus_the_smoothed_slack(self, tmp_path, k):
+        out = tmp_path / "c"
+        assert run("generate", "--env", "demo-continuous", "--n", 120, "--seed", 5, "--out", out) == 0
+        csv_path, beta = tmp_path / "csweep.csv", 0.05
+        k_flag = [] if k is None else ["--k", k]
+        argv = ["sweep", "--dataset", f"{out}.dataset.jsonl", "--h-grid-m", 4, "--beta", beta, *k_flag]
+        assert run(*argv, "--out", csv_path) == 0
+        data = cont.load_continuous_dataset_jsonl(f"{out}.dataset.jsonl")
+        with open(csv_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        for row in rows:
+            h, k_row = float(row["h"]), int(row["k"])
+            stats = cont.smoothed_class_stats(h, data.min_logging_density, k_row**data.num_contexts)
+            slack = estimators.confidence_slack(stats, data.n, 0.05, beta).value
+            assert float(row["ucb_risk"]) == float(row["objective"]) + slack
+
+    def test_continuous_sweep_over_a_class_beyond_the_float_range(self, tmp_path):
+        """600 contexts make the smoothed class k**600 members, too many for a
+        float; ln(4|C|/alpha) must still be finite."""
+        env_path = tmp_path / "env.json"
+        simulator.save_environment(simulator.random_continuous_environment((1, 2), 600), env_path)
+        out = tmp_path / "c"
+        assert run("generate", "--env", env_path, "--n", 3000, "--seed", 0, "--out", out) == 0
+        csv_path = tmp_path / "csweep.csv"
+        assert run("sweep", "--dataset", f"{out}.dataset.jsonl", "--h-grid-m", 2, "--out", csv_path) == 0
+        with open(csv_path) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert int(row["k"]) ** 600 > 2**1024
+            assert np.isfinite(float(row["ucb_risk"])) and float(row["ucb_risk"]) > float(row["objective"])
+
     def test_rows_in_grid_order(self, generated):
         tmp_path, dataset_path, _ = generated
         out = tmp_path / "tsweep.csv"
@@ -917,14 +953,16 @@ class TestMissingOutDirectory:
 
 
 class TestFlagValues:
-    """A bad --beta, --beta-grid entry, --ridge, --k or --h-grid-m exits 2 naming
-    the flag, before any file is loaded."""
+    """A bad --beta, --beta-grid entry, --ridge, --alpha, --k, --h-grid-m,
+    --reps or verify --n exits 2 naming the flag, before any file is loaded
+    or any check runs."""
 
     BASE = {
         "train": ["train", "--dataset", "{d}", "--beta", "0.1", "--out", "{o}"],
         "evaluate": ["evaluate", "--dataset", "{d}", "--policy", "{d}", "--beta", "0.1"],
         "continuous sweep": ["sweep", "--dataset", "{d}", "--h-grid-m", "2", "--out", "{o}.csv"],
         "discrete sweep": ["sweep", "--dataset", "{d}", "--beta-grid", "0.1", "--out", "{o}.csv"],
+        "verify": ["verify", "--env", "demo", "--reps", "5", "--n", "50"],
     }
 
     @pytest.mark.parametrize(
@@ -951,13 +989,27 @@ class TestFlagValues:
             ("train", "--ridge", "-1"),
             ("train", "--ridge", "nan"),
             ("discrete sweep", "--ridge", "-1"),
+            ("train", "--alpha", "nan"),
+            ("train", "--alpha", "1"),
+            ("train", "--alpha", "x"),
+            ("continuous sweep", "--alpha", "2"),
+            ("continuous sweep", "--alpha", "nan"),
+            ("discrete sweep", "--alpha", "0"),
+            ("discrete sweep", "--alpha", "-0.5"),
+            ("verify", "--alpha", "inf"),
+            ("verify", "--reps", "0"),
+            ("verify", "--reps", "-3"),
+            ("verify", "--n", "0"),
+            ("verify", "--alpha", "1.5"),
+            ("verify", "--alpha", "0"),
         ],
     )
     def test_exits_two_naming_the_flag(self, generated, monkeypatch, capsys, command, flag, value):
         def reached(*args, **kwargs):
-            raise AssertionError("a file was loaded before the flags were checked")
+            raise AssertionError("a file was loaded or a check ran before the flags were checked")
 
         monkeypatch.setattr(cli, "_load_valid", reached)
+        monkeypatch.setattr(verify, "run_verification", reached)
         tmp_path, dataset_path, _ = generated
         argv = [a.format(d=dataset_path, o=tmp_path / "out") for a in self.BASE[command]]
         with pytest.raises(SystemExit) as exc:
@@ -969,6 +1021,59 @@ class TestFlagValues:
         tmp_path, dataset_path, _ = generated
         assert run("train", "--dataset", dataset_path, "--beta", "0", "--out", tmp_path / "m") == 0
         assert run("sweep", "--dataset", dataset_path, "--beta-grid", "0,0.1", "--out", tmp_path / "s.csv") == 0
+
+
+class TestCrossFlagUsage:
+    """Flag combinations the command cannot honour exit 2 naming the flags,
+    before the dataset is loaded and before any output is written."""
+
+    @pytest.fixture
+    def no_load(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("the dataset was loaded before the flags were checked")
+
+        monkeypatch.setattr(cli, "_load_valid", reached)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--beta", "0", "--alpha", "0.05"], "--alpha needs beta > 0, not --beta 0"),
+            (["train", "--beta", "-0", "--alpha", "0.05"], "--alpha needs beta > 0, not --beta 0"),
+            (["sweep", "--beta-grid", "0.1,0", "--alpha", "0.05"], "--alpha needs beta > 0, not a 0 in --beta-grid"),
+            (["sweep", "--h-grid-m", "2", "--beta", "0"], "--h-grid-m needs --beta > 0"),
+            (["sweep", "--h-grid-m", "2", "--beta", "0", "--alpha", "0.05"], "--h-grid-m needs --beta > 0"),
+        ],
+        ids=["train", "train-negative-zero", "discrete-sweep", "continuous-sweep", "continuous-sweep-alpha"],
+    )
+    def test_zero_beta_with_a_ucb_exits_two(self, generated, no_load, capsys, argv, message):
+        tmp_path, dataset_path, _ = generated
+        before = sorted(tmp_path.iterdir())
+        assert run(*argv, "--dataset", dataset_path, "--out", tmp_path / "out") == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "mode, argv, flag",
+        [
+            ("--h-grid-m", ["--beta-grid", "5,6"], "--beta-grid"),
+            ("--h-grid-m", ["--class", "nope.json"], "--class"),
+            ("--h-grid-m", ["--class", "all-det"], "--class"),
+            ("--h-grid-m", ["--oracle", "regression"], "--oracle"),
+            ("--h-grid-m", ["--oracle", "enum"], "--oracle"),
+            ("--h-grid-m", ["--ridge", "1"], "--ridge"),
+            ("--beta-grid", ["--k", "3"], "--k"),
+            ("--beta-grid", ["--beta", "7"], "--beta"),
+            ("--beta-grid", ["--beta", "0.1"], "--beta"),
+        ],
+    )
+    def test_sweep_flag_of_the_other_mode_exits_two(self, generated, no_load, capsys, mode, argv, flag):
+        tmp_path, dataset_path, _ = generated
+        value = "2" if mode == "--h-grid-m" else "0.1"
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--dataset", dataset_path, mode, value, *argv, "--out", out) == 2
+        kind = "continuous sweep (--h-grid-m)" if mode == "--h-grid-m" else "discrete sweep (no --h-grid-m)"
+        assert f"error: {flag} does not apply to a {kind}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMissingInputFile:
@@ -1009,26 +1114,6 @@ class TestVerify:
         bad.write_text("\n".join(lines) + "\n")
         code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad)
         assert code == 3
-
-
-    @pytest.mark.parametrize(
-        "flag, value, message",
-        [
-            ("--reps", 0, "--reps must be >= 1, not 0"),
-            ("--reps", -3, "--reps must be >= 1, not -3"),
-            ("--n", 0, "--n must be >= 1, not 0"),
-            ("--alpha", 1.5, "--alpha must lie in (0, 1), not 1.5"),
-            ("--alpha", 0, "--alpha must lie in (0, 1), not 0.0"),
-        ],
-        ids=["reps-zero", "reps-negative", "n-zero", "alpha-above-one", "alpha-zero"],
-    )
-    def test_bad_flag_exits_two_before_any_check(self, monkeypatch, capsys, flag, value, message):
-        def reached(*args, **kwargs):
-            raise AssertionError("checks started before the flags were checked")
-
-        monkeypatch.setattr(verify, "run_verification", reached)
-        assert run("verify", "--env", "demo", "--reps", 5, "--n", 50, flag, value) == 2
-        assert f"error: {message}" in capsys.readouterr().err
 
     def test_continuous_env_is_usage_error(self, capsys):
         assert run("verify", "--env", "demo-continuous", "--reps", 5, "--n", 50) == 2

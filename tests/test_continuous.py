@@ -25,14 +25,14 @@ from plbandit.continuous import (
     h_grid,
     load_continuous_dataset_jsonl,
     save_continuous_dataset_jsonl,
-    smoothed_excess_bound,
+    smoothed_class_stats,
     suggest_k,
     surrogate_set,
     train_smoothed,
     validate_continuous_dataset,
 )
 from plbandit.estimators import oracle_inequality_bound, oracle_inequality_bound_tuned
-from plbandit.model import ClassStats, DatasetError, SupportError
+from plbandit.model import DatasetError, SupportError
 
 from continuous_reference import (
     reference_costs,
@@ -251,39 +251,53 @@ class TestContinuousEstimators:
         assert continuous_pseudo_loss(policy, data) == pytest.approx(2.0 / 3.0)
 
 
+def smoothed_fixed(n, alpha, h, mu_inf, size, beta, pl_hat):
+    return oracle_inequality_bound(smoothed_class_stats(h, mu_inf, size), n, alpha, beta, pl_hat)
+
+
+def smoothed_tuned(n, alpha, h, mu_inf, size, exact_pl_value):
+    return oracle_inequality_bound_tuned(smoothed_class_stats(h, mu_inf, size), n, alpha, exact_pl_value)
+
+
 class TestSmoothedExcessBound:
+    """The oracle inequalities of the smoothed class: the discrete bounds over
+    its `smoothed_class_stats`."""
+
     def test_frozen_values(self):
-        tuned = smoothed_excess_bound(1000, 0.05, 0.1, 0.5, 16, exact_pl_value=2.0)
-        fixed = smoothed_excess_bound(1000, 0.05, 0.1, 0.5, 16, beta=1.0, pl_hat=2.0)
+        tuned = smoothed_tuned(1000, 0.05, 0.1, 0.5, 16, exact_pl_value=2.0)
+        fixed = smoothed_fixed(1000, 0.05, 0.1, 0.5, 16, beta=1.0, pl_hat=2.0)
         assert tuned == pytest.approx(COROLLARY_TUNED_PL2, abs=1e-12)
         assert fixed == pytest.approx(COROLLARY_FIXED_B1_PL2, abs=1e-12)
 
     def test_halving_h_doubles_bandwidth_terms(self):
-        slack_only = lambda h: smoothed_excess_bound(500, 0.1, h, 0.4, 8, beta=0.7, pl_hat=0.0)
+        slack_only = lambda h: smoothed_fixed(500, 0.1, h, 0.4, 8, beta=0.7, pl_hat=0.0)
         assert slack_only(0.25) == pytest.approx(2.0 * slack_only(0.5), rel=1e-12)
 
     def test_matches_generic_bounds_under_substitution(self):
+        """The composition equals the closed forms with pmf_sup = 2/h and
+        mismatch = 2/(h * mu_inf) substituted."""
         for h in [0.1, 0.2, 0.5]:
             for mu_inf in [0.3, 0.5, 0.9]:
-                stats = ClassStats(
-                    pmf_sup=2.0 / h,
-                    mu_pmf_inf=mu_inf,
-                    weight_ratio_sup=2.0 / (h * mu_inf),
-                    class_size=16,
-                )
-                assert stats.mismatch == pytest.approx(2.0 / (h * mu_inf))
-                fixed = smoothed_excess_bound(1000, 0.05, h, mu_inf, 16, beta=0.8, pl_hat=2.5)
+                stats = smoothed_class_stats(h, mu_inf, 16)
+                assert (stats.pmf_sup, stats.mu_pmf_inf, stats.class_size) == (2.0 / h, mu_inf, 16)
+                assert stats.weight_ratio_sup == stats.mismatch == pytest.approx(2.0 / (h * mu_inf))
+                log_term = math.log(4.0 * 16 / 0.05)
+                fixed = smoothed_fixed(1000, 0.05, h, mu_inf, 16, beta=0.8, pl_hat=2.5)
                 assert fixed == pytest.approx(
-                    oracle_inequality_bound(stats, 1000, 0.05, 0.8, 2.5), rel=1e-12
+                    2.0 * 0.8 * 2.5 + (3.0 / 0.8 + 16.0 / mu_inf) * log_term / (1000 * h), rel=1e-12
                 )
-                tuned = smoothed_excess_bound(1000, 0.05, h, mu_inf, 16, exact_pl_value=2.5)
+                tuned = smoothed_tuned(1000, 0.05, h, mu_inf, 16, exact_pl_value=2.5)
                 assert tuned == pytest.approx(
-                    oracle_inequality_bound_tuned(stats, 1000, 0.05, 2.5), rel=1e-12
+                    6.0 * math.sqrt(2.5 * log_term / (1000 * h)) + 24.0 * log_term / (1000 * h * mu_inf),
+                    rel=1e-12,
                 )
 
     def test_h_domain(self):
-        with pytest.raises(ValueError):
-            smoothed_excess_bound(100, 0.05, 1.5, 0.5, 4, exact_pl_value=2.0)
+        for h in [1.5, 0.0, -0.1, math.nan]:
+            with pytest.raises(ValueError, match="bandwidth"):
+                smoothed_class_stats(h, 0.5, 4)
+        with pytest.raises(ValueError, match="mu_density_inf"):
+            smoothed_class_stats(0.5, 0.0, 4)
 
 
 class TestHyperParameterGuidance:

@@ -372,6 +372,40 @@ class TestOracleInequalityBounds:
         assert oracle_inequality_bound_tuned(STATS, n, 0.05, pl) >= 0.0
 
 
+class TestLogUnion:
+    """ln(4|class|/alpha), the union-bound factor every class-wide bound shares."""
+
+    @staticmethod
+    def float_product_log(class_size, alpha):
+        try:
+            return math.log(4.0 * class_size / alpha)
+        except OverflowError:
+            return math.inf
+
+    @given(
+        class_size=st.one_of(st.integers(1, 2**70), st.integers(2**1000, 2**1100)),
+        alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_bitwise_the_float_product_log_where_that_is_finite(self, class_size, alpha):
+        value = estimators._log_union(class_size, alpha)
+        direct = self.float_product_log(class_size, alpha)
+        if math.isfinite(direct):
+            assert value.hex() == direct.hex()
+        else:
+            assert math.isfinite(value)
+            assert value == pytest.approx(math.log(4 * class_size) - math.log(alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 7, 40])
+    def test_finite_for_the_smoothed_class_of_600_contexts(self, k):
+        value = estimators._log_union(k**600, 0.05)
+        assert math.isfinite(value)
+        assert value == pytest.approx(600 * math.log(k) + math.log(80.0), rel=1e-14)
+        stats = ClassStats(pmf_sup=1.0, mu_pmf_inf=0.5, weight_ratio_sup=2.0, class_size=k**600)
+        assert math.isfinite(confidence_slack(stats, 100, 0.05, 0.1).value)
+        assert math.isfinite(oracle_inequality_bound(stats, 100, 0.05, 0.1, 1.0))
+        assert math.isfinite(oracle_inequality_bound_tuned(stats, 100, 0.05, 1.0))
+
+
 class TestBetaCandidates:
     def test_frozen_value(self):
         data = dataset([0, 0], [0.1, 0.2], [[0.5, 0.5], [0.25, 0.75]], ids=[0, 1])
