@@ -31,6 +31,7 @@ from .model import (
     load_dataset_jsonl,
     load_json,
     number_array,
+    open_dataset,
     read_header,
     save_dataset_jsonl,
     validate_dataset,
@@ -202,7 +203,7 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
     if spec is None:
         return None
     if spec in BUILTIN_ENVS:
-        with open(dataset_path) as fh:
+        with open_dataset(dataset_path) as fh:
             header = read_header(fh, dataset_path)
         header_env, header_seed = header.get("env"), header.get("seed")
         if header_env is not None and header_env != spec:

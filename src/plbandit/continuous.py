@@ -44,6 +44,7 @@ from .model import (
     is_number,
     missing_field,
     number_array,
+    open_dataset,
     read_header,
     read_record_chunks,
 )
@@ -583,10 +584,10 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
     # Parsed lists of numbers, and validated arrays' bytes, to the density's number.
     by_text: dict[tuple, int] = {}
     by_content: dict[tuple[bytes, bytes], int] = {}
-    with open(path) as fh:
+    with open_dataset(path) as fh:
         header = read_header(fh, path)
         for start, records, inverse in read_record_chunks(fh, path):
-            for i, row in enumerate(map(records.__getitem__, inverse), start):
+            for i, row in enumerate(map(records.__getitem__, inverse.tolist()), start):
                 try:
                     context_id, action, loss = row["context"]["id"], row["action"], row["loss"]
                     breaks, values = row["density"]["breaks"], row["density"]["values"]

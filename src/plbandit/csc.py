@@ -26,6 +26,7 @@ from .model import (
     LoggedDataset,
     MassPolicy,
     PolicyClass,
+    _logged_cells,
     check_floor,
     check_index_range,
     context_sums,
@@ -86,8 +87,8 @@ def build_modified_costs(dataset: LoggedDataset, beta: float) -> CostMatrix:
         raise ValueError("beta must be nonnegative")
     check_floor(dataset.propensities)
     costs = beta / dataset.propensities
-    idx = np.arange(dataset.n)
-    costs[idx, dataset.actions] += dataset.losses / dataset.propensities[idx, dataset.actions]
+    cells = _logged_cells(dataset)
+    costs.reshape(-1)[cells] += dataset.losses / dataset.propensities.take(cells)
     return CostMatrix(
         costs=costs,
         context_ids=dataset.context_ids,
@@ -218,8 +219,8 @@ def _member_values(dataset: LoggedDataset, beta: float, policy_class: PolicyClas
     pl_terms; each mean is taken over one member's own row.
     """
     check_floor(dataset.propensities)
-    idx, actions, n = np.arange(dataset.n), dataset.actions, dataset.n
-    logged = dataset.propensities[idx, actions]
+    cells, n = _logged_cells(dataset), dataset.n
+    logged = dataset.propensities.take(cells)
     finite = dataset.context_ids is not None
     tables = policy_class.tables(dataset.num_contexts) if finite else None
     step = max(1, _BLOCK_CELLS // dataset.propensities.size)
@@ -229,7 +230,7 @@ def _member_values(dataset: LoggedDataset, beta: float, policy_class: PolicyClas
             rows = tables[lo : lo + step][:, dataset.context_ids]
         else:
             rows = np.stack([m.pmf_rows(dataset) for m in policy_class.members[lo : lo + step]])
-        ipw = rows[:, idx, actions] / logged * dataset.losses
+        ipw = rows.reshape(len(rows), -1).take(cells, axis=1) / logged * dataset.losses
         pl = (rows / dataset.propensities).sum(axis=2)
         # np.mean of a 1-D row is add.reduce(row) / n; a mean along axis 1 of
         # the block sums in another order and differs in the last bits.

@@ -24,6 +24,7 @@ from .model import (
     LoggedDataset,
     MassPolicy,
     PolicyClass,
+    _logged_cells,
     check_floor,
 )
 
@@ -57,10 +58,12 @@ class BoundReport:
 def ipw_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     """Per-record importance-weighted losses pi(a_i|x_i)/mu(a_i|x_i) * loss_i."""
     rows = policy.pmf_rows(dataset)
-    idx = np.arange(dataset.n)
-    logged = dataset.propensities[idx, dataset.actions]
+    if rows.shape != dataset.propensities.shape:
+        raise ValueError(f"policy has {rows.shape[1]} actions, the dataset {dataset.num_actions}")
+    cells = _logged_cells(dataset)
+    logged = dataset.propensities.take(cells)
     check_floor(logged)
-    return rows[idx, dataset.actions] / logged * dataset.losses
+    return rows.take(cells) / logged * dataset.losses
 
 
 def pl_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:

@@ -203,13 +203,16 @@ class LinearCostPolicy(MassPolicy):
 def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int) -> np.ndarray:
     """Rows of an (n, A) array summed per context id, as a (num_contexts, A) array.
 
-    np.bincount adds each cell's values in record order, starting from 0.0, as
-    np.add.at does, so sums of finite values are bitwise those of np.add.at.
+    One np.bincount per action column: bincount adds each cell's values in
+    record order, starting from 0.0, as np.add.at does, so sums of finite
+    values are bitwise those of np.add.at. A column at a time, because numpy
+    reduces and scatters row by row over a 3- or 4-wide inner axis.
     """
-    num_actions = values.shape[1]
-    cells = (np.asarray(context_ids)[:, None] * num_actions + np.arange(num_actions)).ravel()
-    summed = np.bincount(cells, weights=np.ravel(values), minlength=num_contexts * num_actions)
-    return summed.reshape(num_contexts, num_actions)
+    ids = np.asarray(context_ids)
+    summed = np.empty((num_contexts, values.shape[1]))
+    for a in range(values.shape[1]):
+        summed[:, a] = np.bincount(ids, weights=values[:, a], minlength=num_contexts)
+    return summed
 
 
 @dataclass(frozen=True)
@@ -424,8 +427,7 @@ class LoggedDataset:
 
         Raises SupportError when a logged propensity is below the floor.
         """
-        idx = np.arange(self.n)
-        logged = self.propensities[idx, self.actions]
+        logged = self.propensities.take(_logged_cells(self))
         check_floor(logged)
         cells = self._finite_ids() * self.num_actions + self.actions
         summed = np.bincount(cells, weights=self.losses / logged, minlength=self.num_contexts * self.num_actions)
@@ -446,6 +448,17 @@ class LoggedDataset:
         return self.context_ids
 
 
+def _logged_cells(dataset: LoggedDataset) -> np.ndarray:
+    """Row-major flat index of each record's logged cell in an (n, A) array:
+    `rows.take(_logged_cells(dataset))` is rows[i, actions[i]] for every record i.
+
+    A flat gather or scatter costs a third of the (np.arange(n), actions) pair.
+    It is safe only because LoggedDataset.__post_init__ range-checks the
+    actions: an action out of range would read another record's cell.
+    """
+    return np.arange(0, dataset.propensities.size, dataset.num_actions) + dataset.actions
+
+
 # Report kinds of validate_dataset, in the order each record reports them.
 _VIOLATIONS = (
     "non-finite loss",
@@ -463,24 +476,29 @@ def validate_dataset(dataset: LoggedDataset) -> list[str]:
     Propensities below 1e-12 count as zero, guarding the 1/mu terms downstream.
     The report lists each record's violations in record order; a record whose
     propensity row is not finite reports nothing about that row beyond it.
+
+    The finite and at-floor tests run along axis 0 of one (A, n) transposed
+    copy, where numpy works on whole columns; the row sum stays p.sum(axis=1),
+    whose pairwise order on rows of 8 or more entries the report depends on.
+    A valid log returns before the (n, 6) mask is stacked and searched.
     """
     losses, p = dataset.losses, dataset.propensities
+    columns = p.T.copy()
     finite_loss = np.isfinite(losses)
-    finite_row = np.isfinite(p).all(axis=1)
+    finite_row = np.isfinite(columns).all(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         off_sum = np.abs(p.sum(axis=1) - 1.0) > PMF_ATOL
-    masks = np.stack(
-        [
-            ~finite_loss,
-            finite_loss & ((losses < 0.0) | (losses > 1.0)),
-            ~finite_row,
-            finite_row & off_sum,
-            finite_row & (p <= PROPENSITY_FLOOR).any(axis=1),
-            finite_row & (p[np.arange(dataset.n), dataset.actions] <= PROPENSITY_FLOOR),
-        ],
-        axis=1,
-    )
-    records, kinds = np.nonzero(masks)  # row-major: by record, then by kind
+    masks = [
+        ~finite_loss,
+        finite_loss & ((losses < 0.0) | (losses > 1.0)),
+        ~finite_row,
+        finite_row & off_sum,
+        finite_row & (columns <= PROPENSITY_FLOOR).any(axis=0),
+        finite_row & (p.take(_logged_cells(dataset)) <= PROPENSITY_FLOOR),
+    ]
+    if not any(mask.any() for mask in masks):
+        return []
+    records, kinds = np.nonzero(np.stack(masks, axis=1))  # row-major: by record, then by kind
     return [f"{_VIOLATIONS[k]} at record {i}" for i, k in zip(records.tolist(), kinds.tolist())]
 
 
@@ -604,11 +622,50 @@ def load_json(path: str | Path):
             raise DatasetError(f"{path}: invalid JSON ({err})") from None
 
 
+def open_dataset(path: str | Path):
+    """Open a dataset file for reading as UTF-8 text with universal newlines.
+
+    A byte that is not UTF-8 decodes to a lone surrogate (surrogateescape)
+    instead of raising mid-read, so the reader can name the line it is on.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8_problem(text: str) -> str | None:
+    """Why `text`, read through open_dataset, is not UTF-8 (it holds an escaped byte), or None."""
+    if text.isascii():  # O(1): a flag of the string
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        return f"invalid UTF-8 byte 0x{ord(text[err.start]) - 0xDC00:02x}"
+    return None
+
+
+def _json_array(lines: list[str]) -> list | None:
+    """The JSON value of each line, from one json.loads over the lines joined
+    into a JSON array; None when a line is not UTF-8 or not one JSON value.
+
+    The joined text, as large as the lines, is freed on return.
+    """
+    joined = "[" + ",".join(lines) + "]"
+    if _utf8_problem(joined) is not None:
+        return None
+    try:
+        values = json.loads(joined)
+    except ValueError:
+        return None
+    return values if len(values) == len(lines) else None
+
+
 def read_header(fh, path: str | Path) -> dict:
-    """The header object on the first non-blank line of an open dataset file."""
+    """The header object on the first non-blank line of a file opened by open_dataset."""
     line = fh.readline()
     while line.isspace():
         line = fh.readline()
+    problem = _utf8_problem(line)
+    if problem is not None:
+        raise DatasetError(f"{path}: {problem} in the header line")
     try:
         header = json.loads(line)["header"]
     except (ValueError, KeyError, TypeError):
@@ -619,39 +676,51 @@ def read_header(fh, path: str | Path) -> dict:
 
 
 def read_record_chunks(fh, path: str | Path):
-    """Yield (start, records, inverse) for the rest of an open dataset file.
+    """Yield (start, records, inverse) for the rest of a file opened by open_dataset.
 
-    Blank lines are skipped. Each chunk of about CHUNK_BYTES is keyed by the
-    exact text of its lines, and its distinct lines, in first-seen order, are
-    parsed by one json.loads over them joined into a JSON array: record
-    `start + k` is `records[inverse[k]]`. A simulated log has few distinct
-    lines (one propensity row per context, 0/1 losses), and each is parsed
-    once per chunk. A line that is not valid JSON raises DatasetError naming its
-    0-based record index; first-seen order makes the first bad distinct line
-    the first bad record.
+    Lines of only whitespace (str.isspace, Unicode included) are skipped.
+    Each chunk of about CHUNK_BYTES is keyed by the exact text of its lines
+    (universal newlines: LF, CRLF and CR end a line alike): dict.fromkeys
+    collects the distinct lines in first-seen order, and a C-level map over
+    the chunk numbers every record into `inverse`, an int array (np.arange
+    when no line repeats, as in a continuous log). The blank test runs on
+    the distinct lines only. The distinct lines are parsed by
+    one json.loads over them joined into a JSON array: record `start + k` is
+    `records[inverse[k]]`. A simulated log has few distinct lines (one
+    propensity row per context, 0/1 losses), and each is parsed once per
+    chunk. A line that is not UTF-8 or not valid JSON raises DatasetError
+    naming its 0-based record index; first-seen order makes the first bad
+    distinct line the first bad record.
     """
     start = 0
     while chunk := fh.readlines(CHUNK_BYTES):
-        lines = list(itertools.filterfalse(str.isspace, chunk))
-        if not lines:
+        number = dict.fromkeys(chunk, -1)
+        distinct = list(itertools.filterfalse(str.isspace, number))
+        if not distinct:
             continue
-        number: dict[str, int] = {}
-        inverse = [number.setdefault(line, len(number)) for line in lines]
-        try:
-            records = json.loads("[" + ",".join(number) + "]")
-        except ValueError:
-            records = None
-        if records is None or len(records) != len(number):
+        if len(distinct) == len(chunk):  # no line repeats and none is blank
+            inverse = np.arange(len(chunk))
+        else:
+            number.update(zip(distinct, range(len(distinct))))
+            inverse = np.fromiter(map(number.__getitem__, chunk), np.intp, len(chunk))
+            if len(distinct) < len(number):
+                inverse = inverse[inverse >= 0]
+        records = _json_array(distinct)
+        if records is None:
             # Every distinct line parses alone exactly when the joined array
             # parses with one element per line, so one of these lines fails.
-            for line in number:
-                try:
-                    json.loads(line)
-                except ValueError as err:
-                    k = lines.index(line)
-                    raise DatasetError(f"{path}: invalid JSON ({err.msg}) at record {start + k}") from None
+            for j, line in enumerate(distinct):
+                problem = _utf8_problem(line)
+                if problem is None:
+                    try:
+                        json.loads(line)
+                    except ValueError as err:
+                        problem = f"invalid JSON ({err.msg})"
+                if problem is not None:
+                    k = int(np.argmax(inverse == j))
+                    raise DatasetError(f"{path}: {problem} at record {start + k}")
         yield start, records, inverse
-        start += len(lines)
+        start += len(inverse)
 
 
 def header_int(header: dict, key: str, path: str | Path) -> int | None:
@@ -826,7 +895,7 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     vector of the wrong length raise DatasetError naming the file and the
     0-based record index of the first such record.
     """
-    with open(path) as fh:
+    with open_dataset(path) as fh:
         header = read_header(fh, path)
         num_actions = header_int(header, "num_actions", path)
         if num_actions is None:
@@ -847,7 +916,9 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     if not chunks:
         raise DatasetError(f"{path}: dataset must contain at least one record")
     order = np.concatenate(inverses)
-    contexts, actions, losses, propensities = (np.concatenate(column)[order] for column in zip(*chunks))
+    contexts, actions, losses, propensities = (
+        np.concatenate(column).take(order, axis=0) for column in zip(*chunks)
+    )
     try:
         return LoggedDataset(
             actions=actions,

@@ -337,6 +337,47 @@ class TestMalformedRecord:
             assert f"{name} {json.dumps(value)} is not an integer at record {record}" in err
 
 
+class TestNotUtf8:
+    """A dataset byte that is not UTF-8 exits 2 naming the file and the record, not 1 with a codec error."""
+
+    @pytest.mark.parametrize("record", [0, 17])
+    def test_discrete_record_exits_two(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.jsonl"
+        save_dataset_jsonl(CLEAN_DATASET, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[record + 1] = lines[record + 1].replace(b'"loss"', b'"lo\xffss"')
+        path.write_bytes(b"".join(lines))
+        (tmp_path / "policy.json").write_text(
+            json.dumps({"type": "deterministic", "assignment": [0, 0, 0, 0], "num_actions": 3})
+        )
+        commands = [
+            ["train", "--dataset", path, "--beta", 0.1, "--out", tmp_path / "m"],
+            ["evaluate", "--dataset", path, "--policy", tmp_path / "policy.json", "--beta", 0.1],
+            ["sweep", "--dataset", path, "--beta-grid", "0.1,1", "--out", tmp_path / "s.csv"],
+        ]
+        for argv in commands:
+            assert run(*argv) == 2
+            assert f"bad.jsonl: invalid UTF-8 byte 0xff at record {record}" in capsys.readouterr().err
+
+    def test_continuous_record_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b'"loss"', b'"lo\xffss"')
+        path.write_bytes(b"".join(lines))
+        assert run("sweep", "--dataset", path, "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
+        assert "bad.jsonl: invalid UTF-8 byte 0xff at record 4" in capsys.readouterr().err
+
+    def test_header_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        save_dataset_jsonl(CLEAN_DATASET, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[0] = lines[0].replace(b'{"header": {', b'{"header": {"note": "\xff", ')
+        path.write_bytes(b"".join(lines))
+        assert run("train", "--dataset", path, "--beta", 0.1, "--out", tmp_path / "m") == 2
+        assert "bad.jsonl: invalid UTF-8 byte 0xff in the header line" in capsys.readouterr().err
+
+
 class TestEveryEntryPointValidates:
     @settings(max_examples=20)
     @given(

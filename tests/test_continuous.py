@@ -399,6 +399,17 @@ class TestContinuousDatasetIO:
                 density_index=np.array(index),
             )
 
+    @pytest.mark.parametrize("record", [0, 5])
+    def test_byte_that_is_not_utf8_names_record(self, tmp_path, record):
+        data = simulator.generate_logs(simulator.random_continuous_environment(211, 2), 8, seed=212)
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(data, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[record + 1] = lines[record + 1].replace(b'"loss"', b'"lo\xffss"')
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(DatasetError, match=rf"cont\.jsonl: invalid UTF-8 byte 0xff at record {record}$"):
+            load_continuous_dataset_jsonl(path)
+
     def test_min_logging_density_ignores_unused_densities(self):
         low = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.9, 0.1]))
         data = ContinuousLoggedDataset(

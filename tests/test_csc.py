@@ -76,6 +76,29 @@ class TestBuildModifiedCosts:
             )
 
 
+    @given(
+        num_actions=st.integers(1, 12),
+        n=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        beta=st.sampled_from([0.0, 0.01, 0.5, 3.0, 1e300]),
+    )
+    def test_bitwise_equal_per_record_rows(self, num_actions, n, seed, beta):
+        # Each row is beta / mu(.|x_i), then loss_i / mu(a_i|x_i) added at the
+        # logged action, one record at a time.
+        rng = np.random.default_rng(seed)
+        props = rng.random((n, num_actions)) ** 4 + 1e-3
+        props /= props.sum(axis=1, keepdims=True)
+        actions = rng.integers(0, num_actions, n)
+        losses = np.where(rng.random(n) < 0.5, rng.integers(0, 2, n), rng.random(n))
+        data = dataset(actions, losses, props)
+        expected = np.empty((n, num_actions))
+        for i in range(n):
+            row = beta / props[i]
+            row[actions[i]] += losses[i] / props[i, actions[i]]
+            expected[i] = row
+        assert build_modified_costs(data, beta).costs.tobytes() == expected.tobytes()
+
+
 class TestEnumerationOracle:
     def test_single_member(self):
         data = dataset([0], [0.5], [[0.5, 0.5]])

@@ -471,6 +471,100 @@ class TestLoaderErrors:
             load_lines(tmp_path, "", "  ")
 
 
+def record_line(action: int, loss: str) -> str:
+    return f'{{"action": {action}, "context": {{"id": 0}}, "loss": {loss}, "propensities": [0.5, 0.5]}}'
+
+
+# Four records, lines repeating: the same log in every text-mode test below.
+RECORDS = [record_line(0, "0.5"), record_line(1, "1.0"), record_line(0, "0.5"), record_line(1, "0.0")]
+
+
+class TestReaderTextMode:
+    """The reader's line semantics: the text mode's universal newlines split
+    lines, and str.isspace decides which are blank."""
+
+    @pytest.fixture
+    def expected(self, tmp_path):
+        path = tmp_path / "plain.jsonl"
+        path.write_text(HEADER + "".join(r + "\n" for r in RECORDS))
+        return load_dataset_jsonl(path)
+
+    @pytest.mark.parametrize("blank", ["\u00a0\n", "\u2003\r\n", "\u3000\u2028\n", "\x0c\x0b\n"])
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    def test_unicode_whitespace_lines_are_blank(self, tmp_path, expected, blank, chunk):
+        text = blank + HEADER + blank + RECORDS[0] + "\n" + blank + blank + "".join(r + "\n" for r in RECORDS[1:]) + blank
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            assert_bitwise_equal(load_dataset_jsonl(path), expected)
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    def test_cr_line_ends_split_records(self, tmp_path, expected, end, chunk):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes((HEADER.strip() + end + end.join(RECORDS) + end).encode())
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            assert_bitwise_equal(load_dataset_jsonl(path), expected)
+
+    def test_records_on_one_line_are_one_bad_record(self, tmp_path):
+        # A line ends only at LF, CR or CRLF: two records on one line are not valid JSON.
+        path = tmp_path / "d.jsonl"
+        path.write_text(HEADER + RECORDS[0] + "\n" + RECORDS[1] + "\u2028" + RECORDS[2] + "\n")
+        with pytest.raises(DatasetError, match=r"invalid JSON \(.*\) at record 1$"):
+            load_dataset_jsonl(path)
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 raises DatasetError naming the file and the first record holding it."""
+
+    @staticmethod
+    def write(tmp_path, bad: bytes, at: set[int]):
+        """Six records; those in `at` hold `bad` inside their "loss" key."""
+        lines = [HEADER.encode()]
+        for i in range(6):
+            line = RECORDS[i % len(RECORDS)].encode()
+            if i in at:
+                line = line.replace(b'"loss"', b'"lo' + bad + b'ss"')
+            lines.append(line + b"\n")
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"".join(lines))
+        return path
+
+    @pytest.mark.parametrize("bad, byte", [(b"\xff", "0xff"), (b"\xc3", "0xc3"), (b"\xe9t\xe9", "0xe9")])
+    @pytest.mark.parametrize("chunk", [1, 200, CHUNK_BYTES])
+    def test_record(self, tmp_path, bad, byte, chunk):
+        path = self.write(tmp_path, bad, at={3, 4, 5})
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            with pytest.raises(DatasetError, match=rf"d\.jsonl: invalid UTF-8 byte {byte} at record 3$"):
+                load_dataset_jsonl(path)
+
+    def test_repeated_line_names_its_first_record(self, tmp_path):
+        # Records 1 and 5 hold the same bad line, and record 3 a valid one.
+        path = self.write(tmp_path, b"\xff", at={1, 5})
+        with pytest.raises(DatasetError, match=r"invalid UTF-8 byte 0xff at record 1$"):
+            load_dataset_jsonl(path)
+
+    def test_not_a_blank_line(self, tmp_path):
+        # 0xa0 is a no-break space in Latin-1, but not UTF-8: the line is a bad record, not a blank one.
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(HEADER.encode() + RECORDS[0].encode() + b"\n \xa0\n" + RECORDS[1].encode() + b"\n")
+        with pytest.raises(DatasetError, match=r"invalid UTF-8 byte 0xa0 at record 1$"):
+            load_dataset_jsonl(path)
+
+    @pytest.mark.parametrize("lead", [b"", b"\n \n"])
+    def test_header_line(self, tmp_path, lead):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(lead + b'{"header": {"num_actions": 2, "note": "\xff"}}\n' + RECORDS[0].encode() + b"\n")
+        with pytest.raises(DatasetError, match=r"d\.jsonl: invalid UTF-8 byte 0xff in the header line$"):
+            load_dataset_jsonl(path)
+
+    def test_valid_non_ascii_text_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        header = '{"header": {"num_actions": 2, "note": "d\u00e9j\u00e0 vu \u2713"}}\n'
+        path.write_bytes((header + RECORDS[0] + "\n").encode("utf-8"))
+        assert load_dataset_jsonl(path).n == 1
+
+
 CLEAN = simulator.generate_logs(simulator.random_environment((0, 101), 4, 3), 40, seed=3)
 corruptions = st.lists(
     st.tuples(
@@ -539,6 +633,44 @@ class TestValidatorMatchesLoop:
             "propensities do not sum to 1 at record 1",
             "propensities do not sum to 1 at record 2",
         ]
+
+    @settings(max_examples=100)
+    @given(
+        num_actions=st.integers(1, 12),
+        n=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        plants=st.lists(st.tuples(st.integers(0, 29), st.sampled_from(model._VIOLATIONS)), max_size=4),
+    )
+    def test_planted_violations(self, num_actions, n, seed, plants):
+        # A valid log reports nothing; each planted kind of violation makes
+        # the report non-empty, and the report equals the loop's.
+        rng = np.random.default_rng(seed)
+        props = rng.random((n, num_actions)) + 0.1
+        props /= props.sum(axis=1, keepdims=True)
+        actions = rng.integers(0, num_actions, n)
+        losses = rng.random(n)
+
+        def log():
+            return LoggedDataset(actions=actions, losses=losses, propensities=props, context_ids=np.zeros(n))
+
+        assert validate_dataset(log()) == reference_validate(log()) == []
+        for record, kind in plants:
+            i, action = record % n, int(rng.integers(num_actions))
+            if kind == "non-finite loss":
+                losses[i] = NAN
+            elif kind == "loss out of [0,1]":
+                losses[i] = 1.5
+            elif kind == "non-finite propensity":
+                props[i, action] = INF
+            elif kind == "propensities do not sum to 1":
+                props[i] *= 1.5
+            elif kind == "zero propensity":
+                props[i, action] = 0.0
+            else:
+                props[i, actions[i]] = 1e-13
+        report = validate_dataset(log())
+        assert report == reference_validate(log())
+        assert bool(report) == bool(plants)
 
     def test_non_finite_row_skips_later_checks(self):
         data = LoggedDataset(

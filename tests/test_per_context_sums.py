@@ -36,6 +36,7 @@ from plbandit.model import (
     SupportError,
     TabularPolicy,
     UniformPolicy,
+    _logged_cells,
     context_sums,
 )
 
@@ -207,8 +208,8 @@ edge_values = st.one_of(
 @given(st.data())
 def test_context_sums_bitwise_equal_add_at(data):
     num_contexts = data.draw(st.integers(1, 5))
-    num_actions = data.draw(st.integers(1, 4))
-    n = data.draw(st.integers(0, 12))
+    num_actions = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(0, 40))
     ids = np.array(data.draw(st.lists(st.integers(0, num_contexts - 1), min_size=n, max_size=n)), dtype=np.int64)
     flat = data.draw(st.lists(edge_values, min_size=n * num_actions, max_size=n * num_actions))
     values = np.array(flat, dtype=float).reshape(n, num_actions)
@@ -217,6 +218,34 @@ def test_context_sums_bitwise_equal_add_at(data):
     got = context_sums(values, ids, num_contexts)
     assert got.shape == reference.shape
     assert got.tobytes() == reference.tobytes()
+
+
+@given(st.data())
+def test_logged_cell_gathers_bitwise_equal_fancy_indexing(data):
+    # The flat index reads each record's logged cell, from the propensities,
+    # from a policy's (n, A) rows and from an (m, n, A) block of member rows.
+    num_actions = data.draw(st.integers(1, 12))
+    n = data.draw(st.integers(1, 40))
+    flat = data.draw(st.lists(edge_values, min_size=3 * n * num_actions, max_size=3 * n * num_actions))
+    block = np.array(flat).reshape(3, n, num_actions)
+    actions = np.array(data.draw(st.lists(st.integers(0, num_actions - 1), min_size=n, max_size=n)))
+    dataset = LoggedDataset(actions=actions, losses=np.zeros(n), propensities=block[0], context_ids=np.zeros(n))
+    idx = np.arange(n)
+    cells = _logged_cells(dataset)
+    p = dataset.propensities
+    assert p.take(cells).tobytes() == p[idx, actions].tobytes()
+    assert block[1].take(cells).tobytes() == block[1][idx, actions].tobytes()
+    assert block.reshape(3, -1).take(cells, axis=1).tobytes() == block[:, idx, actions].tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 4])
+def test_ipw_terms_rejects_a_policy_of_another_width(width):
+    # The flat gather is valid only on rows as wide as the propensities.
+    data = LoggedDataset(
+        actions=np.array([0, 2]), losses=np.ones(2), propensities=np.full((2, 3), 1 / 3), context_ids=np.zeros(2)
+    )
+    with pytest.raises(ValueError, match=f"policy has {width} actions, the dataset 3"):
+        ipw_terms(UniformPolicy(width), data)
 
 
 def test_context_sums_all_negative_zero_cell():
