@@ -392,7 +392,8 @@ class LoggedDataset:
     def __post_init__(self):
         object.__setattr__(self, "actions", _frozen(np.asarray(self.actions, dtype=np.int64)))
         object.__setattr__(self, "losses", _frozen(np.asarray(self.losses, dtype=float)))
-        object.__setattr__(self, "propensities", _frozen(np.asarray(self.propensities, dtype=float)))
+        # C order: the flat logged-cell index (_logged_cells) must name cell (i, a_i).
+        object.__setattr__(self, "propensities", _frozen(np.ascontiguousarray(self.propensities, dtype=float)))
         if (self.context_ids is None) == (self.context_features is None):
             raise DatasetError("dataset needs exactly one of context_ids / context_features")
         if self.context_ids is not None:
@@ -453,8 +454,11 @@ def _logged_cells(dataset: LoggedDataset) -> np.ndarray:
     `rows.take(_logged_cells(dataset))` is rows[i, actions[i]] for every record i.
 
     A flat gather or scatter costs a third of the (np.arange(n), actions) pair.
-    It is safe only because LoggedDataset.__post_init__ range-checks the
-    actions: an action out of range would read another record's cell.
+    `take` flattens in row-major order whatever the layout, but a scatter
+    through `reshape(-1)` writes in place only into a C-ordered array, so
+    LoggedDataset stores its propensities C-ordered. The index is safe only
+    because LoggedDataset.__post_init__ range-checks the actions: an action
+    out of range would read another record's cell.
     """
     return np.arange(0, dataset.propensities.size, dataset.num_actions) + dataset.actions
 

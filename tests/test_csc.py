@@ -98,6 +98,32 @@ class TestBuildModifiedCosts:
             expected[i] = row
         assert build_modified_costs(data, beta).costs.tobytes() == expected.tobytes()
 
+    def test_fortran_ordered_propensities_bitwise_equal_c_ordered(self):
+        # The logged-cell scatter writes through a flat view, which exists
+        # only for a C-ordered array; the dataset must store one whatever
+        # layout it was given.
+        rng = np.random.default_rng(5)
+        props = rng.random((30, 4)) + 0.05
+        props /= props.sum(axis=1, keepdims=True)
+        actions = rng.integers(0, 4, 30)
+        losses = rng.random(30)
+        c_data = dataset(actions, losses, props)
+        f_data = dataset(actions, losses, np.asfortranarray(props))
+        assert f_data.propensities.flags.c_contiguous
+        for beta in (0.0, 0.3):
+            c_costs = build_modified_costs(c_data, beta).costs
+            assert build_modified_costs(f_data, beta).costs.tobytes() == c_costs.tobytes()
+
+    def test_fortran_ordered_pmf_rows_through_supervised_to_bandit(self):
+        rng = np.random.default_rng(6)
+        pmf = rng.random((25, 3)) + 0.1
+        pmf /= pmf.sum(axis=1, keepdims=True)
+        features, labels = rng.random((25, 2)), rng.integers(0, 3, 25)
+        c_data = simulator.supervised_to_bandit(features, labels, pmf, seed=2)
+        f_data = simulator.supervised_to_bandit(features, labels, np.asfortranarray(pmf), seed=2)
+        c_costs = build_modified_costs(c_data, 0.2).costs
+        assert build_modified_costs(f_data, 0.2).costs.tobytes() == c_costs.tobytes()
+
 
 class TestEnumerationOracle:
     def test_single_member(self):
