@@ -50,7 +50,7 @@ def main() -> None:
         for rep in range(args.reps):
             data = generate_logs(env, n, seed=(args.seed, n, rep))
             candidates = estimators.beta_candidates(pclass, data, stats, args.alpha)
-            betas = sorted(set(round(b, 12) for _, b in candidates))
+            betas = sorted(set(round(b, 12) for b in candidates.tolist()))
             realized = min(exact_risk(csc.train_ipw_pl(data, b, oracle, pclass)[0], env) for b in betas)
             excesses.append(realized - best)
         bound = min(

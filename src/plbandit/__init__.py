@@ -41,11 +41,9 @@ from .csc import (
 )
 from .estimators import (
     BoundReport,
-    bennett_deviation,
     beta_candidates,
     confidence_slack,
     confidence_width,
-    eb_objective,
     exact_pl,
     exact_variance,
     ipw_risk,
@@ -65,11 +63,9 @@ from .model import (
     PolicyClass,
     SupportError,
     TabularPolicy,
-    UniformPolicy,
     class_stats,
     deterministic_class,
     load_dataset_jsonl,
-    pmf_extrema,
     save_dataset_jsonl,
     validate_dataset,
 )

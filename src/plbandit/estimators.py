@@ -6,9 +6,6 @@ asserted in tests), not big-O envelopes. Every bound that decomposes into
 named terms returns a :class:`BoundReport` whose value equals the sum of its
 terms to 1e-12.
 
-Sample variances use the 1/N (population) normalization throughout, matching
-the per-record term variance that the Bennett argument runs on.
-
 All functions are pure; inputs are immutable, so concurrent calls are safe.
 """
 
@@ -106,26 +103,6 @@ def penalized_objective(policy: MassPolicy, dataset: LoggedDataset, beta: float)
     return ipw_risk(policy, dataset) + beta * pseudo_loss(policy, dataset)
 
 
-def sample_variance(values: np.ndarray) -> float:
-    """Population (1/N) variance."""
-    return float(np.var(np.asarray(values, dtype=float)))
-
-
-def eb_objective(policy: MassPolicy, dataset: LoggedDataset, lam: float) -> float:
-    """Variance-regularized baseline: ipw_risk + lam * sqrt(var(ipw_terms)/N).
-
-    A comparison baseline in the spirit of empirical-variance regularization;
-    the penalty form is this library's own choice and is not the pseudo-loss
-    objective.
-    """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    if dataset.n < 2:
-        raise ValueError("variance penalty needs at least 2 records")
-    variance = sample_variance(ipw_terms(policy, dataset))
-    return float(ipw_risk(policy, dataset) + lam * np.sqrt(variance / dataset.n))
-
-
 # ---------------------------------------------------------------------------
 # Exact population quantities on finite synthetic environments. `env` must
 # expose context_dist, loss_means, logging_policy and bernoulli_noise (see
@@ -180,22 +157,6 @@ def _log_union(class_size: int, alpha: float) -> float:
     except OverflowError:  # an int beyond the float range
         product = math.inf
     return math.log(product) if product < math.inf else math.log(class_size) + math.log(4.0) - math.log(alpha)
-
-
-def bennett_deviation(variance: float, n: int, alpha: float, value_range: float = 1.0) -> float:
-    """One-sided Bennett deviation sqrt(2*Var*ln(1/a)/N) + range*ln(1/a)/(3N).
-
-    Valid for i.i.d. variables taking values in [0, value_range].
-    """
-    _check_alpha(alpha)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if variance < 0:
-        raise ValueError("variance must be nonnegative")
-    if value_range <= 0:
-        raise ValueError("value_range must be positive")
-    log_term = math.log(1.0 / alpha)
-    return math.sqrt(2.0 * variance * log_term / n) + value_range * log_term / (3.0 * n)
 
 
 def pl_confidence_band(pl_hat: float, n: int, alpha: float, mu_pmf_inf: float) -> tuple[float, float]:
@@ -302,13 +263,13 @@ def beta_candidates(
     dataset: LoggedDataset,
     stats: ClassStats,
     alpha: float,
-) -> list[tuple[MassPolicy, float]]:
-    """Per-member candidate regularizer weights.
+) -> np.ndarray:
+    """Per-member candidate regularizer weights, as a (size,) array indexed by member.
 
     Each member pi gets beta_pi = sqrt(3*pmf_sup*ln(4|class|/a) / (4*N*PL_hat(pi))),
     the weight that balances the penalty against the beta-dependent slack term.
     Every member's PL_hat comes from one contraction of the stacked member
-    tables with the per-context sums of 1/mu.
+    tables with the per-context sums of 1/mu, so no member is decoded.
     """
     _check_alpha(alpha)
     check_floor(dataset.propensities)
@@ -316,5 +277,4 @@ def beta_candidates(
     pl_hats = policy_class.member_sums(1.0 / dataset.propensities, dataset) / dataset.n
     if np.any(pl_hats <= 0):
         raise ValueError("pseudo-loss must be positive")
-    betas = np.sqrt(3.0 * stats.pmf_sup * log_term / (4.0 * dataset.n * pl_hats))
-    return list(zip(policy_class.members, betas.tolist()))
+    return np.sqrt(3.0 * stats.pmf_sup * log_term / (4.0 * dataset.n * pl_hats))

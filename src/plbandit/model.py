@@ -132,19 +132,6 @@ class TabularPolicy(MassPolicy):
 
 
 @dataclass(frozen=True)
-class UniformPolicy(MassPolicy):
-    """The same uniform pmf at every context, finite or feature."""
-
-    num_actions: int
-
-    def pmf_table(self, num_contexts: int) -> np.ndarray:
-        return np.full((num_contexts, self.num_actions), 1.0 / self.num_actions)
-
-    def pmf_rows(self, rows) -> np.ndarray:
-        return np.full((rows.n, self.num_actions), 1.0 / self.num_actions)
-
-
-@dataclass(frozen=True)
 class DeterministicPolicy(MassPolicy):
     """One action per context id; the pmf is the indicator of `assignment`.
 
@@ -504,13 +491,6 @@ def validate_dataset(dataset: LoggedDataset) -> list[str]:
         return []
     records, kinds = np.nonzero(np.stack(masks, axis=1))  # row-major: by record, then by kind
     return [f"{_VIOLATIONS[k]} at record {i}" for i, k in zip(records.tolist(), kinds.tolist())]
-
-
-def pmf_extrema(policy: MassPolicy, context_ids: np.ndarray) -> tuple[float, float]:
-    """(sup, inf) of the policy pmf over the given context ids and all actions."""
-    ids = np.asarray(context_ids, dtype=np.int64)
-    rows = policy.pmf_table(int(ids.max()) + 1)[ids]
-    return float(rows.max()), float(rows.min())
 
 
 def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities: np.ndarray) -> ClassStats:

@@ -468,10 +468,15 @@ def load_environment(path: str | Path):
         if kind == "discrete":
             if type(spec["bernoulli_noise"]) is not bool:
                 raise ValueError("bernoulli_noise is not a JSON boolean")
+            dist = number_array(spec["context_dist"], 1, "context_dist")
+            means = number_array(spec["loss_means"], 2, "loss_means")
+            pmf = number_array(spec["logging_pmf"], 2, "logging_pmf")
+            if pmf.shape != means.shape:
+                raise ValueError(f"logging_pmf has shape {pmf.shape}, loss_means {means.shape}")
             return SyntheticEnvironment(
-                context_dist=number_array(spec["context_dist"], 1, "context_dist"),
-                loss_means=number_array(spec["loss_means"], 2, "loss_means"),
-                logging_policy=TabularPolicy(number_array(spec["logging_pmf"], 2, "logging_pmf")),
+                context_dist=dist,
+                loss_means=means,
+                logging_policy=TabularPolicy(pmf),
                 bernoulli_noise=spec["bernoulli_noise"],
             )
     except KeyError as err:

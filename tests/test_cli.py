@@ -733,6 +733,19 @@ class TestMalformedEnvFiles:
                 lambda spec: {**spec, "context_dist": ["0.25"] * 4},
                 "env.json: context_dist is not a 1-D array of JSON numbers",
             ),
+            # A logging pmf of another shape than loss_means, each a valid pmf table.
+            (
+                lambda spec: {**spec, "logging_pmf": [[0.5, 0.5]] * 4},
+                "env.json: logging_pmf has shape (4, 2), loss_means (4, 3)",
+            ),
+            (
+                lambda spec: {**spec, "loss_means": [row[:2] for row in spec["loss_means"]]},
+                "env.json: logging_pmf has shape (4, 3), loss_means (4, 2)",
+            ),
+            (
+                lambda spec: {**spec, "logging_pmf": spec["logging_pmf"] + [[0.5, 0.25, 0.25]]},
+                "env.json: logging_pmf has shape (5, 3), loss_means (4, 3)",
+            ),
         ],
         ids=[
             "invalid-json",
@@ -742,6 +755,9 @@ class TestMalformedEnvFiles:
             "bool-loss-means",
             "string-logging-pmf",
             "string-context-dist",
+            "narrow-logging-pmf",
+            "wide-logging-pmf",
+            "extra-logging-pmf-row",
         ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, dataset, command, edit, message, capsys):

@@ -24,7 +24,6 @@ from plbandit.model import (
     MassPolicy,
     PolicyClass,
     TabularPolicy,
-    UniformPolicy,
     deterministic_class,
     save_dataset_jsonl,
 )
@@ -440,13 +439,13 @@ def brute_force_cases(draw):
             return data, deterministic_class(num_contexts, num_actions), draw(st.sampled_from([0.0, 0.01, 0.5, 3.0]))
         members = [simulator.random_policy(rng, num_contexts, num_actions) for _ in range(size)]
         assignment = tuple(rng.integers(0, num_actions, num_contexts))
-        members += [UniformPolicy(num_actions), DeterministicPolicy(assignment, num_actions)]
+        uniform = TabularPolicy(np.full((num_contexts, num_actions), 1 / num_actions))
+        members += [uniform, DeterministicPolicy(assignment, num_actions)]
         members += [TabularPolicy(members[0].table)]
     else:
         dim = draw(st.integers(1, 3))
         data = LoggedDataset(actions, losses, props, context_features=rng.normal(size=(n, dim)))
         members = [LinearCostPolicy(rng.normal(size=(dim, num_actions)), rng.normal(size=num_actions)) for _ in range(size)]
-        members += [UniformPolicy(num_actions)]
     members += [members[int(rng.integers(len(members)))]]
     order = rng.permutation(len(members))
     pclass = PolicyClass.from_members([members[i] for i in order])

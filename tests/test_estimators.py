@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from plbandit import estimators, simulator
 from plbandit.estimators import (
     BoundReport,
-    bennett_deviation,
     beta_candidates,
     confidence_slack,
     confidence_width,
-    eb_objective,
     exact_pl,
     exact_variance,
     ipw_risk,
@@ -30,7 +28,7 @@ from plbandit.model import (
     PolicyClass,
     SupportError,
     TabularPolicy,
-    UniformPolicy,
+    class_stats,
     deterministic_class,
 )
 
@@ -38,7 +36,6 @@ from discrete_reference import reference_objective
 
 # Frozen expected values, computed once with 50-digit arithmetic (mpmath) from
 # the closed-form expressions; tests assert the double-precision code matches.
-BENNETT_VAR25_N100_A05 = 0.1323731157792208
 PL_BAND_LO = 1.989348507471808
 PL_BAND_HI = 6.031954477584576
 CW_SQRT = 0.6279987238208764
@@ -52,6 +49,8 @@ ORACLE_INEQ_TUNED = 4.091557339359799
 BETA_CANDIDATE = 0.1126407321446579
 
 STATS = ClassStats(pmf_sup=1.0, mu_pmf_inf=0.25, weight_ratio_sup=4.0, class_size=2)
+# The uniform pmf on two actions, at up to two contexts.
+UNIFORM = TabularPolicy(np.full((2, 2), 0.5))
 
 
 def dataset(actions, losses, propensities, ids=None):
@@ -67,7 +66,7 @@ def dataset(actions, losses, propensities, ids=None):
 class TestIpwRisk:
     def test_logging_policy_gives_sample_mean(self):
         data = dataset([0, 1, 0], [0.2, 0.4, 0.6], [[0.5, 0.5]] * 3)
-        assert ipw_risk(UniformPolicy(2), data) == pytest.approx(0.4)
+        assert ipw_risk(UNIFORM, data) == pytest.approx(0.4)
 
     def test_single_record_arithmetic(self):
         data = dataset([0], [0.5], [[0.25, 0.75]])
@@ -82,7 +81,7 @@ class TestIpwRisk:
     def test_floor_violation(self):
         data = dataset([0], [0.5], [[1e-15, 1.0]])
         with pytest.raises(SupportError):
-            ipw_risk(UniformPolicy(2), data)
+            ipw_risk(UNIFORM, data)
 
 
 class TestPseudoLoss:
@@ -98,7 +97,7 @@ class TestPseudoLoss:
 
     def test_uniform_policy_direct_arithmetic(self):
         data = dataset([0], [0.1], [[0.8, 0.2]])
-        assert pseudo_loss(UniformPolicy(2), data) == pytest.approx(0.5 / 0.8 + 0.5 / 0.2)
+        assert pseudo_loss(UNIFORM, data) == pytest.approx(0.5 / 0.8 + 0.5 / 0.2)
 
     @given(seed=st.integers(min_value=0, max_value=2_000))
     def test_at_least_one(self, seed):
@@ -116,7 +115,7 @@ class TestPenalizedObjective:
 
     def test_matching_policy_composition(self):
         data = dataset([0, 1], [0.3, 0.5], [[0.5, 0.5]] * 2)
-        assert penalized_objective(UniformPolicy(2), data, 0.1) == pytest.approx(0.4 + 0.1 * 2.0)
+        assert penalized_objective(UNIFORM, data, 0.1) == pytest.approx(0.4 + 0.1 * 2.0)
 
     def test_matches_independent_recomputation(self):
         rng = simulator.make_rng(99)
@@ -132,7 +131,7 @@ class TestPenalizedObjective:
     def test_negative_beta_rejected(self):
         data = dataset([0], [0.1], [[0.5, 0.5]])
         with pytest.raises(ValueError):
-            penalized_objective(UniformPolicy(2), data, -0.1)
+            penalized_objective(UNIFORM, data, -0.1)
 
 
 class TestExactQuantities:
@@ -163,7 +162,7 @@ class TestExactQuantities:
         env = simulator.SyntheticEnvironment(
             context_dist=np.array([1.0]),
             loss_means=np.full((1, 2), 0.7),
-            logging_policy=UniformPolicy(2),
+            logging_policy=UNIFORM,
             bernoulli_noise=False,
         )
         assert exact_variance(env.logging_policy, env) == pytest.approx(0.0)
@@ -172,7 +171,7 @@ class TestExactQuantities:
         env = simulator.SyntheticEnvironment(
             context_dist=np.array([1.0]),
             loss_means=np.array([[1.0, 0.0]]),
-            logging_policy=UniformPolicy(2),
+            logging_policy=UNIFORM,
             bernoulli_noise=True,
         )
         policy = DeterministicPolicy(assignment=(0,), num_actions=2)
@@ -196,22 +195,6 @@ class TestExactQuantities:
             policy = simulator.random_policy(rng, env.num_contexts, env.num_actions)
             sup = float(policy.table.max())
             assert exact_variance(policy, env) <= sup * exact_pl(policy, env) + 1e-10
-
-
-class TestBennett:
-    def test_zero_variance(self):
-        assert bennett_deviation(0.0, 50, 0.1, 1.0) == pytest.approx(math.log(10) / 150)
-
-    def test_monotone_in_n(self):
-        values = [bennett_deviation(0.25, n, 0.05) for n in [100, 1_000, 10_000, 100_000, 1_000_000]]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_frozen_value(self):
-        assert bennett_deviation(0.25, 100, 0.05, 1.0) == pytest.approx(BENNETT_VAR25_N100_A05, abs=1e-15)
-
-    def test_alpha_domain(self):
-        with pytest.raises(ValueError):
-            bennett_deviation(0.1, 10, 1.5)
 
 
 class TestPlConfidenceBand:
@@ -410,20 +393,20 @@ class TestBetaCandidates:
     def test_frozen_value(self):
         data = dataset([0, 0], [0.1, 0.2], [[0.5, 0.5], [0.25, 0.75]], ids=[0, 1])
         policy = DeterministicPolicy(assignment=(0, 0), num_actions=2)  # pl_hat = 3
-        pclass = PolicyClass.from_members([policy, UniformPolicy(2)])
+        pclass = PolicyClass.from_members([policy, UNIFORM])
         # STATS has class_size=2 and pmf_sup=1, matching the construction.
-        pairs = beta_candidates(pclass, data, STATS, 0.05)
+        betas = beta_candidates(pclass, data, STATS, 0.05)
         # n=2 here; rescale to the frozen n=100 value.
         expected_at_n2 = BETA_CANDIDATE * math.sqrt(100 / 2)
-        assert pairs[0][1] == pytest.approx(expected_at_n2, abs=1e-12)
+        assert betas[0] == pytest.approx(expected_at_n2, abs=1e-12)
 
     def test_monotone_in_pl(self):
         data = dataset([0], [0.1], [[0.8, 0.2]])
         low_pl = TabularPolicy(np.array([[1.0, 0.0]]))  # pl = 1.25
         high_pl = TabularPolicy(np.array([[0.0, 1.0]]))  # pl = 5
         pclass = PolicyClass.from_members([low_pl, high_pl])
-        pairs = beta_candidates(pclass, data, STATS, 0.05)
-        assert pairs[0][1] > pairs[1][1]
+        betas = beta_candidates(pclass, data, STATS, 0.05)
+        assert betas[0] > betas[1]
 
     def test_matches_per_member_loop(self):
         # Reference: the per-member pseudo_loss loop the contraction replaced.
@@ -432,50 +415,36 @@ class TestBetaCandidates:
         members = list(deterministic_class(3, 3).members) + [simulator.random_policy(122, 3, 3)]
         pclass = PolicyClass.from_members(members)
         stats = ClassStats(pmf_sup=1.0, mu_pmf_inf=0.1, weight_ratio_sup=10.0, class_size=pclass.size)
-        pairs = beta_candidates(pclass, data, stats, 0.05)
+        betas = beta_candidates(pclass, data, stats, 0.05)
         log_term = math.log(4.0 * pclass.size / 0.05)
-        assert all(got is member for (got, _), member in zip(pairs, members))
-        for member, beta in pairs:
+        assert betas.shape == (len(members),)
+        for member, beta in zip(members, betas):
             expected = math.sqrt(3.0 * log_term / (4.0 * data.n * pseudo_loss(member, data)))
             assert beta == pytest.approx(expected, rel=1e-12)
+
+    def test_all_det_decodes_no_member(self):
+        env = simulator.random_environment(123, 6, 3)
+        data = simulator.generate_logs(env, 400, seed=124)
+        pclass = deterministic_class(6, 3)
+        stats = class_stats(pclass, np.arange(6), env.mu_table)
+        betas = beta_candidates(pclass, data, stats, 0.05)
+        assert pclass.members._decoded == {}
+        assert betas.shape == (pclass.size,) == (729,)
+        log_term = math.log(4.0 * pclass.size / 0.05)
+        for i in [0, 1, 300, 728]:
+            expected = math.sqrt(3.0 * stats.pmf_sup * log_term / (4.0 * data.n * pseudo_loss(pclass.members[i], data)))
+            assert betas[i] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_propensity_rejected(self):
         data = dataset([0], [0.1], [[1.0, 0.0]])
         with pytest.raises(SupportError):
-            beta_candidates(PolicyClass.from_members([UniformPolicy(2)]), data, STATS, 0.05)
+            beta_candidates(PolicyClass.from_members([UNIFORM]), data, STATS, 0.05)
 
     def test_identical_policies_identical_betas(self):
         data = dataset([0], [0.1], [[0.8, 0.2]])
-        pclass = PolicyClass.from_members([UniformPolicy(2), UniformPolicy(2)])
-        pairs = beta_candidates(pclass, data, STATS, 0.05)
-        assert pairs[0][1] == pairs[1][1]
-
-
-class TestEbObjective:
-    def test_lambda_zero(self):
-        data = dataset([0, 1], [0.2, 0.8], [[0.5, 0.5]] * 2)
-        policy = UniformPolicy(2)
-        assert eb_objective(policy, data, 0.0) == ipw_risk(policy, data)
-
-    def test_constant_terms_no_penalty(self):
-        data = dataset([0, 0], [0.5, 0.5], [[0.5, 0.5]] * 2)
-        assert eb_objective(UniformPolicy(2), data, 2.0) == pytest.approx(0.5)
-
-    def test_matches_independent_recomputation(self):
-        data = dataset([0, 1, 0], [0.2, 0.9, 0.4], [[0.6, 0.4]] * 3)
-        policy = TabularPolicy(np.array([[0.3, 0.7]]))
-        terms = [
-            policy.table[0][a] / p[a] * loss
-            for a, loss, p in zip([0, 1, 0], [0.2, 0.9, 0.4], [[0.6, 0.4]] * 3)
-        ]
-        mean = sum(terms) / 3
-        var = sum((t - mean) ** 2 for t in terms) / 3
-        assert eb_objective(policy, data, 0.7) == pytest.approx(mean + 0.7 * math.sqrt(var / 3), abs=1e-12)
-
-    def test_needs_two_records(self):
-        data = dataset([0], [0.2], [[0.5, 0.5]])
-        with pytest.raises(ValueError):
-            eb_objective(UniformPolicy(2), data, 1.0)
+        pclass = PolicyClass.from_members([UNIFORM, TabularPolicy(UNIFORM.table)])
+        betas = beta_candidates(pclass, data, STATS, 0.05)
+        assert betas[0] == betas[1]
 
 
 class TestBoundReport:

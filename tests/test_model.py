@@ -15,13 +15,11 @@ from plbandit.model import (
     PolicyClass,
     SupportError,
     TabularPolicy,
-    UniformPolicy,
     _check_pmf,
     check_floor,
     class_stats,
     deterministic_class,
     load_dataset_jsonl,
-    pmf_extrema,
     save_dataset_jsonl,
     validate_dataset,
 )
@@ -60,26 +58,9 @@ class TestValidateDataset:
             assert validate_dataset(data) == []
 
 
-class TestPmfExtrema:
-    def test_uniform(self):
-        assert pmf_extrema(UniformPolicy(4), np.array([0, 1])) == (0.25, 0.25)
-
-    def test_deterministic(self):
-        policy = DeterministicPolicy(assignment=(1, 0), num_actions=3)
-        assert pmf_extrema(policy, np.array([0, 1])) == (1.0, 0.0)
-
-    def test_table(self):
-        policy = TabularPolicy(np.array([[0.8, 0.2], [0.6, 0.4]]))
-        assert pmf_extrema(policy, np.array([0, 1])) == (0.8, 0.2)
-
-    def test_empty_contexts(self):
-        with pytest.raises(ValueError):
-            pmf_extrema(UniformPolicy(2), np.array([], dtype=np.int64))
-
-
 class TestClassStats:
     def test_matched_uniform(self):
-        pclass = PolicyClass.from_members([UniformPolicy(2)])
+        pclass = PolicyClass.from_members([TabularPolicy(np.array([[0.5, 0.5]]))])
         stats = class_stats(pclass, np.array([0]), np.array([[0.5, 0.5]]))
         assert stats.pmf_sup == 0.5
         assert stats.mu_pmf_inf == 0.5
@@ -102,7 +83,7 @@ class TestClassStats:
         assert stats.pmf_sup == 0.9
 
     def test_zero_propensity_rejected(self):
-        pclass = PolicyClass.from_members([UniformPolicy(2)])
+        pclass = PolicyClass.from_members([TabularPolicy(np.array([[0.5, 0.5]]))])
         with pytest.raises(SupportError):
             class_stats(pclass, np.array([0]), np.array([[1.0, 0.0]]))
 
@@ -212,7 +193,6 @@ class TestPolicies:
             TabularPolicy(np.array([[1.2, -0.2]]))
 
     def test_pmf_tables(self):
-        assert np.array_equal(UniformPolicy(2).pmf_table(3), np.full((3, 2), 0.5))
         assert np.array_equal(
             DeterministicPolicy(assignment=(2, 0), num_actions=3).pmf_table(2), [[0, 0, 1], [1, 0, 0]]
         )
@@ -229,7 +209,7 @@ class TestPolicies:
         assert np.array_equal(policy.pmf_rows(data), policy.table[data.context_ids])
 
     def test_class_tables_stack_member_tables(self):
-        members = [simulator.random_policy((9, j), 3, 2) for j in range(4)] + [UniformPolicy(2)]
+        members = [simulator.random_policy((9, j), 3, 2) for j in range(4)] + [TabularPolicy(np.full((3, 2), 0.5))]
         pclass = PolicyClass.from_members(members)
         tables = pclass.tables(3)
         assert tables.shape == (5, 3, 2)

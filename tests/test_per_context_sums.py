@@ -19,7 +19,6 @@ from plbandit import csc, simulator
 from plbandit.estimators import (
     beta_candidates,
     confidence_slack,
-    eb_objective,
     ipw_risk,
     ipw_terms,
     penalized_objective,
@@ -31,11 +30,11 @@ from plbandit.model import (
     PROPENSITY_FLOOR,
     ClassStats,
     DeterministicPolicy,
+    LinearCostPolicy,
     LoggedDataset,
     PolicyClass,
     SupportError,
     TabularPolicy,
-    UniformPolicy,
     _logged_cells,
     context_sums,
 )
@@ -50,6 +49,11 @@ losses = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0))
 def normalized(raw) -> np.ndarray:
     raw = np.asarray(raw, dtype=float)
     return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def uniform(data) -> TabularPolicy:
+    """The uniform pmf at every context of `data`."""
+    return TabularPolicy(np.full((data.num_contexts, data.num_actions), 1 / data.num_actions))
 
 
 @st.composite
@@ -128,8 +132,9 @@ class TestAggregateMatchesPerRecord:
             actions=np.array([0, 1]), losses=np.array([0.2, 0.7]),
             propensities=np.array([[0.5, 0.5], [0.25, 0.75]]), context_features=np.zeros((2, 1)),
         )
-        assert ipw_risk(UniformPolicy(2), data) == float(np.mean(ipw_terms(UniformPolicy(2), data)))
-        assert pseudo_loss(UniformPolicy(2), data) == float(np.mean(pl_terms(UniformPolicy(2), data)))
+        policy = LinearCostPolicy(weights=np.zeros((1, 2)), intercepts=np.array([0.0, 1.0]))
+        assert ipw_risk(policy, data) == float(np.mean(ipw_terms(policy, data)))
+        assert pseudo_loss(policy, data) == float(np.mean(pl_terms(policy, data)))
         with pytest.raises(ValueError, match="finite contexts"):
             data.pl_sums
 
@@ -143,14 +148,14 @@ class TestFloor:
         )
 
     def test_unlogged_zero_propensity_lets_ipw_risk_return(self):
-        assert ipw_risk(UniformPolicy(2), self.data()) == pytest.approx(0.3)
+        assert ipw_risk(TabularPolicy(np.full((1, 2), 0.5)), self.data()) == pytest.approx(0.3)
 
     def test_unlogged_zero_propensity_fails_pseudo_loss(self):
         data = self.data()
         with pytest.raises(SupportError):
-            pseudo_loss(UniformPolicy(2), data)
+            pseudo_loss(uniform(data), data)
         with pytest.raises(SupportError):
-            penalized_objective(UniformPolicy(2), data, 0.1)
+            penalized_objective(uniform(data), data, 0.1)
 
     def test_logged_propensity_at_floor_fails_ipw_risk(self):
         data = LoggedDataset(
@@ -158,19 +163,10 @@ class TestFloor:
             propensities=np.array([[1.0 - PROPENSITY_FLOOR, PROPENSITY_FLOOR]]), context_ids=np.array([0]),
         )
         with pytest.raises(SupportError):
-            ipw_risk(UniformPolicy(2), data)
+            ipw_risk(uniform(data), data)
 
 
 class TestSameNumberEverywhere:
-    @given(logged_cases())
-    def test_eb_objective_takes_ipw_risk(self, case):
-        data, policy, _ = case
-        if data.n >= 2:
-            assert eb_objective(policy, data, 0.0) == ipw_risk(policy, data)
-            terms = ipw_terms(policy, data)
-            expected = ipw_risk(policy, data) + 0.7 * math.sqrt(float(np.var(terms)) / data.n)
-            assert eb_objective(policy, data, 0.7) == pytest.approx(expected, rel=1e-15)
-
     @given(logged_cases())
     def test_brute_force_value_is_per_record(self, case):
         data, policy, beta = case
@@ -178,7 +174,7 @@ class TestSameNumberEverywhere:
             DeterministicPolicy(assignment=(a,) * data.num_contexts, num_actions=data.num_actions)
             for a in range(data.num_actions)
         ]
-        pclass = PolicyClass.from_members(constant + [policy, UniformPolicy(data.num_actions), policy])
+        pclass = PolicyClass.from_members(constant + [policy, uniform(data), policy])
         best, value = csc.brute_force_argmin(data, beta, pclass)
         per_record = [
             float(np.mean(ipw_terms(m, data))) + beta * float(np.mean(pl_terms(m, data))) for m in pclass.members
@@ -190,9 +186,11 @@ class TestSameNumberEverywhere:
     @given(logged_cases())
     def test_beta_candidates_match_pseudo_loss(self, case):
         data, policy, _ = case
-        pclass = PolicyClass.from_members([policy, UniformPolicy(data.num_actions)])
+        pclass = PolicyClass.from_members([policy, uniform(data)])
         log_term = math.log(4.0 * STATS.class_size / 0.05)
-        for member, beta in beta_candidates(pclass, data, STATS, 0.05):
+        betas = beta_candidates(pclass, data, STATS, 0.05)
+        assert betas.shape == (pclass.size,)
+        for member, beta in zip(pclass.members, betas):
             expected = math.sqrt(3.0 * log_term / (4.0 * data.n * pseudo_loss(member, data)))
             assert beta == pytest.approx(expected, rel=1e-12)
 
@@ -245,7 +243,7 @@ def test_ipw_terms_rejects_a_policy_of_another_width(width):
         actions=np.array([0, 2]), losses=np.ones(2), propensities=np.full((2, 3), 1 / 3), context_ids=np.zeros(2)
     )
     with pytest.raises(ValueError, match=f"policy has {width} actions, the dataset 3"):
-        ipw_terms(UniformPolicy(width), data)
+        ipw_terms(TabularPolicy(np.full((1, width), 1 / width)), data)
 
 
 def test_context_sums_all_negative_zero_cell():
@@ -302,5 +300,5 @@ def test_environment_rejects_nan_context_dist():
         simulator.SyntheticEnvironment(
             context_dist=np.array([np.nan, 1.0]),
             loss_means=np.full((2, 2), 0.5),
-            logging_policy=UniformPolicy(2),
+            logging_policy=TabularPolicy(np.full((2, 2), 0.5)),
         )

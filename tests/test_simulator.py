@@ -10,7 +10,6 @@ from plbandit.continuous import ContinuousLoggedDataset
 from plbandit.model import (
     DeterministicPolicy,
     TabularPolicy,
-    UniformPolicy,
     save_dataset_jsonl,
     validate_dataset,
 )
@@ -28,6 +27,9 @@ from plbandit.simulator import (
 from continuous_reference import reference_generate_continuous
 
 NAN, INF = float("nan"), float("inf")
+
+# The uniform pmf on two actions, at up to two contexts.
+UNIFORM = TabularPolicy(np.full((2, 2), 0.5))
 
 
 class TestGenerateLogs:
@@ -123,9 +125,9 @@ class TestExactRisk:
         env = SyntheticEnvironment(
             context_dist=np.array([1.0]),
             loss_means=np.array([[0.0, 1.0]]),
-            logging_policy=UniformPolicy(2),
+            logging_policy=UNIFORM,
         )
-        assert exact_risk(UniformPolicy(2), env) == pytest.approx(0.5)
+        assert exact_risk(UNIFORM, env) == pytest.approx(0.5)
 
     def test_matches_monte_carlo(self):
         env = simulator.random_environment(22, 3, 3)
@@ -246,12 +248,12 @@ class TestEnvironmentFiles:
         ],
     )
     def test_environment_guard_messages(self, dist, means, logging, message):
-        logging_policy = UniformPolicy(2) if logging is None else TabularPolicy(np.array(logging))
+        logging_policy = UNIFORM if logging is None else TabularPolicy(np.array(logging))
         with pytest.raises(ValueError, match=f"^{message}$"):
             SyntheticEnvironment(np.array(dist), np.array(means), logging_policy)
 
     def test_environment_accepts_boundary_means(self):
-        env = SyntheticEnvironment(np.array([0.25, 0.75]), np.array([[0.0, 1.0], [1.0, 0.0]]), UniformPolicy(2))
+        env = SyntheticEnvironment(np.array([0.25, 0.75]), np.array([[0.0, 1.0], [1.0, 0.0]]), UNIFORM)
         assert env.num_contexts == 2 and env.num_actions == 2
 
     def test_continuous_context_dist_rejects_nan(self):
@@ -264,11 +266,11 @@ class TestEnvironmentFiles:
             SyntheticEnvironment(
                 context_dist=np.array([0.6, 0.6]),
                 loss_means=np.zeros((2, 2)),
-                logging_policy=UniformPolicy(2),
+                logging_policy=UNIFORM,
             )
         with pytest.raises(ValueError):
             SyntheticEnvironment(
                 context_dist=np.array([1.0]),
                 loss_means=np.array([[0.2, 1.4]]),
-                logging_policy=UniformPolicy(2),
+                logging_policy=UNIFORM,
             )
