@@ -4,6 +4,9 @@ Outputs are machine-readable (JSON reports, CSV sweep tables); plotting is out
 of scope. Exit codes: 0 success, 2 validation/usage error, 3 verification
 failure, 1 anything else. A sweep fits its grid points one after another and
 writes one row per point, in grid order.
+
+`main` builds the parser of the command it runs, not of all five: argparse
+would build every subparser and then use one.
 """
 
 from __future__ import annotations
@@ -417,18 +420,31 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="plbandit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+def _seed(text: str) -> int:
+    """Every --seed: an integer >= 0, the seeds numpy's generators accept."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not '{text}'")
+    return value
 
-    gen = sub.add_parser("generate", help="simulate a logged dataset from an environment")
+
+# One function per command adds its flags and its handler to its subparser.
+# The handler is looked up when the parser is built, so one rebound on this
+# module (perfbench's tracer wraps every cmd_*) is the one that runs.
+
+
+def _generate_flags(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("--env", required=True, help=f"builtin name ({', '.join(BUILTIN_ENVS)}) or env JSON path")
     gen.add_argument("--n", type=_positive_int, required=True)
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=_seed, required=True)
     gen.add_argument("--out", required=True, help="output prefix")
     gen.set_defaults(func=cmd_generate)
 
-    train = sub.add_parser("train", help="minimize ipw_risk + beta * pseudo_loss via a CSC oracle")
+
+def _train_flags(train: argparse.ArgumentParser) -> None:
     train.add_argument("--dataset", required=True)
     train.add_argument("--class", dest="policy_class", default="all-det")
     train.add_argument("--oracle", choices=["enum", "argmin", "regression"], default="enum")
@@ -436,20 +452,22 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--beta", type=_nonnegative, required=True)
     train.add_argument("--alpha", type=_alpha, default=None)
     train.add_argument("--env", default=None, help="adds exact risk to the metrics")
-    train.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    train.add_argument("--seed", type=_seed, default=None, help=SEED_HELP)
     train.add_argument("--out", required=True, help="output prefix")
     train.set_defaults(func=cmd_train)
 
-    ev = sub.add_parser("evaluate", help="recompute metrics for a saved policy")
+
+def _evaluate_flags(ev: argparse.ArgumentParser) -> None:
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--policy", required=True)
     ev.add_argument("--beta", type=_nonnegative, required=True)
     ev.add_argument("--env", default=None)
-    ev.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    ev.add_argument("--seed", type=_seed, default=None, help=SEED_HELP)
     ev.add_argument("--out", default=None)
     ev.set_defaults(func=cmd_evaluate)
 
-    sweep = sub.add_parser("sweep", help="grid sweep; CSV row per grid point")
+
+def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
     sweep.add_argument("--dataset", required=True)
     # The flags of one mode default to None, so the other can reject them (cmd_sweep).
     sweep.add_argument("--class", dest="policy_class", help="discrete mode; default all-det")
@@ -461,20 +479,48 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--h-grid-m", type=_positive_int, default=None, help="bandwidths 1/1..1/m (continuous mode)")
     sweep.add_argument("--alpha", type=_alpha, default=None)
     sweep.add_argument("--env", default=None)
-    sweep.add_argument("--seed", type=int, default=None, help=SEED_HELP)
+    sweep.add_argument("--seed", type=_seed, default=None, help=SEED_HELP)
     sweep.add_argument("--out", required=True, help="CSV path")
     sweep.set_defaults(func=cmd_sweep)
 
-    ver = sub.add_parser("verify", help="run the bound/reduction verification suite")
+
+def _verify_flags(ver: argparse.ArgumentParser) -> None:
     ver.add_argument("--env", default="demo")
     ver.add_argument("--reps", type=_positive_int, default=300)
     ver.add_argument("--alpha", type=_alpha, default=0.05)
     ver.add_argument("--n", type=_positive_int, default=500)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_seed, default=0)
     ver.add_argument("--dataset", default=None, help="also validate this dataset file")
     ver.add_argument("--out", default=None, help="report JSON path")
     ver.set_defaults(func=cmd_verify)
 
+
+# Each command's help line and the function that adds its flags and handler,
+# in the order the top-level help lists them.
+COMMANDS = {
+    "generate": ("simulate a logged dataset from an environment", _generate_flags),
+    "train": ("minimize ipw_risk + beta * pseudo_loss via a CSC oracle", _train_flags),
+    "evaluate": ("recompute metrics for a saved policy", _evaluate_flags),
+    "sweep": ("grid sweep; CSV row per grid point", _sweep_flags),
+    "verify": ("run the bound/reduction verification suite", _verify_flags),
+}
+
+# The help text is the docstring's first two paragraphs, the part written for users.
+DESCRIPTION = "\n\n".join(__doc__.split("\n\n")[:2])
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.
+
+    argparse reports an unrecognized argument with the top-level usage line,
+    so a one-command parser names every command there, as the full parser does.
+    """
+    parser = argparse.ArgumentParser(prog="plbandit", description=DESCRIPTION)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_flags = COMMANDS[name]
+        add_flags(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -500,7 +546,12 @@ def _check_paths(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Only a command named exactly first gets its own parser; anything else
+    # (no arguments, -h, an unknown or abbreviated command, a flag before the
+    # command) gets the full parser, and so its help and errors.
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _check_paths(args)
         return args.func(args)

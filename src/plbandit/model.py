@@ -202,6 +202,12 @@ def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int)
     return summed
 
 
+# PolicyClass.member_sums stacks at most this many (member, context, action)
+# table cells at a time: 2**13 cells (64 KiB) hold 256 members of 8 contexts
+# x 4 actions.
+_BLOCK_CELLS = 1 << 13
+
+
 @dataclass(frozen=True)
 class PolicyClass:
     """A finite policy class given by its members.
@@ -225,9 +231,10 @@ class PolicyClass:
     def size(self) -> int:
         return len(self.members)
 
-    def tables(self, num_contexts: int) -> np.ndarray:
-        """Every member's pmf_table(num_contexts), stacked as a (size, X, A) array: 8*size*X*A bytes."""
-        return np.stack([m.pmf_table(num_contexts) for m in self.members])
+    def tables(self, num_contexts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The pmf_table(num_contexts) of every member, or of members lo..hi-1,
+        stacked as a (members, X, A) array: 8*members*X*A bytes."""
+        return np.stack([m.pmf_table(num_contexts) for m in self.members[lo:hi]])
 
     def pmf_max(self, num_contexts: int) -> np.ndarray:
         """The largest pmf any member gives each (context, action), as an (X, A) array."""
@@ -239,14 +246,24 @@ class PolicyClass:
         `rows` carries the row contexts (a LoggedDataset or CostMatrix). The
         sum is linear in pi, so for finite contexts it is one contraction of
         the stacked tables against `weights` summed per context:
-        O(n*A + size*X*A). Feature-mode rows evaluate pmf_rows per member.
+        O(n*A + size*X*A). The tables are stacked a block of members at a
+        time, at most _BLOCK_CELLS cells, so an all-det class of A**X members
+        needs O(size) memory, not O(size*X*A). Feature-mode rows evaluate
+        pmf_rows per member.
         """
         if rows.context_ids is None:
             return np.array([float((m.pmf_rows(rows) * weights).sum()) for m in self.members])
         summed = context_sums(weights, rows.context_ids, rows.num_contexts)
-        # einsum, not BLAS: every member's sum runs in the same order, so
-        # identical tables give bitwise-identical values and ties stay exact.
-        return np.einsum("cxa,xa->c", self.tables(rows.num_contexts), summed)
+        step = max(1, _BLOCK_CELLS // summed.size)
+        # einsum, not BLAS: every member's sum runs in the same order, whatever
+        # its block, so identical tables give bitwise-identical values and ties
+        # stay exact.
+        return np.concatenate(
+            [
+                np.einsum("cxa,xa->c", self.tables(rows.num_contexts, lo, lo + step), summed)
+                for lo in range(0, self.size, step)
+            ]
+        )
 
     def argmin(self, weights: np.ndarray, rows) -> MassPolicy:
         """The member of least member_sums, the lowest index on ties."""
@@ -283,11 +300,14 @@ class _DeterministicClass(PolicyClass):
     """All deterministic maps: a member picks each context's action freely, so some
     member puts pmf 1 on every (context, action) and the minimizer is per context."""
 
-    def tables(self, num_contexts: int) -> np.ndarray:
+    def tables(self, num_contexts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The stacked member tables in closed form, without decoding a member:
-        row x of np.indices holds context x's action for every member, in member order."""
+        row x of the unravelled member indices holds context x's action for
+        every member of the range, in member order."""
+        members = range(self.size)[lo:hi]
         digits = self.members.digits
-        assignments = _leading_rows(np.indices(digits).reshape(len(digits), -1), num_contexts)
+        actions = np.unravel_index(np.arange(members.start, members.stop), digits)
+        assignments = _leading_rows(np.array(actions), num_contexts)
         return np.eye(self.members.num_actions)[assignments.T]
 
     def pmf_max(self, num_contexts: int) -> np.ndarray:

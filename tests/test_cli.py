@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -1193,3 +1194,110 @@ class TestVerifyHarness:
         assert len(report["checks"]) == report["num_checks"] == len(verify.ALL_CHECKS)
         for check in report["checks"]:
             assert isinstance(check["seconds"], float) and check["seconds"] >= 0.0
+
+
+class TestSeedFlag:
+    """A negative or non-integer --seed exits 2 naming the flag, before any
+    file is loaded, any log is generated or any check runs."""
+
+    ARGV = {
+        "generate": ["--env", "demo", "--n", 10, "--out", "{o}"],
+        "train": ["--dataset", "{d}", "--beta", 0.1, "--env", "hard", "--out", "{o}"],
+        "evaluate": ["--dataset", "{d}", "--policy", "{d}", "--beta", 0.1, "--env", "hard"],
+        "sweep": ["--dataset", "{d}", "--beta-grid", "0.1", "--env", "hard", "--out", "{o}.csv"],
+        "verify": ["--env", "demo", "--reps", 5, "--n", 50],
+    }
+
+    @pytest.mark.parametrize("value", ["-1", "-7", "x", "1.5"])
+    @pytest.mark.parametrize("command", list(ARGV))
+    def test_exits_two_naming_the_flag(self, generated, monkeypatch, capsys, command, value):
+        def reached(*args, **kwargs):
+            raise AssertionError("work started before --seed was checked")
+
+        for target, name in [(cli, "_load_valid"), (simulator, "generate_logs"), (verify, "run_verification")]:
+            monkeypatch.setattr(target, name, reached)
+        tmp_path, dataset_path, _ = generated
+        before = sorted(tmp_path.iterdir())
+        values = {"{d}": dataset_path, "{o}": tmp_path / "out", "{o}.csv": tmp_path / "out.csv"}
+        with pytest.raises(SystemExit) as exc:
+            run(command, *[values.get(a, a) for a in self.ARGV[command]], f"--seed={value}")
+        assert exc.value.code == 2
+        assert f"argument --seed: must be an integer >= 0, not '{value}'" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_zero_is_accepted(self, tmp_path):
+        assert run("generate", "--env", "demo", "--n", 10, "--seed", 0, "--out", tmp_path / "g") == 0
+
+
+def parsed(call) -> tuple[object, str, str]:
+    """The SystemExit code, stdout and stderr of `call()`, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            call()
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """main builds the parser of the command it runs, and reads exactly as the
+    full parser: every help text and usage error is the full parser's."""
+
+    COMPLETE = {
+        "generate": ["--env", "demo", "--n", "1", "--seed", "0", "--out", "x"],
+        "train": ["--dataset", "d", "--beta", "0.1", "--out", "x"],
+        "evaluate": ["--dataset", "d", "--policy", "p", "--beta", "0.1"],
+        "sweep": ["--dataset", "d", "--out", "x"],
+        "verify": [],
+    }
+    BAD_VALUE = {
+        "generate": ["--n", "0"],
+        "train": ["--beta", "nan"],
+        "evaluate": ["--beta", "-1"],
+        "sweep": ["--k", "0"],
+        "verify": ["--reps", "0"],
+    }
+    CASES = (
+        [["-h"], [], ["bogus"], ["tra"], ["-x", "train"]]
+        + [[c, "-h"] for c in cli.COMMANDS]
+        + [[c] for c in cli.COMMANDS if c != "verify"]
+        + [[c, *argv] for c, argv in BAD_VALUE.items()]
+        + [[c, *argv, "--bogus"] for c, argv in COMPLETE.items()]
+    )
+
+    @pytest.mark.parametrize("argv", CASES, ids=" ".join)
+    def test_reads_as_the_full_parser(self, argv):
+        expected = parsed(lambda: cli.build_parser().parse_args(argv))
+        assert parsed(lambda: main(argv)) == expected
+        assert expected[0] in (0, 2)
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch):
+        expected = parsed(lambda: cli.build_parser().parse_args(["train", "-h"]))
+        monkeypatch.setattr("sys.argv", ["plbandit", "train", "-h"])
+        assert parsed(main) == expected
+        assert expected[1].startswith("usage: plbandit train ")
+
+    @staticmethod
+    def choices(parser) -> list[str]:
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(subparsers.choices)
+
+    def test_a_command_gets_a_parser_of_its_own(self, generated, monkeypatch):
+        built, build_parser = [], cli.build_parser
+
+        def spy(command=None):
+            built.append(build_parser(command))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        tmp_path, dataset_path, _ = generated
+        assert run("train", "--dataset", dataset_path, "--beta", 0.1, "--out", tmp_path / "m") == 0
+        assert [self.choices(parser) for parser in built] == [["train"]]
+
+    def test_the_full_parser_has_every_command(self):
+        assert self.choices(cli.build_parser()) == list(cli.COMMANDS) == [
+            "generate",
+            "train",
+            "evaluate",
+            "sweep",
+            "verify",
+        ]

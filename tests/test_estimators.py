@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,21 @@ class TestBetaCandidates:
         for i in [0, 1, 300, 728]:
             expected = math.sqrt(3.0 * stats.pmf_sup * log_term / (4.0 * data.n * pseudo_loss(pclass.members[i], data)))
             assert betas[i] == pytest.approx(expected, rel=1e-12)
+
+    def test_all_det_memory_is_bounded(self):
+        # 4**8 members: the stacked (size, 8, 4) tables alone would take 16.8 MB.
+        env = simulator.random_environment(125, 8, 4)
+        data = simulator.generate_logs(env, 500, seed=126)
+        pclass = deterministic_class(8, 4)
+        stats = class_stats(pclass, np.arange(8), env.mu_table)
+        tracemalloc.start()
+        try:
+            betas = beta_candidates(pclass, data, stats, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert betas.shape == (4**8,)
+        assert peak < 4 * 2**20
 
     def test_zero_propensity_rejected(self):
         data = dataset([0], [0.1], [[1.0, 0.0]])

@@ -1,9 +1,11 @@
 import itertools
 import sys
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plbandit.model import (
@@ -18,12 +20,13 @@ from plbandit.model import (
     _check_pmf,
     check_floor,
     class_stats,
+    context_sums,
     deterministic_class,
     load_dataset_jsonl,
     save_dataset_jsonl,
     validate_dataset,
 )
-from plbandit import simulator
+from plbandit import model, simulator
 
 
 def single_context_dataset(pmf, action=0, loss=0.3):
@@ -233,6 +236,35 @@ class TestPolicies:
                 pclass.tables(num_contexts + 1)
             with pytest.raises(ValueError, match=message):
                 pclass.members[0].pmf_table(num_contexts + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_contexts=st.integers(1, 7),
+        num_actions=st.integers(1, 4),
+        block_cells=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_member_sums_are_bitwise_the_unblocked_contraction(
+        self, num_contexts, num_actions, block_cells, seed
+    ):
+        # member_sums stacks the tables a block at a time; each member's sum
+        # must be bitwise the one contraction of all stacked tables.
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, num_contexts, size=30)
+        weights = rng.exponential(size=(30, num_actions))
+        rows = SimpleNamespace(context_ids=ids, num_contexts=num_contexts)
+        summed = context_sums(weights, ids, num_contexts)
+        digits = (num_actions,) * num_contexts
+        tables = np.eye(num_actions)[np.indices(digits).reshape(num_contexts, -1).T]
+        expected = np.einsum("cxa,xa->c", tables, summed)
+        pclass = deterministic_class(num_contexts, num_actions)
+        members = rng.permutation(pclass.size)[:20]
+        explicit = PolicyClass.from_members([pclass.members[i] for i in members])
+        with mock.patch.object(model, "_BLOCK_CELLS", block_cells):
+            assert pclass.member_sums(weights, rows).tobytes() == expected.tobytes()
+            assert explicit.member_sums(weights, rows).tobytes() == expected[members].tobytes()
+        lo, hi = sorted(rng.integers(0, pclass.size + 1, size=2))
+        assert pclass.tables(num_contexts, lo, hi).tobytes() == tables[lo:hi].tobytes()
 
     def test_deterministic_class_statistics_are_closed_form(self):
         # Some member puts pmf 1 on every (context, action), so pmf_sup is 1 and

@@ -31,7 +31,7 @@ def layout_bullets() -> dict[str, list[str]]:
 
 def test_layout_lists_every_module():
     assert set(layout_bullets()) == {
-        f"plbandit.{name}" for name in ["model", "estimators", "csc", "continuous", "simulator", "verify"]
+        f"plbandit.{name}" for name in ["model", "estimators", "csc", "continuous", "simulator", "verify", "cli"]
     }
 
 
