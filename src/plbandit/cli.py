@@ -420,6 +420,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _reps(text: str) -> int:
+    """verify --reps: an integer in [1, 2**32], one 32-bit seed word per replicate index."""
+    value = _positive_int(text)
+    if value > 2**32:
+        raise argparse.ArgumentTypeError(f"must be at most 2**32, not '{text}'")
+    return value
+
+
 def _seed(text: str) -> int:
     """Every --seed: an integer >= 0, the seeds numpy's generators accept."""
     try:
@@ -486,7 +494,7 @@ def _sweep_flags(sweep: argparse.ArgumentParser) -> None:
 
 def _verify_flags(ver: argparse.ArgumentParser) -> None:
     ver.add_argument("--env", default="demo")
-    ver.add_argument("--reps", type=_positive_int, default=300)
+    ver.add_argument("--reps", type=_reps, default=300)
     ver.add_argument("--alpha", type=_alpha, default=0.05)
     ver.add_argument("--n", type=_positive_int, default=500)
     ver.add_argument("--seed", type=_seed, default=0)

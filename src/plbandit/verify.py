@@ -18,7 +18,9 @@ from . import csc, estimators, simulator
 from .model import (
     LoggedDataset,
     PolicyClass,
+    cell_sums,
     class_stats,
+    context_sums,
     deterministic_class,
     validate_dataset,
 )
@@ -43,6 +45,11 @@ class VerifyConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, not {self.reps}")
+        # Each replicate index is one 32-bit word of its seed (seed_sequence_keys).
+        if self.reps > 2**32:
+            raise ValueError(f"reps must be <= 2**32, not {self.reps}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, not {self.n}")
         if not 0.0 < self.alpha < 1.0:
@@ -127,10 +134,10 @@ def check_variance_domination(cfg: VerifyConfig) -> CheckResult:
     return CheckResult("variance_domination", worst <= 1e-10, {"max_violation": worst})
 
 
-# The coverage checks draw and score their replicates in blocks of _BLOCK:
-# each block is one dataset of _BLOCK * n records, which bounds their memory.
-# Blocks of 25 raised the peak resident size of `verify --reps 300 --n 500`
-# by about 0.8 MB and saved little time; blocks of 16 did not raise it.
+# The coverage checks draw and sum their replicate logs in blocks of _BLOCK,
+# which bounds their memory. Blocks of 25 raised the peak resident size of
+# `verify --reps 300 --n 500` by about 0.8 MB and saved little time; blocks of
+# 16 did not raise it.
 _BLOCK = 16
 
 
@@ -138,16 +145,22 @@ def _replicate_sums(cfg: VerifyConfig, check: int) -> tuple[np.ndarray, np.ndarr
     """`ipw_sums` and `pl_sums` of every replicate log of a coverage check, as two (reps, X, A) arrays.
 
     Replicate rep is the log generate_logs(cfg.env, cfg.n, seed=(cfg.seed, check, rep))
-    draws, from its own stream; a block's sums are bitwise each replicate's own.
+    draws, from its own stream. A block's records are summed as one log over
+    the contexts (rep, x), so its sums are bitwise each replicate's own.
     """
-    shape = (-1, cfg.env.num_contexts, cfg.env.num_actions)
+    env = cfg.env
+    num_contexts, num_actions = env.num_contexts, env.num_actions
+    inverse_mu = 1.0 / env.mu_table
+    keys = simulator.seed_sequence_keys((cfg.seed, check), np.arange(cfg.reps))
     ipw, pl = [], []
-    for start in range(0, cfg.reps, _BLOCK):
-        seeds = [(cfg.seed, check, rep) for rep in range(start, min(start + _BLOCK, cfg.reps))]
-        block = simulator.generate_log_block(cfg.env, cfg.n, seeds)
-        ipw.append(block.ipw_sums.reshape(shape))
-        pl.append(block.pl_sums.reshape(shape))
-    return np.concatenate(ipw), np.concatenate(pl)
+    for xs, actions, losses in simulator.keyed_discrete_logs(env, cfg.n, keys, _BLOCK):
+        num_ids = len(xs) * num_contexts
+        ids = (xs + num_contexts * np.arange(len(xs))[:, None]).ravel()
+        xs, actions = xs.ravel(), actions.ravel()
+        ipw.append(cell_sums(losses.ravel() / env.mu_table[xs, actions], ids, actions, num_ids, num_actions))
+        pl.append(context_sums(inverse_mu.take(xs, axis=0), ids, num_ids))
+    shape = (cfg.reps, num_contexts, num_actions)
+    return np.concatenate(ipw).reshape(shape), np.concatenate(pl).reshape(shape)
 
 
 def _scores(table: np.ndarray, sums: np.ndarray, n: int) -> list[float]:

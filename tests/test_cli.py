@@ -1057,6 +1057,7 @@ class TestFlagValues:
             ("verify", "--alpha", "inf"),
             ("verify", "--reps", "0"),
             ("verify", "--reps", "-3"),
+            ("verify", "--reps", "4294967297"),
             ("verify", "--n", "0"),
             ("verify", "--alpha", "1.5"),
             ("verify", "--alpha", "0"),

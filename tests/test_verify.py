@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,6 +53,33 @@ class TestReplicateSums:
             assert pl_sums[rep].tobytes() == data.pl_sums.tobytes()
 
 
+# SHA-256 of the bytes of _replicate_sums(cfg, check), ipw_sums then pl_sums,
+# at reps 300 and n 500. The sums pass through np.bincount only, no BLAS call,
+# so they are the same bytes on any CPU. 2**40 + 3 is a seed of two 32-bit words.
+REPLICATE_SUMS_SHA256 = {
+    ("demo", 0, 5): "07159b5b1303ba8717f6cad78db11f255e6385b389fb805ae570a5fbe73b3633",
+    ("demo", 0, 6): "2140cdc9ed8974e0b145b10ea1988d74b80e52cc4b2e991681f53d4c1eaf2e1a",
+    ("demo", 0, 7): "cf9afd8563e435a1e3072cd3ce717287243429ba78b2c6412221f89ee112864b",
+    ("demo", 2**40 + 3, 5): "c869620a17c77b8c04300256407f3174c40338248a93e73fe251d6d5eed007e0",
+    ("demo", 2**40 + 3, 6): "d077f84e86904e5ba82ef5eeae6cc37659a8c56910efbe21b8f7a415625d13fb",
+    ("demo", 2**40 + 3, 7): "b2f7662953a3d124a6442113abd1702d8d45705a892c502e02116179679d1f90",
+    ("hard", 0, 5): "b4e44edeec5206342fb30777f1a9035ca9d3926d6498e608e533e347bec3af7a",
+    ("hard", 0, 6): "9755c20c523815fc66b7b8063de39353f3fae976d1e7e615fc2c97e0313a73b8",
+    ("hard", 0, 7): "be23b3e1e181170004f92b81fc30b5f3738e6c1d6bb81addfde851f0620608f1",
+    ("hard", 2**40 + 3, 5): "9e6c20c214eb05013c8a95adbfe5b401e2c412f6a3c5e6006f223b35e87a010b",
+    ("hard", 2**40 + 3, 6): "b0f1f8a2a984c76b9d21dedd87b0ad182da99e520762b9eecae46cfc9940b255",
+    ("hard", 2**40 + 3, 7): "e125f5b3969d1f77357bc650b7dfecba7a0f50c1c147a256c803e5f25065562f",
+}
+
+
+@pytest.mark.parametrize("env_name, seed, check", REPLICATE_SUMS_SHA256)
+def test_replicate_sums_bytes_pinned(env_name, seed, check):
+    cfg = verify.VerifyConfig(env=ENVS[env_name](seed), reps=300, seed=seed, n=500)
+    ipw_sums, pl_sums = verify._replicate_sums(cfg, check)
+    digest = hashlib.sha256(ipw_sums.tobytes() + pl_sums.tobytes()).hexdigest()
+    assert digest == REPLICATE_SUMS_SHA256[env_name, seed, check]
+
+
 class TestCoverageChecks:
     @pytest.mark.parametrize("check", COVERAGE_CHECKS)
     @pytest.mark.parametrize("env_name", ENVS)
@@ -96,6 +126,12 @@ class TestVerifyConfig:
             ("alpha", 0.0, r"alpha must lie in \(0, 1\), not 0.0"),
             ("alpha", 1.0, r"alpha must lie in \(0, 1\), not 1.0"),
             ("alpha", float("nan"), r"alpha must lie in \(0, 1\), not nan"),
+            ("reps", 2**32 + 1, r"reps must be <= 2\*\*32, not 4294967297"),
+            ("seed", -1, "seed must be an integer >= 0, not -1"),
+            ("seed", 1.5, "seed must be an integer >= 0, not 1.5"),
+            ("seed", True, "seed must be an integer >= 0, not True"),
+            ("seed", np.int64(3), "seed must be an integer >= 0, not " + re.escape(repr(np.int64(3)))),
+            ("seed", "0", "seed must be an integer >= 0, not '0'"),
         ],
     )
     def test_bad_field_raises_naming_it(self, field, value, message):
