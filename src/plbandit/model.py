@@ -202,19 +202,6 @@ def context_sums(values: np.ndarray, context_ids: np.ndarray, num_contexts: int)
     return summed
 
 
-def cell_sums(
-    values: np.ndarray, context_ids: np.ndarray, actions: np.ndarray, num_contexts: int, num_actions: int
-) -> np.ndarray:
-    """Record values summed per (context, action) cell, as a (num_contexts, num_actions) array.
-
-    One np.bincount over the flat cell index, which adds each cell's values in
-    record order.
-    """
-    cells = context_ids * num_actions + actions
-    summed = np.bincount(cells, weights=values, minlength=num_contexts * num_actions)
-    return summed.reshape(num_contexts, num_actions)
-
-
 # PolicyClass.member_sums stacks at most this many (member, context, action)
 # table cells at a time: 2**13 cells (64 KiB) hold 256 members of 8 contexts
 # x 4 actions.
@@ -450,8 +437,10 @@ class LoggedDataset:
         """
         logged = self.propensities.take(_logged_cells(self))
         check_floor(logged)
-        summed = cell_sums(self.losses / logged, self._finite_ids(), self.actions, self.num_contexts, self.num_actions)
-        return _frozen(summed)
+        # One np.bincount over the flat cell index adds each cell's values in record order.
+        cells = self._finite_ids() * self.num_actions + self.actions
+        summed = np.bincount(cells, weights=self.losses / logged, minlength=self.num_contexts * self.num_actions)
+        return _frozen(summed.reshape(self.num_contexts, self.num_actions))
 
     @cached_property
     def pl_sums(self) -> np.ndarray:

@@ -15,15 +15,7 @@ import numpy as np
 
 from . import continuous as cont
 from . import csc, estimators, simulator
-from .model import (
-    LoggedDataset,
-    PolicyClass,
-    cell_sums,
-    class_stats,
-    context_sums,
-    deterministic_class,
-    validate_dataset,
-)
+from .model import LoggedDataset, PolicyClass, class_stats, deterministic_class, validate_dataset
 
 
 @dataclass
@@ -43,6 +35,10 @@ class VerifyConfig:
     dataset: LoggedDataset | None = None  # externally supplied dataset to validate
 
     def __post_init__(self):
+        for name in ("reps", "n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.reps < 1:
             raise ValueError(f"reps must be >= 1, not {self.reps}")
         # Each replicate index is one 32-bit word of its seed (seed_sequence_keys).
@@ -75,17 +71,23 @@ def check_discrete_reduction(cfg: VerifyConfig) -> CheckResult:
     rng = simulator.make_rng((cfg.seed, 2))
     worst = 0.0
     betas = [0.01, 0.1, 1.0]
+    # Each (X, A) class and its explicit copy, built once: both hold the same
+    # members, each decoded once, so the identity checks below still hold.
+    classes: dict[tuple[int, int], tuple[PolicyClass, PolicyClass]] = {}
     for i in range(30):
         num_contexts = int(rng.integers(1, 5))
         num_actions = int(rng.integers(2, 4))
         env = simulator.random_environment(rng, num_contexts, num_actions)
         data = simulator.generate_logs(env, int(rng.integers(1, 9)), seed=(cfg.seed, 2, i))
         beta = betas[i % len(betas)]
-        pclass = deterministic_class(num_contexts, num_actions)
+        if (num_contexts, num_actions) not in classes:
+            pclass = deterministic_class(num_contexts, num_actions)
+            classes[num_contexts, num_actions] = pclass, PolicyClass.from_members(pclass.members)
+        pclass, explicit_class = classes[num_contexts, num_actions]
         learned, value = csc.train_ipw_pl(data, beta, csc.EnumerationOracle(), pclass)
         reference, ref_value = csc.brute_force_argmin(data, beta, pclass)
         costs = csc.build_modified_costs(data, beta)
-        explicit = csc.EnumerationOracle().solve(costs, PolicyClass.from_members(pclass.members))
+        explicit = csc.EnumerationOracle().solve(costs, explicit_class)
         pointwise = csc.PointwiseArgminOracle(num_contexts=num_contexts).solve(costs)
         agree = {
             "enumeration": learned is reference,
@@ -134,7 +136,7 @@ def check_variance_domination(cfg: VerifyConfig) -> CheckResult:
     return CheckResult("variance_domination", worst <= 1e-10, {"max_violation": worst})
 
 
-# The coverage checks draw and sum their replicate logs in blocks of _BLOCK,
+# The coverage checks draw and count their replicate logs in blocks of _BLOCK,
 # which bounds their memory. Blocks of 25 raised the peak resident size of
 # `verify --reps 300 --n 500` by about 0.8 MB and saved little time; blocks of
 # 16 did not raise it.
@@ -145,22 +147,41 @@ def _replicate_sums(cfg: VerifyConfig, check: int) -> tuple[np.ndarray, np.ndarr
     """`ipw_sums` and `pl_sums` of every replicate log of a coverage check, as two (reps, X, A) arrays.
 
     Replicate rep is the log generate_logs(cfg.env, cfg.n, seed=(cfg.seed, check, rep))
-    draws, from its own stream. A block's records are summed as one log over
-    the contexts (rep, x), so its sums are bitwise each replicate's own.
+    draws, from its own stream. Every record a log puts in cell (x, a) adds the
+    same weights: 1/mu(b|x) to pl_sums[x, b] for every action b, and to
+    ipw_sums[x, a] 1/mu(a|x) when its Bernoulli loss is 1, loss_means[x, a]/mu(a|x)
+    without noise, and 0.0 when its loss is 0. So each block of _BLOCK logs is
+    reduced to one np.bincount of its records per (rep, x, a, loss > 0).
+    np.bincount adds a cell's weights one at a time from 0.0, and adding 0.0
+    leaves a non-negative sum as it is, so a sum of k records is row k of the
+    running sum of its weight from 0.0: one np.cumsum per context, as long as
+    the largest count any replicate has there, indexed by every replicate's
+    count. The sums are bitwise each replicate's own LoggedDataset sums.
     """
     env = cfg.env
     num_contexts, num_actions = env.num_contexts, env.num_actions
-    inverse_mu = 1.0 / env.mu_table
     keys = simulator.seed_sequence_keys((cfg.seed, check), np.arange(cfg.reps))
-    ipw, pl = [], []
+    cells = num_contexts * num_actions * 2
+    blocks = []
     for xs, actions, losses in simulator.keyed_discrete_logs(env, cfg.n, keys, _BLOCK):
-        num_ids = len(xs) * num_contexts
-        ids = (xs + num_contexts * np.arange(len(xs))[:, None]).ravel()
-        xs, actions = xs.ravel(), actions.ravel()
-        ipw.append(cell_sums(losses.ravel() / env.mu_table[xs, actions], ids, actions, num_ids, num_actions))
-        pl.append(context_sums(inverse_mu.take(xs, axis=0), ids, num_ids))
-    shape = (cfg.reps, num_contexts, num_actions)
-    return np.concatenate(ipw).reshape(shape), np.concatenate(pl).reshape(shape)
+        index = (xs * num_actions + actions) * 2 + (losses > 0) + cells * np.arange(len(xs))[:, None]
+        blocks.append(np.bincount(index.ravel(), minlength=len(xs) * cells))
+    counts = np.concatenate(blocks).reshape(cfg.reps, num_contexts, num_actions, 2)
+    positive, per_context = counts[..., 1], counts.sum(axis=(2, 3))
+    loss_weights = 1.0 if env.bernoulli_noise else env.loss_means
+    # Row x: context x's ipw weight per action, then its pl weight per action.
+    steps = np.hstack([loss_weights / env.mu_table, 1.0 / env.mu_table])
+    ipw = np.empty(positive.shape)
+    pl = np.empty(positive.shape)
+    columns = np.arange(num_actions)
+    for x in range(num_contexts):
+        # Row k of the running sum from 0.0 down axis 0 is k weights added in turn.
+        table = np.zeros((int(per_context[:, x].max()) + 1, 2 * num_actions))
+        table[1:] = steps[x]
+        table = table.cumsum(axis=0)
+        ipw[:, x] = table[positive[:, x], columns]
+        pl[:, x] = table[per_context[:, x, None], num_actions + columns]
+    return ipw, pl
 
 
 def _scores(table: np.ndarray, sums: np.ndarray, n: int) -> list[float]:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plbandit import cli, csc, model, simulator, verify
-from plbandit.model import DeterministicPolicy, PolicyClass
+from plbandit.model import DeterministicPolicy, PolicyClass, TabularPolicy
 
 from verify_reference import (
     reference_check_confidence_coverage,
@@ -52,10 +53,64 @@ class TestReplicateSums:
             assert ipw_sums[rep].tobytes() == data.ipw_sums.tobytes()
             assert pl_sums[rep].tobytes() == data.pl_sums.tobytes()
 
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_unreachable_context_and_exact_zero_and_one_means(self, noise):
+        # Context 1 is never drawn, and cells with mean 0.0 or 1.0 give records of
+        # one loss only; 2 * _BLOCK + 1 replicates end in a block of one log.
+        env = simulator.SyntheticEnvironment(
+            context_dist=np.array([0.6, 0.0, 0.4]),
+            loss_means=np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.5], [0.0, 0.75, 1.0]]),
+            logging_policy=TabularPolicy(np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.1, 0.8]])),
+            bernoulli_noise=noise,
+        )
+        reps = 2 * verify._BLOCK + 1
+        cfg = verify.VerifyConfig(env=env, reps=reps, seed=9, n=40)
+        ipw_sums, pl_sums = verify._replicate_sums(cfg, 6)
+        assert not pl_sums[:, 1].any()
+        for rep in range(reps):
+            data = simulator.generate_logs(env, cfg.n, seed=(cfg.seed, 6, rep))
+            assert ipw_sums[rep].tobytes() == data.ipw_sums.tobytes()
+            assert pl_sums[rep].tobytes() == data.pl_sums.tobytes()
+
+    @given(
+        weights=st.lists(
+            st.sampled_from([5e-324, 1e-300, 1e12, 1e300]) | st.floats(0.0, 1e300), min_size=1, max_size=6
+        ),
+        count=st.integers(0, 2000),
+        zeros=st.integers(0, 200),
+        order_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_running_sum_row_is_the_bincount_of_repeated_weights(self, weights, count, zeros, order_seed):
+        """The identity _replicate_sums rests on: row k of the running sum from 0.0
+        of a repeated weight is np.bincount of k records of that weight, bit for
+        bit, whatever 0.0-weight records lie between them."""
+        table = np.zeros((count + 1, len(weights)))
+        table[1:] = weights
+        table = table.cumsum(axis=0)
+        order = np.random.default_rng(order_seed).permutation(count + zeros) < count
+        for column, weight in enumerate(weights):
+            summed = np.bincount(np.zeros(count + zeros, dtype=np.int64), weights=order * weight, minlength=1)
+            assert table[count, column].tobytes() == summed[0].tobytes()
+
+    def test_peak_memory_stays_below_one_full_count_table(self):
+        # A table of every cell's running sum, (X * A, n + 1) floats, is what the
+        # per-context tables avoid.
+        num_contexts, num_actions, n = 64, 8, 20_000
+        env = simulator.random_environment(5, num_contexts, num_actions)
+        cfg = verify.VerifyConfig(env=env, reps=32, seed=0, n=n)
+        tracemalloc.start()
+        try:
+            verify._replicate_sums(cfg, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * num_contexts * num_actions * (n + 1)
+
 
 # SHA-256 of the bytes of _replicate_sums(cfg, check), ipw_sums then pl_sums,
-# at reps 300 and n 500. The sums pass through np.bincount only, no BLAS call,
-# so they are the same bytes on any CPU. 2**40 + 3 is a seed of two 32-bit words.
+# at reps 300 and n 500. The sums pass through np.bincount and np.cumsum only,
+# no BLAS call, so they are the same bytes on any CPU. 2**40 + 3 is a seed of
+# two 32-bit words.
 REPLICATE_SUMS_SHA256 = {
     ("demo", 0, 5): "07159b5b1303ba8717f6cad78db11f255e6385b389fb805ae570a5fbe73b3633",
     ("demo", 0, 6): "2140cdc9ed8974e0b145b10ea1988d74b80e52cc4b2e991681f53d4c1eaf2e1a",
@@ -132,6 +187,12 @@ class TestVerifyConfig:
             ("seed", True, "seed must be an integer >= 0, not True"),
             ("seed", np.int64(3), "seed must be an integer >= 0, not " + re.escape(repr(np.int64(3)))),
             ("seed", "0", "seed must be an integer >= 0, not '0'"),
+            ("reps", 2.5, "reps must be an integer, not 2.5"),
+            ("n", 2.5, "n must be an integer, not 2.5"),
+            ("reps", True, "reps must be an integer, not True"),
+            ("n", True, "n must be an integer, not True"),
+            ("reps", "300", "reps must be an integer, not '300'"),
+            ("n", np.int64(500), "n must be an integer, not " + re.escape(repr(np.int64(500)))),
         ],
     )
     def test_bad_field_raises_naming_it(self, field, value, message):
