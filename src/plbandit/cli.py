@@ -421,7 +421,7 @@ def _positive_int(text: str) -> int:
 
 
 def _reps(text: str) -> int:
-    """verify --reps: an integer in [1, 2**32], one 32-bit seed word per replicate index."""
+    """verify --reps: an integer in [1, 2**32]."""
     value = _positive_int(text)
     if value > 2**32:
         raise argparse.ArgumentTypeError(f"must be at most 2**32, not '{text}'")

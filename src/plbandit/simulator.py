@@ -13,13 +13,6 @@ are bit-reproducible.
 An environment's fields are not changed after construction; its logging pmf
 table and cdfs are built on first use and kept. Generation draws one stream
 per dataset, in order, so a seed fixes the dataset. plbandit runs no threads.
-
-A seeded Philox stream is fixed by its key, which numpy's SeedSequence hashes
-from the seed, and a zero counter. `seed_sequence_keys` runs that hash for
-every seed (*prefix, r) of a run of indices r in one pass over uint32 arrays,
-and `keyed_discrete_logs` draws each keyed log from one Philox re-keyed per
-log: the logs generate_logs draws for those seeds, bit for bit, without a
-generator per seed.
 """
 
 from __future__ import annotations
@@ -59,73 +52,6 @@ def make_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.Generator(np.random.Philox(seed_or_rng))
-
-
-# The constants of numpy's SeedSequence (O'Neill's seed_seq_fe): its pool of
-# four 32-bit words, the multipliers of its entropy hash, of its output hash
-# and of its pool mix. They step as Python ints masked to 32 bits, and become
-# np.uint32 only to multiply uint32 arrays, which wrap without a warning;
-# numpy 1.24 warns when uint32 scalars overflow.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _int_words(value: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence expands an int entropy into; 0 is one word."""
-    if value < 0:
-        raise ValueError(f"seed entries must be integers >= 0, not {value}")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def seed_sequence_keys(prefix, replicates) -> np.ndarray:
-    """The Philox key of every seed (*prefix, r), r in `replicates`, as a (len(replicates), 2) uint64 array.
-
-    Row i is np.random.SeedSequence((*prefix, replicates[i])).generate_state(2, np.uint64),
-    the key that np.random.Philox((*prefix, r)) runs from a zero counter. It is
-    SeedSequence's algorithm run once over uint32 columns, one entry per
-    replicate: each replicate index, below 2**32, is one entropy word.
-    """
-    words = [word for value in prefix for word in _int_words(value)]
-    replicates = np.asarray(replicates)
-    if replicates.size and not (replicates.min() >= 0 and replicates.max() <= _MASK32):
-        raise ValueError("replicate indices must lie in [0, 2**32)")
-    entropy = [np.full(len(replicates), word, dtype=np.uint32) for word in words]
-    entropy.append(replicates.astype(np.uint32))
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ value >> 16
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ result >> 16
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_const = _INIT_B
-    state = np.empty((len(replicates), _POOL_SIZE), dtype=np.uint32)
-    for i, word in enumerate(pool):
-        word = word ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * np.uint32(hash_const)
-        state[:, i] = word ^ word >> 16
-    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,8 +153,7 @@ def generate_logs(env, n: int, seed: int):
         raise ValueError("n must be >= 1")
     if isinstance(env, ContinuousEnvironment):
         return _generate_continuous(env, n, make_rng(seed))
-    # One call of rng.random(k * n) draws what k calls of rng.random(n) do.
-    xs, actions, losses = _draw_discrete(env, make_rng(seed).random(_draws_per_record(env) * n).reshape(-1, n))
+    xs, actions, losses = _draw_discrete(env, n, make_rng(seed))
     return LoggedDataset(
         actions=actions,
         losses=losses,
@@ -238,57 +163,25 @@ def generate_logs(env, n: int, seed: int):
     )
 
 
-def keyed_discrete_logs(env: SyntheticEnvironment, n: int, keys: np.ndarray, block: int):
-    """The records of the discrete logs whose Philox keys are `keys`, `block` logs at a time.
+def _draw_discrete(env: SyntheticEnvironment, n: int, rng: np.random.Generator):
+    """Context ids, actions and losses of n records.
 
-    Yields (xs, actions, losses) for each run of `block` keys, each a (logs, n)
-    array. Row i is the log generate_logs(env, n, seed) draws for the seed whose
-    SeedSequence key (seed_sequence_keys) is its key: a seeded Philox is its key
-    and a zero counter, so one Philox, re-keyed per log, draws every stream.
+    Row 0 of the uniforms draws the contexts, row 1 the actions and row 2,
+    with Bernoulli noise, the losses; one call of rng.random((k, n)) draws
+    what k calls of rng.random(n) do. These are the draws
+    rng.choice(p=context_dist) and _sample_categorical make, from the
+    environment's cached cdfs: the same records. _sample_categorical counts
+    the cdf entries below u, capped at A - 1; the cdf never decreases, so
+    that is the count over the first A - 1 entries. The uniforms are freed on
+    return, before the dataset is built.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    rng = np.random.Generator(np.random.Philox(0))
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    uniforms = np.empty((min(block, len(keys)), _draws_per_record(env) * n))
-    for start in range(0, len(keys), block):
-        rows = uniforms[: len(keys) - start]
-        for row, key in zip(rows, keys[start : start + block]):
-            state["state"]["key"] = key
-            rng.bit_generator.state = state
-            rng.random(out=row)
-        yield _draw_discrete(env, rows.reshape(len(rows), -1, n))
-
-
-def _draws_per_record(env: SyntheticEnvironment) -> int:
-    """Uniforms per record: a context, an action and, with Bernoulli noise, the loss."""
-    return 3 if env.bernoulli_noise else 2
-
-
-def _draw_discrete(env: SyntheticEnvironment, uniforms: np.ndarray):
-    """Context ids, actions and losses of records, from uniforms of shape (..., k, n).
-
-    Row 0 draws the contexts, row 1 the actions and row 2, with Bernoulli
-    noise, the losses. These are the draws rng.choice(p=context_dist) and
-    _sample_categorical make, from the environment's cached cdfs: the same
-    records. _sample_categorical counts the cdf entries below u, capped at
-    A - 1; the cdf never decreases, so that is the count over the first
-    A - 1 entries.
-    """
-    xs = env.context_cdf.searchsorted(uniforms[..., 0, :], side="right")
-    u = uniforms[..., 1, :]
-    actions = np.zeros(xs.shape, dtype=np.int64)
+    uniforms = rng.random((3 if env.bernoulli_noise else 2, n))
+    xs = env.context_cdf.searchsorted(uniforms[0], side="right")
+    actions = np.zeros(n, dtype=np.int64)
     for cdf in env.mu_cdf_columns:
-        actions += u > cdf.take(xs)
+        actions += uniforms[1] > cdf.take(xs)
     means = env.loss_means[xs, actions]
-    losses = (uniforms[..., 2, :] < means).astype(float) if env.bernoulli_noise else means
+    losses = (uniforms[2] < means).astype(float) if env.bernoulli_noise else means
     return xs, actions, losses
 
 

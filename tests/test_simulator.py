@@ -106,62 +106,6 @@ class TestGenerateLogs:
         assert abs(var - estimators.exact_variance(mu, env)) <= 3 * var_se
 
 
-def seed_sequence_key(entropy) -> np.ndarray:
-    return np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-
-
-class TestSeedSequenceKeys:
-    @given(
-        prefix=st.lists(st.integers(0, 2**130), max_size=5),
-        replicates=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8),
-    )
-    def test_equal_to_seed_sequence(self, prefix, replicates):
-        keys = simulator.seed_sequence_keys(prefix, np.array(replicates, dtype=np.uint64))
-        assert keys.dtype == np.uint64 and keys.shape == (len(replicates), 2)
-        for key, r in zip(keys, replicates):
-            assert key.tobytes() == seed_sequence_key((*prefix, r)).tobytes()
-
-    @given(
-        prefix=st.lists(st.integers(0, 2**130), min_size=4, max_size=7),
-        r=st.integers(0, 2**32 - 1),
-    )
-    def test_entropy_longer_than_the_pool(self, prefix, r):
-        # At least four prefix words and the replicate's: five or more words for a pool of four.
-        [key] = simulator.seed_sequence_keys(prefix, [r])
-        assert key.tobytes() == seed_sequence_key((*prefix, r)).tobytes()
-
-    def test_keys_run_the_seeded_streams(self):
-        keys = simulator.seed_sequence_keys((3, 7), np.arange(4))
-        for r, key in enumerate(keys):
-            keyed = np.random.Generator(np.random.Philox(key=key)).random(9)
-            assert keyed.tobytes() == simulator.make_rng((3, 7, r)).random(9).tobytes()
-
-    def test_negative_prefix_raises_as_seed_sequence_does(self):
-        with pytest.raises(ValueError):
-            seed_sequence_key((0, -1, 0))
-        with pytest.raises(ValueError):
-            simulator.seed_sequence_keys((0, -1), [0])
-
-    @pytest.mark.parametrize("r", [-1, 2**32])
-    def test_replicate_index_beyond_one_word_raises(self, r):
-        with pytest.raises(ValueError, match="replicate indices"):
-            simulator.seed_sequence_keys((0,), np.array([0, r]))
-
-
-class TestKeyedDiscreteLogs:
-    @pytest.mark.parametrize("block", [1, 3, 16])
-    @pytest.mark.parametrize("noise", [True, False])
-    def test_each_log_is_its_seeds_generate_logs(self, block, noise):
-        env = simulator.random_environment(33, 3, 4, bernoulli_noise=noise)
-        keys = simulator.seed_sequence_keys((5, 6), np.arange(7))
-        logs = [log for blocks in simulator.keyed_discrete_logs(env, 20, keys, block) for log in zip(*blocks)]
-        assert len(logs) == len(keys)
-        for r, (xs, actions, losses) in enumerate(logs):
-            data = generate_logs(env, 20, seed=(5, 6, r))
-            assert np.array_equal(xs, data.context_ids) and np.array_equal(actions, data.actions)
-            assert losses.tobytes() == data.losses.tobytes()
-
-
 class TestExactRisk:
     def test_argmin_policy_achieves_minimum(self):
         env = simulator.random_environment(21, 3, 4)

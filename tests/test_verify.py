@@ -1,13 +1,15 @@
 import hashlib
 import re
 import tracemalloc
+from statistics import NormalDist
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plbandit import cli, csc, model, simulator, verify
+from plbandit import cli, csc, estimators, model, simulator, verify
 from plbandit.model import DeterministicPolicy, PolicyClass, TabularPolicy
 
 from verify_reference import (
@@ -30,6 +32,20 @@ ENVS = {
 }
 
 
+def edge_environment(noise: bool) -> simulator.SyntheticEnvironment:
+    """Context 1 is never drawn, and cells with mean 0.0 or 1.0 give records of one loss only."""
+    return simulator.SyntheticEnvironment(
+        context_dist=np.array([0.6, 0.0, 0.4]),
+        loss_means=np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.5], [0.0, 0.75, 1.0]]),
+        logging_policy=TabularPolicy(np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.1, 0.8]])),
+        bernoulli_noise=noise,
+    )
+
+
+def replicate_sums(cfg, check):
+    return verify._replicate_sums(cfg.env, verify._replicate_counts(cfg, check))
+
+
 class TestReplicateSums:
     @given(
         env_seed=st.integers(0, 2**16),
@@ -37,38 +53,50 @@ class TestReplicateSums:
         num_actions=st.integers(2, 4),
         n=st.integers(1, 60),
         noise=st.booleans(),
-        reps=st.sampled_from([1, verify._BLOCK, 2 * verify._BLOCK + 3]),
+        reps=st.sampled_from([1, 2, 17]),
         seed=st.integers(0, 2**16),
         check=st.sampled_from([5, 6, 7]),
+        order_seed=st.integers(0, 2**32 - 1),
     )
     def test_each_replicate_is_bitwise_its_own_log(
-        self, env_seed, num_contexts, num_actions, n, noise, reps, seed, check
+        self, env_seed, num_contexts, num_actions, n, noise, reps, seed, check, order_seed
     ):
+        """Each replicate's sums are bitwise its counted dataset's, and those of
+        the same records in any order."""
         env = simulator.random_environment(env_seed, num_contexts, num_actions, bernoulli_noise=noise)
         cfg = verify.VerifyConfig(env=env, reps=reps, seed=seed, n=n)
-        ipw_sums, pl_sums = verify._replicate_sums(cfg, check)
+        counts = verify._replicate_counts(cfg, check)
+        ipw_sums, pl_sums = verify._replicate_sums(env, counts)
         assert ipw_sums.shape == pl_sums.shape == (reps, num_contexts, num_actions)
+        order = np.random.default_rng(order_seed).permutation(n)
         for rep in range(reps):
-            data = simulator.generate_logs(env, n, seed=(seed, check, rep))
-            assert ipw_sums[rep].tobytes() == data.ipw_sums.tobytes()
-            assert pl_sums[rep].tobytes() == data.pl_sums.tobytes()
+            data = verify._counted_dataset(env, counts[rep])
+            shuffled = model.LoggedDataset(
+                actions=data.actions[order],
+                losses=data.losses[order],
+                propensities=data.propensities[order],
+                context_ids=data.context_ids[order],
+                num_contexts=num_contexts,
+            )
+            for logged in (data, shuffled):
+                assert ipw_sums[rep].tobytes() == logged.ipw_sums.tobytes()
+                assert pl_sums[rep].tobytes() == logged.pl_sums.tobytes()
 
     @pytest.mark.parametrize("noise", [True, False])
     def test_unreachable_context_and_exact_zero_and_one_means(self, noise):
-        # Context 1 is never drawn, and cells with mean 0.0 or 1.0 give records of
-        # one loss only; 2 * _BLOCK + 1 replicates end in a block of one log.
-        env = simulator.SyntheticEnvironment(
-            context_dist=np.array([0.6, 0.0, 0.4]),
-            loss_means=np.array([[0.0, 1.0, 0.3], [1.0, 0.0, 0.5], [0.0, 0.75, 1.0]]),
-            logging_policy=TabularPolicy(np.array([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6], [0.1, 0.1, 0.8]])),
-            bernoulli_noise=noise,
-        )
-        reps = 2 * verify._BLOCK + 1
-        cfg = verify.VerifyConfig(env=env, reps=reps, seed=9, n=40)
-        ipw_sums, pl_sums = verify._replicate_sums(cfg, 6)
+        env = edge_environment(noise)
+        means = env.loss_means
+        cfg = verify.VerifyConfig(env=env, reps=33, seed=9, n=40)
+        counts = verify._replicate_counts(cfg, 6)
+        assert not counts[:, 1].any()
+        assert not counts[:, means == 0.0, 1].any()
+        # A loss-0 record needs a mean below 1 with noise, and a mean of 0 without.
+        assert not counts[:, means == 1.0 if noise else means > 0, 0].any()
+        ipw_sums, pl_sums = verify._replicate_sums(env, counts)
         assert not pl_sums[:, 1].any()
-        for rep in range(reps):
-            data = simulator.generate_logs(env, cfg.n, seed=(cfg.seed, 6, rep))
+        for rep in range(cfg.reps):
+            data = verify._counted_dataset(env, counts[rep])
+            assert data.n == cfg.n
             assert ipw_sums[rep].tobytes() == data.ipw_sums.tobytes()
             assert pl_sums[rep].tobytes() == data.pl_sums.tobytes()
 
@@ -100,37 +128,88 @@ class TestReplicateSums:
         cfg = verify.VerifyConfig(env=env, reps=32, seed=0, n=n)
         tracemalloc.start()
         try:
-            verify._replicate_sums(cfg, 5)
+            replicate_sums(cfg, 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * num_contexts * num_actions * (n + 1)
 
 
-# SHA-256 of the bytes of _replicate_sums(cfg, check), ipw_sums then pl_sums,
-# at reps 300 and n 500. The sums pass through np.bincount and np.cumsum only,
-# no BLAS call, so they are the same bytes on any CPU. 2**40 + 3 is a seed of
-# two 32-bit words.
+class TestCellCounts:
+    @pytest.mark.parametrize("env_name", ["demo", "random-noiseless"])
+    def test_mean_counts_are_n_times_the_cell_probabilities(self, env_name):
+        env = ENVS[env_name](0)
+        cfg = verify.VerifyConfig(env=env, reps=20_000, seed=0, n=500)
+        counts = verify._replicate_counts(cfg, 6)
+        p = verify._cell_probabilities(env)
+        assert (counts.sum(axis=(1, 2, 3)) == cfg.n).all()
+        # Within 5 standard errors of a mean of 20 000 Binomial(n, p) counts per
+        # cell; a cell of probability 0 has no records at all.
+        se = np.sqrt(cfg.n * p * (1.0 - p) / cfg.reps)
+        assert (np.abs(counts.mean(axis=0) - cfg.n * p) <= 5.0 * se).all()
+
+    @pytest.mark.parametrize(
+        "env",
+        [ENVS["demo"](0), ENVS["random-noiseless"](0), edge_environment(True), edge_environment(False)],
+        ids=["demo", "random-noiseless", "edge-noisy", "edge-noiseless"],
+    )
+    def test_cell_probabilities_are_the_record_generators(self, env):
+        """The count model and generate_logs agree: the cell frequencies of
+        200 000 generated records lie within 5 standard errors of the cell
+        probabilities, and a cell of probability 0 gets no record."""
+        data = simulator.generate_logs(env, 200_000, seed=3)
+        cells = (data.context_ids * env.num_actions + data.actions) * 2 + (data.losses > 0)
+        p = verify._cell_probabilities(env).ravel()
+        frequency = np.bincount(cells, minlength=p.size) / data.n
+        assert (np.abs(frequency - p) <= 5.0 * np.sqrt(p * (1.0 - p) / data.n)).all()
+
+    def test_context_dist_above_one_within_tolerance(self):
+        # context_dist sums to 1 + 9e-10, inside PMF_ATOL, and the last cell
+        # (last context, last action, loss 1) has mean 0, so the cells before it
+        # sum to more than the 1 + 1e-12 that Generator.multinomial accepts.
+        env = simulator.SyntheticEnvironment(
+            context_dist=np.array([0.5, 0.5 + 9e-10]),
+            loss_means=np.array([[0.2, 0.7], [0.4, 0.0]]),
+            logging_policy=TabularPolicy(np.array([[0.5, 0.5], [0.3, 0.7]])),
+        )
+        means = env.loss_means
+        unnormalized = (env.context_dist[:, None] * env.mu_table)[..., None] * np.stack([1 - means, means], -1)
+        with pytest.raises(ValueError):
+            simulator.make_rng(0).multinomial(10, unnormalized.ravel())
+        cfg = verify.VerifyConfig(env=env, reps=50, seed=0, n=100)
+        for check in (5, 6, 7):
+            assert (verify._replicate_counts(cfg, check).sum(axis=(1, 2, 3)) == cfg.n).all()
+        for batched, _ in COVERAGE_CHECKS.values():
+            details = batched(cfg).details
+            assert "coverage" in details and "batch_mismatch" not in details
+
+
+# SHA-256 of the bytes of a coverage check's replicate sums, ipw_sums then
+# pl_sums, at reps 300 and n 500. The counts come from Generator.multinomial,
+# and the sums pass through np.cumsum only, no BLAS call, so they are the same
+# bytes on any CPU. numpy's stream policy lets multinomial draws change
+# between numpy versions; these are the draws of numpy 2.4. 2**40 + 3 is a
+# seed of two 32-bit words.
 REPLICATE_SUMS_SHA256 = {
-    ("demo", 0, 5): "07159b5b1303ba8717f6cad78db11f255e6385b389fb805ae570a5fbe73b3633",
-    ("demo", 0, 6): "2140cdc9ed8974e0b145b10ea1988d74b80e52cc4b2e991681f53d4c1eaf2e1a",
-    ("demo", 0, 7): "cf9afd8563e435a1e3072cd3ce717287243429ba78b2c6412221f89ee112864b",
-    ("demo", 2**40 + 3, 5): "c869620a17c77b8c04300256407f3174c40338248a93e73fe251d6d5eed007e0",
-    ("demo", 2**40 + 3, 6): "d077f84e86904e5ba82ef5eeae6cc37659a8c56910efbe21b8f7a415625d13fb",
-    ("demo", 2**40 + 3, 7): "b2f7662953a3d124a6442113abd1702d8d45705a892c502e02116179679d1f90",
-    ("hard", 0, 5): "b4e44edeec5206342fb30777f1a9035ca9d3926d6498e608e533e347bec3af7a",
-    ("hard", 0, 6): "9755c20c523815fc66b7b8063de39353f3fae976d1e7e615fc2c97e0313a73b8",
-    ("hard", 0, 7): "be23b3e1e181170004f92b81fc30b5f3738e6c1d6bb81addfde851f0620608f1",
-    ("hard", 2**40 + 3, 5): "9e6c20c214eb05013c8a95adbfe5b401e2c412f6a3c5e6006f223b35e87a010b",
-    ("hard", 2**40 + 3, 6): "b0f1f8a2a984c76b9d21dedd87b0ad182da99e520762b9eecae46cfc9940b255",
-    ("hard", 2**40 + 3, 7): "e125f5b3969d1f77357bc650b7dfecba7a0f50c1c147a256c803e5f25065562f",
+    ("demo", 0, 5): "4597aed0c256f1a84f0df3e57593f0023417fe0576d2a7ba9ea9e6ec11c6b93e",
+    ("demo", 0, 6): "ec597d08e73382b6cd97da6a00e0f279bd91925d2f4d351de9955b3db90d4c69",
+    ("demo", 0, 7): "9ec82be35eb487f9d98604fc3c9caaeca3688c725ee7d67c2d8748b95433a230",
+    ("demo", 2**40 + 3, 5): "9a9595358d687d6b7f81d256504a8229a3409cef1448a90168465180e8bb39f0",
+    ("demo", 2**40 + 3, 6): "1f7cc282efa0f98bfec98ad2a1884ba368ecac08a8aa24e87416b566bde5c702",
+    ("demo", 2**40 + 3, 7): "b7351f51d6d7622355e93a06da5a821929d9fca07566caff442f2ad00c5cfe55",
+    ("hard", 0, 5): "ce0354e49ec3531aeb0c0a7cf458405bca24fa38326cb0907cc79ca7c2d76370",
+    ("hard", 0, 6): "32bf4e358e36d3b66ec37908c4be1ce0b45bcb44338556a52af18d29a397f333",
+    ("hard", 0, 7): "023e2baffb9690b0e138b7fa4486017111457104a9ad5007b696cd28fed3ca87",
+    ("hard", 2**40 + 3, 5): "ae1efe8093ebeb976c7f85921cdd9516df815bcab09da82c2e74da9dbd4180b7",
+    ("hard", 2**40 + 3, 6): "c7b3422b8a69ec1f1f3c5159e1ba06d9c61b4dd731c9cb4eb12cc39ca9ced40d",
+    ("hard", 2**40 + 3, 7): "20f46537c052bbdda776af6411b39c65688dc486ecbf1817af454d2630796d55",
 }
 
 
 @pytest.mark.parametrize("env_name, seed, check", REPLICATE_SUMS_SHA256)
 def test_replicate_sums_bytes_pinned(env_name, seed, check):
     cfg = verify.VerifyConfig(env=ENVS[env_name](seed), reps=300, seed=seed, n=500)
-    ipw_sums, pl_sums = verify._replicate_sums(cfg, check)
+    ipw_sums, pl_sums = replicate_sums(cfg, check)
     digest = hashlib.sha256(ipw_sums.tobytes() + pl_sums.tobytes()).hexdigest()
     assert digest == REPLICATE_SUMS_SHA256[env_name, seed, check]
 
@@ -153,12 +232,12 @@ class TestCoverageChecks:
         batched, _ = COVERAGE_CHECKS[check]
         cfg = verify.VerifyConfig(env=ENVS["demo"](0), reps=3, seed=0, n=100)
         assert "batch_mismatch" not in batched(cfg).details
-        replicate_sums = verify._replicate_sums
+        original = verify._replicate_sums
         fired = []
         for cell in np.ndindex(2, cfg.env.num_contexts, cfg.env.num_actions):
 
-            def shifted(cfg, check, cell=cell):
-                sums = [s.copy() for s in replicate_sums(cfg, check)]
+            def shifted(env, counts, cell=cell):
+                sums = [s.copy() for s in original(env, counts)]
                 which, x, a = cell
                 sums[which][0, x, a] = np.nextafter(sums[which][0, x, a], np.inf)
                 return tuple(sums)
@@ -232,3 +311,35 @@ class TestDiscreteReduction:
     def test_passing_details_hold_only_the_gap(self):
         result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
         assert result.passed and list(result.details) == ["max_objective_gap"]
+
+
+class TestMaxUsedFraction:
+    def test_above_one_exactly_when_a_miss_is_recorded(self, monkeypatch):
+        """With the confidence width halved, some `hard` seeds record misses and
+        some do not; the fraction exceeds 1 in exactly the former."""
+        width = estimators.confidence_width
+        monkeypatch.setattr(estimators, "confidence_width", lambda *args: SimpleNamespace(value=width(*args).value / 2))
+        missed = []
+        for seed in range(6):
+            details = verify.check_confidence_coverage(verify.VerifyConfig(env=ENVS["hard"](seed), seed=seed)).details
+            missed.append(details["coverage"] < 1.0)
+            assert (details["max_used_fraction"] > 1.0) == missed[-1]
+        assert set(missed) == {True, False}
+
+
+class TestUnbiasedness:
+    def test_threshold_is_bonferroni_over_eight_two_sided_tests(self):
+        assert verify._UNBIASED_Z == pytest.approx(NormalDist().inv_cdf(1 - 1e-3 / 16), rel=1e-12)
+
+    @pytest.mark.parametrize("seed, worst_z", [(1, 3.009), (27, 3.443)])
+    def test_chance_failures_at_three_sigma_pass(self, seed, worst_z):
+        result = verify.check_unbiasedness(verify.VerifyConfig(env=ENVS["demo"](seed), seed=seed))
+        assert result.passed
+        assert result.details == {"worst_z": pytest.approx(worst_z, abs=1e-3), "z_threshold": verify._UNBIASED_Z}
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planted_ipw_bias_still_fails(self, monkeypatch, seed):
+        ipw_terms = estimators.ipw_terms
+        monkeypatch.setattr(estimators, "ipw_terms", lambda policy, data: ipw_terms(policy, data) + 0.03)
+        result = verify.check_unbiasedness(verify.VerifyConfig(env=ENVS["demo"](seed), seed=seed))
+        assert not result.passed and result.details["worst_z"] > verify._UNBIASED_Z

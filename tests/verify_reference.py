@@ -1,16 +1,22 @@
 """Per-replicate loop references for the three coverage checks of `plbandit.verify`.
 
-These are the coverage checks as they were before `plbandit.verify` drew and
-scored their replicates in blocks, kept verbatim (renamed): one
-`generate_logs` dataset and one estimator call per replicate. Tests check
-that the batched checks return the same `CheckResult`.
+These are the coverage checks as they were before `plbandit.verify` scored
+their replicates in one batch: one dataset and one estimator call per
+replicate. Each replicate's dataset is the log of its drawn cell counts
+(`verify._counted_dataset`). Tests check that the batched checks return the
+same `CheckResult`.
 """
 
 import numpy as np
 
 from plbandit import estimators, simulator
 from plbandit.model import ClassStats, PolicyClass, class_stats
-from plbandit.verify import CheckResult, VerifyConfig
+from plbandit.verify import CheckResult, VerifyConfig, _counted_dataset, _replicate_counts
+
+
+def _datasets(cfg: VerifyConfig, check: int):
+    """Each replicate's dataset of a coverage check, in replicate order."""
+    return [_counted_dataset(cfg.env, counts) for counts in _replicate_counts(cfg, check)]
 
 
 def reference_check_pl_band_coverage(cfg: VerifyConfig) -> CheckResult:
@@ -18,15 +24,16 @@ def reference_check_pl_band_coverage(cfg: VerifyConfig) -> CheckResult:
     policy = simulator.random_policy((cfg.seed, 5), cfg.env.num_contexts, cfg.env.num_actions)
     truth = estimators.exact_pl(policy, cfg.env)
     mu_inf = float(cfg.env.mu_table.min())
-    hits = 0
-    for rep in range(cfg.reps):
-        data = simulator.generate_logs(cfg.env, cfg.n, seed=(cfg.seed, 5, rep))
-        lo, hi = estimators.pl_confidence_band(
-            estimators.pseudo_loss(policy, data), cfg.n, cfg.alpha, mu_inf
-        )
+    hits, used = 0, 0.0
+    for data in _datasets(cfg, 5):
+        pl_hat = estimators.pseudo_loss(policy, data)
+        lo, hi = estimators.pl_confidence_band(pl_hat, cfg.n, cfg.alpha, mu_inf)
         hits += lo <= truth <= hi
+        edge = hi if truth >= pl_hat else lo
+        used = max(used, abs(truth - pl_hat) / abs(edge - pl_hat))
     coverage = hits / cfg.reps
-    return CheckResult("pl_band_coverage", coverage >= 1.0 - cfg.alpha, {"coverage": coverage})
+    details = {"coverage": coverage, "max_used_fraction": used}
+    return CheckResult("pl_band_coverage", coverage >= 1.0 - cfg.alpha, details)
 
 
 def reference_check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
@@ -42,15 +49,17 @@ def reference_check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
         class_size=1,
     )
     truth = simulator.exact_risk(policy, cfg.env)
-    hits = 0
-    for rep in range(cfg.reps):
-        data = simulator.generate_logs(cfg.env, cfg.n, seed=(cfg.seed, 6, rep))
+    hits, used = 0, 0.0
+    for data in _datasets(cfg, 6):
         width = estimators.confidence_width(
             estimators.pseudo_loss(policy, data), stats, cfg.n, cfg.alpha
         ).value
-        hits += abs(truth - estimators.ipw_risk(policy, data)) <= width
+        deviation = abs(truth - estimators.ipw_risk(policy, data))
+        hits += deviation <= width
+        used = max(used, deviation / width)
     coverage = hits / cfg.reps
-    return CheckResult("confidence_coverage", coverage >= 1.0 - cfg.alpha, {"coverage": coverage})
+    details = {"coverage": coverage, "max_used_fraction": used}
+    return CheckResult("confidence_coverage", coverage >= 1.0 - cfg.alpha, details)
 
 
 def reference_check_ucb_coverage(cfg: VerifyConfig, class_size: int = 8) -> CheckResult:
@@ -64,13 +73,17 @@ def reference_check_ucb_coverage(cfg: VerifyConfig, class_size: int = 8) -> Chec
     stats = class_stats(pclass, np.arange(cfg.env.num_contexts), cfg.env.mu_table)
     truths = [simulator.exact_risk(m, cfg.env) for m in members]
     beta = 0.05
-    hits = 0
-    for rep in range(cfg.reps):
-        data = simulator.generate_logs(cfg.env, cfg.n, seed=(cfg.seed, 7, rep))
+    slack = estimators.confidence_slack(stats, cfg.n, cfg.alpha, beta).value
+    hits, used = 0, -np.inf
+    for data in _datasets(cfg, 7):
         ok = all(
             truth <= estimators.ucb_risk(member, data, stats, cfg.alpha, beta)
             for member, truth in zip(members, truths)
         )
         hits += ok
+        for member, truth in zip(members, truths):
+            deviation = truth - estimators.ipw_risk(member, data)
+            used = max(used, deviation / (beta * estimators.pseudo_loss(member, data) + slack))
     coverage = hits / cfg.reps
-    return CheckResult("ucb_simultaneous_coverage", coverage >= 1.0 - cfg.alpha, {"coverage": coverage})
+    details = {"coverage": coverage, "max_used_fraction": used}
+    return CheckResult("ucb_simultaneous_coverage", coverage >= 1.0 - cfg.alpha, details)
