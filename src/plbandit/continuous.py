@@ -68,9 +68,6 @@ class SurrogateGrid:
     def points(self) -> np.ndarray:
         return (2.0 * np.arange(1, self.k + 1) - 1.0) / (2.0 * self.k)
 
-    def bin_edges(self, j: int) -> tuple[float, float]:
-        return j / self.k, (j + 1) / self.k
-
 
 def effective_bandwidth(points: np.ndarray, h: float) -> np.ndarray:
     """H_e: length of the bandwidth-h smoothing window around each grid point
@@ -106,21 +103,24 @@ class PiecewiseConstant:
     values: np.ndarray
 
     def __post_init__(self):
-        breaks = np.asarray(self.breaks, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        # One copy of each array, checked with ndarray methods: verify builds
+        # thousands of these.
+        breaks = np.array(self.breaks, dtype=float)
+        values = np.array(self.values, dtype=float)
         if len(breaks) != len(values) + 1:
             raise ValueError("need exactly one more break than values")
         # Negated comparisons, so NaN breaks fail too.
         if not (abs(breaks[0]) <= EDGE_TOL and abs(breaks[-1] - 1.0) <= EDGE_TOL):
             raise ValueError("breaks must start at 0 and end at 1")
-        if not np.all(np.diff(breaks) > 0):
+        if not (breaks[1:] > breaks[:-1]).all():
             raise ValueError("breaks must be strictly increasing")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("values must be finite")
-        breaks = breaks.copy()
         breaks[0], breaks[-1] = 0.0, 1.0
-        object.__setattr__(self, "breaks", _frozen(breaks))
-        object.__setattr__(self, "values", _frozen(values))
+        breaks.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "breaks", breaks)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_json(cls, obj: dict) -> PiecewiseConstant:
@@ -132,15 +132,17 @@ class PiecewiseConstant:
         return {"breaks": self.breaks.tolist(), "values": self.values.tolist()}
 
     def value_at(self, a: float) -> float:
-        i = int(np.searchsorted(self.breaks, a, side="right")) - 1
-        return float(self.values[min(max(i, 0), len(self.values) - 1)])
+        """The value of the piece holding `a`: the first piece below 0, the last from 1 on."""
+        return float(self.values[self.breaks[1:-1].searchsorted(a, side="right")])
 
     def values_at(self, a: np.ndarray) -> np.ndarray:
-        """value_at of every entry of `a`."""
-        return self.values[np.clip(np.searchsorted(self.breaks, a, side="right") - 1, 0, len(self.values) - 1)]
+        """value_at of every entry of `a`: with the ends pinned at 0 and 1, the
+        count of inner breaks at or below a point is its piece, clamped."""
+        return self.values[self.breaks[1:-1].searchsorted(a, side="right")]
 
     def _overlaps(self, lo: float, hi: float) -> np.ndarray:
-        return np.clip(np.minimum(self.breaks[1:], hi) - np.maximum(self.breaks[:-1], lo), 0.0, None)
+        # np.maximum is what np.clip(x, 0.0, None) calls, without its wrappers.
+        return np.maximum(np.minimum(self.breaks[1:], hi) - np.maximum(self.breaks[:-1], lo), 0.0)
 
     def integral(self, lo: float = 0.0, hi: float = 1.0) -> float:
         if lo > hi:
@@ -153,7 +155,7 @@ class PiecewiseConstant:
             raise ValueError("integration window must satisfy 0 <= lo <= hi <= 1")
         overlaps = self._overlaps(lo, hi)
         touched = overlaps > 0
-        if np.any(self.values[touched] <= PROPENSITY_FLOOR):
+        if (self.values[touched] <= PROPENSITY_FLOOR).any():
             raise SupportError("zero-density piece inside the integration window")
         return float((overlaps[touched] / self.values[touched]).sum())
 
@@ -163,7 +165,7 @@ class PiecewiseConstantDensity(PiecewiseConstant):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.values <= PROPENSITY_FLOOR):
+        if (self.values <= PROPENSITY_FLOOR).any():
             raise ValueError("density must be strictly positive")
         if abs(self.integral() - 1.0) > PMF_ATOL:
             raise ValueError("density must integrate to 1 within 1e-9")
@@ -174,9 +176,22 @@ class PiecewiseConstantDensity(PiecewiseConstant):
 
 
 def _dedupe_breaks(breaks: np.ndarray) -> np.ndarray:
-    # Collapse float-noise slivers (e.g. 0.3 - 0.1 vs 0.1 + 0.1) so pieces
-    # keep a meaningful width; the endpoints stay pinned at 0 and 1.
+    """The sorted distinct breaks, float-noise slivers (e.g. 0.3 - 0.1 vs
+    0.1 + 0.1) collapsed so pieces keep a meaningful width, the ends pinned
+    at 0 and 1.
+
+    A greedy pass keeps each break more than 1e-12 above the last one kept,
+    starting from 0. It runs only when some gap is 1e-12 or less: otherwise
+    it would keep every break, so np.unique's result, its ends pinned, is
+    returned as it is. Either way the result is a new array, n floats for n
+    distinct breaks.
+    """
     breaks = np.unique(breaks)
+    if breaks.size:
+        breaks[0] = 0.0
+        if (breaks[1:] - breaks[:-1] > 1e-12).all():
+            breaks[-1] = 1.0
+            return breaks
     keep = [0.0]
     for b in breaks[1:]:
         if b - keep[-1] > 1e-12:
@@ -189,7 +204,7 @@ def _merged_pieces(f: PiecewiseConstant, g: PiecewiseConstant) -> tuple[np.ndarr
     """f and g on each piece of their merged breaks, and the piece lengths."""
     breaks = _dedupe_breaks(np.concatenate([f.breaks, g.breaks]))
     mids = (breaks[:-1] + breaks[1:]) / 2.0
-    return f.values_at(mids), g.values_at(mids), np.diff(breaks)
+    return f.values_at(mids), g.values_at(mids), breaks[1:] - breaks[:-1]
 
 
 def pc_product_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
@@ -201,7 +216,7 @@ def pc_product_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
 def pc_ratio_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
     """Exact integral of f / g over [0, 1]; g must stay above the propensity floor."""
     fv, gv, lengths = _merged_pieces(f, g)
-    if np.any(gv <= PROPENSITY_FLOOR):
+    if (gv <= PROPENSITY_FLOOR).any():
         raise SupportError("zero-density piece in the ratio integrand")
     return float((fv / gv * lengths).sum())
 
@@ -251,16 +266,22 @@ class SmoothedDensityPolicy:
         h_eff = effective_bandwidth(self.base.grid.points[idx], self.bandwidth)
         return float((self.base.table[context_id, idx] / h_eff).sum())
 
-    def density_pieces(self, context_id: int) -> PiecewiseConstant:
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What every context's density shares, built once: the merged window
+        breaks, which windows hold each piece, and each window's length."""
         points = self.base.grid.points
         h = self.bandwidth
         lo = np.maximum(0.0, points - h / 2.0)
         hi = np.minimum(1.0, points + h / 2.0)
         breaks = _dedupe_breaks(np.concatenate([[0.0, 1.0], lo, hi]))
         mids = (breaks[:-1] + breaks[1:]) / 2.0
-        weights = self.base.table[context_id] / (hi - lo)
         inside = (mids[:, None] >= lo[None, :]) & (mids[:, None] <= hi[None, :])
-        return PiecewiseConstant(breaks=breaks, values=inside @ weights)
+        return breaks, inside, hi - lo
+
+    def density_pieces(self, context_id: int) -> PiecewiseConstant:
+        breaks, inside, lengths = self._layout
+        return PiecewiseConstant(breaks=breaks, values=inside @ (self.base.table[context_id] / lengths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,12 +300,14 @@ def discretize(policy, k: int, num_contexts: int) -> GridMassPolicy:
     `policy` must expose density_pieces(context_id).
     """
     grid = SurrogateGrid(k)
+    edges = np.arange(k + 1)[:, None] / k  # bin j is [j/k, (j+1)/k]
     table = np.zeros((num_contexts, k))
     for x in range(num_contexts):
         pieces = policy.density_pieces(x)
-        for j in range(k):
-            lo, hi = grid.bin_edges(j)
-            table[x, j] = pieces.integral(lo, hi)
+        # Row j is pieces._overlaps over bin j; each row's dot product is
+        # integral()'s own, so every mass is bitwise integral() over its bin.
+        overlaps = pieces._overlaps(edges[:-1], edges[1:])
+        table[x] = [row @ pieces.values for row in overlaps]
     return GridMassPolicy(grid=grid, table=table)
 
 
@@ -421,7 +444,7 @@ def build_modified_costs_continuous(
             mu = dataset.densities[g]
             overlaps = mu._overlaps(lo[:, None], hi[:, None])
             touched = overlaps > 0
-            if np.any(touched & (mu.values <= PROPENSITY_FLOOR)):
+            if (touched & (mu.values <= PROPENSITY_FLOOR)).any():
                 first = int(np.argmax(index == g))
                 raise SupportError(f"zero-density piece inside the integration window at record {first}")
             ratios = np.divide(overlaps, mu.values, out=np.zeros_like(overlaps), where=touched)

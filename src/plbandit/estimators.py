@@ -105,19 +105,14 @@ def penalized_objective(policy: MassPolicy, dataset: LoggedDataset, beta: float)
 
 # ---------------------------------------------------------------------------
 # Exact population quantities on finite synthetic environments. `env` must
-# expose context_dist, loss_means, logging_policy and bernoulli_noise (see
-# simulator.SyntheticEnvironment).
+# expose context_dist, loss_means, mu_table and bernoulli_noise, validated as
+# simulator.SyntheticEnvironment validates them: mu_table above the floor.
 
 
 def _env_tables(policy: MassPolicy, env) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not hasattr(env, "loss_means"):
         raise ValueError("exact quantities need a finite discrete-action environment")
-    dist = np.asarray(env.context_dist, dtype=float)
-    num_contexts = np.asarray(env.loss_means).shape[0]
-    mu = env.logging_policy.pmf_table(num_contexts)
-    check_floor(mu)
-    pi = policy.pmf_table(num_contexts)
-    return dist, pi, mu
+    return env.context_dist, policy.pmf_table(env.num_contexts), env.mu_table
 
 
 def exact_pl(policy: MassPolicy, env) -> float:
@@ -133,8 +128,8 @@ def exact_variance(policy: MassPolicy, env) -> float:
     the squared mean.
     """
     dist, pi, mu = _env_tables(policy, env)
-    means = np.asarray(env.loss_means, dtype=float)
-    sq = means if getattr(env, "bernoulli_noise", False) else means**2
+    means = env.loss_means
+    sq = means if env.bernoulli_noise else means**2
     mean = float(dist @ (pi * means).sum(axis=1))
     second = float(dist @ (pi**2 / mu * sq).sum(axis=1))
     return second - mean**2

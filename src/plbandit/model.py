@@ -11,8 +11,10 @@ verification machinery needs. Feature mode (real-valued vectors) exists to
 feed the regression-based cost-sensitive oracle.
 
 Policies and datasets are not changed after construction. Some values are
-built on first use and then kept: an `all-det` class's members, a dataset's
-per-context sums. plbandit runs no threads, and those writes take no lock.
+built on first use and then kept: a deterministic policy's one-hot table, an
+explicit class's stacked member tables, an `all-det` class's members, a
+dataset's per-context sums. plbandit runs no threads, and those writes take
+no lock.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ def check_index_range(name: str, values: np.ndarray, upper: int) -> None:
 
     Numpy would otherwise wrap a negative index into another row silently.
     """
-    bad = np.flatnonzero((values < 0) | (values >= upper))
-    if bad.size:
-        i = int(bad[0])
+    bad = (values < 0) | (values >= upper)
+    if bad.any():
+        i = int(bad.argmax())
         raise DatasetError(f"{name} {int(values[i])} out of range [0, {upper}) at record {i}")
 
 
@@ -146,8 +148,15 @@ class DeterministicPolicy(MassPolicy):
             raise ValueError("assignment actions out of range")
         object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The one-hot (len(assignment), num_actions) pmf table, built once, read-only."""
+        table = np.eye(self.num_actions)[np.asarray(self.assignment, dtype=np.intp)]
+        table.setflags(write=False)
+        return table
+
     def pmf_table(self, num_contexts: int) -> np.ndarray:
-        return np.eye(self.num_actions)[_leading_rows(np.asarray(self.assignment), num_contexts)]
+        return _leading_rows(self.table, num_contexts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +227,8 @@ class PolicyClass:
     """
 
     members: Sequence[MassPolicy]
+    # num_contexts -> the stacked member tables; see tables().
+    _stacks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -233,8 +244,19 @@ class PolicyClass:
 
     def tables(self, num_contexts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The pmf_table(num_contexts) of every member, or of members lo..hi-1,
-        stacked as a (members, X, A) array: 8*members*X*A bytes."""
-        return np.stack([m.pmf_table(num_contexts) for m in self.members[lo:hi]])
+        as a read-only (members, X, A) array.
+
+        The first call for a num_contexts stacks every member's table, and
+        the class keeps that stack for as long as it lives: 8*size*X*A bytes
+        per num_contexts. Every later call, a range of members included, is
+        a view of it and calls no pmf_table.
+        """
+        stack = self._stacks.get(num_contexts)
+        if stack is None:
+            stack = np.stack([m.pmf_table(num_contexts) for m in self.members])
+            stack.setflags(write=False)
+            self._stacks[num_contexts] = stack
+        return stack[lo:hi]
 
     def pmf_max(self, num_contexts: int) -> np.ndarray:
         """The largest pmf any member gives each (context, action), as an (X, A) array."""
@@ -246,10 +268,11 @@ class PolicyClass:
         `rows` carries the row contexts (a LoggedDataset or CostMatrix). The
         sum is linear in pi, so for finite contexts it is one contraction of
         the stacked tables against `weights` summed per context:
-        O(n*A + size*X*A). The tables are stacked a block of members at a
-        time, at most _BLOCK_CELLS cells, so an all-det class of A**X members
-        needs O(size) memory, not O(size*X*A). Feature-mode rows evaluate
-        pmf_rows per member.
+        O(n*A + size*X*A). It contracts a block of members at a time, at
+        most _BLOCK_CELLS cells: an explicit class slices each block from its
+        kept stack, and an all-det class of A**X members builds each block
+        in closed form, so it needs O(size) memory, not O(size*X*A).
+        Feature-mode rows evaluate pmf_rows per member.
         """
         if rows.context_ids is None:
             return np.array([float((m.pmf_rows(rows) * weights).sum()) for m in self.members])

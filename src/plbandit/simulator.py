@@ -57,7 +57,8 @@ def make_rng(seed_or_rng) -> np.random.Generator:
 @dataclass(frozen=True, eq=False)
 class SyntheticEnvironment:
     """Finite discrete-action environment: context distribution, mean-loss table,
-    optional Bernoulli loss noise, and a strictly positive logging policy."""
+    optional Bernoulli loss noise, and a strictly positive logging policy whose
+    table has the shape of loss_means (else ValueError naming both shapes)."""
 
     context_dist: np.ndarray
     loss_means: np.ndarray
@@ -77,6 +78,8 @@ class SyntheticEnvironment:
             raise ValueError("loss means must lie in [0, 1]")
         object.__setattr__(self, "context_dist", dist)
         object.__setattr__(self, "loss_means", means)
+        if self.mu_table.shape != means.shape:
+            raise ValueError(f"logging policy table has shape {self.mu_table.shape}, loss_means {means.shape}")
         if (self.mu_table <= PROPENSITY_FLOOR).any():
             raise ValueError("logging policy must be strictly positive everywhere")
 
@@ -121,12 +124,12 @@ class ContinuousEnvironment:
     def __post_init__(self):
         dist = np.asarray(self.context_dist, dtype=float)
         # Negated comparisons, so NaN entries fail too.
-        if not np.all(dist >= 0) or abs(dist.sum() - 1.0) > PMF_ATOL:
+        if not (dist >= 0).all() or abs(dist.sum() - 1.0) > PMF_ATOL:
             raise ValueError("context_dist must be a probability vector")
         if len(self.loss_fns) != len(dist) or len(self.logging_densities) != len(dist):
             raise ValueError("per-context tables are not aligned")
         for fn in self.loss_fns:
-            if np.any(fn.values < 0) or np.any(fn.values > 1):
+            if (fn.values < 0).any() or (fn.values > 1).any():
                 raise ValueError("loss values must lie in [0, 1]")
         object.__setattr__(self, "context_dist", dist)
         object.__setattr__(self, "loss_fns", tuple(self.loss_fns))
@@ -193,7 +196,7 @@ def _generate_continuous(env: ContinuousEnvironment, n: int, rng: np.random.Gene
     losses = np.empty(n)
     for x, (density, loss_fn) in enumerate(zip(env.logging_densities, env.loss_fns)):
         rows = np.flatnonzero(xs == x)
-        masses = np.diff(density.breaks) * density.values
+        masses = (density.breaks[1:] - density.breaks[:-1]) * density.values
         cum = np.cumsum(masses / masses.sum())
         piece = np.minimum(cum.searchsorted(draws[rows, 0]), len(masses) - 1)
         lo, hi = density.breaks[piece], density.breaks[piece + 1]
@@ -251,21 +254,23 @@ def exact_risk_smoothed(base: PiecewiseDensityPolicy, h: float, env: ContinuousE
             extra.extend([b - h / 2.0, b + h / 2.0])
         extra = [v for v in extra if 0.0 < v < 1.0]
         breaks = _dedupe_breaks(np.concatenate([pi.breaks, np.asarray(extra + [0.0, 1.0])]))
-        for s, t in zip(breaks[:-1], breaks[1:]):
-            m = 0.5 * (s + t)
-            p = pi.value_at(m)
+        mids = 0.5 * (breaks[:-1] + breaks[1:])
+        # Per piece: the loss window around its midpoint, clipped to [0, 1],
+        # and the window loss's linear form c0 + c1*t over effective width e0 + e1*t.
+        left, right = mids - h / 2.0 <= 0.0, mids + h / 2.0 >= 1.0
+        lower = np.where(left, 0.0, mids - h / 2.0)
+        upper = np.where(right, 1.0, mids + h / 2.0)
+        # Row j is loss._overlaps(lower[j], upper[j]); its dot product is loss.integral's own.
+        window_loss = np.array([row @ loss.values for row in loss._overlaps(lower[:, None], upper[:, None])])
+        c1 = np.where(right, 0.0, loss.values_at(upper)) - np.where(left, 0.0, loss.values_at(lower))
+        c0 = window_loss - c1 * mids
+        e1 = left.astype(float) - right.astype(float)
+        e0 = (upper - lower) - e1 * mids
+        pieces = zip(pi.values_at(mids).tolist(), c0.tolist(), c1.tolist(), e0.tolist(), e1.tolist())
+        for s, t, (p, *form) in zip(breaks[:-1].tolist(), breaks[1:].tolist(), pieces):
             if p == 0.0:
                 continue
-            left_clip = m - h / 2.0 <= 0.0
-            right_clip = m + h / 2.0 >= 1.0
-            lower = 0.0 if left_clip else m - h / 2.0
-            upper = 1.0 if right_clip else m + h / 2.0
-            window_loss = loss.integral(lower, upper)
-            c1 = (0.0 if right_clip else loss.value_at(upper)) - (0.0 if left_clip else loss.value_at(lower))
-            c0 = window_loss - c1 * m
-            e1 = (1.0 if left_clip else 0.0) - (1.0 if right_clip else 0.0)
-            e0 = (upper - lower) - e1 * m
-            total += env.context_dist[x] * p * _ratio_linear_integral(c0, c1, e0, e1, float(s), float(t))
+            total += env.context_dist[x] * p * _ratio_linear_integral(*form, s, t)
     return total
 
 
@@ -363,7 +368,7 @@ def random_density(seed_or_rng, max_pieces: int = 3, min_density: float = 0.2) -
     rng = make_rng(seed_or_rng)
     breaks = _random_breaks(rng, max_pieces)
     values = min_density + (1.0 - min_density) * rng.random(len(breaks) - 1)
-    values = values / float(np.diff(breaks) @ values)  # total mass <= 1 before scaling, so min survives
+    values = values / float((breaks[1:] - breaks[:-1]) @ values)  # total mass <= 1 before scaling, so min survives
     return PiecewiseConstantDensity(breaks=breaks, values=values)
 
 

@@ -6,6 +6,14 @@ record by record from the scalar primitives (`reciprocal_integral`,
 `value_at`, `surrogate_set`, `SmoothedDensityPolicy.density`,
 `pc_ratio_integral`, scalar `rng.random()` draws), so tests can compare the
 grouped code against them.
+
+The per-piece and per-bin code that the library replaced with one array
+operation per context is kept here verbatim (renamed): the greedy
+`_dedupe_breaks` loop, `value_at`/`values_at` through a clipped search,
+`discretize` by one `integral` per bin, a smoothed policy's
+`density_pieces` rebuilt per context, and `exact_risk_smoothed` with one
+`value_at` and one `integral` per piece. Tests compare the library with them
+bitwise.
 """
 
 import numpy as np
@@ -13,13 +21,14 @@ import numpy as np
 from plbandit.continuous import (
     ContinuousLoggedDataset,
     GridMassPolicy,
+    PiecewiseConstant,
     SmoothedDensityPolicy,
     SurrogateGrid,
     pc_ratio_integral,
     surrogate_set,
 )
 from plbandit.model import PMF_ATOL, PROPENSITY_FLOOR
-from plbandit.simulator import make_rng
+from plbandit.simulator import _ratio_linear_integral, make_rng
 
 
 def logging_density(dataset, i):
@@ -118,3 +127,78 @@ def reference_generate_continuous(env, n, seed):
         density_index=xs,
         num_contexts=env.num_contexts,
     )
+
+
+def reference_dedupe_breaks(breaks):
+    breaks = np.unique(breaks)
+    keep = [0.0]
+    for b in breaks[1:]:
+        if b - keep[-1] > 1e-12:
+            keep.append(float(b))
+    keep[-1] = 1.0
+    return np.asarray(keep)
+
+
+def reference_value_at(f, a):
+    i = int(np.searchsorted(f.breaks, a, side="right")) - 1
+    return float(f.values[min(max(i, 0), len(f.values) - 1)])
+
+
+def reference_values_at(f, a):
+    return f.values[np.clip(np.searchsorted(f.breaks, a, side="right") - 1, 0, len(f.values) - 1)]
+
+
+def reference_discretize(policy, k, num_contexts):
+    grid = SurrogateGrid(k)
+    table = np.zeros((num_contexts, k))
+    for x in range(num_contexts):
+        pieces = policy.density_pieces(x)
+        for j in range(k):
+            lo, hi = j / k, (j + 1) / k  # the SurrogateGrid.bin_edges(j) that discretize called
+            table[x, j] = pieces.integral(lo, hi)
+    return GridMassPolicy(grid=grid, table=table)
+
+
+def reference_density_pieces(policy, context_id):
+    """SmoothedDensityPolicy.density_pieces, its breaks rebuilt for the one context."""
+    points = policy.base.grid.points
+    h = policy.bandwidth
+    lo = np.maximum(0.0, points - h / 2.0)
+    hi = np.minimum(1.0, points + h / 2.0)
+    breaks = reference_dedupe_breaks(np.concatenate([[0.0, 1.0], lo, hi]))
+    mids = (breaks[:-1] + breaks[1:]) / 2.0
+    weights = policy.base.table[context_id] / (hi - lo)
+    inside = (mids[:, None] >= lo[None, :]) & (mids[:, None] <= hi[None, :])
+    return PiecewiseConstant(breaks=breaks, values=inside @ weights)
+
+
+def reference_exact_risk_smoothed(base, h, env):
+    if not (0.0 < h <= 1.0):
+        raise ValueError("bandwidth must lie in (0, 1]")
+    total = 0.0
+    for x in range(env.num_contexts):
+        pi = base.density_pieces(x)
+        loss = env.loss_fns[x]
+        extra = [h / 2.0, 1.0 - h / 2.0]
+        for b in loss.breaks:
+            extra.extend([b - h / 2.0, b + h / 2.0])
+        extra = [v for v in extra if 0.0 < v < 1.0]
+        breaks = reference_dedupe_breaks(np.concatenate([pi.breaks, np.asarray(extra + [0.0, 1.0])]))
+        for s, t in zip(breaks[:-1], breaks[1:]):
+            m = 0.5 * (s + t)
+            p = reference_value_at(pi, m)
+            if p == 0.0:
+                continue
+            left_clip = m - h / 2.0 <= 0.0
+            right_clip = m + h / 2.0 >= 1.0
+            lower = 0.0 if left_clip else m - h / 2.0
+            upper = 1.0 if right_clip else m + h / 2.0
+            window_loss = loss.integral(lower, upper)
+            c1 = (0.0 if right_clip else reference_value_at(loss, upper)) - (
+                0.0 if left_clip else reference_value_at(loss, lower)
+            )
+            c0 = window_loss - c1 * m
+            e1 = (1.0 if left_clip else 0.0) - (1.0 if right_clip else 0.0)
+            e0 = (upper - lower) - e1 * m
+            total += env.context_dist[x] * p * _ratio_linear_integral(c0, c1, e0, e1, float(s), float(t))
+    return total

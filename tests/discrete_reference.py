@@ -10,7 +10,10 @@ the library draws the same records per seed. `reference_objective` is the
 penalized objective as a pure-Python double loop over records, a second code
 path for the estimators' per-context contractions. `reference_brute_force_argmin`
 is `csc.brute_force_argmin` as it was before it scored members in blocks: one
-`ipw_terms` and one `pl_terms` call per member.
+`ipw_terms` and one `pl_terms` call per member. `reference_pmf_table` and
+`reference_tables` are `DeterministicPolicy.pmf_table` and `PolicyClass.tables`
+as they were before the policy kept its one-hot table and the class its
+stack: a new array on every call.
 """
 
 import json
@@ -19,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from plbandit.estimators import ipw_terms, pl_terms
-from plbandit.model import PMF_ATOL, PROPENSITY_FLOOR, DatasetError, LoggedDataset
+from plbandit.model import PMF_ATOL, PROPENSITY_FLOOR, DatasetError, LoggedDataset, _leading_rows
 from plbandit.simulator import make_rng
 
 
@@ -69,6 +72,14 @@ def reference_brute_force_argmin(dataset: LoggedDataset, beta: float, policy_cla
         if value < best_value:
             best, best_value = member, value
     return best, best_value
+
+
+def reference_pmf_table(policy, num_contexts: int) -> np.ndarray:
+    return np.eye(policy.num_actions)[_leading_rows(np.asarray(policy.assignment), num_contexts)]
+
+
+def reference_tables(policy_class, num_contexts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    return np.stack([m.pmf_table(num_contexts) for m in policy_class.members[lo:hi]])
 
 
 def reference_validate(dataset: LoggedDataset) -> list[str]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from plbandit import csc, simulator
 from plbandit.continuous import (
     ContinuousLoggedDataset,
+    _dedupe_breaks,
     GridMassPolicy,
     PiecewiseConstant,
     PiecewiseConstantDensity,
@@ -36,10 +37,16 @@ from plbandit.model import DatasetError, SupportError
 
 from continuous_reference import (
     reference_costs,
+    reference_dedupe_breaks,
+    reference_density_pieces,
+    reference_discretize,
+    reference_exact_risk_smoothed,
     reference_ipw,
     reference_pseudo_loss,
     reference_train_smoothed,
     reference_validate,
+    reference_value_at,
+    reference_values_at,
 )
 
 UNIFORM = PiecewiseConstantDensity(breaks=np.array([0.0, 1.0]), values=np.array([1.0]))
@@ -709,3 +716,93 @@ class TestLoaderInterning:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetError, match="integrate to 1.*at record 1"):
             load_continuous_dataset_jsonl(path)
+
+
+# ---------------------------------------------------------------------------
+# Array paths against the per-piece and per-bin loops they replaced, bitwise.
+
+# Gaps at, just under and just over the 1e-12 sliver threshold, and zero.
+SLIVERS = [0.0, 1e-13, 5e-13, 1e-12, 1.5e-12, 2e-12, 1e-9]
+
+
+@st.composite
+def break_arrays(draw):
+    """Unsorted breaks with duplicates and slivers of at most about 1e-12, usually with 0 and 1."""
+    values = draw(st.lists(st.floats(0.0, 1.0), max_size=8))
+    if draw(st.booleans()):
+        values += [0.0, 1.0]
+    else:
+        values += draw(st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=3))
+    for gap in draw(st.lists(st.sampled_from(SLIVERS), max_size=4)):
+        values.append(draw(st.sampled_from(values)) + gap)
+    for _ in range(draw(st.integers(0, 2))):  # a break one ulp from another
+        values.append(float(np.nextafter(draw(st.sampled_from(values)), 2.0)))
+    values += draw(st.lists(st.sampled_from(values), max_size=3))  # exact duplicates
+    return np.array(draw(st.permutations(values)))
+
+
+SEEDS = st.integers(0, 2**16)
+
+
+def density_policy(kind, seed, num_contexts, k, h):
+    """A policy exposing density_pieces: random densities, or a smoothed grid
+    policy, one-hot (so some pieces are zero) or not."""
+    if kind == "densities":
+        return simulator.random_density_policy(seed, num_contexts, max_pieces=5)
+    table = simulator.random_grid_policy(seed, num_contexts, k).table
+    if kind == "one-hot":
+        table = np.eye(k)[table.argmax(axis=1)]
+    return SmoothedDensityPolicy(GridMassPolicy(SurrogateGrid(k), table), h)
+
+
+POLICY_KINDS = st.sampled_from(["densities", "smoothed", "one-hot"])
+BANDWIDTHS = st.sampled_from([*H_CHOICES, 0.1, 0.05, 0.37])
+
+
+class TestArrayPathsMatchLoops:
+    @given(breaks=break_arrays())
+    def test_dedupe_breaks(self, breaks):
+        got, want = _dedupe_breaks(breaks.copy()), reference_dedupe_breaks(breaks.copy())
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_dedupe_breaks_collapses_a_sliver(self):
+        breaks = np.array([0.0, 0.3 - 0.1, 0.1 + 0.1, 0.5, 0.5 + 1e-12, 1.0])
+        assert _dedupe_breaks(breaks).tolist() == [0.0, 0.3 - 0.1, 0.5, 1.0]
+
+    @given(
+        breaks=st.lists(st.floats(0.01, 0.99), max_size=5, unique=True),
+        extra=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0, 1.5, np.nan]), max_size=3),
+        points=st.lists(st.floats(-0.5, 1.5), max_size=6),
+    )
+    def test_values_at(self, breaks, extra, points):
+        fn = PiecewiseConstant(breaks=np.array([0.0, *sorted(breaks), 1.0]), values=np.arange(len(breaks) + 1.0))
+        a = np.array([*points, *fn.breaks, *(fn.breaks[:-1] + fn.breaks[1:]) / 2, *extra])
+        assert fn.values_at(a).tobytes() == reference_values_at(fn, a).tobytes()
+        assert [fn.value_at(v) for v in a.tolist()] == [reference_value_at(fn, v) for v in a.tolist()]
+
+    @given(kind=POLICY_KINDS, seed=SEEDS, num_contexts=st.integers(1, 3), k=st.integers(1, 12), h=BANDWIDTHS)
+    def test_discretize(self, kind, seed, num_contexts, k, h):
+        policy = density_policy(kind, seed, num_contexts, max(k - 2, 1), h)
+        got, want = discretize(policy, k, num_contexts), reference_discretize(policy, k, num_contexts)
+        assert got.table.tobytes() == want.table.tobytes()
+
+    @given(kind=st.sampled_from(["smoothed", "one-hot"]), seed=SEEDS, k=st.integers(1, 12), h=BANDWIDTHS)
+    def test_smoothed_density_pieces(self, kind, seed, k, h):
+        policy = density_policy(kind, seed, 3, k, h)
+        for x in range(3):
+            got, want = policy.density_pieces(x), reference_density_pieces(policy, x)
+            assert got.breaks.tobytes() == want.breaks.tobytes()
+            assert got.values.tobytes() == want.values.tobytes()
+
+    @given(kind=POLICY_KINDS, seed=SEEDS, num_contexts=st.integers(1, 3), k=st.integers(1, 8), h=BANDWIDTHS)
+    def test_exact_risk_smoothed(self, kind, seed, num_contexts, k, h):
+        env = simulator.random_continuous_environment((seed, 1), num_contexts, max_pieces=4)
+        base = density_policy(kind, seed, num_contexts, k, h)
+        assert simulator.exact_risk_smoothed(base, h, env) == reference_exact_risk_smoothed(base, h, env)
+
+    def test_piecewise_constant_copies_its_inputs_once(self):
+        breaks, values = np.array([0.0, 0.25, 1.0]), np.array([2.0, 2.0 / 3.0])
+        fn = PiecewiseConstant(breaks=breaks, values=values)
+        breaks[1], values[0] = 0.5, 9.0
+        assert fn.breaks.tolist() == [0.0, 0.25, 1.0] and fn.values.tolist() == [2.0, 2.0 / 3.0]
+        assert not fn.breaks.flags.writeable and not fn.values.flags.writeable

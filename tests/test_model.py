@@ -26,7 +26,9 @@ from plbandit.model import (
     save_dataset_jsonl,
     validate_dataset,
 )
-from plbandit import model, simulator
+from plbandit import csc, model, simulator
+
+from discrete_reference import reference_pmf_table, reference_tables
 
 
 def single_context_dataset(pmf, action=0, loss=0.3):
@@ -219,6 +221,38 @@ class TestPolicies:
         for table, member in zip(tables, members):
             assert np.array_equal(table, member.pmf_table(3))
         assert np.array_equal(pclass.tables(2), tables[:, :2])
+
+    @given(assignment=st.lists(st.integers(0, 4), min_size=1, max_size=6), extra=st.integers(0, 2))
+    def test_deterministic_pmf_table_is_its_kept_one_hot_table(self, assignment, extra):
+        policy = DeterministicPolicy(assignment=tuple(assignment), num_actions=max(assignment) + 1 + extra)
+        for leading in range(1, len(assignment) + 1):
+            table, want = policy.pmf_table(leading), reference_pmf_table(policy, leading)
+            assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
+            assert not table.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.5
+        assert np.shares_memory(policy.pmf_table(1), policy.pmf_table(len(assignment)))
+        with pytest.raises(ValueError, match=f"policy covers {len(assignment)} contexts"):
+            policy.pmf_table(len(assignment) + 1)
+
+    def test_explicit_class_stacks_member_tables_once(self, monkeypatch):
+        members = [simulator.random_policy((9, j), 3, 2) for j in range(5)] + list(deterministic_class(3, 2).members)
+        pclass = PolicyClass.from_members(members)
+        data = simulator.generate_logs(simulator.random_environment((9, 9), 3, 2), 40, seed=3)
+        costs = csc.build_modified_costs(data, 0.1)
+        first = csc.EnumerationOracle().solve(costs, pclass)
+        calls = []
+        for cls in (TabularPolicy, DeterministicPolicy):
+            monkeypatch.setattr(cls, "pmf_table", lambda self, x, f=cls.pmf_table: calls.append(x) or f(self, x))
+        assert csc.EnumerationOracle().solve(costs, pclass) is first
+        stack, block = pclass.tables(3), pclass.tables(3, 2, 9)
+        assert calls == []
+        assert not stack.flags.writeable and not block.flags.writeable
+        assert np.shares_memory(stack, block)
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0, 0] = 0.5
+        assert stack.tobytes() == reference_tables(pclass, 3).tobytes()
+        assert block.tobytes() == reference_tables(pclass, 3, 2, 9).tobytes()
 
     def test_deterministic_class_tables_match_members(self):
         # tables() is closed form: it must equal the decoded members' tables

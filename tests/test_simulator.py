@@ -144,6 +144,23 @@ class TestExactRisk:
         assert abs(float(np.mean(losses)) - exact_risk(policy, env)) <= 3 * se
 
 
+class TestExactQuantities:
+    def test_read_the_environments_logging_table(self, monkeypatch):
+        # The environment validated its mu_table when built; exact_pl and
+        # exact_variance read it instead of asking the logging policy again.
+        env = simulator.random_environment(11, 3, 4)
+        policy = simulator.random_policy(12, 3, 4)
+        mu, dist, means = env.mu_table, env.context_dist, env.loss_means
+        asked = []
+        pmf_table = TabularPolicy.pmf_table
+        monkeypatch.setattr(TabularPolicy, "pmf_table", lambda self, x: asked.append(self) or pmf_table(self, x))
+        pi = policy.table
+        assert estimators.exact_pl(policy, env) == float(dist @ (pi / mu).sum(axis=1))
+        second = float(dist @ (pi**2 / mu * means).sum(axis=1))
+        assert estimators.exact_variance(policy, env) == second - float(dist @ (pi * means).sum(axis=1)) ** 2
+        assert asked == [policy, policy]
+
+
 class TestSupervisedToBandit:
     def test_concentrated_logging_near_zero_loss(self):
         labels = np.array([0, 1, 2, 1, 0] * 40)
@@ -240,11 +257,14 @@ class TestEnvironmentFiles:
             ([1.0], [[0.2, 0.4]], [[1.0, 0.0]], "logging policy must be strictly positive everywhere"),
             ([1.0], [[0.2, 0.4]], [[1.0 - 1e-12, 1e-12]], "logging policy must be strictly positive everywhere"),
             ([1.0], [[0.2, 0.4]] * 2, None, "context_dist and loss_means are not aligned"),
+            # A logging pmf over fewer actions would log none of the last; over more, index past loss_means.
+            ([1.0], [[0.2, 0.4, 0.6]], [[0.5, 0.5]], r"logging policy table has shape \(1, 2\), loss_means \(1, 3\)"),
+            ([1.0], [[0.2, 0.4]], [[0.2, 0.3, 0.5]], r"logging policy table has shape \(1, 3\), loss_means \(1, 2\)"),
         ],
         ids=[
             "dist-nan", "dist-inf", "dist-minus-inf", "dist-negative", "dist-off-sum", "dist-empty",
             "means-nan", "means-inf", "means-minus-inf", "means-negative", "means-above-one",
-            "logging-zero", "logging-at-floor", "misaligned",
+            "logging-zero", "logging-at-floor", "misaligned", "logging-fewer-actions", "logging-more-actions",
         ],
     )
     def test_environment_guard_messages(self, dist, means, logging, message):
