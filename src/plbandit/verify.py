@@ -67,7 +67,10 @@ def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
 def check_discrete_reduction(cfg: VerifyConfig) -> CheckResult:
     """One enumeration-oracle call on the full deterministic class, and on an explicit
     copy of it, must equal the brute-force argmin, and the pointwise argmin must agree.
-    A failure names the paths that disagreed and the instance's beta, X and A."""
+    A failure names the paths that disagreed and the instance's beta, X and A.
+
+    Instances are drawn from the stream (seed, 2) and log i from (seed, 2, i + 1):
+    SeedSequence pads a seed's words with zeros, so (seed, 2, 0) is (seed, 2)."""
     rng = simulator.make_rng((cfg.seed, 2))
     worst = 0.0
     betas = [0.01, 0.1, 1.0]
@@ -78,7 +81,7 @@ def check_discrete_reduction(cfg: VerifyConfig) -> CheckResult:
         num_contexts = int(rng.integers(1, 5))
         num_actions = int(rng.integers(2, 4))
         env = simulator.random_environment(rng, num_contexts, num_actions)
-        data = simulator.generate_logs(env, int(rng.integers(1, 9)), seed=(cfg.seed, 2, i))
+        data = simulator.generate_logs(env, int(rng.integers(1, 9)), seed=(cfg.seed, 2, i + 1))
         beta = betas[i % len(betas)]
         if (num_contexts, num_actions) not in classes:
             pclass = deterministic_class(num_contexts, num_actions)
@@ -103,13 +106,16 @@ def check_discrete_reduction(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_continuous_reduction(cfg: VerifyConfig) -> CheckResult:
-    """Grid-side CSC objective == density-side penalized objective (exact integration)."""
+    """Grid-side CSC objective == density-side penalized objective (exact integration).
+
+    Instances are drawn from (seed, 3) and log i from (seed, 3, i + 1), as in
+    check_discrete_reduction."""
     rng = simulator.make_rng((cfg.seed, 3))
     worst = 0.0
     for i in range(20):
         num_contexts = int(rng.integers(1, 4))
         env = simulator.random_continuous_environment(rng, num_contexts)
-        data = simulator.generate_logs(env, int(rng.integers(1, 7)), seed=(cfg.seed, 3, i))
+        data = simulator.generate_logs(env, int(rng.integers(1, 7)), seed=(cfg.seed, 3, i + 1))
         k = int(rng.integers(1, 7))
         h = [0.2, 0.5][i % 2]
         beta = [0.01, 0.1, 1.0][i % 3]
@@ -350,13 +356,16 @@ _UNBIASED_Z = 3.836106931176034
 
 def check_unbiasedness(cfg: VerifyConfig) -> CheckResult:
     """Monte Carlo means of ipw_risk / pseudo_loss over 10 000 draws, for four
-    random policies, match the exact values within _UNBIASED_Z s.e. each."""
+    random policies, match the exact values within _UNBIASED_Z s.e. each.
+
+    The policies are drawn from (seed, 10) and log j from (seed, 10, j + 1), as
+    in check_discrete_reduction."""
     rng = simulator.make_rng((cfg.seed, 10))
     ok = True
     worst_z = 0.0
     for j in range(4):
         policy = simulator.random_policy(rng, cfg.env.num_contexts, cfg.env.num_actions)
-        data = simulator.generate_logs(cfg.env, 10_000, seed=(cfg.seed, 10, j))
+        data = simulator.generate_logs(cfg.env, 10_000, seed=(cfg.seed, 10, j + 1))
         for terms, truth in [
             (estimators.ipw_terms(policy, data), simulator.exact_risk(policy, cfg.env)),
             (estimators.pl_terms(policy, data), estimators.exact_pl(policy, cfg.env)),
