@@ -143,13 +143,23 @@ def _make_oracle(name: str, ridge: float):
     return csc.RidgeRegressionOracle(ridge=ridge)
 
 
-def _dataset_metrics(policy, dataset: LoggedDataset, beta: float) -> dict:
-    return {
+def _policy_metrics(policy, dataset: LoggedDataset, beta: float, env, stats=None, alpha=None) -> dict:
+    """What `train`, `evaluate` and a discrete sweep row report for a policy: its
+    estimates at beta, its ucb_risk and slack given class statistics, and its
+    exact risk given an environment."""
+    metrics = {
         "beta": beta,
         "ipw_risk": estimators.ipw_risk(policy, dataset),
         "pseudo_loss": estimators.pseudo_loss(policy, dataset),
         "objective": estimators.penalized_objective(policy, dataset, beta),
     }
+    if stats is not None:
+        slack = estimators.confidence_slack(stats, dataset.n, alpha, beta)
+        metrics["ucb_risk"] = metrics["objective"] + slack.value
+        metrics["slack"] = slack.as_dict()
+    if env is not None:
+        metrics["exact_risk"] = simulator.exact_risk(policy, env)
+    return metrics
 
 
 def _write_json(obj: dict, path: str | Path) -> None:
@@ -199,9 +209,10 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
     """The environment a dataset is scored against, or None without --env.
 
     A builtin environment must be the one the dataset header names (a header
-    without `env` is accepted), and is rebuilt from the seed in the header;
-    an explicit --seed must agree with it. The environment must have the
-    dataset's context and action counts.
+    without `env` is accepted), and is rebuilt from the seed in the header,
+    which must be a JSON integer >= 0 as --seed is; an explicit --seed must
+    agree with it. The environment must have the dataset's context and
+    action counts.
     """
     if spec is None:
         return None
@@ -209,6 +220,8 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
         with open_dataset(dataset_path) as fh:
             header = read_header(fh, dataset_path)
         header_env, header_seed = header.get("env"), header.get("seed")
+        if "seed" in header and not (type(header_seed) is int and header_seed >= 0):
+            raise UsageError(f"{dataset_path}: header seed {json.dumps(header_seed)} is not an integer >= 0")
         if header_env is not None and header_env != spec:
             raise UsageError(f"--env {spec} contradicts the env '{header_env}' in {dataset_path}")
         if seed is None:
@@ -251,15 +264,9 @@ def _training_setup(args, betas: list[float]):
 
 def cmd_train(args) -> int:
     dataset, pclass, oracle, env, stats = _training_setup(args, [args.beta])
-    policy, objective = csc.train_ipw_pl(dataset, args.beta, oracle, pclass)
-    metrics = _dataset_metrics(policy, dataset, args.beta)
+    policy, _ = csc.train_ipw_pl(dataset, args.beta, oracle, pclass)
+    metrics = _policy_metrics(policy, dataset, args.beta, env, stats, args.alpha)
     metrics["oracle"] = args.oracle
-    if stats is not None:
-        slack = estimators.confidence_slack(stats, dataset.n, args.alpha, args.beta)
-        metrics["ucb_risk"] = objective + slack.value
-        metrics["slack"] = slack.as_dict()
-    if env is not None:
-        metrics["exact_risk"] = simulator.exact_risk(policy, env)
     _write_json(_policy_to_json(policy), f"{args.out}.policy.json")
     _write_json(metrics, f"{args.out}.metrics.json")
     print(f"{args.out}.policy.json")
@@ -270,10 +277,8 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = _load_valid(args.dataset)
     policy = _read_policy(load_json(args.policy), args.policy, dataset)
-    metrics = _dataset_metrics(policy, dataset, args.beta)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
-    if env is not None:
-        metrics["exact_risk"] = simulator.exact_risk(policy, env)
+    metrics = _policy_metrics(policy, dataset, args.beta, env)
     if args.out:
         _write_json(metrics, args.out)
     print(json.dumps(metrics, sort_keys=True))
@@ -309,21 +314,10 @@ def _discrete_sweep(args) -> list[dict]:
     dataset, pclass, oracle, env, stats = _training_setup(args, args.beta_grid)
     rows = []
     for beta in args.beta_grid:
-        policy, objective = csc.train_ipw_pl(dataset, beta, oracle, pclass)
-        row = {
-            "beta": beta,
-            "k": "",
-            "h": "",
-            "objective": objective,
-            "pl_hat": estimators.pseudo_loss(policy, dataset),
-            "ucb_risk": "",
-            "exact_risk": "",
-        }
-        if stats is not None:
-            row["ucb_risk"] = objective + estimators.confidence_slack(stats, dataset.n, args.alpha, beta).value
-        if env is not None:
-            row["exact_risk"] = simulator.exact_risk(policy, env)
-        rows.append(row)
+        policy, _ = csc.train_ipw_pl(dataset, beta, oracle, pclass)
+        metrics = _policy_metrics(policy, dataset, beta, env, stats, args.alpha)
+        row = {"beta": beta, "k": "", "h": "", "objective": metrics["objective"], "pl_hat": metrics["pseudo_loss"]}
+        rows.append(row | {key: metrics.get(key, "") for key in ("ucb_risk", "exact_risk")})
     return rows
 
 

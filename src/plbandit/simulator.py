@@ -11,7 +11,7 @@ generator; the seed is embedded in generated files, so within-build outputs
 are bit-reproducible.
 
 An environment's fields are not changed after construction; its logging pmf
-table and cdfs are built on first use and kept. Generation draws one stream
+table is built on first use and kept. Generation draws one stream
 per dataset, in order, so a seed fixes the dataset. plbandit runs no threads.
 """
 
@@ -54,6 +54,16 @@ def make_rng(seed_or_rng) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed_or_rng))
 
 
+def _context_dist(value) -> np.ndarray:
+    """An environment's context_dist as a float array; ValueError unless it is a probability vector."""
+    dist = np.asarray(value, dtype=float)
+    # Negated comparisons, so NaN entries fail too: min and max propagate NaN.
+    # ndarray methods, not np.all: verify builds hundreds of environments.
+    if not (dist.ndim == 1 and dist.min(initial=0.0) >= 0 and abs(dist.sum() - 1.0) <= PMF_ATOL):
+        raise ValueError("context_dist must be a probability vector")
+    return dist
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticEnvironment:
     """Finite discrete-action environment: context distribution, mean-loss table,
@@ -66,14 +76,11 @@ class SyntheticEnvironment:
     bernoulli_noise: bool = True
 
     def __post_init__(self):
-        dist = np.asarray(self.context_dist, dtype=float)
+        dist = _context_dist(self.context_dist)
         means = np.asarray(self.loss_means, dtype=float)
-        if dist.ndim != 1 or means.ndim != 2 or means.shape[0] != len(dist):
+        if means.ndim != 2 or means.shape[0] != len(dist):
             raise ValueError("context_dist and loss_means are not aligned")
-        # Negated comparisons, so NaN entries fail too: min and max propagate NaN.
-        # ndarray methods, not np.all: verify builds hundreds of environments.
-        if not (dist.min(initial=0.0) >= 0 and abs(dist.sum() - 1.0) <= PMF_ATOL):
-            raise ValueError("context_dist must be a probability vector")
+        # Negated comparisons, as in _context_dist.
         if not (means.min(initial=0.0) >= 0 and means.max(initial=0.0) <= 1):
             raise ValueError("loss means must lie in [0, 1]")
         object.__setattr__(self, "context_dist", dist)
@@ -95,22 +102,6 @@ class SyntheticEnvironment:
     def mu_table(self) -> np.ndarray:
         return self.logging_policy.pmf_table(self.num_contexts)
 
-    @cached_property
-    def context_cdf(self) -> np.ndarray:
-        """The cdf Generator.choice(p=context_dist) searches: the cumsum over its last entry."""
-        cdf = self.context_dist.cumsum()
-        cdf /= cdf[-1]
-        cdf.setflags(write=False)
-        return cdf
-
-    @cached_property
-    def mu_cdf_columns(self) -> np.ndarray:
-        """Cumulative logging pmf per context, by action, without the last action:
-        an (A - 1, X) array whose column x is the cdf that actions at x are drawn against."""
-        cdf = np.ascontiguousarray(np.cumsum(self.mu_table, axis=1).T[:-1])
-        cdf.setflags(write=False)
-        return cdf
-
 
 @dataclass(frozen=True, eq=False)
 class ContinuousEnvironment:
@@ -122,10 +113,7 @@ class ContinuousEnvironment:
     logging_densities: tuple[PiecewiseConstantDensity, ...]
 
     def __post_init__(self):
-        dist = np.asarray(self.context_dist, dtype=float)
-        # Negated comparisons, so NaN entries fail too.
-        if not (dist >= 0).all() or abs(dist.sum() - 1.0) > PMF_ATOL:
-            raise ValueError("context_dist must be a probability vector")
+        dist = _context_dist(self.context_dist)
         if len(self.loss_fns) != len(dist) or len(self.logging_densities) != len(dist):
             raise ValueError("per-context tables are not aligned")
         for fn in self.loss_fns:
@@ -138,12 +126,6 @@ class ContinuousEnvironment:
     @property
     def num_contexts(self) -> int:
         return len(self.context_dist)
-
-
-def _sample_categorical(rng: np.random.Generator, pmf_rows: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(pmf_rows, axis=1)
-    u = rng.random(len(pmf_rows))
-    return np.minimum((u[:, None] > cum).sum(axis=1), pmf_rows.shape[1] - 1)
 
 
 def generate_logs(env, n: int, seed: int):
@@ -171,17 +153,20 @@ def _draw_discrete(env: SyntheticEnvironment, n: int, rng: np.random.Generator):
 
     Row 0 of the uniforms draws the contexts, row 1 the actions and row 2,
     with Bernoulli noise, the losses; one call of rng.random((k, n)) draws
-    what k calls of rng.random(n) do. These are the draws
-    rng.choice(p=context_dist) and _sample_categorical make, from the
-    environment's cached cdfs: the same records. _sample_categorical counts
-    the cdf entries below u, capped at A - 1; the cdf never decreases, so
-    that is the count over the first A - 1 entries. The uniforms are freed on
-    return, before the dataset is built.
+    what k calls of rng.random(n) do. A context is the draw of
+    rng.choice(p=context_dist), which searches the cumsum over its last
+    entry. An action counts the entries of its context's cumulative logging
+    pmf below u, capped at A - 1; the cdf never decreases, so that is the
+    count over the first A - 1 entries. The uniforms are freed on return,
+    before the dataset is built.
     """
     uniforms = rng.random((3 if env.bernoulli_noise else 2, n))
-    xs = env.context_cdf.searchsorted(uniforms[0], side="right")
+    context_cdf = env.context_dist.cumsum()
+    context_cdf /= context_cdf[-1]
+    xs = context_cdf.searchsorted(uniforms[0], side="right")
+    mu_cdf = np.cumsum(env.mu_table, axis=1).T[:-1]
     actions = np.zeros(n, dtype=np.int64)
-    for cdf in env.mu_cdf_columns:
+    for cdf in mu_cdf:
         actions += uniforms[1] > cdf.take(xs)
     means = env.loss_means[xs, actions]
     losses = (uniforms[2] < means).astype(float) if env.bernoulli_noise else means
@@ -288,7 +273,9 @@ def supervised_to_bandit(
     if np.any(labels < 0) or np.any(labels >= pmf_rows.shape[1]):
         raise ValueError("label out of action range")
     rng = make_rng(seed)
-    actions = _sample_categorical(rng, pmf_rows)
+    cum = np.cumsum(pmf_rows, axis=1)
+    u = rng.random(len(pmf_rows))
+    actions = np.minimum((u[:, None] > cum).sum(axis=1), pmf_rows.shape[1] - 1)
     return LoggedDataset(
         actions=actions,
         losses=(actions != labels).astype(float),

@@ -820,6 +820,27 @@ class TestHeaderSeed:
         assert run(*argv, "--env", "demo", "--seed", 0) == 2
         assert "contradicts the seed 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+    @pytest.mark.parametrize("seed", ["7.0", "-7", "true", '"7"'])
+    def test_header_seed_not_an_integer_exits_two(self, demo7, command, seed, capsys):
+        tmp_path, dataset, _, policy = demo7
+        path = Path(dataset)
+        path.write_text(path.read_text().replace('"seed": 7', f'"seed": {seed}', 1))
+        argv = self.commands(tmp_path, dataset, policy)[command]
+        for given in ([], ["--seed", 7]):
+            assert run(*argv, "--env", "demo", *given) == 2
+            assert f"error: {dataset}: header seed {seed} is not an integer >= 0" in capsys.readouterr().err
+
+    def test_large_header_seed_is_used(self, tmp_path):
+        seed = 2**70
+        out = tmp_path / "big"
+        assert run("generate", "--env", "demo", "--n", 50, "--seed", seed, "--out", out) == 0
+        argv = ["train", "--dataset", f"{out}.dataset.jsonl", "--beta", 0.1, "--oracle", "argmin"]
+        assert run(*argv, "--env", f"{out}.env.json", "--out", tmp_path / "file") == 0
+        assert run(*argv, "--env", "demo", "--out", tmp_path / "builtin") == 0
+        from_file, builtin = (json.loads((tmp_path / f"{m}.metrics.json").read_text()) for m in ("file", "builtin"))
+        assert builtin["exact_risk"] == from_file["exact_risk"]
+
     def test_header_without_seed_needs_flag(self, tmp_path, capsys):
         data = simulator.generate_logs(random_environment((3, 101), 4, 3), 50, seed=3)
         path = tmp_path / "noseed.jsonl"
@@ -953,6 +974,14 @@ class TestSweep:
                     assert float(row[column]) == metrics[key]
                 else:
                     assert row[column] == "" and key not in metrics
+            # evaluate scores the trained policy through the same metrics as train.
+            env = ["--env", env_path] if enum_alpha_env else []
+            policy = f"{prefix}.policy.json"
+            assert run("evaluate", "--dataset", dataset_path, "--policy", policy, "--beta", beta, *env, "--out", out) == 0
+            evaluated = json.loads(out.read_text())
+            for key in ("ipw_risk", "pseudo_loss", "objective", "exact_risk"):
+                assert evaluated.get(key) == metrics.get(key)
+            assert ("exact_risk" in evaluated) == enum_alpha_env
 
 
 class TestMissingOutDirectory:

@@ -25,6 +25,7 @@ from plbandit.simulator import (
 )
 
 from continuous_reference import reference_generate_continuous
+from discrete_reference import _sample_categorical
 
 NAN, INF = float("nan"), float("inf")
 
@@ -182,6 +183,13 @@ class TestSupervisedToBandit:
         with pytest.raises(ValueError):
             supervised_to_bandit(np.zeros((2, 1)), np.array([0, 5]), np.full((2, 3), 1 / 3), seed=33)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_actions_are_the_reference_draw(self, order):
+        raw = np.random.default_rng(35).random((300, 4)) + 0.05
+        pmf_rows = np.asarray(raw / raw.sum(axis=1, keepdims=True), order=order)
+        data = supervised_to_bandit(np.zeros((300, 1)), np.arange(300) % 4, pmf_rows, seed=35)
+        assert np.array_equal(data.actions, _sample_categorical(simulator.make_rng(35), pmf_rows))
+
     def test_deterministic(self):
         features = np.linspace(0, 1, 20).reshape(10, 2)
         labels = np.arange(10) % 3
@@ -280,6 +288,11 @@ class TestEnvironmentFiles:
         env = simulator.random_continuous_environment(53, 2)
         with pytest.raises(ValueError, match="probability vector"):
             ContinuousEnvironment(np.array([np.nan, 1.0]), env.loss_fns, env.logging_densities)
+
+    def test_continuous_context_dist_rejects_a_matrix(self):
+        env = simulator.random_continuous_environment(53, 2)
+        with pytest.raises(ValueError, match="^context_dist must be a probability vector$"):
+            ContinuousEnvironment(np.array([[0.5], [0.5]]), env.loss_fns, env.logging_densities)
 
     def test_environment_validation(self):
         with pytest.raises(ValueError):

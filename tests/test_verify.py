@@ -308,6 +308,23 @@ class TestDiscreteReduction:
         assert details["beta"] == [0.01, 0.1, 1.0][details["instance"] % 3]
         assert 1 <= details["X"] <= 4 and 2 <= details["A"] <= 3
 
+    def test_a_permuted_explicit_stack_fails(self, monkeypatch):
+        # The brute force reads the explicit class's member stack, as the explicit
+        # path does; the closed-form all-det solve and the pointwise argmin do not.
+        tables = PolicyClass.tables
+        monkeypatch.setattr(PolicyClass, "tables", lambda self, x, lo=0, hi=None: tables(self, x)[::-1][lo:hi])
+        result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
+        assert not result.passed and result.details["paths"] == ["enumeration", "pointwise"]
+
+    def test_one_cost_build_per_instance_and_no_closed_form_stack(self, monkeypatch):
+        builds = []
+        build = csc.build_modified_costs
+        monkeypatch.setattr(csc, "build_modified_costs", lambda *args: builds.append(args) or build(*args))
+        monkeypatch.setattr(model._DeterministicClass, "tables", lambda *args: pytest.fail("all-det tables built"))
+        verify.run_verification(verify.VerifyConfig(env=ENVS["demo"](0), reps=20, n=100))
+        # 30 reduction instances, 7 betas of pessimism_path and 1 oracle_call_count fit.
+        assert len(builds) == 38
+
     def test_passing_details_hold_only_the_gap(self):
         result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
         assert result.passed and list(result.details) == ["max_objective_gap"]
