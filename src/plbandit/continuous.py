@@ -12,8 +12,9 @@ the modified-cost integral runs over [max(0, a~ - H/2), min(1, a~ + H/2)]
 (consistent with the effective bandwidth), and the surrogate window of a
 logged action has half-width H/2.
 
-Everything is a pure function over immutable structures; sweeps over (K, H)
-pairs may run concurrently.
+Every function is pure. A structure's fields are not changed after
+construction; a dataset's per-record logged density and a smoothed policy's
+piece layout are built on first use and kept. plbandit runs no threads.
 """
 
 from __future__ import annotations
@@ -320,6 +321,10 @@ class ContinuousLoggedDataset:
     """Logged records with actions in [0, 1]: record i was logged under the
     density `densities[density_index[i]]`.
 
+    The constructor rejects an action outside [0, 1] (NaN included) and a
+    density that is not a PiecewiseConstantDensity, so every density is
+    positive and normalized and every window integral below is defined.
+
     Every integral of the reduction depends on a record only through its
     logging density, so the estimators work once per density, not per record.
     """
@@ -343,6 +348,16 @@ class ContinuousLoggedDataset:
         if {len(self.context_ids), len(self.losses), len(self.density_index)} != {n}:
             raise DatasetError("dataset arrays are not aligned")
         check_index_range("density index", self.density_index, len(self.densities))
+        for g, density in enumerate(self.densities):
+            if not isinstance(density, PiecewiseConstantDensity):
+                users = np.flatnonzero(self.density_index == g)
+                where = f" at record {users[0]}" if len(users) else ", which no record uses"
+                raise DatasetError(f"density {g} is not a PiecewiseConstantDensity{where}")
+        # Negated, so a NaN action fails too.
+        bad = ~((self.actions >= 0.0) & (self.actions <= 1.0))
+        if bad.any():
+            i = int(bad.argmax())
+            raise DatasetError(f"action {float(self.actions[i])} out of [0, 1] at record {i}")
         if self.num_contexts is None:
             object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
         check_index_range("context id", self.context_ids, self.num_contexts)
@@ -369,43 +384,18 @@ class ContinuousLoggedDataset:
 
 def _window_mask(actions: np.ndarray, points: np.ndarray, h: float) -> np.ndarray:
     """(n, K) closed-window membership, row i equal to surrogate_set(actions[i], ...)."""
-    bad = np.flatnonzero(~((actions >= -EDGE_TOL) & (actions <= 1.0 + EDGE_TOL)))
-    if len(bad):
-        raise DatasetError(f"action must lie in [0, 1] at record {bad[0]}")
     a = actions[:, None]
     return (points >= a - h / 2.0 - EDGE_TOL) & (points <= a + h / 2.0 + EDGE_TOL)
 
 
-def _checked_logged_density(dataset: ContinuousLoggedDataset) -> np.ndarray:
-    mu_at = dataset.logged_density
-    zero = np.flatnonzero(mu_at <= PROPENSITY_FLOOR)
-    if len(zero):
-        raise SupportError(f"logged action has zero density at record {zero[0]}")
-    return mu_at
-
-
 def validate_continuous_dataset(dataset: ContinuousLoggedDataset) -> list[str]:
-    """Record-level checks mirroring the discrete validator (empty report = valid).
-
-    Integral and minimum are checked once per density; the report
-    lists every violation in record order.
+    """Every record whose loss is not finite or not in [0, 1], in record order
+    (empty report = valid). The constructor has already checked the actions
+    and the densities.
     """
-    distinct, index = dataset.densities, dataset.density_index
-    actions, losses = dataset.actions, dataset.losses
-    action_ok = (actions >= 0.0) & (actions <= 1.0)
-    loss_bad = ~np.isfinite(losses) | (losses < 0.0) | (losses > 1.0)
-    integral_bad = np.array([abs(d.integral() - 1.0) > PMF_ATOL for d in distinct])[index]
-    zero_piece = np.array([d.min_density <= PROPENSITY_FLOOR for d in distinct])[index]
-    zero_at_action = ~zero_piece & action_ok & (dataset.logged_density <= PROPENSITY_FLOOR)
-    checks = [
-        (~action_ok, "action out of [0,1]"),
-        (loss_bad, "loss out of [0,1]"),
-        (integral_bad, "density does not integrate to 1"),
-        (zero_piece, "zero logging density"),
-        (zero_at_action, "logged action has zero density"),
-    ]
-    flagged = sorted((int(i), rank) for rank, (mask, _) in enumerate(checks) for i in np.flatnonzero(mask))
-    return [f"{checks[rank][1]} at record {i}" for i, rank in flagged]
+    losses = dataset.losses
+    bad = ~((losses >= 0.0) & (losses <= 1.0))  # negated, so NaN fails too
+    return [f"loss out of [0,1] at record {i}" for i in np.flatnonzero(bad).tolist()]
 
 
 def build_modified_costs_continuous(
@@ -429,6 +419,8 @@ def build_modified_costs_continuous(
     The grid-policy-weighted average of these costs equals the density-side
     penalized objective of the smoothed policy, exactly.
     """
+    if not (0.0 < h <= 1.0):
+        raise ValueError("bandwidth must lie in (0, 1]")
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     points = grid.points
@@ -436,21 +428,13 @@ def build_modified_costs_continuous(
     lo = np.maximum(0.0, points - h / 2.0)
     hi = np.minimum(1.0, points + h / 2.0)
     inside = _window_mask(dataset.actions, points, h)
-    mu_at = _checked_logged_density(dataset)
-    index = dataset.density_index
     beta_rows = np.zeros((len(dataset.densities), grid.k))
     if beta > 0:
-        for g in np.unique(index):
-            mu = dataset.densities[g]
-            overlaps = mu._overlaps(lo[:, None], hi[:, None])
-            touched = overlaps > 0
-            if (touched & (mu.values <= PROPENSITY_FLOOR)).any():
-                first = int(np.argmax(index == g))
-                raise SupportError(f"zero-density piece inside the integration window at record {first}")
-            ratios = np.divide(overlaps, mu.values, out=np.zeros_like(overlaps), where=touched)
-            beta_rows[g] = beta / h_eff * ratios.sum(axis=1)
-    loss_part = dataset.losses[:, None] / (h_eff * mu_at[:, None])
-    costs = beta_rows[index] + np.where(inside, loss_part, 0.0)
+        # Every density is positive; a row no record uses is never read.
+        for g, mu in enumerate(dataset.densities):
+            beta_rows[g] = beta / h_eff * (mu._overlaps(lo[:, None], hi[:, None]) / mu.values).sum(axis=1)
+    loss_part = dataset.losses[:, None] / (h_eff * dataset.logged_density[:, None])
+    costs = beta_rows[dataset.density_index] + np.where(inside, loss_part, 0.0)
     return CostMatrix(costs=costs, context_ids=dataset.context_ids, num_contexts=dataset.num_contexts)
 
 
@@ -463,7 +447,7 @@ def continuous_ipw_risk(policy: SmoothedDensityPolicy, dataset: ContinuousLogged
     inside = _window_mask(dataset.actions, grid.points, h)
     heights = policy.base.table[dataset.context_ids] / effective_bandwidth(grid.points, h)
     pi_at = np.where(inside, heights, 0.0).sum(axis=1)
-    return float((pi_at / _checked_logged_density(dataset)) @ dataset.losses) / dataset.n
+    return float((pi_at / dataset.logged_density) @ dataset.losses) / dataset.n
 
 
 def continuous_pseudo_loss(policy, dataset: ContinuousLoggedDataset) -> float:

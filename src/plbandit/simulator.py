@@ -116,6 +116,9 @@ class ContinuousEnvironment:
         dist = _context_dist(self.context_dist)
         if len(self.loss_fns) != len(dist) or len(self.logging_densities) != len(dist):
             raise ValueError("per-context tables are not aligned")
+        for x, density in enumerate(self.logging_densities):
+            if not isinstance(density, PiecewiseConstantDensity):
+                raise ValueError(f"logging density {x} is not a PiecewiseConstantDensity")
         for fn in self.loss_fns:
             if (fn.values < 0).any() or (fn.values > 1).any():
                 raise ValueError("loss values must lie in [0, 1]")
@@ -347,7 +350,7 @@ def random_environment(
 
 def _random_breaks(rng: np.random.Generator, max_pieces: int, min_pieces: int = 1) -> np.ndarray:
     pieces = int(rng.integers(min_pieces, max_pieces + 1))
-    inner = np.unique(np.sort(0.05 + 0.9 * rng.random(pieces - 1)))
+    inner = np.unique(0.05 + 0.9 * rng.random(pieces - 1))
     return np.concatenate([[0.0], inner, [1.0]])
 
 

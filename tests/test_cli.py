@@ -75,6 +75,15 @@ class TestGenerate:
         assert run("generate", "--env", env, "--n", 1000, "--seed", 11, "--out", tmp_path / "g") == 0
         assert hashlib.sha256((tmp_path / "g.dataset.jsonl").read_bytes()).hexdigest() == digest
 
+    # SHA-256 of the continuous sweep CSV on that log, pinned at numpy 2.4.6:
+    # any change to the bits of the continuous estimators fails here.
+    def test_continuous_sweep_bytes_pinned(self, tmp_path):
+        assert run("generate", "--env", "demo-continuous", "--n", 1000, "--seed", 11, "--out", tmp_path / "g") == 0
+        argv = ["--h-grid-m", 6, "--beta", 0.05, "--env", "demo-continuous", "--out", tmp_path / "s.csv"]
+        assert run("sweep", "--dataset", tmp_path / "g.dataset.jsonl", *argv) == 0
+        digest = "89a5d3d337a23e45bf008f7df59a905afe05bf609b4d6ae9b3320ebcc2177609"
+        assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == digest
+
 
 class TestTrainEvaluate:
     def test_round_trip_metrics_exact(self, generated):
@@ -451,9 +460,9 @@ class TestCorruptContinuousDataset:
         bad=st.sampled_from([-0.25, 1.5, 7.0]),
     )
     def test_corrupt_record_exits_two(self, record, field, bad):
-        # A bad loss or action passes the loader and must be caught by the
-        # sweep's validation; a density that does not integrate to 1 is
-        # rejected by the loader.
+        # A bad loss passes the loader and must be caught by the sweep's
+        # validation; a bad action is rejected when the dataset is built, and
+        # a density that does not integrate to 1 by the loader.
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, tmp / "clean.jsonl")
@@ -518,6 +527,9 @@ class TestContinuousLoaderErrors:
             ("loss", [0.5], "loss [0.5] is not a number"),
             ("density.values", ["0.5", "1.5"], "values is not a 1-D array of JSON numbers"),
             ("density.breaks", ["0", "0.5", "1"], "breaks is not a 1-D array of JSON numbers"),
+            ("action", 1.5, "action 1.5 out of [0, 1]"),
+            ("action", -0.25, "action -0.25 out of [0, 1]"),
+            ("action", float("nan"), "action nan out of [0, 1]"),
         ],
     )
     def test_malformed_field_exits_two(self, tmp_path, capsys, lines, key, value, message):

@@ -208,6 +208,12 @@ class TestModifiedCostsContinuous:
         costs = build_modified_costs_continuous(data, SurrogateGrid(5), 0.2, 0.0)
         assert costs.costs[0] == pytest.approx([0.0, 2.5, 0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("h", [-0.5, 0.0, 2.0, float("nan")])
+    def test_bandwidth_outside_unit_interval_rejected(self, h):
+        data = continuous_dataset([0.32], [0.5], [UNIFORM])
+        with pytest.raises(ValueError, match=r"^bandwidth must lie in \(0, 1\]$"):
+            build_modified_costs_continuous(data, SurrogateGrid(4), h, 0.1)
+
     def test_grid_objective_matches_density_objective(self):
         rng = simulator.make_rng(204)
         worst = 0.0
@@ -391,8 +397,11 @@ class TestContinuousDatasetIO:
         assert validate_continuous_dataset(loaded) == []
 
     def test_validator_flags_bad_records(self):
-        data = continuous_dataset([1.5], [0.5], [UNIFORM])
-        assert any("action out of [0,1]" in v for v in validate_continuous_dataset(data))
+        # The constructor rejects the action; the validator reports the loss.
+        with pytest.raises(DatasetError, match=r"^action 1\.5 out of \[0, 1\] at record 0$"):
+            continuous_dataset([1.5], [0.5], [UNIFORM])
+        data = continuous_dataset([0.5, 1.0], [1.5, 0.5], [UNIFORM] * 2)
+        assert validate_continuous_dataset(data) == ["loss out of [0,1] at record 0"]
 
     @pytest.mark.parametrize("index, record", [([0, 2], 1), ([-1, 0], 0)])
     def test_density_index_out_of_range_names_record(self, index, record):
@@ -579,24 +588,20 @@ class TestGroupedEstimators:
         assert data.logged_density.tolist() == [1.5, 1.0, 1.5]
 
     def test_zero_density_at_logged_action_rejected(self):
-        # A dataset cannot be built with a zero piece through the public
-        # constructors, so build the density without its checks.
-        mu = PiecewiseConstantDensity.__new__(PiecewiseConstantDensity)
-        object.__setattr__(mu, "breaks", np.array([0.0, 0.5, 1.0]))
-        object.__setattr__(mu, "values", np.array([2.0, 0.0]))
-        data = continuous_dataset([0.2, 0.8], [0.5, 0.5], [UNIFORM, mu])
-        policy = SmoothedDensityPolicy(one_hot_grid_policy(2, 0), 0.5)
-        with pytest.raises(SupportError, match="at record 1"):
-            build_modified_costs_continuous(data, SurrogateGrid(2), 0.5, 0.0)
-        with pytest.raises(SupportError, match="at record 1"):
-            continuous_ipw_risk(policy, data)
+        # A zero piece fails the density's own checks, and a PiecewiseConstant
+        # holding one is not a density, so no dataset holds it.
+        breaks, values = np.array([0.0, 0.5, 1.0]), np.array([2.0, 0.0])
+        with pytest.raises(ValueError, match="^density must be strictly positive$"):
+            PiecewiseConstantDensity(breaks=breaks, values=values)
+        holed = PiecewiseConstant(breaks=breaks, values=values)
+        with pytest.raises(DatasetError, match="^density 1 is not a PiecewiseConstantDensity at record 1$"):
+            continuous_dataset([0.2, 0.8], [0.5, 0.5], [UNIFORM, holed])
 
     def test_action_outside_unit_interval_rejected(self):
-        data = continuous_dataset([0.5, 1.5], [0.5, 0.5], [UNIFORM] * 2)
-        with pytest.raises(ValueError, match="at record 1"):
-            build_modified_costs_continuous(data, SurrogateGrid(3), 0.5, 0.1)
-        with pytest.raises(ValueError, match="at record 1"):
-            continuous_ipw_risk(SmoothedDensityPolicy(one_hot_grid_policy(3, 0), 0.5), data)
+        # The rule is [0, 1] exactly, and the first bad record is named.
+        for action, text in [(1.5, "1.5"), (-0.25, "-0.25"), (1.0 + 1e-10, "1.0000000001"), (float("nan"), "nan")]:
+            with pytest.raises(DatasetError, match=rf"^action {text} out of \[0, 1\] at record 1$"):
+                continuous_dataset([0.5, action, 2.0], [0.5] * 3, [UNIFORM] * 3)
 
 
 class TestValidatorMatchesLoop:
@@ -612,33 +617,30 @@ class TestValidatorMatchesLoop:
             actions[i % data.n] = value
         for i, value in bad_losses.items():
             losses[i % data.n] = value
-        corrupt = ContinuousLoggedDataset(
-            context_ids=data.context_ids,
-            actions=actions,
-            losses=losses,
-            densities=data.densities,
-            density_index=data.density_index,
-        )
+        fields = dict(context_ids=data.context_ids, densities=data.densities, density_index=data.density_index)
+        if bad_actions:
+            first = min(i % data.n for i in bad_actions)
+            with pytest.raises(DatasetError, match=rf"out of \[0, 1\] at record {first}$"):
+                ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
+        corrupt = ContinuousLoggedDataset(actions=data.actions, losses=losses, **fields)
         assert validate_continuous_dataset(corrupt) == reference_validate(corrupt)
 
     def test_unnormalized_and_zero_densities_reported_in_record_order(self):
-        class Unchecked(PiecewiseConstant):
-            @property
-            def min_density(self):
-                return float(self.values.min())
-
-        double = Unchecked(breaks=np.array([0.0, 1.0]), values=np.array([2.0]))
-        holed = Unchecked(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
-        data = continuous_dataset([0.2, 0.7, 1.5, 0.1], [0.5, 2.0, 0.5, 0.5], [UNIFORM, holed, double, double])
+        # Neither function is a PiecewiseConstantDensity. The constructor
+        # names the first by its index and its first record, before the bad
+        # action of record 2; one that no record uses is named by its index.
+        double = PiecewiseConstant(breaks=np.array([0.0, 1.0]), values=np.array([2.0]))
+        holed = PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
+        with pytest.raises(DatasetError, match="^density 1 is not a PiecewiseConstantDensity at record 1$"):
+            continuous_dataset([0.2, 0.7, 1.5, 0.1], [0.5, 2.0, 0.5, 0.5], [UNIFORM, holed, double, double])
+        with pytest.raises(DatasetError, match="^density 1 is not a PiecewiseConstantDensity, which no record uses$"):
+            ContinuousLoggedDataset(
+                context_ids=[0], actions=[0.2], losses=[0.5], densities=(UNIFORM, double), density_index=[0]
+            )
+        data = continuous_dataset([0.2, 0.7, 0.9, 0.1], [0.5, 2.0, -0.5, 0.5], [UNIFORM] * 4)
         report = validate_continuous_dataset(data)
         assert report == reference_validate(data)
-        assert report == [
-            "loss out of [0,1] at record 1",
-            "zero logging density at record 1",
-            "action out of [0,1] at record 2",
-            "density does not integrate to 1 at record 2",
-            "density does not integrate to 1 at record 3",
-        ]
+        assert report == ["loss out of [0,1] at record 1", "loss out of [0,1] at record 2"]
 
 
 class TestLoaderInterning:
@@ -678,13 +680,14 @@ class TestLoaderInterning:
             actions[i % data.n] = value
         for i, value in bad_losses.items():
             losses[i % data.n] = value
-        data = ContinuousLoggedDataset(
-            context_ids=data.context_ids,
-            actions=actions,
-            losses=losses,
-            densities=data.densities,
-            density_index=data.density_index,
-        )
+        fields = dict(context_ids=data.context_ids, densities=data.densities, density_index=data.density_index)
+        # The constructor rejects an action outside [0, 1]; -0.0 is kept and saved.
+        out_of_range = [i for i, a in enumerate(actions) if not 0.0 <= a <= 1.0]
+        if out_of_range:
+            with pytest.raises(DatasetError, match=rf"out of \[0, 1\] at record {out_of_range[0]}$"):
+                ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
+            actions[out_of_range] = data.actions[out_of_range]
+        data = ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.jsonl"
             save_continuous_dataset_jsonl(data, path, metadata={"seed": 3})

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plbandit import estimators, simulator
-from plbandit.continuous import ContinuousLoggedDataset
+from plbandit.continuous import ContinuousLoggedDataset, PiecewiseConstant
 from plbandit.model import (
     DeterministicPolicy,
     TabularPolicy,
@@ -293,6 +293,12 @@ class TestEnvironmentFiles:
         env = simulator.random_continuous_environment(53, 2)
         with pytest.raises(ValueError, match="^context_dist must be a probability vector$"):
             ContinuousEnvironment(np.array([[0.5], [0.5]]), env.loss_fns, env.logging_densities)
+
+    def test_continuous_rejects_a_logging_density_that_is_not_a_density(self):
+        env = simulator.random_continuous_environment(53, 2)
+        holed = PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
+        with pytest.raises(ValueError, match="^logging density 1 is not a PiecewiseConstantDensity$"):
+            ContinuousEnvironment(env.context_dist, env.loss_fns, (env.logging_densities[0], holed))
 
     def test_environment_validation(self):
         with pytest.raises(ValueError):
