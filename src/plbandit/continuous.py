@@ -316,6 +316,10 @@ def discretize(policy, k: int, num_contexts: int) -> GridMassPolicy:
 # Continuous logged data and the reduction to a grid CSC problem.
 
 
+def _action_outside(action) -> str:
+    return f"action {float(action)} out of [0, 1]"
+
+
 @dataclass(frozen=True, eq=False)
 class ContinuousLoggedDataset:
     """Logged records with actions in [0, 1]: record i was logged under the
@@ -357,7 +361,7 @@ class ContinuousLoggedDataset:
         bad = ~((self.actions >= 0.0) & (self.actions <= 1.0))
         if bad.any():
             i = int(bad.argmax())
-            raise DatasetError(f"action {float(self.actions[i])} out of [0, 1] at record {i}")
+            raise DatasetError(f"{_action_outside(self.actions[i])} at record {i}")
         if self.num_contexts is None:
             object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
         check_index_range("context id", self.context_ids, self.num_contexts)
@@ -566,14 +570,15 @@ _CONTINUOUS_KEYS = ("context.id", "action", "loss", "density.breaks", "density.v
 
 def _scalar_problem(context_id, action, loss) -> str | None:
     if type(context_id) is int and -(2**63) <= context_id < 2**63 and type(action) is type(loss) is float:
-        return None  # the common record, decided without the calls below
+        # The common record, decided without the calls below.
+        return None if 0.0 <= action <= 1.0 else _action_outside(action)
     problem = index_problem("context.id", context_id)
     if problem is not None:
         return problem
     for name, value in (("action", action), ("loss", loss)):
         if not is_number(value):
             return f"{name} {json.dumps(value)} is not a number"
-    return None
+    return None if 0.0 <= action <= 1.0 else _action_outside(action)
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
@@ -584,8 +589,8 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
 
     As in `load_dataset_jsonl`, a line that is not a JSON object, a missing
     field, a context id that is not a JSON integer, a non-numeric action or
-    loss, and a density that fails its checks raise DatasetError naming the
-    file and the 0-based record index.
+    loss, an action outside [0, 1] and a density that fails its checks raise
+    DatasetError naming the file and the 0-based record index.
     """
     ids, actions, losses, index, densities = [], [], [], [], []
     # Parsed lists of numbers, and validated arrays' bytes, to the density's number.

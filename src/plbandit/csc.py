@@ -27,7 +27,6 @@ from .model import (
     MassPolicy,
     PolicyClass,
     _logged_cells,
-    check_floor,
     check_index_range,
     context_sums,
 )
@@ -85,7 +84,6 @@ def build_modified_costs(dataset: LoggedDataset, beta: float) -> CostMatrix:
     """
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    check_floor(dataset.propensities)
     costs = beta / dataset.propensities
     cells = _logged_cells(dataset)
     costs.reshape(-1)[cells] += dataset.losses / dataset.propensities.take(cells)
@@ -218,7 +216,6 @@ def _member_values(dataset: LoggedDataset, beta: float, policy_class: PolicyClas
     (feature contexts), with the per-record expressions of ipw_terms and
     pl_terms; each mean is taken over one member's own row.
     """
-    check_floor(dataset.propensities)
     cells, n = _logged_cells(dataset), dataset.n
     logged = dataset.propensities.take(cells)
     finite = dataset.context_ids is not None

@@ -22,7 +22,6 @@ from .model import (
     MassPolicy,
     PolicyClass,
     _logged_cells,
-    check_floor,
 )
 
 TERM_ATOL = 1e-12
@@ -58,15 +57,12 @@ def ipw_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     if rows.shape != dataset.propensities.shape:
         raise ValueError(f"policy has {rows.shape[1]} actions, the dataset {dataset.num_actions}")
     cells = _logged_cells(dataset)
-    logged = dataset.propensities.take(cells)
-    check_floor(logged)
-    return rows.take(cells) / logged * dataset.losses
+    return rows.take(cells) / dataset.propensities.take(cells) * dataset.losses
 
 
 def pl_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     """Per-record importance-weight mass sum_a pi(a|x_i)/mu(a|x_i)."""
     rows = policy.pmf_rows(dataset)
-    check_floor(dataset.propensities)
     return (rows / dataset.propensities).sum(axis=1)
 
 
@@ -144,6 +140,11 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError("alpha must lie in (0, 1)")
 
 
+def _check_n(n: int) -> None:
+    if not n >= 1:
+        raise ValueError("n must be >= 1")
+
+
 def _log_union(class_size: int, alpha: float) -> float:
     """ln(4|class|/a): the log of one float product wherever that is finite, else
     ln|class| + ln 4 - ln a, as math.log takes an int of any size (such as k**X)."""
@@ -162,6 +163,7 @@ def pl_confidence_band(pl_hat: float, n: int, alpha: float, mu_pmf_inf: float) -
     [2/3*(PL_hat - c), 2*(PL_hat + c)], clamped below at 0.
     """
     _check_alpha(alpha)
+    _check_n(n)
     if pl_hat < 0:
         raise ValueError("pl_hat must be nonnegative")
     if mu_pmf_inf <= 0:
@@ -184,6 +186,7 @@ def confidence_width(pl_hat: float, stats: ClassStats, n: int, alpha: float) -> 
     derived["maxEnvelope"].
     """
     _check_alpha(alpha)
+    _check_n(n)
     if pl_hat < 0:
         raise ValueError("pl_hat must be nonnegative")
     log_term = math.log(4.0 / alpha)
@@ -208,6 +211,7 @@ def confidence_slack(stats: ClassStats, n: int, alpha: float, beta: float) -> Bo
           + ln(4|class|/a)*weight_ratio_sup/(3N)
     """
     _check_alpha(alpha)
+    _check_n(n)
     if beta <= 0:
         raise ValueError("beta must be positive")
     log_term = _log_union(stats.class_size, alpha)
@@ -233,6 +237,7 @@ def oracle_inequality_bound(stats: ClassStats, n: int, alpha: float, beta: float
     value = 2*beta*pl_hat + (1.5*pmf_sup/beta + 8*mismatch) * ln(4|class|/a) / N
     """
     _check_alpha(alpha)
+    _check_n(n)
     if beta <= 0:
         raise ValueError("beta must be positive")
     if pl_hat < 0:
@@ -247,6 +252,7 @@ def oracle_inequality_bound_tuned(stats: ClassStats, n: int, alpha: float, exact
     value = sqrt(18*pmf_sup*PL*ln(4|class|/a)/N) + 12*mismatch*ln(4|class|/a)/N
     """
     _check_alpha(alpha)
+    _check_n(n)
     if exact_pl_value < 0:
         raise ValueError("exact_pl_value must be nonnegative")
     log_term = _log_union(stats.class_size, alpha)
@@ -267,7 +273,6 @@ def beta_candidates(
     tables with the per-context sums of 1/mu, so no member is decoded.
     """
     _check_alpha(alpha)
-    check_floor(dataset.propensities)
     log_term = _log_union(stats.class_size, alpha)
     pl_hats = policy_class.member_sums(1.0 / dataset.propensities, dataset) / dataset.n
     if np.any(pl_hats <= 0):

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-# Propensities below this are treated as zero (support violation); guards the
-# 1/mu terms in every estimator.
+# A propensity at or below this counts as zero: LoggedDataset rejects its row,
+# which guards the 1/mu terms in every estimator.
 PROPENSITY_FLOOR = 1e-12
 
 # Tolerance for "sums to one" checks on pmfs and distributions.
@@ -43,18 +43,11 @@ class SupportError(ValueError):
 
 
 class DatasetError(ValueError):
-    """A logged dataset is malformed: misaligned arrays or an index out of range."""
+    """A logged dataset is malformed: misaligned arrays, an index out of range or a bad pmf row."""
 
 
-def check_floor(values: np.ndarray) -> None:
-    """Raise SupportError when any propensity in `values` is at or below PROPENSITY_FLOOR.
-
-    NaN compares false, so it passes. The ndarray method, not np.any: the guard
-    runs thousands of times per `verify`, and np.any's wrapper costs more than
-    the comparison.
-    """
-    if (values <= PROPENSITY_FLOOR).any():
-        raise SupportError("propensity below floor; support assumption violated")
+def _out_of_range(name: str, value, upper: int) -> str:
+    return f"{name} {int(value)} out of range [0, {upper})"
 
 
 def check_index_range(name: str, values: np.ndarray, upper: int) -> None:
@@ -65,7 +58,7 @@ def check_index_range(name: str, values: np.ndarray, upper: int) -> None:
     bad = (values < 0) | (values >= upper)
     if bad.any():
         i = int(bad.argmax())
-        raise DatasetError(f"{name} {int(values[i])} out of range [0, {upper}) at record {i}")
+        raise DatasetError(f"{_out_of_range(name, values[i], upper)} at record {i}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -399,6 +392,32 @@ class ClassStats:
         )
 
 
+_ROW_FAULTS = ("non-finite propensity", "propensities do not sum to 1", "zero propensity")
+
+
+def _record_fault(actions: np.ndarray, p: np.ndarray) -> tuple[int, str] | None:
+    """The first record whose action is outside [0, A) or whose propensity row
+    is not a full-support pmf, with what is wrong; None when every record is sound.
+
+    A row fails, in this order, when an entry is not finite, when
+    p.sum(axis=1) misses 1 by more than PMF_ATOL (numpy's pairwise order on
+    rows of 8 or more entries decides the edge), or when an entry is at or
+    below PROPENSITY_FLOOR; a record's action is named before its row. One
+    pass decides, as in _check_pmf: min propagates NaN, and an infinite entry
+    puts its row sum at inf or NaN. The per-kind masks run only on failure.
+    """
+    num_actions = p.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        off_sum = np.abs(p.sum(axis=1) - 1.0)
+    if actions.min() >= 0 and actions.max() < num_actions and p.min() > PROPENSITY_FLOOR and off_sum.max() <= PMF_ATOL:
+        return None
+    bad_action = (actions < 0) | (actions >= num_actions)
+    at_floor = (p <= PROPENSITY_FLOOR).any(axis=1)
+    masks = np.stack([bad_action, ~np.isfinite(p).all(axis=1), off_sum > PMF_ATOL, at_floor], axis=1)
+    i, kind = divmod(int(masks.argmax()), masks.shape[1])  # row-major: the first record, then its first kind
+    return i, _out_of_range("action", actions[i], num_actions) if kind == 0 else _ROW_FAULTS[kind - 1]
+
+
 @dataclass(frozen=True, eq=False)
 class LoggedDataset:
     """Batch of logged records in array form.
@@ -406,6 +425,9 @@ class LoggedDataset:
     Exactly one of `context_ids` / `context_features` is set. `num_contexts`
     is the finite-context table size when known (generators set it; loaders
     infer max id + 1).
+
+    Each propensity row must be a full-support pmf (see _record_fault), so
+    every 1/mu term downstream is defined and nothing checks the rows again.
 
     A finite-context dataset also carries `ipw_sums` and `pl_sums`, the two
     (num_contexts, A) tables that the estimators contract with a policy's
@@ -438,7 +460,9 @@ class LoggedDataset:
         contexts = self.context_ids if self.context_ids is not None else self.context_features
         if self.propensities.ndim != 2 or {len(self.propensities), len(self.losses), len(contexts)} != {n}:
             raise DatasetError("dataset arrays are not aligned")
-        check_index_range("action", self.actions, self.num_actions)
+        fault = _record_fault(self.actions, self.propensities)
+        if fault is not None:
+            raise DatasetError(f"{fault[1]} at record {fault[0]}")
         if self.context_ids is not None:
             if self.num_contexts is None:
                 object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
@@ -454,12 +478,8 @@ class LoggedDataset:
 
     @cached_property
     def ipw_sums(self) -> np.ndarray:
-        """loss_i / mu(a_i|x_i) summed over the records logged at each (context, action).
-
-        Raises SupportError when a logged propensity is below the floor.
-        """
+        """loss_i / mu(a_i|x_i) summed over the records logged at each (context, action)."""
         logged = self.propensities.take(_logged_cells(self))
-        check_floor(logged)
         # One np.bincount over the flat cell index adds each cell's values in record order.
         cells = self._finite_ids() * self.num_actions + self.actions
         summed = np.bincount(cells, weights=self.losses / logged, minlength=self.num_contexts * self.num_actions)
@@ -467,11 +487,7 @@ class LoggedDataset:
 
     @cached_property
     def pl_sums(self) -> np.ndarray:
-        """1/mu(a|x_i) summed over the records at each context, for every action.
-
-        Raises SupportError when any propensity is below the floor.
-        """
-        check_floor(self.propensities)
+        """1/mu(a|x_i) summed over the records at each context, for every action."""
         return _frozen(context_sums(1.0 / self.propensities, self._finite_ids(), self.num_contexts))
 
     def _finite_ids(self) -> np.ndarray:
@@ -494,47 +510,14 @@ def _logged_cells(dataset: LoggedDataset) -> np.ndarray:
     return np.arange(0, dataset.propensities.size, dataset.num_actions) + dataset.actions
 
 
-# Report kinds of validate_dataset, in the order each record reports them.
-_VIOLATIONS = (
-    "non-finite loss",
-    "loss out of [0,1]",
-    "non-finite propensity",
-    "propensities do not sum to 1",
-    "zero propensity",
-    "logged action has zero propensity",
-)
-
-
 def validate_dataset(dataset: LoggedDataset) -> list[str]:
-    """Check every record invariant; return a report of violations (empty = valid).
-
-    Propensities below 1e-12 count as zero, guarding the 1/mu terms downstream.
-    The report lists each record's violations in record order; a record whose
-    propensity row is not finite reports nothing about that row beyond it.
-
-    The finite and at-floor tests run along axis 0 of one (A, n) transposed
-    copy, where numpy works on whole columns; the row sum stays p.sum(axis=1),
-    whose pairwise order on rows of 8 or more entries the report depends on.
-    A valid log returns before the (n, 6) mask is stacked and searched.
+    """Every record whose loss is not finite or not in [0, 1], in record order
+    (empty report = valid). The constructor has already checked the actions
+    and the propensity rows.
     """
-    losses, p = dataset.losses, dataset.propensities
-    columns = p.T.copy()
-    finite_loss = np.isfinite(losses)
-    finite_row = np.isfinite(columns).all(axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        off_sum = np.abs(p.sum(axis=1) - 1.0) > PMF_ATOL
-    masks = [
-        ~finite_loss,
-        finite_loss & ((losses < 0.0) | (losses > 1.0)),
-        ~finite_row,
-        finite_row & off_sum,
-        finite_row & (columns <= PROPENSITY_FLOOR).any(axis=0),
-        finite_row & (p.take(_logged_cells(dataset)) <= PROPENSITY_FLOOR),
-    ]
-    if not any(mask.any() for mask in masks):
-        return []
-    records, kinds = np.nonzero(np.stack(masks, axis=1))  # row-major: by record, then by kind
-    return [f"{_VIOLATIONS[k]} at record {i}" for i, k in zip(records.tolist(), kinds.tolist())]
+    losses = dataset.losses
+    bad = np.flatnonzero(~((losses >= 0.0) & (losses <= 1.0)))  # negated, so NaN fails too
+    return [f"{'loss out of [0,1]' if np.isfinite(losses[i]) else 'non-finite loss'} at record {i}" for i in bad.tolist()]
 
 
 def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities: np.ndarray) -> ClassStats:
@@ -850,7 +833,8 @@ def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | 
         return "propensity vector does not match header action count"
     if not all(map(is_number, props)):
         return "propensities are not all numbers"
-    return None
+    fault = _record_fault(np.array([record["action"]]), np.array([props], dtype=float))
+    return None if fault is None else fault[1]
 
 
 def _number_rows(rows: list, width: int) -> bool:
@@ -919,9 +903,10 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     read_record_chunks), and kept only as numpy columns: the distinct
     records' columns, gathered once into record order. A line that is not a
     JSON object, a missing field, an action or context id that is not a JSON
-    integer, a loss or propensity that is not a number, and a propensity
-    vector of the wrong length raise DatasetError naming the file and the
-    0-based record index of the first such record.
+    integer, a loss or propensity that is not a number, a propensity vector
+    of the wrong length, and an action or propensity row that LoggedDataset
+    rejects raise DatasetError naming the file and the 0-based record index
+    of the first such record. Each chunk is checked before the next is read.
     """
     with open_dataset(path) as fh:
         header = read_header(fh, path)
@@ -938,6 +923,10 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
             if columns is None:
                 expanded = list(map(records.__getitem__, inverse))
                 raise _chunk_error(path, start, expanded, num_actions, feature_dim)
+            fault = _record_fault(columns[1], columns[3])
+            if fault is not None:  # distinct records are in first-seen order
+                k = int(np.argmax(inverse == fault[0]))
+                raise DatasetError(f"{path}: {fault[1]} at record {start + k}")
             chunks.append(columns)
             inverses.append(np.add(inverse, offset))
             offset += len(records)

@@ -267,9 +267,10 @@ def supervised_to_bandit(
 ) -> LoggedDataset:
     """Convert a labeled multiclass dataset to bandit feedback.
 
-    Per example i, an action is drawn from the logging pmf `pmf_rows[i]` (an
-    (n, num_actions) matrix) and the loss is the 0/1 misclassification of the
-    true label.
+    Per example i, an action is drawn from the logging pmf `pmf_rows[i]` and
+    the loss is the 0/1 misclassification of the true label. `pmf_rows` is
+    (n, num_actions), and each row needs full support, as LoggedDataset
+    requires: DatasetError names the first record whose row does not have it.
     """
     labels = np.asarray(labels, dtype=np.int64)
     pmf_rows = np.asarray(pmf_rows, dtype=float)

@@ -3,7 +3,9 @@
 These are the record-by-record writer, loader and validator that the columnar
 versions in `plbandit.model` replaced, kept verbatim (renamed) so tests can
 check that the library writes the same bytes, loads the same arrays and
-reports the same violations in the same order. `reference_generate_logs` is
+reports the same violations in the same order: the loss violations from
+`validate_dataset`, the first propensity violation from the `LoggedDataset`
+constructor. `reference_generate_logs` is
 the discrete branch of the generator that drew contexts with `rng.choice` and
 actions with `_sample_categorical`, kept verbatim, so tests can check that
 the library draws the same records per seed. `reference_objective` is the
@@ -82,10 +84,16 @@ def reference_tables(policy_class, num_contexts: int, lo: int = 0, hi: int | Non
     return np.stack([m.pmf_table(num_contexts) for m in policy_class.members[lo:hi]])
 
 
-def reference_validate(dataset: LoggedDataset) -> list[str]:
+def reference_validate(dataset) -> list[str]:
     """Check every record invariant; return a report of violations (empty = valid).
 
     Propensities below 1e-12 count as zero, guarding the 1/mu terms downstream.
+
+    `dataset` is anything with `n`, `actions`, `losses` and `propensities`:
+    LoggedDataset now rejects a bad propensity row when it is built, so the
+    rows this loop reports on come as a plain namespace of arrays. Its loss
+    entries are `validate_dataset`'s report; its first propensity entry is
+    the record and kind the constructor names.
     """
     report: list[str] = []
     p = dataset.propensities

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -406,10 +407,59 @@ class TestEveryEntryPointValidates:
                 row["propensities"] = [p * (1.0 + value) for p in row["propensities"]]
             return json.dumps(row)
 
+        # A bad loss is caught by the validation that follows the load; a bad
+        # propensity row is rejected by the loader itself, which names the
+        # record and what is wrong with its row.
+        row_kinds = "(non-finite propensity|propensities do not sum to 1|zero propensity)"
         for code, err in run_corrupted(edit, record):
             assert code == 2
-            assert "bad.jsonl: invalid dataset: " in err
-            assert f"at record {record} (+" in err
+            if field == "loss":
+                assert "bad.jsonl: invalid dataset: " in err
+                assert f"at record {record} (+" in err
+            else:
+                assert re.search(rf"bad\.jsonl: {row_kinds} at record {record}$", err.strip()), err
+
+
+def rewrite_records(source, out: Path, edits: dict) -> Path:
+    """A copy of a dataset file at `out`, record i edited in place by edits[i]."""
+    lines = Path(source).read_text().splitlines()
+    for i, edit in edits.items():
+        record = json.loads(lines[i + 1])
+        edit(record)
+        lines[i + 1] = json.dumps(record, sort_keys=True)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+class TestFirstBadRecordInFileOrder:
+    """A file with a rejected action or propensity row at record 0 and no loss
+    at record 3 exits 2 naming record 0: each loader checks a record as it
+    reads it, not after the last one."""
+
+    @staticmethod
+    def corrupt(source, out, key, value):
+        return rewrite_records(source, out, {0: lambda r: r.update({key: value}), 3: lambda r: r.pop("loss")})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("action", 7, "action 7 out of range [0, 3) at record 0"),
+            ("propensities", [0.3, 0.3, 0.3], "propensities do not sum to 1 at record 0"),
+        ],
+        ids=["action", "propensities"],
+    )
+    def test_discrete_train(self, tmp_path, capsys, key, value, message):
+        assert run("generate", "--env", "demo", "--n", 20, "--seed", 0, "--out", tmp_path / "d") == 0
+        bad = self.corrupt(tmp_path / "d.dataset.jsonl", tmp_path / "bad.jsonl", key, value)
+        assert run("train", "--dataset", bad, "--beta", 0.1, "--out", tmp_path / "m") == 2
+        assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+
+    @pytest.mark.parametrize("action, text", [(1.5, "1.5"), (float("nan"), "nan")], ids=["above-one", "nan"])
+    def test_continuous_sweep(self, tmp_path, capsys, action, text):
+        assert run("generate", "--env", "demo-continuous", "--n", 20, "--seed", 0, "--out", tmp_path / "c") == 0
+        bad = self.corrupt(tmp_path / "c.dataset.jsonl", tmp_path / "bad.jsonl", "action", action)
+        assert run("sweep", "--dataset", bad, "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
+        assert capsys.readouterr().err.strip() == f"error: {bad}: action {text} out of [0, 1] at record 0"
 
 
 class TestHeaderEnv:
@@ -1204,16 +1254,21 @@ class TestVerify:
         report = json.loads(report_path.read_text())
         assert report["passed"] and report["num_checks"] == len(verify.ALL_CHECKS)
 
-    def test_zero_propensity_dataset_fails(self, tmp_path, generated):
-        _, dataset_path, _ = generated
-        lines = open(dataset_path).read().splitlines()
-        record = json.loads(lines[1])
-        record["propensities"] = [1.0, 0.0, 0.0]
-        lines[1] = json.dumps(record, sort_keys=True)
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+    def test_zero_propensity_dataset_fails(self, tmp_path, generated, capsys):
+        # The row is rejected when the file is loaded, before any check runs.
+        bad = rewrite_records(generated[1], tmp_path / "bad.jsonl", {0: lambda r: r.update(propensities=[1.0, 0.0, 0.0])})
         code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad)
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {bad}: zero propensity at record 0"
+
+    def test_out_of_range_loss_fails_dataset_validation(self, tmp_path, generated):
+        bad = rewrite_records(generated[1], tmp_path / "bad.jsonl", {0: lambda r: r.update(loss=1.5)})
+        report_path = tmp_path / "report.json"
+        code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad, "--out", report_path)
         assert code == 3
+        check = next(c for c in json.loads(report_path.read_text())["checks"] if c["name"] == "dataset_validation")
+        assert not check["passed"]
+        assert check["details"]["supplied_violations"] == ["loss out of [0,1] at record 0"]
 
     def test_continuous_env_is_usage_error(self, capsys):
         assert run("verify", "--env", "demo-continuous", "--reps", 5, "--n", 50) == 2

@@ -3,11 +3,14 @@
 `save_dataset_jsonl`, `load_dataset_jsonl` and `validate_dataset` work on
 columns; `discrete_reference` keeps the record-by-record versions they
 replaced. The writer must produce the same bytes, the loader the same arrays
-bit for bit, and the validator the same report strings in the same order.
+bit for bit, and the validator the same loss report strings in the same
+order; `LoggedDataset` must reject a propensity row exactly when the loop
+reports one, naming the loop's first.
 """
 
 import json
 import re
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -46,9 +49,21 @@ metadata = st.dictionaries(
 )
 
 
+# Raw propensity weights; a row of them divided by its sum is a full-support pmf.
+weights = st.one_of(st.sampled_from([1e-7, 0.1, 1 / 3, 1.0]), st.floats(1e-3, 1e3))
+
+
+def pmf_rows(draw, n: int, num_actions: int) -> np.ndarray:
+    """n full-support pmf rows of arbitrary bits: drawn weights, each row divided by its sum."""
+    raw = np.array(draw(st.lists(weights, min_size=n * num_actions, max_size=n * num_actions)))
+    raw = raw.reshape(n, num_actions)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
 @st.composite
 def datasets(draw):
-    """Any dataset LoggedDataset accepts, with arbitrary floats (non-finite included)."""
+    """Any dataset LoggedDataset accepts: arbitrary losses and features
+    (non-finite included), and full-support propensity rows."""
     n = draw(st.integers(1, 9))
     num_actions = draw(st.integers(1, 4))
 
@@ -59,7 +74,7 @@ def datasets(draw):
     kwargs = dict(
         actions=np.array(draw(st.lists(st.integers(0, num_actions - 1), min_size=n, max_size=n))),
         losses=column((n,)),
-        propensities=column((n, num_actions)),
+        propensities=pmf_rows(draw, n, num_actions),
     )
     feature_dim = draw(st.none() | st.integers(0, 3))
     if feature_dim is None:
@@ -78,29 +93,29 @@ def pooled_datasets(draw):
     """A dataset of at most 60 records drawn, interleaved, from a pool of at
     most 5 rows, so the same records repeat within and across writer chunks.
 
-    The pool is a drawn base row, with a 0.0 loss and a 0.0 first propensity,
-    and up to four variants of it that differ from it in bits only: a -0.0
-    loss; a -0.0 first propensity; a NaN loss and last propensity of either
-    of two payloads; a feature with its sign bit flipped.
+    The pool is a drawn base row, with a 0.0 loss, and up to four variants of
+    it that differ from it in few bits: a -0.0 loss; a first propensity one
+    ulp larger (a full-support row has no -0.0 or NaN entry, whose bits
+    differ from an equal or NaN value's); a NaN loss of either of two
+    payloads; a feature with its sign bit flipped.
     """
     num_actions = draw(st.integers(1, 3))
     feature_dim = draw(st.none() | st.integers(0, 3))
     action = draw(st.integers(0, num_actions - 1))
-    probs = np.array(draw(st.lists(floats, min_size=num_actions, max_size=num_actions)))
+    probs = pmf_rows(draw, 1, num_actions)[0]
     width = feature_dim or 0
     features = np.array(draw(st.lists(floats, min_size=width, max_size=width)), dtype=float)
 
-    def row(loss=0.0, first=0.0, last=None, flip=False):
+    def row(loss=0.0, nudge=False, flip=False):
         p = probs.copy()
-        p[0] = first
-        if last is not None:
-            p[-1] = last
+        if nudge:
+            p[0] = np.nextafter(p[0], 2.0)
         f = features.copy()
         if flip:
             f[0] = -f[0]
         return f, loss, p
 
-    variants = [row(loss=-0.0), row(first=-0.0), row(loss=NAN_A, last=NAN_A), row(loss=NAN_B, last=NAN_B)]
+    variants = [row(loss=-0.0), row(nudge=True), row(loss=NAN_A), row(loss=NAN_B)]
     if width:
         variants.append(row(flip=True))
     pool = [row()] + draw(st.permutations(variants))[:4]
@@ -138,7 +153,7 @@ class TestSaveMatchesReference:
         data = LoggedDataset(
             actions=np.zeros(len(values), dtype=np.int64),
             losses=values,
-            propensities=np.stack([values, values[::-1]], axis=1),
+            propensities=np.column_stack([np.linspace(0.1, 0.9, len(values)), np.linspace(0.9, 0.1, len(values))]),
             context_features=values[:, None],
         )
         save_dataset_jsonl(data, tmp_path / "new.jsonl")
@@ -241,7 +256,7 @@ class TestLoadMatchesReference:
 # values. Loss texts include 0 and 0.0 (equal floats) and -0.0 (equal to 0.0
 # but with its sign bit set), which must load bitwise as written.
 LOSS_TEXTS = ["0", "0.0", "-0.0", "1.0", "0.5"]
-PROPENSITY_TEXTS = ["[0.5, 0.5]", "[0.25, 0.75]", "[1, 0.0]"]
+PROPENSITY_TEXTS = ["[0.5, 0.5]", "[0.25, 0.75]", "[0.5, 5e-1]"]
 CONTEXT_TEXTS = {
     "id": ['{"id": 0}', '{"id": 1}', '{"id": 2}'],
     "features": ['{"features": [0.1]}', '{"features": [-0.0]}', '{"features": [0.0]}'],
@@ -360,6 +375,29 @@ class TestLoaderErrors:
         with pytest.raises(DatasetError, match=r"action 1.5 is not an integer at record 1$"):
             load_lines(tmp_path, json.dumps(GOOD), with_field("action", 1.5), json.dumps(no_loss))
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("action", 7, r"action 7 out of range \[0, 2\)"),
+            ("propensities", [0.3, 0.3], "propensities do not sum to 1"),
+            ("propensities", [1.0, 0.0], "zero propensity"),
+            ("propensities", [0.5, NAN], "non-finite propensity"),
+        ],
+    )
+    def test_rejected_record_named_before_a_later_one(self, tmp_path, key, value, message):
+        # LoggedDataset's rule runs on each chunk before the next is read, and
+        # on each record of a chunk that fails to parse, so a record it
+        # rejects is named before a later record with a missing field.
+        no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
+        bad = with_field(key, value)
+        with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 0$"):
+            load_lines(tmp_path, bad, json.dumps(GOOD), json.dumps(GOOD), no_loss)
+        with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 1$"):
+            load_lines(tmp_path, json.dumps(GOOD), bad, json.dumps(GOOD), bad)
+        with mock.patch.object(model, "CHUNK_BYTES", 1):  # a chunk per line
+            with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 1$"):
+                load_lines(tmp_path, json.dumps(GOOD), bad, json.dumps(GOOD), no_loss)
+
     def test_repeated_malformed_record_named_at_first(self, tmp_path):
         no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
         bad_action = with_field("action", 1.5)
@@ -385,6 +423,7 @@ class TestLoaderErrors:
         [
             (json.dumps({k: v for k, v in GOOD.items() if k != "action"}), "missing key 'action'"),
             ('{"action": 1,', r"invalid JSON \(.*\)"),
+            (with_field("propensities", [0.3, 0.3]), "propensities do not sum to 1"),
         ],
     )
     def test_bad_line_first_seen_in_a_later_chunk(self, tmp_path, chunk, bad, message):
@@ -577,6 +616,37 @@ corruptions = st.lists(
 )
 
 
+LOSS_KINDS = ("non-finite loss", "loss out of [0,1]")
+KINDS = LOSS_KINDS + (
+    "non-finite propensity",
+    "propensities do not sum to 1",
+    "zero propensity",
+    "logged action has zero propensity",
+)
+
+
+def build_or_reject(actions, losses, props):
+    """The log of these arrays, checked against the per-record loop.
+
+    The constructor must accept them exactly when the loop reports no
+    propensity violation, and otherwise name the loop's first one (record and
+    kind). An accepted log's validator report must equal the loop's, which
+    then holds loss violations only. Returns the loop's report.
+    """
+    report = reference_validate(SimpleNamespace(n=len(actions), actions=actions, losses=losses, propensities=props))
+    row_faults = [r for r in report if not r.startswith(LOSS_KINDS)]
+
+    def build():
+        return LoggedDataset(actions=actions, losses=losses, propensities=props, context_ids=np.zeros(len(actions)))
+
+    if row_faults:
+        with pytest.raises(DatasetError, match=f"^{re.escape(row_faults[0])}$"):
+            build()
+    else:
+        assert validate_dataset(build()) == report
+    return report
+
+
 class TestValidatorMatchesLoop:
     @settings(max_examples=200)
     @given(changes=corruptions)
@@ -592,10 +662,7 @@ class TestValidatorMatchesLoop:
             else:
                 with np.errstate(invalid="ignore"):
                     props[record] *= value
-        data = LoggedDataset(
-            actions=CLEAN.actions, losses=losses, propensities=props, context_ids=CLEAN.context_ids
-        )
-        assert validate_dataset(data) == reference_validate(data)
+        build_or_reject(CLEAN.actions, losses, props)
 
     @given(
         width=st.integers(2, 24),
@@ -604,56 +671,44 @@ class TestValidatorMatchesLoop:
     )
     def test_sum_at_the_tolerance_edge(self, width, seed, ulps):
         # Rows summing to 1 +- PMF_ATOL, nudged by a few ulps either way; the
-        # widths cover numpy's sequential and pairwise summation.
+        # widths cover numpy's sequential and pairwise summation. Each row is
+        # a log of its own, so every row's verdict is checked.
         rng = np.random.default_rng(seed)
-        rows = []
         for sign, ulp in zip((1, 1, -1, -1), ulps):
             row = rng.random(width) + 0.1
             row /= row.sum()
             row[-1] += sign * PMF_ATOL
             row[-1] += ulp * np.spacing(row[-1])
-            rows.append(row)
-        data = LoggedDataset(
-            actions=np.zeros(4, dtype=np.int64),
-            losses=np.zeros(4),
-            propensities=np.array(rows),
-            context_ids=np.zeros(4),
-        )
-        assert validate_dataset(data) == reference_validate(data)
+            build_or_reject(np.zeros(1, dtype=np.int64), np.zeros(1), row[None, :])
 
     def test_edge_row_both_sides(self):
         # 0.25 - PMF_ATOL rounds to a row whose sum misses 1 by just under
         # PMF_ATOL; one ulp less misses by just over it.
         low = 0.25 - PMF_ATOL
         rows = np.array([[0.75, low], [0.75, np.nextafter(low, 0.0)], [0.75, 0.25 + PMF_ATOL]])
-        data = LoggedDataset(
-            actions=np.zeros(3, dtype=np.int64), losses=np.zeros(3), propensities=rows, context_ids=np.zeros(3)
-        )
-        assert validate_dataset(data) == reference_validate(data) == [
+        assert build_or_reject(np.zeros(3, dtype=np.int64), np.zeros(3), rows) == [
             "propensities do not sum to 1 at record 1",
             "propensities do not sum to 1 at record 2",
         ]
+        assert build_or_reject(np.zeros(1, dtype=np.int64), np.zeros(1), rows[:1]) == []
 
     @settings(max_examples=100)
     @given(
         num_actions=st.integers(1, 12),
         n=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
-        plants=st.lists(st.tuples(st.integers(0, 29), st.sampled_from(model._VIOLATIONS)), max_size=4),
+        plants=st.lists(st.tuples(st.integers(0, 29), st.sampled_from(KINDS)), max_size=4),
     )
     def test_planted_violations(self, num_actions, n, seed, plants):
         # A valid log reports nothing; each planted kind of violation makes
-        # the report non-empty, and the report equals the loop's.
+        # the loop's report non-empty, and the log is rejected or validated
+        # as build_or_reject requires.
         rng = np.random.default_rng(seed)
         props = rng.random((n, num_actions)) + 0.1
         props /= props.sum(axis=1, keepdims=True)
         actions = rng.integers(0, num_actions, n)
         losses = rng.random(n)
-
-        def log():
-            return LoggedDataset(actions=actions, losses=losses, propensities=props, context_ids=np.zeros(n))
-
-        assert validate_dataset(log()) == reference_validate(log()) == []
+        assert build_or_reject(actions, losses, props) == []
         for record, kind in plants:
             i, action = record % n, int(rng.integers(num_actions))
             if kind == "non-finite loss":
@@ -668,22 +723,20 @@ class TestValidatorMatchesLoop:
                 props[i, action] = 0.0
             else:
                 props[i, actions[i]] = 1e-13
-        report = validate_dataset(log())
-        assert report == reference_validate(log())
-        assert bool(report) == bool(plants)
+        assert bool(build_or_reject(actions, losses, props)) == bool(plants)
 
     def test_non_finite_row_skips_later_checks(self):
-        data = LoggedDataset(
-            actions=np.array([0, 1]),
-            losses=np.array([NAN, 2.0]),
-            propensities=np.array([[NAN, 0.0], [0.0, 0.5]]),
-            context_ids=np.array([0, 0]),
-        )
-        assert validate_dataset(data) == [
+        # Record 0's row is not finite, so the loop reports nothing else
+        # about it; the constructor names it before record 1's faults.
+        losses = np.array([NAN, 2.0])
+        assert build_or_reject(np.array([0, 1]), losses, np.array([[NAN, 0.0], [0.0, 0.5]])) == [
             "non-finite loss at record 0",
             "non-finite propensity at record 0",
             "loss out of [0,1] at record 1",
             "propensities do not sum to 1 at record 1",
             "zero propensity at record 1",
         ]
-        assert validate_dataset(data) == reference_validate(data)
+        assert build_or_reject(np.array([0, 1]), losses, np.full((2, 2), 0.5)) == [
+            "non-finite loss at record 0",
+            "loss out of [0,1] at record 1",
+        ]

@@ -24,10 +24,10 @@ from plbandit.estimators import (
 )
 from plbandit.model import (
     ClassStats,
+    DatasetError,
     DeterministicPolicy,
     LoggedDataset,
     PolicyClass,
-    SupportError,
     TabularPolicy,
     class_stats,
     deterministic_class,
@@ -80,9 +80,10 @@ class TestIpwRisk:
         assert ipw_risk(policy, data) == 0.0
 
     def test_floor_violation(self):
-        data = dataset([0], [0.5], [[1e-15, 1.0]])
-        with pytest.raises(SupportError):
-            ipw_risk(UNIFORM, data)
+        # A log with a propensity at the floor is rejected when it is built,
+        # so no estimator divides by it.
+        with pytest.raises(DatasetError, match=r"^zero propensity at record 0$"):
+            dataset([0], [0.5], [[1e-15, 1.0]])
 
 
 class TestPseudoLoss:
@@ -356,6 +357,24 @@ class TestOracleInequalityBounds:
         assert oracle_inequality_bound_tuned(STATS, n, 0.05, pl) >= 0.0
 
 
+@pytest.mark.parametrize("n", [-5, 0])
+@pytest.mark.parametrize(
+    "bound",
+    [
+        lambda n: pl_confidence_band(1.0, n, 0.05, 0.1),
+        lambda n: confidence_width(1.0, STATS, n, 0.05),
+        lambda n: confidence_slack(STATS, n, 0.05, 0.1),
+        lambda n: oracle_inequality_bound(STATS, n, 0.05, 0.1, 1.0),
+        lambda n: oracle_inequality_bound_tuned(STATS, n, 0.05, 1.0),
+    ],
+    ids=["pl_confidence_band", "confidence_width", "confidence_slack", "oracle_inequality_bound", "tuned"],
+)
+def test_bounds_reject_fewer_than_one_record(bound, n):
+    # A negative n gave negative slacks and an inverted band; n = 0 divided by zero.
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        bound(n)
+
+
 class TestLogUnion:
     """ln(4|class|/alpha), the union-bound factor every class-wide bound shares."""
 
@@ -452,9 +471,8 @@ class TestBetaCandidates:
         assert peak < 4 * 2**20
 
     def test_zero_propensity_rejected(self):
-        data = dataset([0], [0.1], [[1.0, 0.0]])
-        with pytest.raises(SupportError):
-            beta_candidates(PolicyClass.from_members([UNIFORM]), data, STATS, 0.05)
+        with pytest.raises(DatasetError, match=r"^zero propensity at record 0$"):
+            dataset([0], [0.1], [[1.0, 0.0]])
 
     def test_identical_policies_identical_betas(self):
         data = dataset([0], [0.1], [[0.8, 0.2]])

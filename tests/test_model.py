@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from types import SimpleNamespace
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plbandit.model import (
+    PMF_ATOL,
     ClassStats,
     DatasetError,
     DeterministicPolicy,
@@ -18,7 +20,6 @@ from plbandit.model import (
     SupportError,
     TabularPolicy,
     _check_pmf,
-    check_floor,
     class_stats,
     context_sums,
     deterministic_class,
@@ -45,16 +46,17 @@ class TestValidateDataset:
         assert validate_dataset(single_context_dataset([0.5, 0.5], loss=0.3)) == []
 
     def test_zero_propensity(self):
-        report = validate_dataset(single_context_dataset([1.0, 0.0]))
-        assert "zero propensity at record 0" in report
+        # A propensity row is checked when the log is built, not by the validator.
+        with pytest.raises(DatasetError, match=r"^zero propensity at record 0$"):
+            single_context_dataset([1.0, 0.0])
 
     def test_loss_out_of_range(self):
-        report = validate_dataset(single_context_dataset([0.5, 0.5], loss=1.5))
-        assert "loss out of [0,1] at record 0" in report
+        assert validate_dataset(single_context_dataset([0.5, 0.5], loss=1.5)) == ["loss out of [0,1] at record 0"]
+        assert validate_dataset(single_context_dataset([0.5, 0.5], loss=NAN)) == ["non-finite loss at record 0"]
 
     def test_unnormalized_propensities(self):
-        report = validate_dataset(single_context_dataset([0.5, 0.4]))
-        assert "propensities do not sum to 1 at record 0" in report
+        with pytest.raises(DatasetError, match=r"^propensities do not sum to 1 at record 0$"):
+            single_context_dataset([0.5, 0.4])
 
     def test_simulated_datasets_validate(self):
         for seed in range(5):
@@ -167,18 +169,37 @@ class TestGuards:
         assert np.array_equal(_check_pmf(table), np.asarray(table, dtype=float))
 
     @pytest.mark.parametrize(
-        "values",
-        [[0.5, 1e-12], [0.5, 0.0], [0.5, -0.1], [-INF], [NAN, 0.0], [[0.5, 0.5], [1.0, 1e-13]]],
-        ids=["at-floor", "zero", "negative", "minus-inf", "nan-beside-zero", "2-d"],
+        "actions, rows, message",
+        [
+            ([0], [[0.9, 0.9]], "propensities do not sum to 1 at record 0"),
+            ([0], [[NAN, 0.5]], "non-finite propensity at record 0"),
+            ([0], [[INF, 0.5]], "non-finite propensity at record 0"),
+            ([0], [[0.5, -INF]], "non-finite propensity at record 0"),
+            ([0], [[1e308, 1e308]], "propensities do not sum to 1 at record 0"),
+            ([0], [[-0.5, 1.5]], "zero propensity at record 0"),
+            ([0], [[1.0, 0.0]], "zero propensity at record 0"),
+            ([1], [[1.0 - 1e-12, 1e-12]], "zero propensity at record 0"),
+            ([0, 0], [[0.5, 0.5], [0.5, 0.4]], "propensities do not sum to 1 at record 1"),
+            ([2, 0], [[0.5, 0.5], [0.5, 0.4]], "action 2 out of range [0, 2) at record 0"),
+            ([0, -1], [[0.5, 0.4], [0.5, 0.5]], "propensities do not sum to 1 at record 0"),
+            ([-1], [[NAN, 0.5]], "action -1 out of range [0, 2) at record 0"),
+        ],
+        ids=[
+            "sum-1.8", "nan", "inf", "minus-inf", "sum-overflows", "negative", "unlogged-zero",
+            "logged-at-floor", "second-record", "action-first", "earlier-row-first", "action-before-own-row",
+        ],
     )
-    def test_check_floor_raises(self, values):
-        with pytest.raises(SupportError, match="^propensity below floor; support assumption violated$"):
-            check_floor(np.array(values))
+    def test_dataset_rejects_a_bad_propensity_row(self, actions, rows, message):
+        n = len(actions)
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            LoggedDataset(actions=actions, losses=np.zeros(n), propensities=rows, context_ids=np.zeros(n))
 
-    @pytest.mark.parametrize("values", [[0.5, NAN], [INF, 0.5], [1.1e-12], np.zeros(0)], ids=["nan", "inf", "above-floor", "empty"])
-    def test_check_floor_passes(self, values):
-        # NaN compares false against the floor, so it passes, as before.
-        check_floor(np.array(values))
+    @pytest.mark.parametrize(
+        "row", [[1.0 - 1.1e-12, 1.1e-12], [0.75, 0.25 - PMF_ATOL], [1.0]], ids=["above-floor", "sum-edge", "one-action"]
+    )
+    def test_dataset_accepts_a_full_support_row(self, row):
+        data = LoggedDataset(actions=[0], losses=[0.0], propensities=[row], context_ids=[0])
+        assert data.propensities.tolist() == [row]
 
 
 class TestPolicies:

@@ -29,11 +29,11 @@ from plbandit.estimators import (
 from plbandit.model import (
     PROPENSITY_FLOOR,
     ClassStats,
+    DatasetError,
     DeterministicPolicy,
     LinearCostPolicy,
     LoggedDataset,
     PolicyClass,
-    SupportError,
     TabularPolicy,
     _logged_cells,
     context_sums,
@@ -140,30 +140,24 @@ class TestAggregateMatchesPerRecord:
 
 
 class TestFloor:
-    def data(self):
-        # Action 1 is never logged and has propensity zero.
-        return LoggedDataset(
-            actions=np.array([0, 0]), losses=np.array([0.3, 0.9]),
-            propensities=np.array([[1.0, 0.0], [1.0, 0.0]]), context_ids=np.array([0, 0]),
-        )
-
-    def test_unlogged_zero_propensity_lets_ipw_risk_return(self):
-        assert ipw_risk(TabularPolicy(np.full((1, 2), 0.5)), self.data()) == pytest.approx(0.3)
+    # A propensity at or below the floor, logged or not, is rejected when the
+    # log is built, so neither estimator ever sees it.
 
     def test_unlogged_zero_propensity_fails_pseudo_loss(self):
-        data = self.data()
-        with pytest.raises(SupportError):
-            pseudo_loss(uniform(data), data)
-        with pytest.raises(SupportError):
-            penalized_objective(uniform(data), data, 0.1)
+        # Action 1 is never logged and has propensity zero.
+        with pytest.raises(DatasetError, match=r"^zero propensity at record 0$"):
+            LoggedDataset(
+                actions=np.array([0, 0]), losses=np.array([0.3, 0.9]),
+                propensities=np.array([[1.0, 0.0], [1.0, 0.0]]), context_ids=np.array([0, 0]),
+            )
 
     def test_logged_propensity_at_floor_fails_ipw_risk(self):
-        data = LoggedDataset(
-            actions=np.array([1]), losses=np.array([0.3]),
-            propensities=np.array([[1.0 - PROPENSITY_FLOOR, PROPENSITY_FLOOR]]), context_ids=np.array([0]),
-        )
-        with pytest.raises(SupportError):
-            ipw_risk(uniform(data), data)
+        with pytest.raises(DatasetError, match=r"^zero propensity at record 1$"):
+            LoggedDataset(
+                actions=np.array([0, 1]), losses=np.array([0.3, 0.3]),
+                propensities=np.array([[0.5, 0.5], [1.0 - PROPENSITY_FLOOR, PROPENSITY_FLOOR]]),
+                context_ids=np.array([0, 0]),
+            )
 
 
 class TestSameNumberEverywhere:
@@ -227,12 +221,14 @@ def test_logged_cell_gathers_bitwise_equal_fancy_indexing(data):
     flat = data.draw(st.lists(edge_values, min_size=3 * n * num_actions, max_size=3 * n * num_actions))
     block = np.array(flat).reshape(3, n, num_actions)
     actions = np.array(data.draw(st.lists(st.integers(0, num_actions - 1), min_size=n, max_size=n)))
-    dataset = LoggedDataset(actions=actions, losses=np.zeros(n), propensities=block[0], context_ids=np.zeros(n))
+    props = normalized(np.arange(1, n * num_actions + 1).reshape(n, num_actions))
+    dataset = LoggedDataset(actions=actions, losses=np.zeros(n), propensities=props, context_ids=np.zeros(n))
     idx = np.arange(n)
     cells = _logged_cells(dataset)
     p = dataset.propensities
     assert p.take(cells).tobytes() == p[idx, actions].tobytes()
-    assert block[1].take(cells).tobytes() == block[1][idx, actions].tobytes()
+    for rows in block:
+        assert rows.take(cells).tobytes() == rows[idx, actions].tobytes()
     assert block.reshape(3, -1).take(cells, axis=1).tobytes() == block[:, idx, actions].tobytes()
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from plbandit import estimators, simulator
 from plbandit.continuous import ContinuousLoggedDataset, PiecewiseConstant
 from plbandit.model import (
+    DatasetError,
     DeterministicPolicy,
     TabularPolicy,
     save_dataset_jsonl,
@@ -165,7 +167,7 @@ class TestExactQuantities:
 class TestSupervisedToBandit:
     def test_concentrated_logging_near_zero_loss(self):
         labels = np.array([0, 1, 2, 1, 0] * 40)
-        table = np.eye(3) * 0.96 + 0.02
+        table = np.eye(3) * 0.94 + 0.02  # rows [0.96, 0.02, 0.02]
         pmf_rows = table[labels]
         data = supervised_to_bandit(np.random.default_rng(0).random((200, 2)), labels, pmf_rows, seed=31)
         assert float(np.mean(data.losses)) <= 0.1
@@ -182,6 +184,19 @@ class TestSupervisedToBandit:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             supervised_to_bandit(np.zeros((2, 1)), np.array([0, 5]), np.full((2, 3), 1 / 3), seed=33)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.5], [0.2, 0.2]], "propensities do not sum to 1 at record 1"),
+            ([[1.0, 0.0], [0.5, 0.5]], "zero propensity at record 0"),
+        ],
+        ids=["sum-0.4", "zero"],
+    )
+    def test_rows_without_full_support_rejected(self, rows, message):
+        # Rows [0.2, 0.2] used to log a pseudo-loss of 5.0 for the uniform policy.
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            supervised_to_bandit(np.zeros((2, 1)), np.array([0, 1]), np.array(rows), seed=33)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_actions_are_the_reference_draw(self, order):
