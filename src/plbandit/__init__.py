@@ -67,7 +67,6 @@ from .model import (
     deterministic_class,
     load_dataset_jsonl,
     save_dataset_jsonl,
-    validate_dataset,
 )
 from .simulator import (
     ContinuousEnvironment,

@@ -37,7 +37,6 @@ from .model import (
     open_dataset,
     read_header,
     save_dataset_jsonl,
-    validate_dataset,
 )
 
 
@@ -184,19 +183,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _load_valid(path: str, continuous: bool = False):
-    """Load a dataset file and validate it; any violation is a DatasetError (exit 2)."""
-    if continuous:
-        dataset = cont.load_continuous_dataset_jsonl(path)
-        violations = cont.validate_continuous_dataset(dataset)
-    else:
-        dataset = load_dataset_jsonl(path)
-        violations = validate_dataset(dataset)
-    if violations:
-        raise DatasetError(f"{path}: invalid dataset: {violations[0]} (+{len(violations) - 1} more)")
-    return dataset
-
-
 def _shape(obj) -> str:
     """The context and action counts of an environment or dataset, as text."""
     contexts = "feature contexts" if obj.num_contexts is None else f"{obj.num_contexts} contexts"
@@ -237,7 +223,7 @@ def _dataset_env(spec: str | None, seed: int | None, dataset_path: str, dataset)
 
 
 def _training_setup(args, betas: list[float]):
-    """What `train` and the discrete `sweep` fit `betas` with: the validated
+    """What `train` and the discrete `sweep` fit `betas` with: the loaded
     dataset, the policy class (enum only), the oracle, the --env environment
     (or None) and the class statistics of --alpha (or None). Usage errors:
     --alpha or a --class file with an oracle that takes no class, and --alpha
@@ -250,7 +236,7 @@ def _training_setup(args, betas: list[float]):
     if args.alpha is not None and 0.0 in betas:
         given = "--beta 0" if args.command == "train" else "a 0 in --beta-grid"
         raise UsageError(f"--alpha needs beta > 0, not {given}: the ucb_risk slack divides by beta")
-    dataset = _load_valid(args.dataset)
+    dataset = load_dataset_jsonl(args.dataset)
     if args.alpha is not None and dataset.context_ids is None:
         raise UsageError(f"--alpha needs finite contexts; {args.dataset} has feature contexts")
     pclass = _load_policy_class(policy_class, dataset) if oracle_name == "enum" else None
@@ -275,7 +261,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    dataset = _load_valid(args.dataset)
+    dataset = load_dataset_jsonl(args.dataset)
     policy = _read_policy(load_json(args.policy), args.policy, dataset)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     metrics = _policy_metrics(policy, dataset, args.beta, env)
@@ -325,7 +311,7 @@ def _continuous_sweep(args) -> list[dict]:
     beta = 0.1 if args.beta is None else args.beta
     if beta == 0.0:
         raise UsageError("--h-grid-m needs --beta > 0: the ucb_risk slack of every row divides by beta")
-    dataset = _load_valid(args.dataset, continuous=True)
+    dataset = cont.load_continuous_dataset_jsonl(args.dataset)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     alpha = args.alpha if args.alpha is not None else 0.05
     mu_inf = dataset.min_logging_density
@@ -357,7 +343,6 @@ def cmd_verify(args) -> int:
             f"verify needs a discrete environment, not '{args.env}'; its continuous checks build their own"
         )
     cfg = verify.VerifyConfig(env=env, reps=args.reps, alpha=args.alpha, seed=args.seed, n=args.n)
-    cfg.dataset = load_dataset_jsonl(args.dataset) if args.dataset else None
     report = verify.run_verification(cfg)
     for check in report["checks"]:
         print(("PASS " if check["passed"] else "FAIL ") + check["name"])
@@ -492,7 +477,6 @@ def _verify_flags(ver: argparse.ArgumentParser) -> None:
     ver.add_argument("--alpha", type=_alpha, default=0.05)
     ver.add_argument("--n", type=_positive_int, default=500)
     ver.add_argument("--seed", type=_seed, default=0)
-    ver.add_argument("--dataset", default=None, help="also validate this dataset file")
     ver.add_argument("--out", default=None, help="report JSON path")
     ver.set_defaults(func=cmd_verify)
 

@@ -39,7 +39,8 @@ from .model import (
     _frozen,
     _json_texts,
     _leading_rows,
-    check_index_range,
+    context_fault,
+    first_fault,
     header_int,
     index_problem,
     is_number,
@@ -48,6 +49,7 @@ from .model import (
     open_dataset,
     read_header,
     read_record_chunks,
+    set_column,
 )
 
 # Closed-window membership tolerance: grid points sitting exactly on a window
@@ -316,18 +318,13 @@ def discretize(policy, k: int, num_contexts: int) -> GridMassPolicy:
 # Continuous logged data and the reduction to a grid CSC problem.
 
 
-def _action_outside(action) -> str:
-    return f"action {float(action)} out of [0, 1]"
-
-
 @dataclass(frozen=True, eq=False)
 class ContinuousLoggedDataset:
     """Logged records with actions in [0, 1]: record i was logged under the
     density `densities[density_index[i]]`.
 
-    The constructor rejects an action outside [0, 1] (NaN included) and a
-    density that is not a PiecewiseConstantDensity, so every density is
-    positive and normalized and every window integral below is defined.
+    The constructor rejects an array of the wrong rank, a density that is not a
+    PiecewiseConstantDensity and the record validate_continuous_dataset names.
 
     Every integral of the reduction depends on a record only through its
     logging density, so the estimators work once per density, not per record.
@@ -341,30 +338,25 @@ class ContinuousLoggedDataset:
     num_contexts: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "context_ids", _frozen(np.asarray(self.context_ids, dtype=np.int64)))
-        object.__setattr__(self, "actions", _frozen(np.asarray(self.actions, dtype=float)))
-        object.__setattr__(self, "losses", _frozen(np.asarray(self.losses, dtype=float)))
+        set_column(self, "context_ids", np.int64)
+        n = len(set_column(self, "actions", float))
+        set_column(self, "losses", float)
+        set_column(self, "density_index", np.int64)
         object.__setattr__(self, "densities", tuple(self.densities))
-        object.__setattr__(self, "density_index", _frozen(np.asarray(self.density_index, dtype=np.int64)))
-        n = len(self.actions)
         if n < 1:
             raise DatasetError("dataset must contain at least one record")
         if {len(self.context_ids), len(self.losses), len(self.density_index)} != {n}:
             raise DatasetError("dataset arrays are not aligned")
-        check_index_range("density index", self.density_index, len(self.densities))
         for g, density in enumerate(self.densities):
             if not isinstance(density, PiecewiseConstantDensity):
                 users = np.flatnonzero(self.density_index == g)
                 where = f" at record {users[0]}" if len(users) else ", which no record uses"
                 raise DatasetError(f"density {g} is not a PiecewiseConstantDensity{where}")
-        # Negated, so a NaN action fails too.
-        bad = ~((self.actions >= 0.0) & (self.actions <= 1.0))
-        if bad.any():
-            i = int(bad.argmax())
-            raise DatasetError(f"{_action_outside(self.actions[i])} at record {i}")
+        report = validate_continuous_dataset(self)
+        if report:
+            raise DatasetError(report[0])
         if self.num_contexts is None:
             object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
-        check_index_range("context id", self.context_ids, self.num_contexts)
 
     @property
     def n(self) -> int:
@@ -392,14 +384,25 @@ def _window_mask(actions: np.ndarray, points: np.ndarray, h: float) -> np.ndarra
     return (points >= a - h / 2.0 - EDGE_TOL) & (points <= a + h / 2.0 + EDGE_TOL)
 
 
+def _record_fault(context_ids, actions, losses, index, num_densities, num_contexts) -> tuple[int, str] | None:
+    """The first fault of a ContinuousLoggedDataset's records, in order: a
+    context_fault; a density index outside [0, num_densities); an action
+    outside [0, 1]; a loss not finite or not in [0, 1]."""
+    return first_fault(
+        [
+            context_fault(context_ids, num_contexts),
+            ((index < 0) | (index >= num_densities), lambda i: f"density index {index[i]} out of range [0, {num_densities})"),
+            (~((actions >= 0.0) & (actions <= 1.0)), lambda i: f"action {float(actions[i])} out of [0, 1]"),
+            (~((losses >= 0.0) & (losses <= 1.0)), lambda i: "loss out of [0,1]"),  # negated: NaN fails
+        ]
+    )
+
+
 def validate_continuous_dataset(dataset: ContinuousLoggedDataset) -> list[str]:
-    """Every record whose loss is not finite or not in [0, 1], in record order
-    (empty report = valid). The constructor has already checked the actions
-    and the densities.
-    """
-    losses = dataset.losses
-    bad = ~((losses >= 0.0) & (losses <= 1.0))  # negated, so NaN fails too
-    return [f"loss out of [0,1] at record {i}" for i in np.flatnonzero(bad).tolist()]
+    """ContinuousLoggedDataset's record check: [] or the message it raises, _record_fault's."""
+    arrays = (dataset.context_ids, dataset.actions, dataset.losses, dataset.density_index)
+    fault = _record_fault(*arrays, len(dataset.densities), dataset.num_contexts)
+    return [] if fault is None else [f"{fault[1]} at record {fault[0]}"]
 
 
 def build_modified_costs_continuous(
@@ -570,44 +573,35 @@ _CONTINUOUS_KEYS = ("context.id", "action", "loss", "density.breaks", "density.v
 
 def _scalar_problem(context_id, action, loss) -> str | None:
     if type(context_id) is int and -(2**63) <= context_id < 2**63 and type(action) is type(loss) is float:
-        # The common record, decided without the calls below.
-        return None if 0.0 <= action <= 1.0 else _action_outside(action)
-    problem = index_problem("context.id", context_id)
-    if problem is not None:
-        return problem
-    for name, value in (("action", action), ("loss", loss)):
-        if not is_number(value):
-            return f"{name} {json.dumps(value)} is not a number"
-    return None if 0.0 <= action <= 1.0 else _action_outside(action)
+        return None  # the common record, decided without the calls below
+    pairs = (("action", action), ("loss", loss))
+    not_numbers = [f"{name} {json.dumps(value)} is not a number" for name, value in pairs if not is_number(value)]
+    return index_problem("context.id", context_id) or next(iter(not_numbers), None)
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
-    """Load a continuous dataset. Each distinct density content is validated
-    once and kept once; `density_index` numbers them in first-seen order.
-    Records are read in file order from read_record_chunks (each distinct
-    line parsed once per chunk; a continuous log's lines rarely repeat).
-
-    As in `load_dataset_jsonl`, a line that is not a JSON object, a missing
-    field, a context id that is not a JSON integer, a non-numeric action or
-    loss, an action outside [0, 1] and a density that fails its checks raise
-    DatasetError naming the file and the 0-based record index.
-    """
-    ids, actions, losses, index, densities = [], [], [], [], []
+    """Load a continuous dataset, each chunk checked as in `load_dataset_jsonl`.
+    Each distinct density content is validated once and kept once;
+    `density_index` numbers them in first-seen order."""
+    chunks, densities = [], []
     # Parsed lists of numbers, and validated arrays' bytes, to the density's number.
     by_text: dict[tuple, int] = {}
     by_content: dict[tuple[bytes, bytes], int] = {}
     with open_dataset(path) as fh:
         header = read_header(fh, path)
+        num_contexts = header_int(header, "num_contexts", path)
         for start, records, inverse in read_record_chunks(fh, path):
-            for i, row in enumerate(map(records.__getitem__, inverse.tolist()), start):
+            ids, actions, losses, index, problem = [], [], [], [], None
+            for row in map(records.__getitem__, inverse.tolist()):
                 try:
                     context_id, action, loss = row["context"]["id"], row["action"], row["loss"]
                     breaks, values = row["density"]["breaks"], row["density"]["values"]
                 except (KeyError, TypeError):
-                    raise DatasetError(f"{path}: {missing_field(row, _CONTINUOUS_KEYS)} at record {i}") from None
+                    problem = missing_field(row, _CONTINUOUS_KEYS)
+                    break
                 problem = _scalar_problem(context_id, action, loss)
                 if problem is not None:
-                    raise DatasetError(f"{path}: {problem} at record {i}")
+                    break
                 try:
                     key = (tuple(breaks), tuple(values))
                     # false and true equal and hash as 0 and 1, so a key holding
@@ -620,19 +614,21 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
                             densities.append(density)
                         by_text[key] = g
                 except (TypeError, ValueError) as err:
-                    raise DatasetError(f"{path}: {err} at record {i}") from err
+                    problem = str(err)
+                    break
                 ids.append(context_id)
                 actions.append(float(action))
                 losses.append(float(loss))
                 index.append(g)
-    try:
-        return ContinuousLoggedDataset(
-            context_ids=np.array(ids),
-            actions=np.array(actions),
-            losses=np.array(losses),
-            densities=tuple(densities),
-            density_index=np.array(index, dtype=np.int64),
-            num_contexts=header_int(header, "num_contexts", path),
-        )
-    except DatasetError as err:
-        raise DatasetError(f"{path}: {err}") from err
+            chunk = [np.array(column) for column in (ids, actions, losses, index)]
+            # The records before a malformed one face the constructor's rule first.
+            fault = _record_fault(*chunk, len(densities), num_contexts) if ids else None
+            if fault is not None or problem is not None:
+                k, problem = fault or (len(ids), problem)
+                raise DatasetError(f"{path}: {problem} at record {start + k}")
+            chunks.append(chunk)
+    if not chunks:
+        raise DatasetError(f"{path}: dataset must contain at least one record")
+    ids, actions, losses, index = (np.concatenate(c) for c in zip(*chunks))
+    # The chunks passed the constructor's check, so it raises nothing here.
+    return ContinuousLoggedDataset(ids, actions, losses, tuple(densities), index, num_contexts)

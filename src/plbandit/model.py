@@ -43,7 +43,7 @@ class SupportError(ValueError):
 
 
 class DatasetError(ValueError):
-    """A logged dataset is malformed: misaligned arrays, an index out of range or a bad pmf row."""
+    """A logged dataset is malformed: an array of the wrong rank or length, or a record it may not hold."""
 
 
 def _out_of_range(name: str, value, upper: int) -> str:
@@ -392,42 +392,68 @@ class ClassStats:
         )
 
 
-_ROW_FAULTS = ("non-finite propensity", "propensities do not sum to 1", "zero propensity")
+def first_fault(kinds: list) -> tuple[int, str] | None:
+    """The first record flagged by `kinds`, (mask, text of record i) pairs in naming order, and its text."""
+    masks = np.stack([mask for mask, _ in kinds], axis=1)
+    i, kind = divmod(int(masks.argmax()), len(kinds))  # row-major: the first record, then its first kind
+    return (i, kinds[kind][1](i)) if masks[i, kind] else None
 
 
-def _record_fault(actions: np.ndarray, p: np.ndarray) -> tuple[int, str] | None:
-    """The first record whose action is outside [0, A) or whose propensity row
-    is not a full-support pmf, with what is wrong; None when every record is sound.
+def context_fault(contexts: np.ndarray, num_contexts: int | None) -> tuple:
+    """A first_fault kind: a non-finite feature row, or an id below 0 or at or above num_contexts (if known)."""
+    if contexts.ndim == 2:
+        return ~np.isfinite(contexts).all(axis=1), lambda i: "non-finite context feature"
+    if num_contexts is None:
+        return contexts < 0, lambda i: f"context id {int(contexts[i])} is negative"
+    return (contexts < 0) | (contexts >= num_contexts), lambda i: _out_of_range("context id", contexts[i], num_contexts)
 
-    A row fails, in this order, when an entry is not finite, when
-    p.sum(axis=1) misses 1 by more than PMF_ATOL (numpy's pairwise order on
-    rows of 8 or more entries decides the edge), or when an entry is at or
-    below PROPENSITY_FLOOR; a record's action is named before its row. One
-    pass decides, as in _check_pmf: min propagates NaN, and an infinite entry
-    puts its row sum at inf or NaN. The per-kind masks run only on failure.
-    """
+
+def _record_fault(contexts, actions, losses, p, num_contexts) -> tuple[int, str] | None:
+    """The first fault of a LoggedDataset's records (contexts: the id column or
+    the feature rows), in order: a context_fault; an action outside [0, A); a
+    loss not finite or not in [0, 1]; a propensity not finite, a row sum off 1
+    by more than PMF_ATOL (p.sum(axis=1): pairwise on 8 or more entries), or
+    one at or below PROPENSITY_FLOOR. min and max decide in one pass, as in
+    _check_pmf; the masks run only on failure."""
     num_actions = p.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         off_sum = np.abs(p.sum(axis=1) - 1.0)
-    if actions.min() >= 0 and actions.max() < num_actions and p.min() > PROPENSITY_FLOOR and off_sum.max() <= PMF_ATOL:
-        return None
-    bad_action = (actions < 0) | (actions >= num_actions)
-    at_floor = (p <= PROPENSITY_FLOOR).any(axis=1)
-    masks = np.stack([bad_action, ~np.isfinite(p).all(axis=1), off_sum > PMF_ATOL, at_floor], axis=1)
-    i, kind = divmod(int(masks.argmax()), masks.shape[1])  # row-major: the first record, then its first kind
-    return i, _out_of_range("action", actions[i], num_actions) if kind == 0 else _ROW_FAULTS[kind - 1]
+    context = context_fault(contexts, num_contexts)
+    if not context[0].any() and actions.min() >= 0 and actions.max() < num_actions:
+        if losses.min() >= 0.0 and losses.max() <= 1.0 and p.min() > PROPENSITY_FLOOR and off_sum.max() <= PMF_ATOL:
+            return None
+    return first_fault(
+        [
+            context,
+            ((actions < 0) | (actions >= num_actions), lambda i: _out_of_range("action", actions[i], num_actions)),
+            (~np.isfinite(losses), lambda i: "non-finite loss"),
+            (~((losses >= 0.0) & (losses <= 1.0)), lambda i: "loss out of [0,1]"),
+            (~np.isfinite(p).all(axis=1), lambda i: "non-finite propensity"),
+            (off_sum > PMF_ATOL, lambda i: "propensities do not sum to 1"),
+            ((p <= PROPENSITY_FLOOR).any(axis=1), lambda i: "zero propensity"),
+        ]
+    )
+
+
+def set_column(dataset, name: str, dtype, ndim: int = 1) -> np.ndarray:
+    """Set a dataset's field to a read-only C-ordered copy of dtype (C order: the flat index of
+    _logged_cells names cell (i, a_i)), and return it; DatasetError unless it has `ndim` axes."""
+    array = _frozen(np.asarray(getattr(dataset, name), dtype=dtype, order="C"))
+    if array.ndim != ndim:
+        raise DatasetError(f"{name} must be {ndim}-D, not of shape {array.shape}")
+    object.__setattr__(dataset, name, array)
+    return array
 
 
 @dataclass(frozen=True, eq=False)
 class LoggedDataset:
     """Batch of logged records in array form.
 
-    Exactly one of `context_ids` / `context_features` is set. `num_contexts`
-    is the finite-context table size when known (generators set it; loaders
-    infer max id + 1).
-
-    Each propensity row must be a full-support pmf (see _record_fault), so
-    every 1/mu term downstream is defined and nothing checks the rows again.
+    Exactly one of `context_ids` / `context_features` is set. `num_contexts`,
+    the finite-context table size, defaults to max id + 1. The constructor
+    rejects an array of the wrong rank and the record validate_dataset names,
+    so every loss is in [0, 1], every 1/mu term is defined and nothing checks
+    the records again.
 
     A finite-context dataset also carries `ipw_sums` and `pl_sums`, the two
     (num_contexts, A) tables that the estimators contract with a policy's
@@ -442,31 +468,24 @@ class LoggedDataset:
     num_contexts: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", _frozen(np.asarray(self.actions, dtype=np.int64)))
-        object.__setattr__(self, "losses", _frozen(np.asarray(self.losses, dtype=float)))
-        # C order: the flat logged-cell index (_logged_cells) must name cell (i, a_i).
-        object.__setattr__(self, "propensities", _frozen(np.ascontiguousarray(self.propensities, dtype=float)))
+        n = len(set_column(self, "actions", np.int64))
+        set_column(self, "losses", float)
+        set_column(self, "propensities", float, 2)
         if (self.context_ids is None) == (self.context_features is None):
             raise DatasetError("dataset needs exactly one of context_ids / context_features")
         if self.context_ids is not None:
-            object.__setattr__(self, "context_ids", _frozen(np.asarray(self.context_ids, dtype=np.int64)))
+            contexts = set_column(self, "context_ids", np.int64)
         else:
-            object.__setattr__(
-                self, "context_features", _frozen(np.asarray(self.context_features, dtype=float))
-            )
-        n = len(self.actions)
+            contexts = set_column(self, "context_features", float, 2)
         if n < 1:
             raise DatasetError("dataset must contain at least one record")
-        contexts = self.context_ids if self.context_ids is not None else self.context_features
-        if self.propensities.ndim != 2 or {len(self.propensities), len(self.losses), len(contexts)} != {n}:
+        if {len(self.propensities), len(self.losses), len(contexts)} != {n}:
             raise DatasetError("dataset arrays are not aligned")
-        fault = _record_fault(self.actions, self.propensities)
-        if fault is not None:
-            raise DatasetError(f"{fault[1]} at record {fault[0]}")
-        if self.context_ids is not None:
-            if self.num_contexts is None:
-                object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
-            check_index_range("context id", self.context_ids, self.num_contexts)
+        report = validate_dataset(self)
+        if report:
+            raise DatasetError(report[0])
+        if self.context_ids is not None and self.num_contexts is None:
+            object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
 
     @property
     def n(self) -> int:
@@ -511,13 +530,10 @@ def _logged_cells(dataset: LoggedDataset) -> np.ndarray:
 
 
 def validate_dataset(dataset: LoggedDataset) -> list[str]:
-    """Every record whose loss is not finite or not in [0, 1], in record order
-    (empty report = valid). The constructor has already checked the actions
-    and the propensity rows.
-    """
-    losses = dataset.losses
-    bad = np.flatnonzero(~((losses >= 0.0) & (losses <= 1.0)))  # negated, so NaN fails too
-    return [f"{'loss out of [0,1]' if np.isfinite(losses[i]) else 'non-finite loss'} at record {i}" for i in bad.tolist()]
+    """LoggedDataset's record check: [] or the message it raises, _record_fault's."""
+    contexts = dataset.context_ids if dataset.context_ids is not None else dataset.context_features
+    fault = _record_fault(contexts, dataset.actions, dataset.losses, dataset.propensities, dataset.num_contexts)
+    return [] if fault is None else [f"{fault[1]} at record {fault[0]}"]
 
 
 def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities: np.ndarray) -> ClassStats:
@@ -557,7 +573,7 @@ _NUMBER_TYPES = {int, float}
 
 def _json_texts(values: np.ndarray) -> list[str]:
     """JSON text of each float of a 1-D array, or of each row of a 2-D one as a
-    list, exactly as json.dumps writes it (NaN and Infinity included).
+    list, exactly as json.dumps writes it; a log holds finite floats only.
 
     The shortest-repr conversion is the slow step, and logged columns repeat
     few values (one pmf per context, 0/1 losses), so each distinct value or
@@ -568,15 +584,15 @@ def _json_texts(values: np.ndarray) -> list[str]:
         bits = list(map(tuple, bits))
     distinct = list(dict.fromkeys(bits))
     decoded = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
-    text = dict(zip(distinct, map(repr if np.isfinite(values).all() else json.dumps, decoded)))
+    text = dict(zip(distinct, map(repr, decoded)))
     return list(map(text.__getitem__, bits))
 
 
 def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict | None = None) -> None:
     """Write `{"header": {"num_actions": ...}}` then one record object per line.
 
-    Each record line is byte-identical to json.dumps(record, sort_keys=True)
-    (NaN and Infinity included). Records are written a chunk at a time. A
+    Each record line is byte-identical to json.dumps(record, sort_keys=True).
+    Records are written a chunk at a time. A
     chunk's records are keyed by the bits of their row (context id or
     features, action, loss, propensities), and only its distinct rows, in
     first-seen order, are formatted from columns: a simulated log has few
@@ -798,12 +814,9 @@ def missing_field(record, keys: Sequence[str]) -> str | None:
     return None
 
 
-def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | None:
-    """What stops one parsed discrete record from loading, or None.
-
-    `feature_dim` is None in a finite-context file, else the width of the
-    first record's feature vector.
-    """
+def _record_problem(record, num_actions: int, feature_dim: int | None, num_contexts: int | None) -> str | None:
+    """What stops one parsed discrete record from loading, or None. `feature_dim`
+    is None in a finite-context file, else record 0's feature width."""
     ctx = record.get("context") if isinstance(record, dict) else None
     if isinstance(ctx, dict):
         other_mode = "id" in ctx if feature_dim is not None else "features" in ctx and "id" not in ctx
@@ -813,17 +826,14 @@ def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | 
     missing = missing_field(record, (context_key, "action", "loss", "propensities"))
     if missing is not None:
         return missing
-    if feature_dim is None:
-        problem = index_problem("context.id", ctx["id"])
-        if problem is not None:
-            return problem
-    else:
+    if feature_dim is not None:
         features = ctx["features"]
         if type(features) is not list or not all(map(is_number, features)):
             return "context.features is not a list of numbers"
         if len(features) != feature_dim:
             return f"context.features has {len(features)} entries, record 0 has {feature_dim}"
-    problem = index_problem("action", record["action"])
+    problem = index_problem("context.id", ctx["id"]) if feature_dim is None else None
+    problem = problem or index_problem("action", record["action"])
     if problem is not None:
         return problem
     if not is_number(record["loss"]):
@@ -833,7 +843,7 @@ def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | 
         return "propensity vector does not match header action count"
     if not all(map(is_number, props)):
         return "propensities are not all numbers"
-    fault = _record_fault(np.array([record["action"]]), np.array([props], dtype=float))
+    fault = _record_fault(*_discrete_columns([record], num_actions, feature_dim), num_contexts)
     return None if fault is None else fault[1]
 
 
@@ -888,31 +898,21 @@ def _feature_dim(record) -> int | None:
     return len(features) if type(features) is list else 0
 
 
-def _chunk_error(path, start: int, records: list, num_actions: int, feature_dim: int | None) -> DatasetError:
-    for k, record in enumerate(records):
-        problem = _record_problem(record, num_actions, feature_dim)
-        if problem is not None:
-            return DatasetError(f"{path}: {problem} at record {start + k}")
-    return DatasetError(f"{path}: unreadable record among records {start} to {start + len(records) - 1}")
-
-
 def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     """Read a file written by save_dataset_jsonl.
 
     Records are parsed a chunk at a time, each distinct line once (see
-    read_record_chunks), and kept only as numpy columns: the distinct
-    records' columns, gathered once into record order. A line that is not a
-    JSON object, a missing field, an action or context id that is not a JSON
-    integer, a loss or propensity that is not a number, a propensity vector
-    of the wrong length, and an action or propensity row that LoggedDataset
-    rejects raise DatasetError naming the file and the 0-based record index
-    of the first such record. Each chunk is checked before the next is read.
+    read_record_chunks), and kept as the distinct records' columns, gathered
+    once into record order. Each chunk is checked before the next is read: the
+    first record that does not parse or that LoggedDataset rejects (with the
+    header's num_contexts) raises DatasetError naming the file and its index.
     """
     with open_dataset(path) as fh:
         header = read_header(fh, path)
         num_actions = header_int(header, "num_actions", path)
         if num_actions is None:
             raise DatasetError(f"{path}: header lacks key 'num_actions'")
+        num_contexts = header_int(header, "num_contexts", path)
         chunks, inverses = [], []
         feature_dim = None
         offset = 0  # distinct records in the chunks before this one
@@ -920,10 +920,13 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
             if not chunks:
                 feature_dim = _feature_dim(records[0])
             columns = _discrete_columns(records, num_actions, feature_dim)
-            if columns is None:
-                expanded = list(map(records.__getitem__, inverse))
-                raise _chunk_error(path, start, expanded, num_actions, feature_dim)
-            fault = _record_fault(columns[1], columns[3])
+            if columns is None:  # name the first record that does not load
+                for k, record in enumerate(map(records.__getitem__, inverse)):
+                    problem = _record_problem(record, num_actions, feature_dim, num_contexts)
+                    if problem is not None:
+                        raise DatasetError(f"{path}: {problem} at record {start + k}")
+                raise DatasetError(f"{path}: unreadable record among records {start} to {start + len(inverse) - 1}")
+            fault = _record_fault(*columns, num_contexts)
             if fault is not None:  # distinct records are in first-seen order
                 k = int(np.argmax(inverse == fault[0]))
                 raise DatasetError(f"{path}: {fault[1]} at record {start + k}")
@@ -936,14 +939,6 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     contexts, actions, losses, propensities = (
         np.concatenate(column).take(order, axis=0) for column in zip(*chunks)
     )
-    try:
-        return LoggedDataset(
-            actions=actions,
-            losses=losses,
-            propensities=propensities,
-            context_ids=contexts if feature_dim is None else None,
-            context_features=contexts if feature_dim is not None else None,
-            num_contexts=header_int(header, "num_contexts", path),
-        )
-    except DatasetError as err:
-        raise DatasetError(f"{path}: {err}") from err
+    # The chunks passed the constructor's check, so it raises nothing here.
+    name = "context_ids" if feature_dim is None else "context_features"
+    return LoggedDataset(actions, losses, propensities, num_contexts=num_contexts, **{name: contexts})

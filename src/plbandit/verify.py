@@ -15,7 +15,7 @@ import numpy as np
 
 from . import continuous as cont
 from . import csc, estimators, simulator
-from .model import LoggedDataset, PolicyClass, class_stats, deterministic_class, validate_dataset
+from .model import DatasetError, LoggedDataset, PolicyClass, class_stats, deterministic_class
 
 
 @dataclass
@@ -32,7 +32,6 @@ class VerifyConfig:
     alpha: float = 0.05
     seed: int = 0
     n: int = 500
-    dataset: LoggedDataset | None = None  # externally supplied dataset to validate
 
     def __post_init__(self):
         for name in ("reps", "n"):
@@ -53,15 +52,41 @@ class VerifyConfig:
 
 
 def check_dataset_validation(cfg: VerifyConfig) -> CheckResult:
-    """Generated logs must validate cleanly; a supplied dataset must too."""
-    report = validate_dataset(simulator.generate_logs(cfg.env, 200, seed=(cfg.seed, 1)))
-    details: dict = {"generated_violations": len(report)}
-    passed = not report
-    if cfg.dataset is not None:
-        supplied = validate_dataset(cfg.dataset)
-        details["supplied_violations"] = supplied[:5]
-        passed = passed and not supplied
-    return CheckResult("dataset_validation", passed, details)
+    """Each fault a log may not hold, planted at one record of a copy of a generated log (also with
+    one-hot features, and continuous under a uniform density), must make the constructor raise
+    DatasetError naming it and the record; `missed` lists each let through or named otherwise."""
+    data = simulator.generate_logs(cfg.env, 200, seed=(cfg.seed, 1))
+    x, a = data.num_contexts, data.num_actions
+    finite = {k: getattr(data, k) for k in ("context_ids", "actions", "losses", "num_contexts")}
+    discrete = finite | {"propensities": data.propensities}
+    featured = discrete | {"context_ids": None, "context_features": np.eye(x)[data.context_ids]}
+    uniform = (cont.PiecewiseConstantDensity(breaks=[0.0, 1.0], values=[1.0]),)
+    continuous = finite | {"actions": (data.actions + 0.5) / a, "densities": uniform, "density_index": 0 * data.actions}
+    plants = [  # (constructor, its arguments, the array planted in, the value planted, what must be said)
+        (LoggedDataset, discrete, "context_ids", x, f"context id {x} out of range [0, {x})"),
+        (LoggedDataset, featured, "context_features", np.nan, "non-finite context feature"),
+        (LoggedDataset, discrete, "actions", a, f"action {a} out of range [0, {a})"),
+        (LoggedDataset, discrete, "losses", np.nan, "non-finite loss"),
+        (LoggedDataset, discrete, "losses", 1.5, "loss out of [0,1]"),
+        (LoggedDataset, discrete, "propensities", np.inf, "non-finite propensity"),
+        (LoggedDataset, discrete, "propensities", 2.0, "propensities do not sum to 1"),
+        *[(LoggedDataset, discrete, "propensities", np.eye(a)[0], "zero propensity")] * (a > 1),  # A > 1 only
+        (cont.ContinuousLoggedDataset, continuous, "context_ids", -1, f"context id -1 out of range [0, {x})"),
+        (cont.ContinuousLoggedDataset, continuous, "actions", 1.5, "action 1.5 out of [0, 1]"),
+        (cont.ContinuousLoggedDataset, continuous, "losses", -0.5, "loss out of [0,1]"),
+    ]
+    missed = []
+    for j, (build, arguments, name, value, text) in enumerate(plants):
+        record, planted = j * data.n // len(plants), arguments[name].copy()
+        planted[record] = value
+        try:
+            build(**arguments | {name: planted})
+            said = "accepted"
+        except DatasetError as err:
+            said = str(err)
+        if said != f"{text} at record {record}":
+            missed.append({"fault": text, "record": record, "constructor": said})
+    return CheckResult("dataset_validation", not missed, {"planted": len(plants), "missed": missed})
 
 
 def check_discrete_reduction(cfg: VerifyConfig) -> CheckResult:

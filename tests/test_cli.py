@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plbandit import continuous as cont
-from plbandit import cli, csc, estimators, simulator, verify
+from plbandit import cli, csc, estimators, model, simulator, verify
 from plbandit.cli import main
 from plbandit.model import ClassStats, save_dataset_jsonl
 from plbandit.simulator import random_environment
@@ -24,6 +24,11 @@ from continuous_reference import reference_train_smoothed
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# The two dataset loaders, as the commands call them: a test that patches both
+# proves a command stopped before it read its dataset.
+LOADERS = [(cli, "load_dataset_jsonl"), (cont, "load_continuous_dataset_jsonl")]
 
 
 @pytest.fixture
@@ -174,6 +179,18 @@ class TestTrainEvaluate:
         assert evaluated["ipw_risk"] == estimators.ipw_risk(policy, second)
         assert evaluated["pseudo_loss"] == estimators.pseudo_loss(policy, second)
         assert evaluated["objective"] == estimators.penalized_objective(policy, second, 0.1)
+
+    def test_regression_rejects_a_non_finite_feature(self, tmp_path, capsys):
+        # The ridge fit used to take a NaN feature, exit 0 and save NaN weights.
+        features = np.random.default_rng(5).random((20, 2))
+        data = simulator.supervised_to_bandit(features, np.zeros(20, dtype=int), np.full((20, 2), 0.5), seed=1)
+        save_dataset_jsonl(data, tmp_path / "a.jsonl")
+        nan_feature = {2: lambda r: r["context"]["features"].__setitem__(1, float("nan"))}
+        bad = rewrite_records(tmp_path / "a.jsonl", tmp_path / "bad.jsonl", nan_feature)
+        out = tmp_path / "reg"
+        assert run("train", "--dataset", bad, "--oracle", "regression", "--beta", 0.1, "--out", out) == 2
+        assert capsys.readouterr().err.strip() == f"error: {bad}: non-finite context feature at record 2"
+        assert not (tmp_path / "reg.policy.json").exists()
 
 
 class TestAllDetSize:
@@ -407,17 +424,15 @@ class TestEveryEntryPointValidates:
                 row["propensities"] = [p * (1.0 + value) for p in row["propensities"]]
             return json.dumps(row)
 
-        # A bad loss is caught by the validation that follows the load; a bad
-        # propensity row is rejected by the loader itself, which names the
-        # record and what is wrong with its row.
-        row_kinds = "(non-finite propensity|propensities do not sum to 1|zero propensity)"
+        # The loader rejects the record, naming it and what is wrong with it.
+        kinds = {
+            "loss": r"(non-finite loss|loss out of \[0,1\])",
+            "propensity": "(non-finite propensity|propensities do not sum to 1|zero propensity)",
+        }
         for code, err in run_corrupted(edit, record):
             assert code == 2
-            if field == "loss":
-                assert "bad.jsonl: invalid dataset: " in err
-                assert f"at record {record} (+" in err
-            else:
-                assert re.search(rf"bad\.jsonl: {row_kinds} at record {record}$", err.strip()), err
+            kind = kinds["loss" if field == "loss" else "propensity"]
+            assert re.search(rf"bad\.jsonl: {kind} at record {record}$", err.strip()), err
 
 
 def rewrite_records(source, out: Path, edits: dict) -> Path:
@@ -432,34 +447,62 @@ def rewrite_records(source, out: Path, edits: dict) -> Path:
 
 
 class TestFirstBadRecordInFileOrder:
-    """A file with a rejected action or propensity row at record 0 and no loss
-    at record 3 exits 2 naming record 0: each loader checks a record as it
-    reads it, not after the last one."""
+    """A file with a rejected record 0 and no loss at record 3 exits 2 naming
+    record 0: each loader checks a record as it reads it, not after the last
+    one, also when the two records fall in different chunks."""
 
     @staticmethod
     def corrupt(source, out, key, value):
-        return rewrite_records(source, out, {0: lambda r: r.update({key: value}), 3: lambda r: r.pop("loss")})
+        """`source` with record 0's `key` (or context `id`) set to `value` and
+        record 3's loss removed; a context id of -1 also drops the header's
+        num_contexts."""
+
+        def edit(record):
+            (record["context"] if key == "id" else record)[key] = value
+
+        rewrite_records(source, out, {0: edit, 3: lambda r: r.pop("loss")})
+        if (key, value) == ("id", -1):
+            text = out.read_text()
+            out.write_text(re.sub(r'"num_contexts": \d+, ', "", text, count=1))
+        return out
 
     @pytest.mark.parametrize(
         "key, value, message",
         [
             ("action", 7, "action 7 out of range [0, 3) at record 0"),
             ("propensities", [0.3, 0.3, 0.3], "propensities do not sum to 1 at record 0"),
+            ("loss", 1.5, "loss out of [0,1] at record 0"),
+            ("id", 4, "context id 4 out of range [0, 4) at record 0"),
+            ("id", -1, "context id -1 is negative at record 0"),
         ],
-        ids=["action", "propensities"],
+        ids=["action", "propensities", "loss", "context-id-at-count", "negative-context-id-no-count"],
     )
-    def test_discrete_train(self, tmp_path, capsys, key, value, message):
+    def test_discrete_train(self, tmp_path, capsys, monkeypatch, key, value, message):
         assert run("generate", "--env", "demo", "--n", 20, "--seed", 0, "--out", tmp_path / "d") == 0
         bad = self.corrupt(tmp_path / "d.dataset.jsonl", tmp_path / "bad.jsonl", key, value)
-        assert run("train", "--dataset", bad, "--beta", 0.1, "--out", tmp_path / "m") == 2
-        assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+        for chunk in (model.CHUNK_BYTES, 1):  # one chunk, then a chunk per line
+            monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
+            assert run("train", "--dataset", bad, "--beta", 0.1, "--out", tmp_path / "m") == 2
+            assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
 
-    @pytest.mark.parametrize("action, text", [(1.5, "1.5"), (float("nan"), "nan")], ids=["above-one", "nan"])
-    def test_continuous_sweep(self, tmp_path, capsys, action, text):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("action", 1.5, "action 1.5 out of [0, 1] at record 0"),
+            ("action", float("nan"), "action nan out of [0, 1] at record 0"),
+            ("loss", 1.5, "loss out of [0,1] at record 0"),
+            ("id", 3, "context id 3 out of range [0, 3) at record 0"),
+            ("id", -1, "context id -1 is negative at record 0"),
+        ],
+        ids=["above-one", "nan", "loss", "context-id-at-count", "negative-context-id-no-count"],
+    )
+    def test_continuous_sweep(self, tmp_path, capsys, monkeypatch, key, value, message):
         assert run("generate", "--env", "demo-continuous", "--n", 20, "--seed", 0, "--out", tmp_path / "c") == 0
-        bad = self.corrupt(tmp_path / "c.dataset.jsonl", tmp_path / "bad.jsonl", "action", action)
-        assert run("sweep", "--dataset", bad, "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
-        assert capsys.readouterr().err.strip() == f"error: {bad}: action {text} out of [0, 1] at record 0"
+        bad = self.corrupt(tmp_path / "c.dataset.jsonl", tmp_path / "bad.jsonl", key, value)
+        for chunk in (model.CHUNK_BYTES, 1):  # one chunk, then a chunk per line
+            monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
+            assert run("sweep", "--dataset", bad, "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
+            assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
 
 
 class TestHeaderEnv:
@@ -1054,7 +1097,7 @@ class TestMissingOutDirectory:
         def reached(*args, **kwargs):
             raise AssertionError("work started before --out was checked")
 
-        for target, name in [(cli, "_load_valid"), (simulator, "generate_logs"), (verify, "run_verification")]:
+        for target, name in LOADERS + [(simulator, "generate_logs"), (verify, "run_verification")]:
             monkeypatch.setattr(target, name, reached)
 
     @pytest.mark.parametrize(
@@ -1158,8 +1201,8 @@ class TestFlagValues:
         def reached(*args, **kwargs):
             raise AssertionError("a file was loaded or a check ran before the flags were checked")
 
-        monkeypatch.setattr(cli, "_load_valid", reached)
-        monkeypatch.setattr(verify, "run_verification", reached)
+        for target, name in LOADERS + [(verify, "run_verification")]:
+            monkeypatch.setattr(target, name, reached)
         tmp_path, dataset_path, _ = generated
         argv = [a.format(d=dataset_path, o=tmp_path / "out") for a in self.BASE[command]]
         with pytest.raises(SystemExit) as exc:
@@ -1182,7 +1225,8 @@ class TestCrossFlagUsage:
         def reached(*args, **kwargs):
             raise AssertionError("the dataset was loaded before the flags were checked")
 
-        monkeypatch.setattr(cli, "_load_valid", reached)
+        for target, name in LOADERS:
+            monkeypatch.setattr(target, name, reached)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -1234,7 +1278,6 @@ class TestMissingInputFile:
             ("evaluate", ["--dataset", "{m}", "--policy", "{d}", "--beta", 0.1], "--dataset"),
             ("evaluate", ["--dataset", "{d}", "--policy", "{m}", "--beta", 0.1], "--policy"),
             ("sweep", ["--dataset", "{m}", "--beta-grid", "0.1", "--out", "{o}"], "--dataset"),
-            ("verify", ["--env", "demo", "--reps", 5, "--n", 50, "--dataset", "{m}"], "--dataset"),
         ],
     )
     def test_exits_two_naming_the_flag_and_path(self, generated, monkeypatch, capsys, command, argv, flag):
@@ -1254,21 +1297,57 @@ class TestVerify:
         report = json.loads(report_path.read_text())
         assert report["passed"] and report["num_checks"] == len(verify.ALL_CHECKS)
 
-    def test_zero_propensity_dataset_fails(self, tmp_path, generated, capsys):
-        # The row is rejected when the file is loaded, before any check runs.
-        bad = rewrite_records(generated[1], tmp_path / "bad.jsonl", {0: lambda r: r.update(propensities=[1.0, 0.0, 0.0])})
-        code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad)
-        assert code == 2
-        assert capsys.readouterr().err.strip() == f"error: {bad}: zero propensity at record 0"
-
-    def test_out_of_range_loss_fails_dataset_validation(self, tmp_path, generated):
-        bad = rewrite_records(generated[1], tmp_path / "bad.jsonl", {0: lambda r: r.update(loss=1.5)})
+    @staticmethod
+    def dataset_validation(tmp_path, monkeypatch, blind) -> tuple[int, dict]:
+        """verify's exit code and dataset_validation entry with LoggedDataset's
+        record check fed `blind`'s edit of its arrays."""
+        real = model._record_fault
+        monkeypatch.setattr(model, "_record_fault", lambda *arrays: real(*blind(*arrays)))
         report_path = tmp_path / "report.json"
-        code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--dataset", bad, "--out", report_path)
-        assert code == 3
-        check = next(c for c in json.loads(report_path.read_text())["checks"] if c["name"] == "dataset_validation")
-        assert not check["passed"]
-        assert check["details"]["supplied_violations"] == ["loss out of [0,1] at record 0"]
+        code = run("verify", "--env", "demo", "--reps", 5, "--n", 50, "--seed", 0, "--out", report_path)
+        checks = json.loads(report_path.read_text())["checks"]
+        return code, next(c for c in checks if c["name"] == "dataset_validation")
+
+    def test_zero_propensity_dataset_fails(self, tmp_path, monkeypatch):
+        # With the row rule patched out (every row read as uniform), the
+        # planted row faults get through and the check fails.
+        def blind(contexts, actions, losses, p, num_contexts):
+            return contexts, actions, losses, np.full_like(p, 1.0 / p.shape[1]), num_contexts
+
+        code, check = self.dataset_validation(tmp_path, monkeypatch, blind)
+        assert code == 3 and not check["passed"]
+        assert [m["fault"] for m in check["details"]["missed"]] == [
+            "non-finite propensity",
+            "propensities do not sum to 1",
+            "zero propensity",
+        ]
+
+    def test_out_of_range_loss_fails_dataset_validation(self, tmp_path, monkeypatch):
+        # With the loss rule patched out (every loss read as 0), the planted
+        # losses get through and the check fails, naming what was accepted.
+        def blind(contexts, actions, losses, p, num_contexts):
+            return contexts, actions, np.zeros_like(losses), p, num_contexts
+
+        code, check = self.dataset_validation(tmp_path, monkeypatch, blind)
+        assert code == 3 and not check["passed"]
+        assert check["details"]["missed"] == [
+            {"fault": "non-finite loss", "record": 54, "constructor": "accepted"},
+            {"fault": "loss out of [0,1]", "record": 72, "constructor": "accepted"},
+        ]
+
+    def test_clean_run_plants_every_fault(self, tmp_path):
+        report_path = tmp_path / "report.json"
+        assert run("verify", "--env", "hard", "--reps", 5, "--n", 50, "--seed", 3, "--out", report_path) == 0
+        check = json.loads(report_path.read_text())["checks"][0]
+        assert check["name"] == "dataset_validation" and check["passed"]
+        assert check["details"] == {"planted": 11, "missed": []}
+
+    def test_dataset_flag_is_gone(self, generated, capsys):
+        # Every log is checked when it is built, so verify no longer reads one.
+        with pytest.raises(SystemExit) as exc:
+            run("verify", "--env", "demo", "--reps", 5, "--dataset", generated[1])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dataset" in capsys.readouterr().err
 
     def test_continuous_env_is_usage_error(self, capsys):
         assert run("verify", "--env", "demo-continuous", "--reps", 5, "--n", 50) == 2
@@ -1311,7 +1390,7 @@ class TestSeedFlag:
         def reached(*args, **kwargs):
             raise AssertionError("work started before --seed was checked")
 
-        for target, name in [(cli, "_load_valid"), (simulator, "generate_logs"), (verify, "run_verification")]:
+        for target, name in LOADERS + [(simulator, "generate_logs"), (verify, "run_verification")]:
             monkeypatch.setattr(target, name, reached)
         tmp_path, dataset_path, _ = generated
         before = sorted(tmp_path.iterdir())

@@ -2,13 +2,15 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from plbandit import csc, simulator
+from plbandit import csc, model, simulator
 from plbandit.continuous import (
     ContinuousLoggedDataset,
     _dedupe_breaks,
@@ -33,7 +35,7 @@ from plbandit.continuous import (
     validate_continuous_dataset,
 )
 from plbandit.estimators import oracle_inequality_bound, oracle_inequality_bound_tuned
-from plbandit.model import DatasetError, SupportError
+from plbandit.model import CHUNK_BYTES, DatasetError, SupportError
 
 from continuous_reference import (
     reference_costs,
@@ -394,14 +396,14 @@ class TestContinuousDatasetIO:
         for da, db in zip(logged_densities(loaded), logged_densities(data)):
             assert np.array_equal(da.breaks, db.breaks)
             assert np.array_equal(da.values, db.values)
-        assert validate_continuous_dataset(loaded) == []
 
     def test_validator_flags_bad_records(self):
-        # The constructor rejects the action; the validator reports the loss.
+        # The constructor rejects the action, and the loss; the validator is its check.
         with pytest.raises(DatasetError, match=r"^action 1\.5 out of \[0, 1\] at record 0$"):
             continuous_dataset([1.5], [0.5], [UNIFORM])
-        data = continuous_dataset([0.5, 1.0], [1.5, 0.5], [UNIFORM] * 2)
-        assert validate_continuous_dataset(data) == ["loss out of [0,1] at record 0"]
+        with pytest.raises(DatasetError, match=r"^loss out of \[0,1\] at record 0$"):
+            continuous_dataset([0.5, 1.0], [1.5, 0.5], [UNIFORM] * 2)
+        assert validate_continuous_dataset(continuous_dataset([0.5, 1.0], [1.0, -0.0], [UNIFORM] * 2)) == []
 
     @pytest.mark.parametrize("index, record", [([0, 2], 1), ([-1, 0], 0)])
     def test_density_index_out_of_range_names_record(self, index, record):
@@ -604,6 +606,72 @@ class TestGroupedEstimators:
                 continuous_dataset([0.5, action, 2.0], [0.5] * 3, [UNIFORM] * 3)
 
 
+class TestRecordRules:
+    """ContinuousLoggedDataset's rules on losses and array ranks, at their
+    float edges, with the bad value at record 0 and at a middle record; and
+    the loader's, applied to each chunk as it is read."""
+
+    @staticmethod
+    def build(record=None, loss=0.5, **arrays):
+        losses = np.full(5, 0.5)
+        if record is not None:
+            losses[record] = loss
+        fields = dict(context_ids=np.zeros(5), actions=np.full(5, 0.5), losses=losses, density_index=np.zeros(5))
+        return ContinuousLoggedDataset(densities=(UNIFORM,), **fields | arrays)
+
+    @pytest.mark.parametrize("record", [0, 2])
+    @pytest.mark.parametrize("loss", [-0.0, 0.0, 1.0, 5e-324])
+    def test_edge_losses_accepted(self, record, loss):
+        assert self.build(record, loss).losses.tobytes() == np.where(np.arange(5) == record, loss, 0.5).tobytes()
+
+    @pytest.mark.parametrize("record", [0, 2])
+    @pytest.mark.parametrize(
+        "loss", [np.nextafter(1.0, 2.0), np.nextafter(0.0, -1.0), float("nan"), float("inf"), float("-inf")]
+    )
+    def test_edge_losses_rejected(self, record, loss):
+        with pytest.raises(DatasetError, match=rf"^loss out of \[0,1\] at record {record}$"):
+            self.build(record, loss)
+
+    @pytest.mark.parametrize("name", ["context_ids", "actions", "losses", "density_index"])
+    def test_wrong_rank_rejected(self, name):
+        with pytest.raises(DatasetError, match=rf"^{name} must be 1-D, not of shape \(5, 1\)$"):
+            self.build(**{name: np.zeros((5, 1))})
+
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    @pytest.mark.parametrize(
+        "edit, with_count, without_count",
+        [
+            (lambda r: r.update(loss=1.5), r"loss out of \[0,1\] at record 0", r"loss out of \[0,1\] at record 0"),
+            # Without the header's count an id above every other is no fault.
+            (
+                lambda r: r["context"].update(id=2),
+                r"context id 2 out of range \[0, 2\) at record 0",
+                "missing key 'loss' at record 3",
+            ),
+            (
+                lambda r: r["context"].update(id=-1),
+                r"context id -1 out of range \[0, 2\) at record 0",
+                "context id -1 is negative at record 0",
+            ),
+        ],
+        ids=["loss", "context-id-at-count", "negative-context-id"],
+    )
+    def test_loader_names_record_zero_before_a_later_missing_field(
+        self, tmp_path, chunk, edit, with_count, without_count
+    ):
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(self.build(context_ids=[0, 1, 0, 1, 0]), path)
+        header, *lines = path.read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        edit(records[0])
+        del records[3]["loss"]
+        for head, message in [(header, with_count), (header.replace(', "num_contexts": 2', ""), without_count)]:
+            path.write_text("\n".join([head] + [json.dumps(r) for r in records]) + "\n")
+            with mock.patch.object(model, "CHUNK_BYTES", chunk):
+                with pytest.raises(DatasetError, match=rf"cont\.jsonl: {message}$"):
+                    load_continuous_dataset_jsonl(path)
+
+
 class TestValidatorMatchesLoop:
     @given(
         case=grouped_datasets(),
@@ -618,12 +686,16 @@ class TestValidatorMatchesLoop:
         for i, value in bad_losses.items():
             losses[i % data.n] = value
         fields = dict(context_ids=data.context_ids, densities=data.densities, density_index=data.density_index)
-        if bad_actions:
-            first = min(i % data.n for i in bad_actions)
-            with pytest.raises(DatasetError, match=rf"out of \[0, 1\] at record {first}$"):
+        # The first bad record is named; a record's action before its loss.
+        loss_faults = reference_validate(SimpleNamespace(n=data.n, losses=losses))
+        faults = [(i % data.n, 0, "action .* out of \\[0, 1\\]") for i in bad_actions]
+        faults += [(int(text.rsplit(" ", 1)[1]), 1, "loss out of \\[0,1\\]") for text in loss_faults]
+        if faults:
+            record, _, kind = min(faults)
+            with pytest.raises(DatasetError, match=rf"^{kind} at record {record}$"):
                 ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
-        corrupt = ContinuousLoggedDataset(actions=data.actions, losses=losses, **fields)
-        assert validate_continuous_dataset(corrupt) == reference_validate(corrupt)
+        else:
+            assert validate_continuous_dataset(ContinuousLoggedDataset(actions=actions, losses=losses, **fields)) == []
 
     def test_unnormalized_and_zero_densities_reported_in_record_order(self):
         # Neither function is a PiecewiseConstantDensity. The constructor
@@ -637,10 +709,13 @@ class TestValidatorMatchesLoop:
             ContinuousLoggedDataset(
                 context_ids=[0], actions=[0.2], losses=[0.5], densities=(UNIFORM, double), density_index=[0]
             )
-        data = continuous_dataset([0.2, 0.7, 0.9, 0.1], [0.5, 2.0, -0.5, 0.5], [UNIFORM] * 4)
-        report = validate_continuous_dataset(data)
-        assert report == reference_validate(data)
-        assert report == ["loss out of [0,1] at record 1", "loss out of [0,1] at record 2"]
+        losses = np.array([0.5, 2.0, -0.5, 0.5])
+        assert reference_validate(SimpleNamespace(n=4, losses=losses)) == [
+            "loss out of [0,1] at record 1",
+            "loss out of [0,1] at record 2",
+        ]
+        with pytest.raises(DatasetError, match=r"^loss out of \[0,1\] at record 1$"):
+            continuous_dataset([0.2, 0.7, 0.9, 0.1], losses, [UNIFORM] * 4)
 
 
 class TestLoaderInterning:
@@ -664,14 +739,15 @@ class TestLoaderInterning:
             build_modified_costs_continuous(loaded, grid, h, beta).costs,
             build_modified_costs_continuous(data, grid, h, beta).costs,
         )
-        assert validate_continuous_dataset(loaded) == validate_continuous_dataset(data) == []
 
     @given(
         case=grouped_datasets(),
         bad_actions=st.dictionaries(
             st.integers(0, 11), st.sampled_from([-0.5, -0.0, 1.5, 1e300, float("nan"), float("-inf")])
         ),
-        bad_losses=st.dictionaries(st.integers(0, 11), st.sampled_from([-0.1, 7.0, float("inf"), float("nan")])),
+        bad_losses=st.dictionaries(
+            st.integers(0, 11), st.sampled_from([-0.1, 7.0, float("inf"), float("nan"), -0.0, 5e-324, 1.0])
+        ),
     )
     def test_saved_lines_equal_json_dumps(self, case, bad_actions, bad_losses):
         data, _, _, _ = case
@@ -681,12 +757,13 @@ class TestLoaderInterning:
         for i, value in bad_losses.items():
             losses[i % data.n] = value
         fields = dict(context_ids=data.context_ids, densities=data.densities, density_index=data.density_index)
-        # The constructor rejects an action outside [0, 1]; -0.0 is kept and saved.
-        out_of_range = [i for i, a in enumerate(actions) if not 0.0 <= a <= 1.0]
+        # The constructor rejects an action or a loss outside [0, 1]; -0.0 is kept and saved.
+        out_of_range = [i for i, (a, loss) in enumerate(zip(actions, losses)) if not (0 <= a <= 1 and 0 <= loss <= 1)]
         if out_of_range:
-            with pytest.raises(DatasetError, match=rf"out of \[0, 1\] at record {out_of_range[0]}$"):
+            with pytest.raises(DatasetError, match=rf"out of \[0, ?1\] at record {out_of_range[0]}$"):
                 ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
             actions[out_of_range] = data.actions[out_of_range]
+            losses[out_of_range] = data.losses[out_of_range]
         data = ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.jsonl"

@@ -1,11 +1,10 @@
 """The discrete dataset boundary against its per-record loop references.
 
-`save_dataset_jsonl`, `load_dataset_jsonl` and `validate_dataset` work on
-columns; `discrete_reference` keeps the record-by-record versions they
-replaced. The writer must produce the same bytes, the loader the same arrays
-bit for bit, and the validator the same loss report strings in the same
-order; `LoggedDataset` must reject a propensity row exactly when the loop
-reports one, naming the loop's first.
+`save_dataset_jsonl`, `load_dataset_jsonl` and `LoggedDataset`'s record
+check work on columns; `discrete_reference` keeps the record-by-record
+versions they replaced. The writer must produce the same bytes and the loader
+the same arrays bit for bit; `LoggedDataset` must reject a log exactly when
+the validation loop reports a violation, naming the loop's first.
 """
 
 import json
@@ -36,7 +35,10 @@ EDGE_FLOATS = [
     -0.0, 0.0, 5e-324, -5e-324, 1e22, 1e-7, 1e16, 0.1, 1 / 3,
     2.2250738585072014e-308, 1.7976931348623157e308,
 ]
-floats = st.one_of(st.sampled_from(EDGE_FLOATS + [NAN, INF, -INF]), st.floats())
+# Finite floats for features, and floats in [0, 1] for losses: all a log may hold.
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+UNIT_EDGES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 0.1, 1 / 3, np.nextafter(1.0, 0.0), 1.0]
+unit_floats = st.one_of(st.sampled_from(UNIT_EDGES), st.floats(0.0, 1.0))
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["id", "features", "x"]), inner),
@@ -62,18 +64,18 @@ def pmf_rows(draw, n: int, num_actions: int) -> np.ndarray:
 
 @st.composite
 def datasets(draw):
-    """Any dataset LoggedDataset accepts: arbitrary losses and features
-    (non-finite included), and full-support propensity rows."""
+    """Any dataset LoggedDataset accepts: losses anywhere in [0, 1] (-0.0
+    included), arbitrary finite features, and full-support propensity rows."""
     n = draw(st.integers(1, 9))
     num_actions = draw(st.integers(1, 4))
 
-    def column(shape):
+    def column(shape, values=floats):
         size = int(np.prod(shape))
-        return np.array(draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float).reshape(shape)
 
     kwargs = dict(
         actions=np.array(draw(st.lists(st.integers(0, num_actions - 1), min_size=n, max_size=n))),
-        losses=column((n,)),
+        losses=column((n,), unit_floats),
         propensities=pmf_rows(draw, n, num_actions),
     )
     feature_dim = draw(st.none() | st.integers(0, 3))
@@ -85,19 +87,16 @@ def datasets(draw):
     return LoggedDataset(**kwargs)
 
 
-NAN_A, NAN_B = np.array([0x7FF8000000000000, 0x7FF8000000000001]).view(np.float64)
-
-
 @st.composite
 def pooled_datasets(draw):
     """A dataset of at most 60 records drawn, interleaved, from a pool of at
     most 5 rows, so the same records repeat within and across writer chunks.
 
     The pool is a drawn base row, with a 0.0 loss, and up to four variants of
-    it that differ from it in few bits: a -0.0 loss; a first propensity one
-    ulp larger (a full-support row has no -0.0 or NaN entry, whose bits
-    differ from an equal or NaN value's); a NaN loss of either of two
-    payloads; a feature with its sign bit flipped.
+    it that differ from it in one bit: a -0.0 loss (equal to 0.0, its sign
+    bit set); a first propensity one ulp larger (a full-support row has no
+    -0.0 entry); a 5e-324 loss (0.0's bits plus one); a feature with its
+    sign bit flipped.
     """
     num_actions = draw(st.integers(1, 3))
     feature_dim = draw(st.none() | st.integers(0, 3))
@@ -115,7 +114,7 @@ def pooled_datasets(draw):
             f[0] = -f[0]
         return f, loss, p
 
-    variants = [row(loss=-0.0), row(nudge=True), row(loss=NAN_A), row(loss=NAN_B)]
+    variants = [row(loss=-0.0), row(nudge=True), row(loss=5e-324)]
     if width:
         variants.append(row(flip=True))
     pool = [row()] + draw(st.permutations(variants))[:4]
@@ -149,10 +148,10 @@ class TestSaveMatchesReference:
         assert (tmp / "new.jsonl").read_bytes() == (tmp / "ref.jsonl").read_bytes()
 
     def test_edge_floats_written_as_json_does(self, tmp_path):
-        values = np.array(EDGE_FLOATS + [NAN, INF, -INF])
+        values = np.array(EDGE_FLOATS)
         data = LoggedDataset(
             actions=np.zeros(len(values), dtype=np.int64),
-            losses=values,
+            losses=np.resize(UNIT_EDGES, len(values)),
             propensities=np.column_stack([np.linspace(0.1, 0.9, len(values)), np.linspace(0.9, 0.1, len(values))]),
             context_features=values[:, None],
         )
@@ -161,7 +160,7 @@ class TestSaveMatchesReference:
         text = (tmp_path / "new.jsonl").read_text()
         assert text == (tmp_path / "ref.jsonl").read_text()
         assert '"num_contexts"' not in text.splitlines()[0]
-        for token in ("-0.0", "5e-324", "1e+22", "NaN", "-Infinity"):
+        for token in ("-0.0", "5e-324", "1e+22", "1e-07", "1.7976931348623157e+308", "0.9999999999999999"):
             assert token in text
 
     @settings(max_examples=200)
@@ -382,6 +381,9 @@ class TestLoaderErrors:
             ("propensities", [0.3, 0.3], "propensities do not sum to 1"),
             ("propensities", [1.0, 0.0], "zero propensity"),
             ("propensities", [0.5, NAN], "non-finite propensity"),
+            ("loss", 1.5, r"loss out of \[0,1\]"),
+            ("loss", NAN, "non-finite loss"),
+            ("context.id", -1, "context id -1 is negative"),
         ],
     )
     def test_rejected_record_named_before_a_later_one(self, tmp_path, key, value, message):
@@ -397,6 +399,23 @@ class TestLoaderErrors:
         with mock.patch.object(model, "CHUNK_BYTES", 1):  # a chunk per line
             with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 1$"):
                 load_lines(tmp_path, json.dumps(GOOD), bad, json.dumps(GOOD), no_loss)
+
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (with_field("context.id", 3), r"context id 3 out of range \[0, 3\)"),
+            (json.dumps({**GOOD, "context": {"features": [0.5, NAN]}}), "non-finite context feature"),
+        ],
+        ids=["context-id-at-count", "nan-feature"],
+    )
+    def test_context_fault_named_before_a_later_one(self, tmp_path, chunk, bad, message):
+        # The header's num_contexts bounds the ids of every chunk as it is read.
+        header = '{"header": {"num_actions": 2, "num_contexts": 3}}\n'
+        no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 0$"):
+                load_lines(tmp_path, bad, json.dumps(GOOD), json.dumps(GOOD), no_loss, header=header)
 
     def test_repeated_malformed_record_named_at_first(self, tmp_path):
         no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
@@ -616,8 +635,9 @@ corruptions = st.lists(
 )
 
 
-LOSS_KINDS = ("non-finite loss", "loss out of [0,1]")
-KINDS = LOSS_KINDS + (
+KINDS = (
+    "non-finite loss",
+    "loss out of [0,1]",
     "non-finite propensity",
     "propensities do not sum to 1",
     "zero propensity",
@@ -628,22 +648,20 @@ KINDS = LOSS_KINDS + (
 def build_or_reject(actions, losses, props):
     """The log of these arrays, checked against the per-record loop.
 
-    The constructor must accept them exactly when the loop reports no
-    propensity violation, and otherwise name the loop's first one (record and
-    kind). An accepted log's validator report must equal the loop's, which
-    then holds loss violations only. Returns the loop's report.
+    The constructor must accept them exactly when the loop reports nothing,
+    and otherwise name the loop's first violation (record and kind). Returns
+    the loop's report.
     """
     report = reference_validate(SimpleNamespace(n=len(actions), actions=actions, losses=losses, propensities=props))
-    row_faults = [r for r in report if not r.startswith(LOSS_KINDS)]
 
     def build():
         return LoggedDataset(actions=actions, losses=losses, propensities=props, context_ids=np.zeros(len(actions)))
 
-    if row_faults:
-        with pytest.raises(DatasetError, match=f"^{re.escape(row_faults[0])}$"):
+    if report:
+        with pytest.raises(DatasetError, match=f"^{re.escape(report[0])}$"):
             build()
     else:
-        assert validate_dataset(build()) == report
+        assert validate_dataset(build()) == []
     return report
 
 

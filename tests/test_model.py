@@ -43,7 +43,8 @@ def single_context_dataset(pmf, action=0, loss=0.3):
 
 class TestValidateDataset:
     def test_clean_record(self):
-        assert validate_dataset(single_context_dataset([0.5, 0.5], loss=0.3)) == []
+        data = single_context_dataset([0.5, 0.5], loss=0.3)
+        assert data.n == 1 and validate_dataset(data) == []
 
     def test_zero_propensity(self):
         # A propensity row is checked when the log is built, not by the validator.
@@ -51,18 +52,88 @@ class TestValidateDataset:
             single_context_dataset([1.0, 0.0])
 
     def test_loss_out_of_range(self):
-        assert validate_dataset(single_context_dataset([0.5, 0.5], loss=1.5)) == ["loss out of [0,1] at record 0"]
-        assert validate_dataset(single_context_dataset([0.5, 0.5], loss=NAN)) == ["non-finite loss at record 0"]
+        with pytest.raises(DatasetError, match=r"^loss out of \[0,1\] at record 0$"):
+            single_context_dataset([0.5, 0.5], loss=1.5)
+        with pytest.raises(DatasetError, match=r"^non-finite loss at record 0$"):
+            single_context_dataset([0.5, 0.5], loss=NAN)
 
     def test_unnormalized_propensities(self):
         with pytest.raises(DatasetError, match=r"^propensities do not sum to 1 at record 0$"):
             single_context_dataset([0.5, 0.4])
 
     def test_simulated_datasets_validate(self):
+        # Each log is checked when it is built: generating one is validating it.
         for seed in range(5):
             env = simulator.random_environment((1, seed), 3, 3)
-            data = simulator.generate_logs(env, 50, seed=seed)
-            assert validate_dataset(data) == []
+            assert simulator.generate_logs(env, 50, seed=seed).n == 50
+
+
+class TestRecordRules:
+    """The constructor's rules on losses, features and array ranks, at their
+    float edges, with the bad value at record 0 and at a middle record."""
+
+    @staticmethod
+    def build(record=None, loss=0.5, feature=0.5, **arrays):
+        losses, features = np.full(5, 0.5), np.full((5, 2), 0.5)
+        if record is not None:
+            losses[record], features[record, 1] = loss, feature
+        fields = {"actions": np.zeros(5), "losses": losses, "propensities": np.full((5, 2), 0.5)}
+        return LoggedDataset(**fields | {"context_features": features} | arrays)
+
+    @pytest.mark.parametrize("record", [0, 2])
+    @pytest.mark.parametrize("loss", [-0.0, 0.0, 1.0, 5e-324])
+    def test_edge_losses_accepted(self, record, loss):
+        assert self.build(record, loss=loss).losses.tobytes() == np.where(np.arange(5) == record, loss, 0.5).tobytes()
+
+    @pytest.mark.parametrize("record", [0, 2])
+    @pytest.mark.parametrize(
+        "loss, message",
+        [
+            (np.nextafter(1.0, 2.0), "loss out of [0,1]"),
+            (np.nextafter(0.0, -1.0), "loss out of [0,1]"),
+            (np.nan, "non-finite loss"),
+            (np.inf, "non-finite loss"),
+            (-np.inf, "non-finite loss"),
+        ],
+    )
+    def test_edge_losses_rejected(self, record, loss, message):
+        with pytest.raises(DatasetError, match=rf"^{re.escape(message)} at record {record}$"):
+            self.build(record, loss=loss)
+        with pytest.raises(DatasetError, match=rf"^{re.escape(message)} at record {record}$"):
+            self.build(record, loss=loss, context_features=None, context_ids=np.zeros(5))
+
+    @pytest.mark.parametrize("record", [0, 2])
+    @pytest.mark.parametrize("feature", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejected(self, record, feature):
+        with pytest.raises(DatasetError, match=rf"^non-finite context feature at record {record}$"):
+            self.build(record, feature=feature)
+        # The earlier fault of a record is its context.
+        with pytest.raises(DatasetError, match=rf"^non-finite context feature at record {record}$"):
+            self.build(record, loss=np.nan, feature=feature)
+        assert self.build(record, feature=np.finfo(float).max).n == 5
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("actions", np.zeros((5, 1)), "actions must be 1-D, not of shape (5, 1)"),
+            ("losses", np.zeros((5, 1)), "losses must be 1-D, not of shape (5, 1)"),
+            ("propensities", np.full(5, 0.5), "propensities must be 2-D, not of shape (5,)"),
+            ("context_features", np.zeros(5), "context_features must be 2-D, not of shape (5,)"),
+            ("context_features", np.zeros((5, 2, 1)), "context_features must be 2-D, not of shape (5, 2, 1)"),
+        ],
+    )
+    def test_wrong_rank_rejected(self, name, value, message):
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            self.build(**{name: value})
+
+    def test_context_ids_of_wrong_rank_rejected(self):
+        with pytest.raises(DatasetError, match=re.escape("context_ids must be 1-D, not of shape (5, 1)")):
+            self.build(context_features=None, context_ids=np.zeros((5, 1)))
+
+    def test_column_losses_fail_at_construction_not_in_ipw_risk(self):
+        # Before, losses of shape (n, 1) were kept and ipw_risk failed in numpy.
+        with pytest.raises(DatasetError, match=re.escape("losses must be 1-D, not of shape (5, 1)")):
+            self.build(context_features=None, context_ids=np.zeros(5), losses=np.full((5, 1), 0.5))
 
 
 class TestClassStats:
@@ -385,7 +456,7 @@ class TestDatasetIndexRanges:
         [
             ([0, 1, -1], [0, 1, 0], None, "action -1 out of range [0, 2) at record 2"),
             ([0, 2, 1], [0, 1, 0], None, "action 2 out of range [0, 2) at record 1"),
-            ([0, 1, 1], [0, -1, 0], None, "context id -1 out of range [0, 1) at record 1"),
+            ([0, 1, 1], [0, -1, 0], None, "context id -1 is negative at record 1"),
             ([0, 1, 1], [0, 1, 3], 3, "context id 3 out of range [0, 3) at record 2"),
         ],
     )
@@ -443,7 +514,6 @@ class TestDatasetRoundTrips:
         assert np.array_equal(loaded.actions, data.actions)
         assert np.array_equal(loaded.losses, data.losses)
         assert np.array_equal(loaded.propensities, data.propensities)
-        assert validate_dataset(loaded) == []
 
     def test_feature_mode_jsonl(self, tmp_path):
         features = np.array([[0.1, 0.2], [0.3, 0.4]])
