@@ -226,8 +226,9 @@ def _training_setup(args, betas: list[float]):
     """What `train` and the discrete `sweep` fit `betas` with: the loaded
     dataset, the policy class (enum only), the oracle, the --env environment
     (or None) and the class statistics of --alpha (or None). Usage errors:
-    --alpha or a --class file with an oracle that takes no class, and --alpha
-    with a zero beta (the slack divides by beta) or on feature contexts. An
+    --alpha or a --class file with an oracle that takes no class, --alpha
+    with a zero beta (the slack divides by beta) or on feature contexts, and
+    --oracle argmin on feature contexts or regression on finite ones. An
     unset sweep --class, --oracle or --ridge means all-det, enum or 1e-6."""
     oracle_name, policy_class = args.oracle or "enum", args.policy_class or "all-det"
     if oracle_name != "enum" and (args.alpha is not None or policy_class != "all-det"):
@@ -237,8 +238,13 @@ def _training_setup(args, betas: list[float]):
         given = "--beta 0" if args.command == "train" else "a 0 in --beta-grid"
         raise UsageError(f"--alpha needs beta > 0, not {given}: the ucb_risk slack divides by beta")
     dataset = load_dataset_jsonl(args.dataset)
-    if args.alpha is not None and dataset.context_ids is None:
+    finite = dataset.context_ids is not None
+    if args.alpha is not None and not finite:
         raise UsageError(f"--alpha needs finite contexts; {args.dataset} has feature contexts")
+    if oracle_name == "argmin" and not finite:
+        raise UsageError(f"--oracle argmin needs finite contexts; {args.dataset} has feature contexts")
+    if oracle_name == "regression" and finite:
+        raise UsageError(f"--oracle regression needs feature contexts; {args.dataset} has finite contexts")
     pclass = _load_policy_class(policy_class, dataset) if oracle_name == "enum" else None
     oracle = _make_oracle(oracle_name, 1e-6 if args.ridge is None else args.ridge)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)

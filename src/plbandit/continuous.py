@@ -41,9 +41,10 @@ from .model import (
     _leading_rows,
     context_fault,
     first_fault,
-    header_int,
+    header_count,
     index_problem,
     is_number,
+    judged,
     missing_field,
     number_array,
     open_dataset,
@@ -580,18 +581,19 @@ def _scalar_problem(context_id, action, loss) -> str | None:
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
-    """Load a continuous dataset, each chunk checked as in `load_dataset_jsonl`.
-    Each distinct density content is validated once and kept once;
-    `density_index` numbers them in first-seen order."""
-    chunks, densities = [], []
+    """Load a continuous dataset as `load_dataset_jsonl` does: read up to the
+    first record that cannot be turned into columns, and let the constructor
+    judge every record before it. Each distinct density content is validated
+    once and kept once; `density_index` numbers them in first-seen order."""
+    chunks, densities, problem = [], [], None
     # Parsed lists of numbers, and validated arrays' bytes, to the density's number.
     by_text: dict[tuple, int] = {}
     by_content: dict[tuple[bytes, bytes], int] = {}
     with open_dataset(path) as fh:
         header = read_header(fh, path)
-        num_contexts = header_int(header, "num_contexts", path)
-        for start, records, inverse in read_record_chunks(fh, path):
-            ids, actions, losses, index, problem = [], [], [], [], None
+        num_contexts = header_count(header, "num_contexts", path)
+        for start, records, inverse in read_record_chunks(fh):
+            ids, actions, losses, index = [], [], [], []
             for row in map(records.__getitem__, inverse.tolist()):
                 try:
                     context_id, action, loss = row["context"]["id"], row["action"], row["loss"]
@@ -620,15 +622,14 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
                 actions.append(float(action))
                 losses.append(float(loss))
                 index.append(g)
-            chunk = [np.array(column) for column in (ids, actions, losses, index)]
-            # The records before a malformed one face the constructor's rule first.
-            fault = _record_fault(*chunk, len(densities), num_contexts) if ids else None
-            if fault is not None or problem is not None:
-                k, problem = fault or (len(ids), problem)
-                raise DatasetError(f"{path}: {problem} at record {start + k}")
-            chunks.append(chunk)
-    if not chunks:
-        raise DatasetError(f"{path}: dataset must contain at least one record")
-    ids, actions, losses, index = (np.concatenate(c) for c in zip(*chunks))
-    # The chunks passed the constructor's check, so it raises nothing here.
-    return ContinuousLoggedDataset(ids, actions, losses, tuple(densities), index, num_contexts)
+            if ids:
+                chunks.append([np.array(column) for column in (ids, actions, losses, index)])
+            if problem is not None:
+                problem = f"{problem} at record {start + len(ids)}"
+                break
+
+    def build() -> ContinuousLoggedDataset:
+        ids, actions, losses, index = (np.concatenate(c) for c in zip(*chunks))
+        return ContinuousLoggedDataset(ids, actions, losses, tuple(densities), index, num_contexts)
+
+    return judged(path, build if chunks else None, problem)

@@ -653,7 +653,7 @@ def open_dataset(path: str | Path):
     """Open a dataset file for reading as UTF-8 text with universal newlines.
 
     A byte that is not UTF-8 decodes to a lone surrogate (surrogateescape)
-    instead of raising mid-read, so the reader can name the line it is on.
+    instead of raising mid-read, so the loader can name the record it is on.
     """
     return open(path, encoding="utf-8", errors="surrogateescape")
 
@@ -667,6 +667,22 @@ def _utf8_problem(text: str) -> str | None:
     except UnicodeEncodeError as err:
         return f"invalid UTF-8 byte 0x{ord(text[err.start]) - 0xDC00:02x}"
     return None
+
+
+class _Unreadable(str):
+    """A record line that is not UTF-8 or not one JSON value, read as the text of
+    its problem: missing_field returns it, as it names a missing key."""
+
+
+def _read_line(line: str):
+    """The JSON value of one record line, or an _Unreadable saying why it has none."""
+    problem = _utf8_problem(line)
+    if problem is None:
+        try:
+            return json.loads(line)
+        except ValueError as err:
+            problem = f"invalid JSON ({err.msg})"
+    return _Unreadable(problem)
 
 
 def _json_array(lines: list[str]) -> list | None:
@@ -702,7 +718,7 @@ def read_header(fh, path: str | Path) -> dict:
     return header
 
 
-def read_record_chunks(fh, path: str | Path):
+def read_record_chunks(fh):
     """Yield (start, records, inverse) for the rest of a file opened by open_dataset.
 
     Lines of only whitespace (str.isspace, Unicode included) are skipped.
@@ -715,9 +731,10 @@ def read_record_chunks(fh, path: str | Path):
     one json.loads over them joined into a JSON array: record `start + k` is
     `records[inverse[k]]`. A simulated log has few distinct lines (one
     propensity row per context, 0/1 losses), and each is parsed once per
-    chunk. A line that is not UTF-8 or not valid JSON raises DatasetError
-    naming its 0-based record index; first-seen order makes the first bad
-    distinct line the first bad record.
+    chunk. The reader judges nothing: when the joined array does not parse,
+    each distinct line is parsed alone, and a line that is not UTF-8 or not
+    one JSON value is read as a record that carries its problem, which
+    missing_field returns.
     """
     start = 0
     while chunk := fh.readlines(CHUNK_BYTES):
@@ -734,27 +751,18 @@ def read_record_chunks(fh, path: str | Path):
                 inverse = inverse[inverse >= 0]
         records = _json_array(distinct)
         if records is None:
-            # Every distinct line parses alone exactly when the joined array
-            # parses with one element per line, so one of these lines fails.
-            for j, line in enumerate(distinct):
-                problem = _utf8_problem(line)
-                if problem is None:
-                    try:
-                        json.loads(line)
-                    except ValueError as err:
-                        problem = f"invalid JSON ({err.msg})"
-                if problem is not None:
-                    k = int(np.argmax(inverse == j))
-                    raise DatasetError(f"{path}: {problem} at record {start + k}")
+            records = list(map(_read_line, distinct))
         yield start, records, inverse
         start += len(inverse)
 
 
-def header_int(header: dict, key: str, path: str | Path) -> int | None:
-    """header[key], which must be a JSON integer, or None when the header lacks the key."""
+def header_count(header: dict, key: str, path: str | Path) -> int | None:
+    """header[key], which must be a JSON integer >= 1, or None when the header lacks the key."""
     if key not in header:
         return None
     problem = index_problem(f"header {key}", header[key])
+    if problem is None and header[key] < 1:
+        problem = f"header {key} {header[key]} is not >= 1"
     if problem is not None:
         raise DatasetError(f"{path}: {problem}")
     return header[key]
@@ -802,7 +810,10 @@ def number_array(value, ndim: int, key: str) -> np.ndarray:
 
 
 def missing_field(record, keys: Sequence[str]) -> str | None:
-    """Why a parsed record cannot be read: it is not an object, or the first dotted key it lacks."""
+    """Why a parsed record cannot be read: its line is not UTF-8 or not JSON, it
+    is not an object, or the first dotted key it lacks."""
+    if isinstance(record, _Unreadable):
+        return str(record)
     if not isinstance(record, dict):
         return "record is not a JSON object"
     for key in keys:
@@ -814,9 +825,10 @@ def missing_field(record, keys: Sequence[str]) -> str | None:
     return None
 
 
-def _record_problem(record, num_actions: int, feature_dim: int | None, num_contexts: int | None) -> str | None:
-    """What stops one parsed discrete record from loading, or None. `feature_dim`
-    is None in a finite-context file, else record 0's feature width."""
+def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | None:
+    """What stops one parsed discrete record from turning into columns, or None.
+    `feature_dim` is None in a finite-context file, else record 0's feature
+    width. Its values are LoggedDataset's to judge."""
     ctx = record.get("context") if isinstance(record, dict) else None
     if isinstance(ctx, dict):
         other_mode = "id" in ctx if feature_dim is not None else "features" in ctx and "id" not in ctx
@@ -843,8 +855,7 @@ def _record_problem(record, num_actions: int, feature_dim: int | None, num_conte
         return "propensity vector does not match header action count"
     if not all(map(is_number, props)):
         return "propensities are not all numbers"
-    fault = _record_fault(*_discrete_columns([record], num_actions, feature_dim), num_contexts)
-    return None if fault is None else fault[1]
+    return None
 
 
 def _number_rows(rows: list, width: int) -> bool:
@@ -898,47 +909,67 @@ def _feature_dim(record) -> int | None:
     return len(features) if type(features) is list else 0
 
 
+def judged(path: str | Path, build, problem: str | None):
+    """The dataset build() makes of the records a loader read before `problem`,
+    the first record it could not turn into columns (None: it read them all;
+    build None: it read none). The constructor judges first, so the
+    DatasetError raised names the file and its first bad record in file order."""
+    try:
+        dataset = None if build is None else build()
+    except DatasetError as err:
+        raise DatasetError(f"{path}: {err}") from None
+    if problem is None and dataset is None:
+        problem = "dataset must contain at least one record"
+    if problem is not None:
+        raise DatasetError(f"{path}: {problem}")
+    return dataset
+
+
 def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     """Read a file written by save_dataset_jsonl.
 
     Records are parsed a chunk at a time, each distinct line once (see
     read_record_chunks), and kept as the distinct records' columns, gathered
-    once into record order. Each chunk is checked before the next is read: the
-    first record that does not parse or that LoggedDataset rejects (with the
-    header's num_contexts) raises DatasetError naming the file and its index.
+    once into record order. Reading stops at the first record that cannot be
+    turned into columns: the chunk's first such distinct record, which
+    first-seen order makes its first in file order. LoggedDataset (with the
+    header's num_contexts) then judges every record before it, and `judged`
+    raises DatasetError naming the file and the first bad record.
     """
     with open_dataset(path) as fh:
         header = read_header(fh, path)
-        num_actions = header_int(header, "num_actions", path)
+        num_actions = header_count(header, "num_actions", path)
         if num_actions is None:
             raise DatasetError(f"{path}: header lacks key 'num_actions'")
-        num_contexts = header_int(header, "num_contexts", path)
-        chunks, inverses = [], []
+        num_contexts = header_count(header, "num_contexts", path)
+        chunks, inverses, problem = [], [], None
         feature_dim = None
         offset = 0  # distinct records in the chunks before this one
-        for start, records, inverse in read_record_chunks(fh, path):
-            if not chunks:
+        for start, records, inverse in read_record_chunks(fh):
+            if start == 0:
                 feature_dim = _feature_dim(records[0])
             columns = _discrete_columns(records, num_actions, feature_dim)
-            if columns is None:  # name the first record that does not load
-                for k, record in enumerate(map(records.__getitem__, inverse)):
-                    problem = _record_problem(record, num_actions, feature_dim, num_contexts)
-                    if problem is not None:
-                        raise DatasetError(f"{path}: {problem} at record {start + k}")
-                raise DatasetError(f"{path}: unreadable record among records {start} to {start + len(inverse) - 1}")
-            fault = _record_fault(*columns, num_contexts)
-            if fault is not None:  # distinct records are in first-seen order
-                k = int(np.argmax(inverse == fault[0]))
-                raise DatasetError(f"{path}: {fault[1]} at record {start + k}")
+            if columns is None:  # keep the records before the first that does not load
+                problems = (_record_problem(record, num_actions, feature_dim) for record in records)
+                j, problem = next(((j, p) for j, p in enumerate(problems) if p is not None), (0, None))
+                if problem is None:
+                    raise DatasetError(f"{path}: unreadable record among records {start} to {start + len(inverse) - 1}")
+                k = int(np.argmax(inverse == j))  # records before k are distinct records before j
+                problem = f"{problem} at record {start + k}"
+                if j:
+                    chunks.append(_discrete_columns(records[:j], num_actions, feature_dim))
+                    inverses.append(np.add(inverse[:k], offset))
+                break
             chunks.append(columns)
             inverses.append(np.add(inverse, offset))
             offset += len(records)
-    if not chunks:
-        raise DatasetError(f"{path}: dataset must contain at least one record")
-    order = np.concatenate(inverses)
-    contexts, actions, losses, propensities = (
-        np.concatenate(column).take(order, axis=0) for column in zip(*chunks)
-    )
-    # The chunks passed the constructor's check, so it raises nothing here.
-    name = "context_ids" if feature_dim is None else "context_features"
-    return LoggedDataset(actions, losses, propensities, num_contexts=num_contexts, **{name: contexts})
+
+    def build() -> LoggedDataset:
+        order = np.concatenate(inverses)
+        contexts, actions, losses, propensities = (
+            np.concatenate(column).take(order, axis=0) for column in zip(*chunks)
+        )
+        name = "context_ids" if feature_dim is None else "context_features"
+        return LoggedDataset(actions, losses, propensities, num_contexts=num_contexts, **{name: contexts})
+
+    return judged(path, build if chunks else None, problem)

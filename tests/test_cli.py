@@ -236,13 +236,18 @@ class TestFlagsTheOracleIgnores:
         assert f"error: {flag} needs --oracle enum; --oracle {oracle} takes no policy class" in capsys.readouterr().err
         assert not any(tmp_path.glob("m.*")) and not (tmp_path / "s.csv").exists()
 
+    @staticmethod
+    def feature_log(path):
+        """A 40-record, 2-action log with 2-D feature contexts, saved at `path`."""
+        features = np.random.default_rng(0).random((40, 2))
+        labels = (features[:, 0] > features[:, 1]).astype(int)
+        save_dataset_jsonl(simulator.supervised_to_bandit(features, labels, np.full((40, 2), 0.5), seed=1), path)
+        return path
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_alpha_on_feature_contexts_exits_two(self, tmp_path, capsys, command):
         # Class statistics need finite contexts; this used to exit 0 with no ucb_risk.
-        features = np.random.default_rng(0).random((40, 2))
-        labels = (features[:, 0] > features[:, 1]).astype(int)
-        data = simulator.supervised_to_bandit(features, labels, np.full((40, 2), 0.5), seed=1)
-        save_dataset_jsonl(data, tmp_path / "f.jsonl")
+        self.feature_log(tmp_path / "f.jsonl")
         linear = {"type": "linear", "weights": [[1.0, 0.0], [0.0, 1.0]], "intercepts": [0.0, 0.0]}
         (tmp_path / "class.json").write_text(json.dumps({"policies": [linear]}))
         argv = {
@@ -254,6 +259,24 @@ class TestFlagsTheOracleIgnores:
         assert f"error: --alpha needs finite contexts; {tmp_path / 'f.jsonl'} has feature contexts" in capsys.readouterr().err
         assert not any(tmp_path.glob("m.*")) and not (tmp_path / "s.csv").exists()
         assert run(*argv, *common) == 0
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "oracle, need, have", [("argmin", "finite", "feature"), ("regression", "feature", "finite")]
+    )
+    def test_oracle_on_the_other_context_mode_exits_two(self, generated, capsys, command, oracle, need, have):
+        # These used to exit 1 after the cost matrix was built.
+        tmp_path, dataset_path, _ = generated
+        if have == "feature":
+            dataset_path = self.feature_log(tmp_path / "f.jsonl")
+        argv = {
+            "train": ["train", "--beta", 0.1, "--out", tmp_path / "m"],
+            "sweep": ["sweep", "--beta-grid", "0.1", "--out", tmp_path / "s.csv"],
+        }[command]
+        assert run(*argv, "--dataset", dataset_path, "--oracle", oracle) == 2
+        err = capsys.readouterr().err
+        assert f"error: --oracle {oracle} needs {need} contexts; {dataset_path} has {have} contexts" in err
+        assert not any(tmp_path.glob("m.*")) and not (tmp_path / "s.csv").exists()
 
     def test_default_class_is_accepted(self, generated):
         tmp_path, dataset_path, _ = generated
@@ -447,23 +470,34 @@ def rewrite_records(source, out: Path, edits: dict) -> Path:
 
 
 class TestFirstBadRecordInFileOrder:
-    """A file with a rejected record 0 and no loss at record 3 exits 2 naming
-    record 0: each loader checks a record as it reads it, not after the last
-    one, also when the two records fall in different chunks."""
+    """A file with a rejected record 0 and an unloadable record 3 (no loss,
+    not JSON, or not UTF-8) exits 2 naming record 0: each loader reads up to
+    the first record it cannot turn into columns, and the dataset constructor
+    judges every record before that one is named, also when the two records
+    fall in different chunks."""
+
+    # How record 3 is made unloadable, for corrupt().
+    LATER = ["missing loss", "invalid JSON", "not UTF-8"]
+    CHUNKS = (model.CHUNK_BYTES, 1)  # one chunk, then a chunk per line
 
     @staticmethod
-    def corrupt(source, out, key, value):
+    def corrupt(source, out, key, value, later):
         """`source` with record 0's `key` (or context `id`) set to `value` and
-        record 3's loss removed; a context id of -1 also drops the header's
-        num_contexts."""
+        record 3 unloadable as `later` says; a context id of -1 also drops the
+        header's num_contexts."""
 
         def edit(record):
             (record["context"] if key == "id" else record)[key] = value
 
-        rewrite_records(source, out, {0: edit, 3: lambda r: r.pop("loss")})
+        edits = {0: edit, 3: lambda r: r.pop("loss")} if later == "missing loss" else {0: edit}
+        lines = rewrite_records(source, out, edits).read_bytes().splitlines(keepends=True)
         if (key, value) == ("id", -1):
-            text = out.read_text()
-            out.write_text(re.sub(r'"num_contexts": \d+, ', "", text, count=1))
+            lines[0] = re.sub(rb'"num_contexts": \d+, ', b"", lines[0])
+        if later == "invalid JSON":
+            lines[4] = b"{bad json\n"
+        elif later == "not UTF-8":
+            lines[4] = lines[4].replace(b'"loss"', b'"lo\xffss"')
+        out.write_bytes(b"".join(lines))
         return out
 
     @pytest.mark.parametrize(
@@ -479,11 +513,12 @@ class TestFirstBadRecordInFileOrder:
     )
     def test_discrete_train(self, tmp_path, capsys, monkeypatch, key, value, message):
         assert run("generate", "--env", "demo", "--n", 20, "--seed", 0, "--out", tmp_path / "d") == 0
-        bad = self.corrupt(tmp_path / "d.dataset.jsonl", tmp_path / "bad.jsonl", key, value)
-        for chunk in (model.CHUNK_BYTES, 1):  # one chunk, then a chunk per line
-            monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
-            assert run("train", "--dataset", bad, "--beta", 0.1, "--out", tmp_path / "m") == 2
-            assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+        for later in self.LATER:
+            bad = self.corrupt(tmp_path / "d.dataset.jsonl", tmp_path / "bad.jsonl", key, value, later)
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
+                assert run("train", "--dataset", bad, "--beta", 0.1, "--out", tmp_path / "m") == 2
+                assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
 
     @pytest.mark.parametrize(
         "key, value, message",
@@ -498,11 +533,12 @@ class TestFirstBadRecordInFileOrder:
     )
     def test_continuous_sweep(self, tmp_path, capsys, monkeypatch, key, value, message):
         assert run("generate", "--env", "demo-continuous", "--n", 20, "--seed", 0, "--out", tmp_path / "c") == 0
-        bad = self.corrupt(tmp_path / "c.dataset.jsonl", tmp_path / "bad.jsonl", key, value)
-        for chunk in (model.CHUNK_BYTES, 1):  # one chunk, then a chunk per line
-            monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
-            assert run("sweep", "--dataset", bad, "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
-            assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
+        for later in self.LATER:
+            bad = self.corrupt(tmp_path / "c.dataset.jsonl", tmp_path / "bad.jsonl", key, value, later)
+            for chunk in self.CHUNKS:
+                monkeypatch.setattr(model, "CHUNK_BYTES", chunk)
+                assert run("sweep", "--dataset", bad, "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
+                assert capsys.readouterr().err.strip() == f"error: {bad}: {message}"
 
 
 class TestHeaderEnv:

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from plbandit import continuous as cont
 from plbandit import csc, model, simulator
 from plbandit.continuous import (
     ContinuousLoggedDataset,
@@ -609,7 +611,8 @@ class TestGroupedEstimators:
 class TestRecordRules:
     """ContinuousLoggedDataset's rules on losses and array ranks, at their
     float edges, with the bad value at record 0 and at a middle record; and
-    the loader's, applied to each chunk as it is read."""
+    the loader's order: the constructor judges every record before the first
+    one the loader cannot read, and names its fault first."""
 
     @staticmethod
     def build(record=None, loss=0.5, **arrays):
@@ -642,12 +645,9 @@ class TestRecordRules:
         "edit, with_count, without_count",
         [
             (lambda r: r.update(loss=1.5), r"loss out of \[0,1\] at record 0", r"loss out of \[0,1\] at record 0"),
-            # Without the header's count an id above every other is no fault.
-            (
-                lambda r: r["context"].update(id=2),
-                r"context id 2 out of range \[0, 2\) at record 0",
-                "missing key 'loss' at record 3",
-            ),
+            # Without the header's count an id above every other is no fault,
+            # so record 3's own problem is named (None).
+            (lambda r: r["context"].update(id=2), r"context id 2 out of range \[0, 2\) at record 0", None),
             (
                 lambda r: r["context"].update(id=-1),
                 r"context id -1 out of range \[0, 2\) at record 0",
@@ -659,17 +659,52 @@ class TestRecordRules:
     def test_loader_names_record_zero_before_a_later_missing_field(
         self, tmp_path, chunk, edit, with_count, without_count
     ):
+        # Record 3 lacks its loss, is not JSON, or holds a byte that is not
+        # UTF-8; the constructor judges records 0-2 before it is named.
         path = tmp_path / "cont.jsonl"
         save_continuous_dataset_jsonl(self.build(context_ids=[0, 1, 0, 1, 0]), path)
         header, *lines = path.read_text().splitlines()
         records = [json.loads(line) for line in lines]
         edit(records[0])
+        lines = [json.dumps(r) for r in records]
         del records[3]["loss"]
-        for head, message in [(header, with_count), (header.replace(', "num_contexts": 2', ""), without_count)]:
-            path.write_text("\n".join([head] + [json.dumps(r) for r in records]) + "\n")
-            with mock.patch.object(model, "CHUNK_BYTES", chunk):
-                with pytest.raises(DatasetError, match=rf"cont\.jsonl: {message}$"):
-                    load_continuous_dataset_jsonl(path)
+        for later, problem in [
+            (json.dumps(records[3]), "missing key 'loss'"),
+            ("{bad json", r"invalid JSON \(.*\)"),
+            (lines[3].replace('"loss"', '"lo\udcffss"'), "invalid UTF-8 byte 0xff"),
+        ]:
+            for head, message in [
+                (header, with_count),
+                (header.replace(', "num_contexts": 2', ""), without_count or f"{problem} at record 3"),
+            ]:
+                text = "\n".join([head, *lines[:3], later, *lines[4:]]) + "\n"
+                path.write_text(text, encoding="utf-8", errors="surrogateescape")
+                with mock.patch.object(model, "CHUNK_BYTES", chunk):
+                    with pytest.raises(DatasetError, match=rf"cont\.jsonl: {message}$"):
+                        load_continuous_dataset_jsonl(path)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_loader_names_a_header_count_below_one(self, tmp_path, count):
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(self.build(), path)
+        path.write_text(path.read_text().replace('"num_contexts": 1', f'"num_contexts": {count}', 1))
+        with pytest.raises(DatasetError, match=rf"cont\.jsonl: header num_contexts {count} is not >= 1$"):
+            load_continuous_dataset_jsonl(path)
+
+    def test_records_judged_once_per_load(self, tmp_path):
+        # The loader only reads: the record check runs once, from the
+        # constructor, over every chunk of the log.
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(self.build(context_ids=[0, 1, 0, 1, 0]), path)
+        real, callers = cont._record_fault, []
+
+        def counted(*arrays):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*arrays)
+
+        with mock.patch.object(cont, "_record_fault", counted), mock.patch.object(model, "CHUNK_BYTES", 1):
+            assert load_continuous_dataset_jsonl(path).n == 5
+        assert callers == ["validate_continuous_dataset"]
 
 
 class TestValidatorMatchesLoop:

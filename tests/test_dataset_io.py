@@ -9,6 +9,7 @@ the validation loop reports a violation, naming the loop's first.
 
 import json
 import re
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -308,8 +309,9 @@ GOOD = {"context": {"id": 0}, "action": 1, "loss": 0.5, "propensities": [0.5, 0.
 
 
 def load_lines(tmp_path, *records: str, header: str = HEADER) -> LoggedDataset:
+    """Load the records after the header; a lone surrogate in a line is written as the byte it escapes."""
     path = tmp_path / "d.jsonl"
-    path.write_text(header + "".join(r + "\n" for r in records))
+    path.write_text(header + "".join(r + "\n" for r in records), encoding="utf-8", errors="surrogateescape")
     return load_dataset_jsonl(path)
 
 
@@ -320,6 +322,15 @@ def with_field(key: str, value) -> str:
     else:
         row[key] = value
     return json.dumps(row)
+
+
+# Record lines the loader cannot turn into columns: a missing field, a line
+# that is not JSON, and one with a byte that is not UTF-8 (see load_lines).
+UNLOADABLE = [
+    json.dumps({k: v for k, v in GOOD.items() if k != "loss"}),
+    "{bad json",
+    json.dumps(GOOD).replace('"loss"', '"lo\udcffss"'),
+]
 
 
 class TestLoaderErrors:
@@ -387,18 +398,20 @@ class TestLoaderErrors:
         ],
     )
     def test_rejected_record_named_before_a_later_one(self, tmp_path, key, value, message):
-        # LoggedDataset's rule runs on each chunk before the next is read, and
-        # on each record of a chunk that fails to parse, so a record it
-        # rejects is named before a later record with a missing field.
-        no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
-        bad = with_field(key, value)
-        with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 0$"):
-            load_lines(tmp_path, bad, json.dumps(GOOD), json.dumps(GOOD), no_loss)
+        # The loader reads up to the first record it cannot turn into columns,
+        # and LoggedDataset judges every record before it first, so a record
+        # it rejects is named before a later line with a missing field, that
+        # is not JSON or that is not UTF-8, in one chunk or in a later one.
+        good, bad = json.dumps(GOOD), with_field(key, value)
         with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 1$"):
-            load_lines(tmp_path, json.dumps(GOOD), bad, json.dumps(GOOD), bad)
-        with mock.patch.object(model, "CHUNK_BYTES", 1):  # a chunk per line
-            with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 1$"):
-                load_lines(tmp_path, json.dumps(GOOD), bad, json.dumps(GOOD), no_loss)
+            load_lines(tmp_path, good, bad, good, bad)
+        for later in UNLOADABLE:
+            for chunk in (CHUNK_BYTES, 1):  # one chunk, then a chunk per line
+                with mock.patch.object(model, "CHUNK_BYTES", chunk):
+                    with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 0$"):
+                        load_lines(tmp_path, bad, good, good, later)
+                    with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record 1$"):
+                        load_lines(tmp_path, good, bad, good, later)
 
     @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
     @pytest.mark.parametrize(
@@ -410,7 +423,7 @@ class TestLoaderErrors:
         ids=["context-id-at-count", "nan-feature"],
     )
     def test_context_fault_named_before_a_later_one(self, tmp_path, chunk, bad, message):
-        # The header's num_contexts bounds the ids of every chunk as it is read.
+        # The header's num_contexts bounds every id the constructor judges before record 3 is named.
         header = '{"header": {"num_actions": 2, "num_contexts": 3}}\n'
         no_loss = json.dumps({k: v for k, v in GOOD.items() if k != "loss"})
         with mock.patch.object(model, "CHUNK_BYTES", chunk):
@@ -485,6 +498,11 @@ class TestLoaderErrors:
             ('{"header": {"num_actions": "two"}}\n', 'header num_actions "two" is not an integer'),
             ('{"header": {"num_actions": 2.0}}\n', "header num_actions 2.0 is not an integer"),
             ('{"header": {"num_actions": 2, "num_contexts": 2.5}}\n', "header num_contexts 2.5 is not an integer"),
+            # A count below 1 is the header's fault, not record 0's.
+            ('{"header": {"num_actions": 0}}\n', "header num_actions 0 is not >= 1"),
+            ('{"header": {"num_actions": -1}}\n', "header num_actions -1 is not >= 1"),
+            ('{"header": {"num_actions": 2, "num_contexts": 0}}\n', "header num_contexts 0 is not >= 1"),
+            ('{"header": {"num_actions": 2, "num_contexts": -1}}\n', "header num_contexts -1 is not >= 1"),
         ],
     )
     def test_bad_header(self, tmp_path, header, message):
@@ -527,6 +545,22 @@ class TestLoaderErrors:
     def test_no_records(self, tmp_path):
         with pytest.raises(DatasetError, match="at least one record"):
             load_lines(tmp_path, "", "  ")
+
+    def test_records_judged_once_per_load(self, tmp_path):
+        # The loader only reads: LoggedDataset's record check runs once, from
+        # its constructor, over every chunk of the log.
+        data = simulator.generate_logs(simulator.random_environment((0, 101), 4, 3), 200, seed=0)
+        path = tmp_path / "d.jsonl"
+        save_dataset_jsonl(data, path)
+        real, callers = model._record_fault, []
+
+        def counted(*arrays):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*arrays)
+
+        with mock.patch.object(model, "_record_fault", counted), mock.patch.object(model, "CHUNK_BYTES", 1):
+            assert load_dataset_jsonl(path).n == 200
+        assert callers == ["validate_dataset"]
 
 
 def record_line(action: int, loss: str) -> str:
