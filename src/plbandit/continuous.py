@@ -39,6 +39,7 @@ from .model import (
     _frozen,
     _json_texts,
     _leading_rows,
+    checked_metadata,
     context_fault,
     first_fault,
     header_count,
@@ -51,6 +52,7 @@ from .model import (
     read_header,
     read_record_chunks,
     set_column,
+    set_num_contexts,
 )
 
 # Closed-window membership tolerance: grid points sitting exactly on a window
@@ -129,6 +131,8 @@ class PiecewiseConstant:
     @classmethod
     def from_json(cls, obj: dict) -> PiecewiseConstant:
         """The function a to_json object describes, checked as `cls` checks it."""
+        if type(obj) is not dict:
+            raise ValueError("piecewise function is not a JSON object")
         return cls(breaks=number_array(obj["breaks"], 1, "breaks"), values=number_array(obj["values"], 1, "values"))
 
     def to_json(self) -> dict:
@@ -324,8 +328,9 @@ class ContinuousLoggedDataset:
     """Logged records with actions in [0, 1]: record i was logged under the
     density `densities[density_index[i]]`.
 
-    The constructor rejects an array of the wrong rank, a density that is not a
-    PiecewiseConstantDensity and the record validate_continuous_dataset names.
+    The constructor rejects an array of the wrong rank, a num_contexts that
+    set_num_contexts refuses, a density that is not a PiecewiseConstantDensity
+    and the record validate_continuous_dataset names.
 
     Every integral of the reduction depends on a record only through its
     logging density, so the estimators work once per density, not per record.
@@ -344,6 +349,7 @@ class ContinuousLoggedDataset:
         set_column(self, "losses", float)
         set_column(self, "density_index", np.int64)
         object.__setattr__(self, "densities", tuple(self.densities))
+        set_num_contexts(self)
         if n < 1:
             raise DatasetError("dataset must contain at least one record")
         if {len(self.context_ids), len(self.losses), len(self.density_index)} != {n}:
@@ -547,76 +553,69 @@ def h_grid(m: int) -> list[float]:
 def save_continuous_dataset_jsonl(
     dataset: ContinuousLoggedDataset, path: str | Path, metadata: dict | None = None
 ) -> None:
-    """As save_dataset_jsonl: each line is json.dumps(record, sort_keys=True), written a chunk at a time."""
+    """As save_dataset_jsonl. The header lists each distinct density text once, in first-occurrence
+    order of dataset.densities, under `densities`; a record's `density` is its position there."""
     header: dict = {"action_space": "unit_interval"}
     if dataset.num_contexts is not None:
         header["num_contexts"] = dataset.num_contexts
-    if metadata:
-        header.update(metadata)
-    density_texts = [json.dumps(d.to_json(), sort_keys=True) for d in dataset.densities]
+    header |= checked_metadata(metadata)
+    distinct: dict[str, int] = {}
+    texts = [json.dumps(d.to_json(), sort_keys=True) for d in dataset.densities]
+    positions = [str(distinct.setdefault(text, len(distinct))) for text in texts]
+    header["densities"] = list(map(json.loads, distinct))
     with open(path, "w") as fh:
         fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
         for lo in range(0, dataset.n, CHUNK_RECORDS):
             rows = slice(lo, lo + CHUNK_RECORDS)
             fh.writelines(
-                f'{{"action": {a}, "context": {{"id": {c}}}, "density": {d}, "loss": {loss}}}\n'
-                for a, c, d, loss in zip(
+                f'{{"action": {a}, "context": {{"id": {c}}}, "density": {g}, "loss": {loss}}}\n'
+                for a, c, g, loss in zip(
                     _json_texts(dataset.actions[rows]),
                     dataset.context_ids[rows].tolist(),
-                    map(density_texts.__getitem__, dataset.density_index[rows].tolist()),
+                    map(positions.__getitem__, dataset.density_index[rows].tolist()),
                     _json_texts(dataset.losses[rows]),
                 )
             )
 
 
-_CONTINUOUS_KEYS = ("context.id", "action", "loss", "density.breaks", "density.values")
+_CONTINUOUS_KEYS = ("context.id", "action", "loss", "density")
 
 
-def _scalar_problem(context_id, action, loss) -> str | None:
-    if type(context_id) is int and -(2**63) <= context_id < 2**63 and type(action) is type(loss) is float:
-        return None  # the common record, decided without the calls below
+def _scalar_problem(context_id, action, loss, g) -> str | None:
+    if type(context_id) is type(g) is int and type(action) is type(loss) is float and -(2**63) <= context_id < 2**63:
+        if -(2**63) <= g < 2**63:
+            return None  # the common record, decided without the calls below
     pairs = (("action", action), ("loss", loss))
     not_numbers = [f"{name} {json.dumps(value)} is not a number" for name, value in pairs if not is_number(value)]
-    return index_problem("context.id", context_id) or next(iter(not_numbers), None)
+    return index_problem("context.id", context_id) or next(iter(not_numbers), None) or index_problem("density", g)
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
-    """Load a continuous dataset as `load_dataset_jsonl` does: read up to the
-    first record that cannot be turned into columns, and let the constructor
-    judge every record before it. Each distinct density content is validated
-    once and kept once; `density_index` numbers them in first-seen order."""
+    """Load a continuous dataset as `load_dataset_jsonl` does, once each header density is built;
+    the constructor judges each record's `density`, an index into the header's list, too."""
     chunks, densities, problem = [], [], None
-    # Parsed lists of numbers, and validated arrays' bytes, to the density's number.
-    by_text: dict[tuple, int] = {}
-    by_content: dict[tuple[bytes, bytes], int] = {}
     with open_dataset(path) as fh:
         header = read_header(fh, path)
         num_contexts = header_count(header, "num_contexts", path)
+        if type(header.get("densities")) is not list:
+            raise DatasetError(f"{path}: header lacks a list of densities")
+        for g, entry in enumerate(header["densities"]):
+            try:
+                densities.append(PiecewiseConstantDensity.from_json(entry))
+            except KeyError as err:
+                raise DatasetError(f"{path}: header density {g}: missing key {err}") from None
+            except (TypeError, ValueError) as err:
+                raise DatasetError(f"{path}: header density {g}: {err}") from None
         for start, records, inverse in read_record_chunks(fh):
             ids, actions, losses, index = [], [], [], []
             for row in map(records.__getitem__, inverse.tolist()):
                 try:
-                    context_id, action, loss = row["context"]["id"], row["action"], row["loss"]
-                    breaks, values = row["density"]["breaks"], row["density"]["values"]
+                    context_id, action, loss, g = row["context"]["id"], row["action"], row["loss"], row["density"]
                 except (KeyError, TypeError):
                     problem = missing_field(row, _CONTINUOUS_KEYS)
                     break
-                problem = _scalar_problem(context_id, action, loss)
+                problem = _scalar_problem(context_id, action, loss, g)
                 if problem is not None:
-                    break
-                try:
-                    key = (tuple(breaks), tuple(values))
-                    # false and true equal and hash as 0 and 1, so a key holding
-                    # a bool could hit a number's entry; from_json rejects it.
-                    g = by_text.get(key) if bool not in map(type, key[0]) and bool not in map(type, key[1]) else None
-                    if g is None:
-                        density = PiecewiseConstantDensity.from_json(row["density"])
-                        g = by_content.setdefault((density.breaks.tobytes(), density.values.tobytes()), len(densities))
-                        if g == len(densities):
-                            densities.append(density)
-                        by_text[key] = g
-                except (TypeError, ValueError) as err:
-                    problem = str(err)
                     break
                 ids.append(context_id)
                 actions.append(float(action))

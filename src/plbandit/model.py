@@ -435,6 +435,17 @@ def _record_fault(contexts, actions, losses, p, num_contexts) -> tuple[int, str]
     )
 
 
+def set_num_contexts(dataset) -> None:
+    """Keep a dataset's num_contexts as an int; DatasetError unless it is None or
+    an integer >= 1 (a numpy integer too, a bool not)."""
+    count = dataset.num_contexts
+    if count is None:
+        return
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+        raise DatasetError(f"num_contexts must be an integer >= 1, not {count!r}")
+    object.__setattr__(dataset, "num_contexts", int(count))
+
+
 def set_column(dataset, name: str, dtype, ndim: int = 1) -> np.ndarray:
     """Set a dataset's field to a read-only C-ordered copy of dtype (C order: the flat index of
     _logged_cells names cell (i, a_i)), and return it; DatasetError unless it has `ndim` axes."""
@@ -451,9 +462,10 @@ class LoggedDataset:
 
     Exactly one of `context_ids` / `context_features` is set. `num_contexts`,
     the finite-context table size, defaults to max id + 1. The constructor
-    rejects an array of the wrong rank and the record validate_dataset names,
-    so every loss is in [0, 1], every 1/mu term is defined and nothing checks
-    the records again.
+    rejects an array of the wrong rank, propensity rows with no column, a
+    num_contexts that set_num_contexts refuses and the record validate_dataset
+    names, so every loss is in [0, 1], every 1/mu term is defined and nothing
+    checks the records again.
 
     A finite-context dataset also carries `ipw_sums` and `pl_sums`, the two
     (num_contexts, A) tables that the estimators contract with a policy's
@@ -470,7 +482,9 @@ class LoggedDataset:
     def __post_init__(self):
         n = len(set_column(self, "actions", np.int64))
         set_column(self, "losses", float)
-        set_column(self, "propensities", float, 2)
+        if set_column(self, "propensities", float, 2).shape[1] < 1:
+            raise DatasetError(f"propensities must have at least one column, not shape {self.propensities.shape}")
+        set_num_contexts(self)
         if (self.context_ids is None) == (self.context_features is None):
             raise DatasetError("dataset needs exactly one of context_ids / context_features")
         if self.context_ids is not None:
@@ -588,8 +602,23 @@ def _json_texts(values: np.ndarray) -> list[str]:
     return list(map(text.__getitem__, bits))
 
 
+# Header keys the dataset writers set themselves, so metadata may not hold them.
+FORMAT_KEYS = ("action_space", "densities", "num_actions", "num_contexts")
+
+
+def checked_metadata(metadata: dict | None) -> dict:
+    """A writer's metadata for its header; ValueError naming a key the format writes."""
+    metadata = metadata or {}
+    for key in FORMAT_KEYS:
+        if key in metadata:
+            raise ValueError(f"metadata key '{key}' is a header key the dataset format writes")
+    return metadata
+
+
 def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict | None = None) -> None:
     """Write `{"header": {"num_actions": ...}}` then one record object per line.
+    `metadata` adds keys to the header; one the format writes itself (FORMAT_KEYS)
+    raises ValueError before the file is opened.
 
     Each record line is byte-identical to json.dumps(record, sort_keys=True).
     Records are written a chunk at a time. A
@@ -601,8 +630,7 @@ def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict 
     header = {"num_actions": dataset.num_actions}
     if dataset.num_contexts is not None:
         header["num_contexts"] = dataset.num_contexts
-    if metadata:
-        header.update(metadata)
+    header |= checked_metadata(metadata)
     if dataset.context_ids is not None:
         contexts = dataset.context_ids[:, None]
     else:

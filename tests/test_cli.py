@@ -74,7 +74,7 @@ class TestGenerate:
         [
             ("demo", "cf3f6c3223421b8c7e7f70c91c2c53937da2cd599515387e6bed0ea77a41d2ed"),
             ("hard", "bbe1aa084b0dc146870ccf5bae9ff664a3c90d970c67cb460319323286f214fd"),
-            ("demo-continuous", "ad2ebd2f2efa4a5f4fe4c294e88625fbd39ddfd02e78000b5f51c7e256e86205"),
+            ("demo-continuous", "37929201f72113ac7c5836597b251dd485f2efb9480ae3a0cc4c8fdf929d58b7"),
         ],
     )
     def test_output_bytes_pinned(self, tmp_path, env, digest):
@@ -589,16 +589,15 @@ class TestCorruptContinuousDataset:
         bad=st.sampled_from([-0.25, 1.5, 7.0]),
     )
     def test_corrupt_record_exits_two(self, record, field, bad):
-        # A bad loss passes the loader and must be caught by the sweep's
-        # validation; a bad action is rejected when the dataset is built, and
-        # a density that does not integrate to 1 by the loader.
+        # Each is rejected when the dataset is built: a loss or an action
+        # outside [0, 1], and a density index outside the header's list.
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, tmp / "clean.jsonl")
             lines = (tmp / "clean.jsonl").read_text().splitlines()
             row = json.loads(lines[record + 1])
             if field == "density":
-                row["density"]["values"] = [v * (1.0 + bad) for v in row["density"]["values"]]
+                row["density"] = round(bad * 4)  # -1, 6 or 28: the header lists 3
             else:
                 row[field] = bad
             lines[record + 1] = json.dumps(row, sort_keys=True)
@@ -646,7 +645,7 @@ class TestContinuousLoaderErrors:
             ("action", DELETE, "missing key 'action'"),
             ("loss", DELETE, "missing key 'loss'"),
             ("density", DELETE, "missing key 'density'"),
-            ("density.values", DELETE, "missing key 'density.values'"),
+            ("density", 1.0, "density 1.0 is not an integer"),
             ("context.id", 1.0, "context.id 1.0 is not an integer"),
             ("context.id", True, "context.id true is not an integer"),
             ("context.id", "1", 'context.id "1" is not an integer'),
@@ -654,11 +653,21 @@ class TestContinuousLoaderErrors:
             ("action", None, "action null is not a number"),
             ("loss", True, "loss true is not a number"),
             ("loss", [0.5], "loss [0.5] is not a number"),
-            ("density.values", ["0.5", "1.5"], "values is not a 1-D array of JSON numbers"),
-            ("density.breaks", ["0", "0.5", "1"], "breaks is not a 1-D array of JSON numbers"),
+            ("density", True, "density true is not an integer"),
+            ("density", "0", 'density "0" is not an integer'),
             ("action", 1.5, "action 1.5 out of [0, 1]"),
             ("action", -0.25, "action -0.25 out of [0, 1]"),
             ("action", float("nan"), "action nan out of [0, 1]"),
+            # A record of the old layout, its density in full.
+            (
+                "density",
+                {"breaks": [0.0, 1.0], "values": [1.0]},
+                'density {"breaks": [0.0, 1.0], "values": [1.0]} is not an integer',
+            ),
+            ("density", 2**63, "density 9223372036854775808 out of range"),
+            # The constructor range-checks an index against the header's three densities.
+            ("density", 7, "density index 7 out of range [0, 3)"),
+            ("density", -1, "density index -1 out of range [0, 3)"),
         ],
     )
     def test_malformed_field_exits_two(self, tmp_path, capsys, lines, key, value, message):
@@ -674,22 +683,50 @@ class TestContinuousLoaderErrors:
         assert self.sweep(tmp_path, lines, 4, '{"context": ') == 2
         assert "bad.jsonl: invalid JSON (" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["first-break", "last-break", "value"])
-    def test_bool_equal_to_a_cached_number_exits_two(self, tmp_path, capsys, lines, edit):
-        # false and true equal 0 and 1: a density that a valid record loaded
-        # before must not let a bool in its place through.
-        row = json.loads(lines[1])
-        density = {"breaks": [0.0, 1.0], "values": [1.0]}
-        row["density"] = density
-        valid = json.dumps(row, sort_keys=True)
-        bad = json.loads(valid)
-        if edit == "value":
-            bad["density"]["values"] = [True]
-        else:
-            bad["density"]["breaks"][0 if edit == "first-break" else 1] = edit == "last-break"
-        assert self.sweep(tmp_path, [lines[0], valid, *lines[2:]], 4, json.dumps(bad, sort_keys=True)) == 2
-        name = "values" if edit == "value" else "breaks"
-        assert f"bad.jsonl: {name} is not a 1-D array of JSON numbers at record 4" in capsys.readouterr().err
+    @staticmethod
+    def header_edited(line, edit):
+        row = json.loads(line)
+        edit(row["header"])
+        return json.dumps(row, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h: h.pop("densities"), "header lacks a list of densities"),
+            (lambda h: h.update(densities={"breaks": [0.0, 1.0], "values": [1.0]}), "header lacks a list of densities"),
+            (lambda h: h["densities"][1]["breaks"].__setitem__(0, False), "header density 1: breaks is not a 1-D"),
+            (lambda h: h["densities"][1]["values"].__setitem__(1, True), "header density 1: values is not a 1-D"),
+            (lambda h: h["densities"][2]["values"].__setitem__(0, "1.0"), "header density 2: values is not a 1-D"),
+            (lambda h: h["densities"][0].pop("values"), "header density 0: missing key 'values'"),
+            (lambda h: h["densities"].__setitem__(2, 3), "header density 2: piecewise function is not a JSON object"),
+            (
+                lambda h: h["densities"][2].update(values=[v * 2 for v in h["densities"][2]["values"]]),
+                "header density 2: density must integrate to 1 within 1e-9",
+            ),
+            (
+                lambda h: h["densities"][0].update(breaks=[0.0, 0.5, 1.0], values=[2.0, 0.0]),
+                "header density 0: density must be strictly positive",
+            ),
+        ],
+        ids=[
+            "missing", "not-a-list", "bool-break", "bool-value", "string-value", "no-values", "not-an-object", "mass-2",
+            "zero-piece",
+        ],
+    )
+    def test_bad_header_density_exits_two(self, tmp_path, capsys, lines, edit, message):
+        # Named at the header before any record is read: record 4 is not JSON.
+        assert self.sweep(tmp_path, [self.header_edited(lines[0], edit), *lines[1:]], 4, "{bad json") == 2
+        assert f"bad.jsonl: {message}" in capsys.readouterr().err
+
+    def test_old_layout_exits_two_naming_the_header(self, tmp_path, capsys, lines):
+        # Each record carries its density in full, and the header lists none.
+        header = self.header_edited(lines[0], lambda h: h.pop("densities"))
+        densities = json.loads(lines[0])["header"]["densities"]
+        old = [self.edited(line, "density", densities[json.loads(line)["density"]]) for line in lines[1:]]
+        (tmp_path / "old.jsonl").write_text("\n".join([header, *old]) + "\n")
+        assert run("sweep", "--dataset", tmp_path / "old.jsonl", "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
+        assert "old.jsonl: header lacks a list of densities" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_env_with_string_loss_values_exits_two(self, tmp_path, capsys, command):

@@ -399,6 +399,38 @@ class TestContinuousDatasetIO:
             assert np.array_equal(da.breaks, db.breaks)
             assert np.array_equal(da.values, db.values)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_round_trip_keeps_density_numbering(self, tmp_path, seed):
+        data = simulator.generate_logs(simulator.random_continuous_environment((seed, 202), 3), 50, seed=seed)
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(data, path)
+        loaded = load_continuous_dataset_jsonl(path)
+        for da, db in zip(logged_densities(loaded), logged_densities(data)):
+            assert da.breaks.tobytes() == db.breaks.tobytes() and da.values.tobytes() == db.values.tobytes()
+        texts = [json.dumps(d.to_json(), sort_keys=True) for d in data.densities]
+        if len(set(texts)) == len(texts):  # distinct densities: the file keeps their numbers
+            assert loaded.density_index.tolist() == data.density_index.tolist()
+            assert [json.dumps(d.to_json(), sort_keys=True) for d in loaded.densities] == texts
+
+    @pytest.mark.parametrize("key", ["action_space", "densities", "num_actions", "num_contexts"])
+    def test_metadata_may_not_overwrite_a_format_key(self, tmp_path, key):
+        # num_contexts 9 over a 3-context log used to load as a 9-context one.
+        data = simulator.generate_logs(simulator.random_continuous_environment(211, 3), 12, seed=212)
+        with pytest.raises(ValueError, match=f"^metadata key '{key}' is a header key the dataset format writes$"):
+            save_continuous_dataset_jsonl(data, tmp_path / "cont.jsonl", metadata={"seed": 212, key: 9})
+        assert not (tmp_path / "cont.jsonl").exists()
+
+    @pytest.mark.parametrize("num_contexts", [0, -1, 2.5, 3.0, True, np.True_, "3"])
+    def test_bad_num_contexts_named_before_any_record(self, num_contexts):
+        # Record 0's context id 5 and density index 4 are out of range; the count is named first.
+        with pytest.raises(DatasetError, match=r"^num_contexts must be an integer >= 1, not "):
+            ContinuousLoggedDataset([5], [0.5], [0.5], (UNIFORM,), [4], num_contexts)
+
+    @pytest.mark.parametrize("num_contexts", [6, np.int64(6), np.uint8(6)])
+    def test_integer_num_contexts_kept_as_int(self, num_contexts):
+        data = ContinuousLoggedDataset([5], [0.5], [0.5], (UNIFORM,), [0], num_contexts)
+        assert type(data.num_contexts) is int and data.num_contexts == 6
+
     def test_validator_flags_bad_records(self):
         # The constructor rejects the action, and the loss; the validator is its check.
         with pytest.raises(DatasetError, match=r"^action 1\.5 out of \[0, 1\] at record 0$"):
@@ -804,7 +836,20 @@ class TestLoaderInterning:
             path = Path(tmp) / "data.jsonl"
             save_continuous_dataset_jsonl(data, path, metadata={"seed": 3})
             lines = path.read_text().splitlines()
-        header = {"action_space": "unit_interval", "num_contexts": data.num_contexts, "seed": 3}
+        # The header lists each distinct density text once, in first-occurrence order.
+        texts = [
+            json.dumps(
+                {"breaks": [float(b) for b in mu.breaks], "values": [float(v) for v in mu.values]}, sort_keys=True
+            )
+            for mu in data.densities
+        ]
+        listed = list(dict.fromkeys(texts))
+        header = {
+            "action_space": "unit_interval",
+            "densities": [json.loads(text) for text in listed],
+            "num_contexts": data.num_contexts,
+            "seed": 3,
+        }
         assert lines[0] == json.dumps({"header": header}, sort_keys=True)
         expected = [
             json.dumps(
@@ -812,24 +857,26 @@ class TestLoaderInterning:
                     "context": {"id": int(data.context_ids[i])},
                     "action": float(data.actions[i]),
                     "loss": float(data.losses[i]),
-                    "density": {"breaks": [float(b) for b in mu.breaks], "values": [float(v) for v in mu.values]},
+                    "density": listed.index(texts[g]),
                 },
                 sort_keys=True,
             )
-            for i, mu in enumerate(logged_densities(data))
+            for i, g in enumerate(data.density_index.tolist())
         ]
         assert lines[1:] == expected
 
     def test_density_not_integrating_to_one_names_record(self, tmp_path):
-        data = continuous_dataset([0.2, 0.7], [0.5, 0.5], [UNIFORM, UNIFORM])
+        # The density is named at its header entry, before any record is read.
+        mu = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.5, 0.5]))
+        data = continuous_dataset([0.2, 0.7], [0.5, 0.5], [UNIFORM, mu])
         path = tmp_path / "data.jsonl"
         save_continuous_dataset_jsonl(data, path)
-        lines = path.read_text().splitlines()
-        row = json.loads(lines[2])
-        row["density"]["values"] = [2.0]
-        lines[2] = json.dumps(row)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetError, match="integrate to 1.*at record 1"):
+        header, *records = path.read_text().splitlines()
+        row = json.loads(header)
+        row["header"]["densities"][1]["values"] = [2.0, 0.5]
+        path.write_text("\n".join([json.dumps(row), "{bad json", *records]) + "\n")
+        message = r"data\.jsonl: header density 1: density must integrate to 1 within 1e-9$"
+        with pytest.raises(DatasetError, match=message):
             load_continuous_dataset_jsonl(path)
 
 

@@ -143,10 +143,23 @@ class TestSaveMatchesReference:
     @given(data=datasets(), meta=metadata, chunk=st.sampled_from([1, 2, 4096]))
     def test_bytes_equal(self, tmp_path_factory, data, meta, chunk):
         tmp = tmp_path_factory.mktemp("save")
+        if "num_contexts" in meta:  # a header key the format writes: rejected before the file is opened
+            with pytest.raises(ValueError, match="^metadata key 'num_contexts' is a header key"):
+                save_dataset_jsonl(data, tmp / "new.jsonl", metadata=meta)
+            assert not (tmp / "new.jsonl").exists()
+            return
         reference_save(data, tmp / "ref.jsonl", metadata=meta)
         with mock.patch.object(model, "CHUNK_RECORDS", chunk):
             save_dataset_jsonl(data, tmp / "new.jsonl", metadata=meta)
         assert (tmp / "new.jsonl").read_bytes() == (tmp / "ref.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("key", ["action_space", "densities", "num_actions", "num_contexts"])
+    def test_metadata_may_not_overwrite_a_format_key(self, tmp_path, key):
+        # num_actions 5 over a 3-action log would write a file its own loader rejects.
+        data = simulator.generate_logs(simulator.random_environment(0, 4, 3), 20, seed=0)
+        with pytest.raises(ValueError, match=f"^metadata key '{key}' is a header key the dataset format writes$"):
+            save_dataset_jsonl(data, tmp_path / "d.jsonl", metadata={"seed": 0, key: 5})
+        assert not (tmp_path / "d.jsonl").exists()
 
     def test_edge_floats_written_as_json_does(self, tmp_path):
         values = np.array(EDGE_FLOATS)

@@ -491,6 +491,26 @@ class TestDatasetIndexRanges:
                 context_ids=np.array([0]),
             )
 
+    @pytest.mark.parametrize("num_contexts", [0, -1, 2.5, 3.0, True, np.True_, "3"])
+    def test_bad_num_contexts_named_before_any_record(self, num_contexts):
+        # Record 0's context id 5 is out of range of every count; the count is named first.
+        with pytest.raises(DatasetError, match=r"^num_contexts must be an integer >= 1, not "):
+            LoggedDataset(
+                actions=[0], losses=[0.5], propensities=[[1.0]], context_ids=[5], num_contexts=num_contexts
+            )
+
+    @pytest.mark.parametrize("num_contexts", [1, np.int64(2), np.uint8(3)])
+    def test_integer_num_contexts_kept_as_int(self, num_contexts):
+        data = LoggedDataset(
+            actions=[0], losses=[0.5], propensities=[[1.0]], context_ids=[0], num_contexts=num_contexts
+        )
+        assert type(data.num_contexts) is int and data.num_contexts == num_contexts
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_zero_width_propensities_named(self, n):
+        with pytest.raises(DatasetError, match=rf"^propensities must have at least one column, not shape \({n}, 0\)$"):
+            LoggedDataset(actions=[0] * n, losses=[0.5] * n, propensities=np.zeros((n, 0)), context_ids=[0] * n)
+
     def test_loader_names_file_and_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -314,6 +315,16 @@ class TestEnvironmentFiles:
         holed = PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
         with pytest.raises(ValueError, match="^logging density 1 is not a PiecewiseConstantDensity$"):
             ContinuousEnvironment(env.context_dist, env.loss_fns, (env.logging_densities[0], holed))
+
+    @pytest.mark.parametrize("key", ["loss", "logging_density"])
+    def test_continuous_entry_that_is_not_an_object_names_the_file(self, tmp_path, key):
+        path = tmp_path / "env.json"
+        simulator.save_environment(simulator.random_continuous_environment(53, 2), path)
+        spec = json.loads(path.read_text())
+        spec[key][1] = [1.0]
+        path.write_text(json.dumps(spec))
+        with pytest.raises(DatasetError, match=r"env\.json: piecewise function is not a JSON object$"):
+            simulator.load_environment(path)
 
     def test_environment_validation(self):
         with pytest.raises(ValueError):
