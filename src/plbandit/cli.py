@@ -82,9 +82,13 @@ def _policy_to_json(policy) -> dict:
 
 
 def _policy_from_json(obj: dict):
+    if not isinstance(obj, dict):
+        raise ValueError("policy is not a JSON object")
     kind = obj["type"]
     if kind == "deterministic":
         assignment, num_actions = obj["assignment"], obj["num_actions"]
+        if type(assignment) is not list:
+            raise ValueError("assignment is not a list")
         indices = [("num_actions", num_actions)] + [(f"assignment[{i}]", a) for i, a in enumerate(assignment)]
         problem = next(filter(None, (index_problem(name, value) for name, value in indices)), None)
         if problem:

@@ -29,6 +29,8 @@ import numpy as np
 from .csc import CostMatrix, PointwiseArgminOracle
 from .model import (
     CHUNK_RECORDS,
+    INTEGER,
+    NUMBER,
     PMF_ATOL,
     PROPENSITY_FLOOR,
     ClassStats,
@@ -43,14 +45,11 @@ from .model import (
     context_fault,
     first_fault,
     header_count,
-    index_problem,
-    is_number,
     judged,
-    missing_field,
     number_array,
     open_dataset,
+    read_columns,
     read_header,
-    read_record_chunks,
     set_column,
     set_num_contexts,
 )
@@ -578,22 +577,14 @@ def save_continuous_dataset_jsonl(
             )
 
 
-_CONTINUOUS_KEYS = ("context.id", "action", "loss", "density")
-
-
-def _scalar_problem(context_id, action, loss, g) -> str | None:
-    if type(context_id) is type(g) is int and type(action) is type(loss) is float and -(2**63) <= context_id < 2**63:
-        if -(2**63) <= g < 2**63:
-            return None  # the common record, decided without the calls below
-    pairs = (("action", action), ("loss", loss))
-    not_numbers = [f"{name} {json.dumps(value)} is not a number" for name, value in pairs if not is_number(value)]
-    return index_problem("context.id", context_id) or next(iter(not_numbers), None) or index_problem("density", g)
+# A continuous record's fields (see model.read_columns).
+_CONTINUOUS_FIELDS = [("context.id", INTEGER), ("action", NUMBER), ("loss", NUMBER), ("density", INTEGER)]
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
-    """Load a continuous dataset as `load_dataset_jsonl` does, once each header density is built;
-    the constructor judges each record's `density`, an index into the header's list, too."""
-    chunks, densities, problem = [], [], None
+    """Load a continuous dataset as `load_dataset_jsonl` does, by _CONTINUOUS_FIELDS, once each header
+    density is built; the constructor judges each record's `density`, an index into the header's list, too."""
+    densities = []
     with open_dataset(path) as fh:
         header = read_header(fh, path)
         num_contexts = header_count(header, "num_contexts", path)
@@ -606,29 +597,10 @@ def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
                 raise DatasetError(f"{path}: header density {g}: missing key {err}") from None
             except (TypeError, ValueError) as err:
                 raise DatasetError(f"{path}: header density {g}: {err}") from None
-        for start, records, inverse in read_record_chunks(fh):
-            ids, actions, losses, index = [], [], [], []
-            for row in map(records.__getitem__, inverse.tolist()):
-                try:
-                    context_id, action, loss, g = row["context"]["id"], row["action"], row["loss"], row["density"]
-                except (KeyError, TypeError):
-                    problem = missing_field(row, _CONTINUOUS_KEYS)
-                    break
-                problem = _scalar_problem(context_id, action, loss, g)
-                if problem is not None:
-                    break
-                ids.append(context_id)
-                actions.append(float(action))
-                losses.append(float(loss))
-                index.append(g)
-            if ids:
-                chunks.append([np.array(column) for column in (ids, actions, losses, index)])
-            if problem is not None:
-                problem = f"{problem} at record {start + len(ids)}"
-                break
+        columns, problem = read_columns(fh, lambda first: (_CONTINUOUS_FIELDS, None))
 
     def build() -> ContinuousLoggedDataset:
-        ids, actions, losses, index = (np.concatenate(c) for c in zip(*chunks))
+        ids, actions, losses, index = columns
         return ContinuousLoggedDataset(ids, actions, losses, tuple(densities), index, num_contexts)
 
-    return judged(path, build if chunks else None, problem)
+    return judged(path, build if columns else None, problem)

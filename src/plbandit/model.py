@@ -19,8 +19,10 @@ no lock.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import sys
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -574,15 +576,14 @@ def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities
 
 
 # ---------------------------------------------------------------------------
-# Dataset files: JSON Lines with a one-line header declaring the action count.
-# Records cross the file boundary as numpy columns, a bounded chunk at a time.
+# Dataset files: JSON Lines with a one-line header. Records cross the file
+# boundary as numpy columns, a bounded chunk at a time: both loaders read them
+# through read_columns, by a field list of (dotted key, kind) pairs.
 
 # Bytes of record lines the loaders parse per json.loads call.
 CHUNK_BYTES = 1 << 18
 # Records the writer formats per writelines call.
 CHUNK_RECORDS = 4096
-
-_NUMBER_TYPES = {int, float}
 
 
 def _json_texts(values: np.ndarray) -> list[str]:
@@ -853,88 +854,106 @@ def missing_field(record, keys: Sequence[str]) -> str | None:
     return None
 
 
-def _record_problem(record, num_actions: int, feature_dim: int | None) -> str | None:
-    """What stops one parsed discrete record from turning into columns, or None.
-    `feature_dim` is None in a finite-context file, else record 0's feature
-    width. Its values are LoggedDataset's to judge."""
-    ctx = record.get("context") if isinstance(record, dict) else None
-    if isinstance(ctx, dict):
-        other_mode = "id" in ctx if feature_dim is not None else "features" in ctx and "id" not in ctx
-        if other_mode:
-            return "records mix finite and feature contexts"
-    context_key = "context.id" if feature_dim is None else "context.features"
-    missing = missing_field(record, (context_key, "action", "loss", "propensities"))
-    if missing is not None:
-        return missing
-    if feature_dim is not None:
-        features = ctx["features"]
-        if type(features) is not list or not all(map(is_number, features)):
-            return "context.features is not a list of numbers"
-        if len(features) != feature_dim:
-            return f"context.features has {len(features)} entries, record 0 has {feature_dim}"
-    problem = index_problem("context.id", ctx["id"]) if feature_dim is None else None
-    problem = problem or index_problem("action", record["action"])
-    if problem is not None:
-        return problem
-    if not is_number(record["loss"]):
-        return f"loss {json.dumps(record['loss'])} is not a number"
-    props = record["propensities"]
-    if type(props) is not list or len(props) != num_actions:
-        return "propensity vector does not match header action count"
-    if not all(map(is_number, props)):
-        return "propensities are not all numbers"
+# Field kinds of a record layout, a list of (dotted key, kind) pairs: a JSON
+# integer that fits an int64, a JSON number, or (an int w) a list of exactly
+# w JSON numbers.
+INTEGER, NUMBER = "integer", "number"
+_NUMBER_TYPES = {int, float}
+
+
+def _column(records: list, key: str, kind) -> np.ndarray:
+    """The values at a dotted key of a chunk's parsed records as one array.
+    Their types are tested once for the whole chunk: KeyError or TypeError
+    when a record lacks the key or a value is not of `kind`, OverflowError
+    when an integer does not fit an int64 or a number a float."""
+    values = records
+    for part in key.split("."):
+        values = list(map(operator.itemgetter(part), values))
+    types = set(map(type, values))
+    if kind == INTEGER:
+        ok = types == {int}
+    elif kind == NUMBER:
+        ok = types <= _NUMBER_TYPES
+    else:
+        entries = set(map(type, itertools.chain.from_iterable(values)))
+        ok = types == {list} and set(map(len, values)) == {kind} and entries <= _NUMBER_TYPES
+    if not ok:
+        raise TypeError(f"{key} is not of kind {kind}")
+    return np.array(values, dtype=np.int64 if kind == INTEGER else float)
+
+
+def _columns(records: list, fields: list, rule) -> list[np.ndarray] | None:
+    """A chunk's columns, one per field, or None when a record breaks `rule`
+    or cannot be turned into columns."""
+    try:
+        if rule is None or not any(map(rule, records)):
+            return [_column(records, key, kind) for key, kind in fields]
+    except (KeyError, TypeError, OverflowError):
+        pass
     return None
 
 
-def _number_rows(rows: list, width: int) -> bool:
-    return (
-        set(map(type, rows)) == {list}
-        and set(map(len, rows)) == {width}
-        and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES
-    )
+def _kind_problem(key: str, kind, value) -> str | None:
+    """Why a parsed record's value at `key` is not of `kind`, or None."""
+    if kind == INTEGER:
+        return index_problem(key, value)
+    if kind == NUMBER:
+        return None if is_number(value) else f"{key} {json.dumps(value)} is not a number"
+    if type(value) is not list or not all(map(is_number, value)):
+        return f"{key} is not a list of numbers"
+    return None if len(value) == kind else f"{key} has {len(value)} entries, not {kind}"
 
 
-def _discrete_columns(records: list, num_actions: int, feature_dim: int | None):
-    """(contexts, actions, losses, propensities) arrays of a chunk of parsed records,
-    or None when some record needs `_record_problem` to say what is wrong."""
-    try:
-        ctxs = [r["context"] for r in records]
-        if feature_dim is None:
-            contexts = [c["id"] for c in ctxs]
-            ok = set(map(type, contexts)) == {int}
-        else:
-            contexts = [c["features"] for c in ctxs]
-            ok = not any("id" in c for c in ctxs) and _number_rows(contexts, feature_dim)
-        actions = [r["action"] for r in records]
-        losses = [r["loss"] for r in records]
-        props = [r["propensities"] for r in records]
-        if not (
-            ok
-            and set(map(type, actions)) == {int}
-            and set(map(type, losses)) <= _NUMBER_TYPES
-            and _number_rows(props, num_actions)
-        ):
-            return None
-        return (
-            np.array(contexts, dtype=np.int64 if feature_dim is None else float),
-            np.array(actions, dtype=np.int64),
-            np.array(losses, dtype=float),
-            np.array(props, dtype=float),
-        )
-    except (KeyError, TypeError, OverflowError):
-        return None
+def _read_problem(record, fields: list, rule) -> str | None:
+    """Why one parsed record cannot be turned into columns, or None: the
+    loader's own `rule`, then missing_field, then the first value not of its
+    field's kind."""
+    problem = (rule and rule(record)) or missing_field(record, [key for key, _ in fields])
+    if problem is not None:
+        return problem
+    values = ((key, kind, functools.reduce(operator.getitem, key.split("."), record)) for key, kind in fields)
+    return next(filter(None, itertools.starmap(_kind_problem, values)), None)
 
 
-def _feature_dim(record) -> int | None:
-    """None when the first record has a context id (or none at all), else its feature width."""
-    try:
-        ctx = record["context"]
-        if "id" in ctx:
-            return None
-        features = ctx["features"]
-    except (KeyError, TypeError):
-        return None
-    return len(features) if type(features) is list else 0
+def read_columns(fh, layout) -> tuple[list[np.ndarray], str | None]:
+    """The records of a file opened by open_dataset as columns, one per field
+    and in file order ([] when no record was read), and the problem of the
+    first record that cannot be turned into columns, with its index (None
+    when every record was read).
+
+    `layout(record 0)` gives the log's field list and its loader's own rule
+    (None, or a function giving why one parsed record breaks it, or None).
+    Each chunk of read_record_chunks is turned into columns whole, each
+    distinct line once and each field's types tested once. A chunk that
+    fails is searched record by record for its first distinct record with a
+    problem, which first-seen order makes its first in file order; reading
+    stops there, and the records before it are kept.
+    """
+    chunks, inverses, problem = [], [], None
+    offset = 0  # distinct records in the chunks before this one
+    for start, records, inverse in read_record_chunks(fh):
+        if start == 0:
+            fields, rule = layout(records[0])
+        columns = _columns(records, fields, rule)
+        if columns is None:  # keep the records before the first that does not load
+            problems = (_read_problem(record, fields, rule) for record in records)
+            j, problem = next(((j, p) for j, p in enumerate(problems) if p is not None), (0, None))
+            if problem is None:
+                problem = f"unreadable record among records {start} to {start + len(inverse) - 1}"
+                break
+            k = int(np.argmax(inverse == j))  # records before k are distinct records before j
+            problem = f"{problem} at record {start + k}"
+            if j:
+                chunks.append(_columns(records[:j], fields, rule))
+                inverses.append(np.add(inverse[:k], offset))
+            break
+        chunks.append(columns)
+        inverses.append(np.add(inverse, offset))
+        offset += len(records)
+    if not chunks:
+        return [], problem
+    order = np.concatenate(inverses)
+    return [np.concatenate(column).take(order, axis=0) for column in zip(*chunks)], problem
 
 
 def judged(path: str | Path, build, problem: str | None):
@@ -953,16 +972,36 @@ def judged(path: str | Path, build, problem: str | None):
     return dataset
 
 
+def _discrete_layout(first, num_actions: int):
+    """The field list of a discrete log whose record 0 is `first`, and its own
+    rule: no record mixes finite and feature contexts. The log holds feature
+    contexts when record 0's context has features and no id, else finite ones;
+    a record with an id is finite, and one with features and no id is not."""
+    ctx = first.get("context") if type(first) is dict else None
+    features = type(ctx) is dict and "features" in ctx and "id" not in ctx
+    if features:
+        context = ("context.features", len(ctx["features"]) if type(ctx["features"]) is list else 0)
+    else:
+        context = ("context.id", INTEGER)
+
+    def rule(record) -> str | None:
+        ctx = record.get("context") if type(record) is dict else None
+        if type(ctx) is dict and ("id" in ctx if features else "features" in ctx and "id" not in ctx):
+            return "records mix finite and feature contexts"
+        return None
+
+    return [context, ("action", INTEGER), ("loss", NUMBER), ("propensities", num_actions)], rule
+
+
 def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     """Read a file written by save_dataset_jsonl.
 
-    Records are parsed a chunk at a time, each distinct line once (see
-    read_record_chunks), and kept as the distinct records' columns, gathered
-    once into record order. Reading stops at the first record that cannot be
-    turned into columns: the chunk's first such distinct record, which
-    first-seen order makes its first in file order. LoggedDataset (with the
-    header's num_contexts) then judges every record before it, and `judged`
-    raises DatasetError naming the file and the first bad record.
+    read_columns turns the records into columns by the discrete field list
+    (context.id, or context.features of record 0's width; action; loss;
+    propensities of num_actions) up to the first record it cannot read.
+    LoggedDataset (with the header's num_contexts) then judges every record
+    before it, and `judged` raises DatasetError naming the file and the first
+    bad record.
     """
     with open_dataset(path) as fh:
         header = read_header(fh, path)
@@ -970,34 +1009,11 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
         if num_actions is None:
             raise DatasetError(f"{path}: header lacks key 'num_actions'")
         num_contexts = header_count(header, "num_contexts", path)
-        chunks, inverses, problem = [], [], None
-        feature_dim = None
-        offset = 0  # distinct records in the chunks before this one
-        for start, records, inverse in read_record_chunks(fh):
-            if start == 0:
-                feature_dim = _feature_dim(records[0])
-            columns = _discrete_columns(records, num_actions, feature_dim)
-            if columns is None:  # keep the records before the first that does not load
-                problems = (_record_problem(record, num_actions, feature_dim) for record in records)
-                j, problem = next(((j, p) for j, p in enumerate(problems) if p is not None), (0, None))
-                if problem is None:
-                    raise DatasetError(f"{path}: unreadable record among records {start} to {start + len(inverse) - 1}")
-                k = int(np.argmax(inverse == j))  # records before k are distinct records before j
-                problem = f"{problem} at record {start + k}"
-                if j:
-                    chunks.append(_discrete_columns(records[:j], num_actions, feature_dim))
-                    inverses.append(np.add(inverse[:k], offset))
-                break
-            chunks.append(columns)
-            inverses.append(np.add(inverse, offset))
-            offset += len(records)
+        columns, problem = read_columns(fh, lambda first: _discrete_layout(first, num_actions))
 
     def build() -> LoggedDataset:
-        order = np.concatenate(inverses)
-        contexts, actions, losses, propensities = (
-            np.concatenate(column).take(order, axis=0) for column in zip(*chunks)
-        )
-        name = "context_ids" if feature_dim is None else "context_features"
+        contexts, actions, losses, propensities = columns
+        name = "context_ids" if contexts.ndim == 1 else "context_features"
         return LoggedDataset(actions, losses, propensities, num_contexts=num_contexts, **{name: contexts})
 
-    return judged(path, build if chunks else None, problem)
+    return judged(path, build if columns else None, problem)

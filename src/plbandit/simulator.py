@@ -428,6 +428,8 @@ def save_environment(env, path: str | Path, metadata: dict | None = None) -> Non
 def load_environment(path: str | Path):
     """The environment a spec file describes; a malformed one raises DatasetError naming the file."""
     spec = load_json(path)
+    if not isinstance(spec, dict):
+        raise DatasetError(f"{path}: environment is not a JSON object")
     try:
         kind = spec["type"]
         if kind == "continuous":

@@ -16,12 +16,15 @@ operation per context is kept here verbatim (renamed): the greedy
 bitwise.
 """
 
+import json
+
 import numpy as np
 
 from plbandit.continuous import (
     ContinuousLoggedDataset,
     GridMassPolicy,
     PiecewiseConstant,
+    PiecewiseConstantDensity,
     SmoothedDensityPolicy,
     SurrogateGrid,
     pc_ratio_integral,
@@ -89,6 +92,27 @@ def reference_validate(dataset):
         if not np.isfinite(loss) or loss < 0.0 or loss > 1.0:
             report.append(f"loss out of [0,1] at record {i}")
     return report
+
+
+def reference_load_continuous(path):
+    """load_continuous_dataset_jsonl as a loop: one json.loads per non-blank line, one record at a time."""
+    with open(path) as fh:
+        rows = [json.loads(line) for line in fh if line.strip()]
+    header = rows[0]["header"]
+    ids, actions, losses, index = [], [], [], []
+    for row in rows[1:]:
+        ids.append(int(row["context"]["id"]))
+        actions.append(float(row["action"]))
+        losses.append(float(row["loss"]))
+        index.append(int(row["density"]))
+    return ContinuousLoggedDataset(
+        context_ids=np.array(ids, dtype=np.int64),
+        actions=np.array(actions),
+        losses=np.array(losses),
+        densities=tuple(map(PiecewiseConstantDensity.from_json, header["densities"])),
+        density_index=np.array(index, dtype=np.int64),
+        num_contexts=header.get("num_contexts"),
+    )
 
 
 def _sample_piecewise(rng, density):

@@ -813,6 +813,9 @@ class TestMalformedPolicyFiles:
                 {"policies": [VALID, {"type": "tabular", "table": [[0.5, 0.5, False]] * 4}]},
                 "policy.json: policy 1: table is not a 2-D array of JSON numbers",
             ),
+            ("policy", [1, 2], "policy.json: policy is not a JSON object"),
+            ("class", {"policies": [3]}, "policy.json: policy 0: policy is not a JSON object"),
+            ("policy", {**VALID, "assignment": 5}, "policy.json: assignment is not a list"),
         ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, kind, obj, message, capsys):
@@ -925,6 +928,8 @@ class TestMalformedEnvFiles:
                 lambda spec: {**spec, "logging_pmf": spec["logging_pmf"] + [[0.5, 0.25, 0.25]]},
                 "env.json: logging_pmf has shape (5, 3), loss_means (4, 3)",
             ),
+            (lambda spec: [1], "env.json: environment is not a JSON object"),
+            (lambda spec: '"hard"', "env.json: environment is not a JSON object"),
         ],
         ids=[
             "invalid-json",
@@ -937,6 +942,8 @@ class TestMalformedEnvFiles:
             "narrow-logging-pmf",
             "wide-logging-pmf",
             "extra-logging-pmf-row",
+            "list",
+            "string",
         ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, dataset, command, edit, message, capsys):

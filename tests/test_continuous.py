@@ -46,6 +46,7 @@ from continuous_reference import (
     reference_discretize,
     reference_exact_risk_smoothed,
     reference_ipw,
+    reference_load_continuous,
     reference_pseudo_loss,
     reference_train_smoothed,
     reference_validate,
@@ -715,6 +716,29 @@ class TestRecordRules:
                     with pytest.raises(DatasetError, match=rf"cont\.jsonl: {message}$"):
                         load_continuous_dataset_jsonl(path)
 
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    @pytest.mark.parametrize("order, record", [("AAB", 2), ("ABAB", 1)])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: r.update(density=1.5), "density 1.5 is not an integer"),
+            (lambda r: r.pop("loss"), "missing key 'loss'"),
+        ],
+        ids=["non-integer-density", "missing-loss"],
+    )
+    def test_first_bad_record_through_repeated_lines(self, tmp_path, chunk, order, record, edit, message):
+        # Repeated lines are read once: the bad line B is named at its first record.
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(self.build(), path)
+        header, good = path.read_text().splitlines()[:2]
+        row = json.loads(good)
+        edit(row)
+        lines = {"A": good, "B": json.dumps(row)}
+        path.write_text("\n".join([header, *map(lines.get, order)]) + "\n")
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            with pytest.raises(DatasetError, match=rf"cont\.jsonl: {message} at record {record}$"):
+                load_continuous_dataset_jsonl(path)
+
     @pytest.mark.parametrize("count", [0, -1])
     def test_loader_names_a_header_count_below_one(self, tmp_path, count):
         path = tmp_path / "cont.jsonl"
@@ -806,6 +830,37 @@ class TestLoaderInterning:
             build_modified_costs_continuous(loaded, grid, h, beta).costs,
             build_modified_costs_continuous(data, grid, h, beta).costs,
         )
+
+    @given(
+        case=grouped_datasets(),
+        repeat=st.tuples(st.integers(0, 11), st.integers(0, 12)),
+        blanks=st.lists(st.tuples(st.integers(0, 14), st.sampled_from(["", "  ", "\t"])), max_size=4),
+        ends=st.lists(st.sampled_from(["\n", "\r\n"]), min_size=18, max_size=18),
+        chunk=st.sampled_from([1, CHUNK_BYTES]),
+    )
+    def test_arrays_bitwise_equal_to_per_line_loop(self, case, repeat, blanks, ends, chunk):
+        # One record line repeated, blank lines and LF or CRLF line ends, read
+        # a line per chunk and in one chunk: the arrays of a per-line loop.
+        data = case[0]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.jsonl"
+            save_continuous_dataset_jsonl(data, path)
+            header, *lines = path.read_text().splitlines()
+            source, target = repeat
+            lines.insert(target % (len(lines) + 1), lines[source % len(lines)])
+            for position, blank in sorted(blanks, reverse=True):
+                lines.insert(min(position, len(lines)), blank)
+            path.write_bytes("".join(map(str.__add__, [header, *lines], ends)).encode())
+            with mock.patch.object(model, "CHUNK_BYTES", chunk):
+                loaded = load_continuous_dataset_jsonl(path)
+            expected = reference_load_continuous(path)
+        for name in ("context_ids", "actions", "losses", "density_index"):
+            a, b = getattr(loaded, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert len(loaded.densities) == len(expected.densities)
+        for da, db in zip(loaded.densities, expected.densities):
+            assert da.breaks.tobytes() == db.breaks.tobytes() and da.values.tobytes() == db.values.tobytes()
+        assert loaded.num_contexts == expected.num_contexts
 
     @given(
         case=grouped_datasets(),

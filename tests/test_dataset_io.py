@@ -383,12 +383,13 @@ class TestLoaderErrors:
 
     @pytest.mark.parametrize("value", [[0.5], [0.3, 0.3, 0.4], 0.5, {"a": 1}])
     def test_wrong_propensity_vector(self, tmp_path, value):
-        message = r"propensity vector does not match header action count at record 1$"
-        with pytest.raises(DatasetError, match=message):
+        message = f"has {len(value)} entries, not 2" if type(value) is list else "is not a list of numbers"
+        message = f"propensities {message}"
+        with pytest.raises(DatasetError, match=rf"{message} at record 1$"):
             load_lines(tmp_path, json.dumps(GOOD), with_field("propensities", value))
 
     def test_non_numeric_propensity(self, tmp_path):
-        with pytest.raises(DatasetError, match=r"propensities are not all numbers at record 0$"):
+        with pytest.raises(DatasetError, match=r"propensities is not a list of numbers at record 0$"):
             load_lines(tmp_path, with_field("propensities", [0.5, "0.5"]))
 
     def test_first_bad_record_is_named(self, tmp_path):
@@ -489,6 +490,32 @@ class TestLoaderErrors:
                 with pytest.raises(DatasetError, match=r"records mix finite and feature contexts at record 2$"):
                     load_lines(tmp_path, first, first, other, first, other)
 
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    @pytest.mark.parametrize("order, record", [("AAB", 2), ("ABAB", 1)])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (with_field("action", 1.5), "action 1.5 is not an integer"),
+            (json.dumps({k: v for k, v in GOOD.items() if k != "loss"}), "missing key 'loss'"),
+        ],
+        ids=["non-integer-action", "missing-loss"],
+    )
+    def test_first_bad_record_through_repeated_lines(self, tmp_path, chunk, order, record, bad, message):
+        # Repeated lines are read once: the bad line B is named at its first record.
+        lines = {"A": json.dumps(GOOD), "B": bad}
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            with pytest.raises(DatasetError, match=rf"d\.jsonl: {message} at record {record}$"):
+                load_lines(tmp_path, *map(lines.get, order))
+
+    @pytest.mark.parametrize("chunk", [1, CHUNK_BYTES])
+    def test_id_beside_features_is_a_mix(self, tmp_path, chunk):
+        # Record 2's features read as record 0's do; its id makes it a finite context too.
+        rows = [{**GOOD, "context": {"features": [f]}} for f in (0.1, 0.2, 0.3, 0.4)]
+        rows[2]["context"]["id"] = 0
+        with mock.patch.object(model, "CHUNK_BYTES", chunk):
+            with pytest.raises(DatasetError, match=r"records mix finite and feature contexts at record 2$"):
+                load_lines(tmp_path, *map(json.dumps, rows))
+
     def test_mixed_contexts(self, tmp_path):
         features = json.dumps({**GOOD, "context": {"features": [0.1]}})
         with pytest.raises(DatasetError, match=r"records mix finite and feature contexts at record 1$"):
@@ -498,7 +525,7 @@ class TestLoaderErrors:
 
     def test_ragged_features(self, tmp_path):
         rows = [json.dumps({**GOOD, "context": {"features": f}}) for f in ([0.1, 0.2], [0.3])]
-        with pytest.raises(DatasetError, match=r"context.features has 1 entries, record 0 has 2 at record 1$"):
+        with pytest.raises(DatasetError, match=r"context.features has 1 entries, not 2 at record 1$"):
             load_lines(tmp_path, *rows)
 
     @pytest.mark.parametrize(
