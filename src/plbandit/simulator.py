@@ -433,8 +433,12 @@ def load_environment(path: str | Path):
     try:
         kind = spec["type"]
         if kind == "continuous":
+            dist = number_array(spec["context_dist"], 1, "context_dist")
+            for key in ("loss", "logging_density"):
+                if type(spec[key]) is not list:
+                    raise ValueError(f"{key} is not a list")
             return ContinuousEnvironment(
-                context_dist=number_array(spec["context_dist"], 1, "context_dist"),
+                context_dist=dist,
                 loss_fns=tuple(map(PiecewiseConstant.from_json, spec["loss"])),
                 logging_densities=tuple(map(PiecewiseConstantDensity.from_json, spec["logging_density"])),
             )

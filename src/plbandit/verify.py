@@ -8,6 +8,7 @@ around this module.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -158,16 +159,67 @@ def check_continuous_reduction(cfg: VerifyConfig) -> CheckResult:
 
 
 def check_variance_domination(cfg: VerifyConfig) -> CheckResult:
-    """exact_variance(pi) <= pmf_sup(pi) * exact_pl(pi) on random finite instances."""
+    """exact_variance(pi) <= pmf_sup(pi) * exact_pl(pi) on 200 random finite instances.
+
+    Instance 0 is drawn through random_environment and random_policy; every
+    later one draws what those two calls draw, two integers and then their
+    X + 3XA uniforms in one rng.random call, which gives the same numbers:
+    Philox serves consecutive calls from one stream. The gaps are scored in
+    one pass per (X, A) shape (`_variance_gaps`). Instance 0 is also scored
+    through the public estimators; a gap that is not bitwise the batched one
+    fails the check with a `batch_mismatch` detail."""
     rng = simulator.make_rng((cfg.seed, 4))
-    worst = -np.inf
-    for _ in range(200):
-        env = simulator.random_environment(rng, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
-        policy = simulator.random_policy(rng, env.num_contexts, env.num_actions)
-        sup = float(policy.pmf_table(env.num_contexts).max())
-        gap = estimators.exact_variance(policy, env) - sup * estimators.exact_pl(policy, env)
-        worst = max(worst, gap)
-    return CheckResult("variance_domination", worst <= 1e-10, {"max_violation": worst})
+    groups: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
+    for i in range(200):
+        shape = int(rng.integers(1, 5)), int(rng.integers(2, 5))
+        size = shape[0] * (1 + 3 * shape[1])
+        if i == 0:
+            # A copy of the generator replays the uniforms the public draws take.
+            uniforms = copy.deepcopy(rng).random(size)
+            env = simulator.random_environment(rng, *shape)
+            policy = simulator.random_policy(rng, *shape)
+            sup = float(policy.pmf_table(env.num_contexts).max())
+            direct = estimators.exact_variance(policy, env) - sup * estimators.exact_pl(policy, env)
+        else:
+            uniforms = rng.random(size)
+        instances, draws = groups.setdefault(shape, ([], []))
+        instances.append(i)
+        draws.append(uniforms)
+    gaps = np.empty(200)
+    for shape, (instances, draws) in groups.items():
+        gaps[instances] = _variance_gaps(*shape, np.array(draws))
+    gaps = gaps.tolist()
+    worst = max(gaps)
+    result = CheckResult("variance_domination", worst <= 1e-10, {"max_violation": worst})
+    return _guarded(result, gaps[:1], [direct])
+
+
+def _variance_gaps(num_contexts: int, num_actions: int, uniforms: np.ndarray) -> list[float]:
+    """exact_variance - pmf_sup * exact_pl of each row's instance, bitwise as the
+    public estimators score the environment and policy that random_environment
+    and random_policy build from the row's X + 3XA uniforms.
+
+    Each `dist @ v` is a stacked np.matmul of a row by a column, which numpy
+    computes with the same dot as the 1-D product; the mean is squared as a
+    Python float, as exact_variance squares it (numpy's square can differ by
+    one ulp from Python's pow).
+    """
+    x, a = num_contexts, num_actions
+    dist = 0.2 + uniforms[:, :x]
+    dist = dist / dist.sum(axis=1, keepdims=True)
+    raw_mu, means, raw_pi = uniforms[:, x:].reshape(len(uniforms), 3, x, a).transpose(1, 0, 2, 3)
+    # random_environment's min_propensity * num_actions, added as random_policy adds min_mass.
+    mu = 0.05 * a + raw_mu
+    mu = mu / mu.sum(axis=2, keepdims=True)
+    pi = raw_pi / raw_pi.sum(axis=2, keepdims=True)
+
+    def weighted(rows: np.ndarray) -> np.ndarray:
+        return np.matmul(dist[:, None, :], rows.sum(axis=2)[:, :, None])[:, 0, 0]
+
+    mean = weighted(pi * means)
+    # random_environment's losses are Bernoulli, so E[loss^2] is the mean, as exact_variance takes it.
+    variance = weighted(pi**2 / mu * means) - [m**2 for m in mean.tolist()]
+    return (variance - pi.max(axis=(1, 2)) * weighted(pi / mu)).tolist()
 
 
 def _cell_probabilities(env: simulator.SyntheticEnvironment) -> np.ndarray:
@@ -240,9 +292,15 @@ def _replicate_sums(env: simulator.SyntheticEnvironment, counts: np.ndarray) -> 
     return ipw, pl
 
 
-def _scores(table: np.ndarray, sums: np.ndarray, n: int) -> list[float]:
-    """Each replicate's contraction of a pmf table with its sums: the reduction of `ipw_risk` and `pseudo_loss`."""
-    return [float(np.vdot(table, rep_sums) / n) for rep_sums in sums]
+def _scores(tables: np.ndarray, sums: np.ndarray, n: int) -> np.ndarray:
+    """Each replicate's contraction of each pmf table with its sums, the reduction of `ipw_risk` and
+    `pseudo_loss`: a (reps,) array for one (X, A) table, a (members, reps) array for a stack of them.
+
+    One stacked np.matmul of a row by a column per (table, replicate), which numpy
+    computes with the dot np.vdot calls, so each score is bitwise the public one.
+    """
+    flat = tables.reshape(*tables.shape[:-2], 1, -1, 1)
+    return np.matmul(sums.reshape(len(sums), 1, -1), flat)[..., 0, 0] / n
 
 
 def _guarded(result: CheckResult, batched: list[float], direct: list[float]) -> CheckResult:
@@ -265,7 +323,7 @@ def check_pl_band_coverage(cfg: VerifyConfig) -> CheckResult:
     mu_inf = float(cfg.env.mu_table.min())
     counts = _replicate_counts(cfg, 5)
     _, pl_sums = _replicate_sums(cfg.env, counts)
-    pl_hats = _scores(policy.pmf_table(cfg.env.num_contexts), pl_sums, cfg.n)
+    pl_hats = _scores(policy.pmf_table(cfg.env.num_contexts), pl_sums, cfg.n).tolist()
     hits, used = 0, 0.0
     for pl_hat in pl_hats:
         lo, hi = estimators.pl_confidence_band(pl_hat, cfg.n, cfg.alpha, mu_inf)
@@ -289,8 +347,8 @@ def check_confidence_coverage(cfg: VerifyConfig) -> CheckResult:
     truth = simulator.exact_risk(policy, cfg.env)
     counts = _replicate_counts(cfg, 6)
     ipw_sums, pl_sums = _replicate_sums(cfg.env, counts)
-    ipw_hats = _scores(pi_table, ipw_sums, cfg.n)
-    pl_hats = _scores(pi_table, pl_sums, cfg.n)
+    ipw_hats = _scores(pi_table, ipw_sums, cfg.n).tolist()
+    pl_hats = _scores(pi_table, pl_sums, cfg.n).tolist()
     hits, used = 0, 0.0
     for ipw_hat, pl_hat in zip(ipw_hats, pl_hats):
         width = estimators.confidence_width(pl_hat, stats, cfg.n, cfg.alpha).value
@@ -314,26 +372,23 @@ def check_ucb_coverage(cfg: VerifyConfig) -> CheckResult:
     members = [simulator.random_policy(rng, cfg.env.num_contexts, cfg.env.num_actions) for _ in range(8)]
     pclass = PolicyClass.from_members(members)
     stats = class_stats(pclass, np.arange(cfg.env.num_contexts), cfg.env.mu_table)
-    truths = [simulator.exact_risk(m, cfg.env) for m in members]
+    truths = np.array([[simulator.exact_risk(m, cfg.env)] for m in members])
     beta = 0.05
     counts = _replicate_counts(cfg, 7)
     ipw_sums, pl_sums = _replicate_sums(cfg.env, counts)
     slack = estimators.confidence_slack(stats, cfg.n, cfg.alpha, beta).value
-    scores = [(_scores(t, ipw_sums, cfg.n), _scores(t, pl_sums, cfg.n)) for t in pclass.tables(cfg.env.num_contexts)]
-    # ucb_risk's sum, in its order: ipw_risk + beta * pseudo_loss, then the slack.
-    ucbs = [[ipw + beta * pl + slack for ipw, pl in zip(*member)] for member in scores]
-    hits = sum(all(truth <= ucb for truth, ucb in zip(truths, rep_ucbs)) for rep_ucbs in zip(*ucbs))
-    used = max(
-        (truth - ipw) / (beta * pl + slack)
-        for truth, member in zip(truths, scores)
-        for ipw, pl in zip(*member)
-    )
+    tables = pclass.tables(cfg.env.num_contexts)
+    # (members, reps) arrays; ucb_risk's sum, in its order: ipw_risk + beta * pseudo_loss, then the slack.
+    ipw, pl = _scores(tables, ipw_sums, cfg.n), _scores(tables, pl_sums, cfg.n)
+    ucbs = ipw + beta * pl + slack
+    hits = int((truths <= ucbs).all(axis=0).sum())
+    used = float(((truths - ipw) / (beta * pl + slack)).max())
     coverage = hits / cfg.reps
     details = {"coverage": coverage, "max_used_fraction": used}
     result = CheckResult("ucb_simultaneous_coverage", coverage >= 1.0 - cfg.alpha, details)
     first = _counted_dataset(cfg.env, counts[0])
     direct = [estimators.ucb_risk(member, first, stats, cfg.alpha, beta) for member in members]
-    return _guarded(result, [member_ucbs[0] for member_ucbs in ucbs], direct)
+    return _guarded(result, ucbs[:, 0].tolist(), direct)
 
 
 def check_pessimism_path(cfg: VerifyConfig) -> CheckResult:

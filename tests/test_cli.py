@@ -888,6 +888,12 @@ class TestMalformedPolicyFiles:
         assert message in capsys.readouterr().err
 
 
+def continuous_spec(**fields) -> dict:
+    """A valid continuous environment spec over four contexts, with `fields` replaced."""
+    piece = {"breaks": [0.0, 1.0], "values": [1.0]}
+    return {"type": "continuous", "context_dist": [0.25] * 4, "loss": [piece] * 4, "logging_density": [piece] * 4} | fields
+
+
 class TestMalformedEnvFiles:
     @pytest.fixture(scope="class")
     def dataset(self, tmp_path_factory):
@@ -930,6 +936,15 @@ class TestMalformedEnvFiles:
             ),
             (lambda spec: [1], "env.json: environment is not a JSON object"),
             (lambda spec: '"hard"', "env.json: environment is not a JSON object"),
+            (lambda spec: continuous_spec(loss=5), "env.json: loss is not a list"),
+            (lambda spec: continuous_spec(loss="x"), "env.json: loss is not a list"),
+            (lambda spec: continuous_spec(loss={"breaks": [0.0, 1.0], "values": [1.0]}), "env.json: loss is not a list"),
+            (lambda spec: continuous_spec(logging_density=5), "env.json: logging_density is not a list"),
+            (lambda spec: continuous_spec(logging_density="x"), "env.json: logging_density is not a list"),
+            (
+                lambda spec: continuous_spec(logging_density={"breaks": [0.0, 1.0], "values": [1.0]}),
+                "env.json: logging_density is not a list",
+            ),
         ],
         ids=[
             "invalid-json",
@@ -944,6 +959,12 @@ class TestMalformedEnvFiles:
             "extra-logging-pmf-row",
             "list",
             "string",
+            "int-loss",
+            "string-loss",
+            "object-loss",
+            "int-logging-density",
+            "string-logging-density",
+            "object-logging-density",
         ],
     )
     def test_exits_two_naming_the_file(self, tmp_path, dataset, command, edit, message, capsys):

@@ -16,6 +16,8 @@ from verify_reference import (
     reference_check_confidence_coverage,
     reference_check_pl_band_coverage,
     reference_check_ucb_coverage,
+    reference_check_variance_domination,
+    reference_variance_gaps,
 )
 
 COVERAGE_CHECKS = {
@@ -249,6 +251,56 @@ class TestCoverageChecks:
                 assert not result.passed and mismatch["batched"] != mismatch["direct"]
                 fired.append(cell)
         assert fired
+
+
+class TestVarianceDomination:
+    # At these seeds numpy's square of some instance's mean differs by one ulp
+    # from Python's pow, which exact_variance uses: the batched gaps must square
+    # as exact_variance does.
+    SQUARE_DIFFERS_FROM_POW = [93, 103, 116, 154]
+
+    def test_equal_to_per_instance_reference(self):
+        for seed in [*range(200), 2**32, 2**40 + 3]:
+            cfg = verify.VerifyConfig(env=ENVS["demo"](0), seed=seed)
+            assert verify.check_variance_domination(cfg) == reference_check_variance_domination(cfg), seed
+
+    @pytest.mark.parametrize("seed", SQUARE_DIFFERS_FROM_POW)
+    def test_every_gap_is_bitwise_the_public_one(self, monkeypatch, seed):
+        """Not only the largest: every instance's batched gap, gathered over the (X, A) groups."""
+        cfg = verify.VerifyConfig(env=ENVS["demo"](0), seed=seed)
+        original, batched = verify._variance_gaps, []
+
+        def recorded(*args):
+            gaps = original(*args)
+            batched.extend(gaps)
+            return gaps
+
+        monkeypatch.setattr(verify, "_variance_gaps", recorded)
+        verify.check_variance_domination(cfg)
+        assert np.sort(batched).tobytes() == np.sort(list(reference_variance_gaps(cfg))).tobytes()
+
+    def test_one_ulp_shift_of_instance_zero_fails_with_batch_mismatch(self, monkeypatch):
+        original, groups = verify._variance_gaps, []
+
+        def shifted(*args):
+            gaps = original(*args)
+            if not groups:  # instance 0's group is scored first, and instance 0 is its first row
+                gaps[0] = float(np.nextafter(gaps[0], np.inf))
+            groups.append(args)
+            return gaps
+
+        monkeypatch.setattr(verify, "_variance_gaps", shifted)
+        self.assert_batch_mismatch()
+
+    def test_planted_exact_variance_fails_with_batch_mismatch(self, monkeypatch):
+        exact_variance = estimators.exact_variance
+        monkeypatch.setattr(estimators, "exact_variance", lambda policy, env: exact_variance(policy, env) + 1e-9)
+        self.assert_batch_mismatch()
+
+    def assert_batch_mismatch(self):
+        result = verify.check_variance_domination(verify.VerifyConfig(env=ENVS["demo"](0), seed=0))
+        mismatch = result.details["batch_mismatch"]
+        assert not result.passed and mismatch["batched"] != mismatch["direct"]
 
 
 class TestVerifyConfig:

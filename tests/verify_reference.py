@@ -1,10 +1,11 @@
-"""Per-replicate loop references for the three coverage checks of `plbandit.verify`.
+"""Loop references for the three coverage checks and `variance_domination` of `plbandit.verify`.
 
-These are the coverage checks as they were before `plbandit.verify` scored
-their replicates in one batch: one dataset and one estimator call per
-replicate. Each replicate's dataset is the log of its drawn cell counts
-(`verify._counted_dataset`). Tests check that the batched checks return the
-same `CheckResult`.
+These are the checks as they were before `plbandit.verify` scored their
+replicates or instances in one batch. A coverage check makes one dataset and
+one estimator call per replicate; each replicate's dataset is the log of its
+drawn cell counts (`verify._counted_dataset`). `variance_domination` builds
+each instance's environment and policy and scores it through the public
+estimators. Tests check that the batched checks return the same `CheckResult`.
 """
 
 import numpy as np
@@ -87,3 +88,22 @@ def reference_check_ucb_coverage(cfg: VerifyConfig, class_size: int = 8) -> Chec
     coverage = hits / cfg.reps
     details = {"coverage": coverage, "max_used_fraction": used}
     return CheckResult("ucb_simultaneous_coverage", coverage >= 1.0 - cfg.alpha, details)
+
+
+def reference_variance_gaps(cfg: VerifyConfig):
+    """exact_variance(pi) - pmf_sup(pi) * exact_pl(pi) of each random finite instance,
+    in instance order, each built as objects and scored through the public estimators."""
+    rng = simulator.make_rng((cfg.seed, 4))
+    for _ in range(200):
+        env = simulator.random_environment(rng, int(rng.integers(1, 5)), int(rng.integers(2, 5)))
+        policy = simulator.random_policy(rng, env.num_contexts, env.num_actions)
+        sup = float(policy.pmf_table(env.num_contexts).max())
+        yield estimators.exact_variance(policy, env) - sup * estimators.exact_pl(policy, env)
+
+
+def reference_check_variance_domination(cfg: VerifyConfig) -> CheckResult:
+    """exact_variance(pi) <= pmf_sup(pi) * exact_pl(pi) on random finite instances."""
+    worst = -np.inf
+    for gap in reference_variance_gaps(cfg):
+        worst = max(worst, gap)
+    return CheckResult("variance_domination", worst <= 1e-10, {"max_violation": worst})
