@@ -61,7 +61,6 @@ from .model import (
     LoggedDataset,
     MassPolicy,
     PolicyClass,
-    SupportError,
     TabularPolicy,
     class_stats,
     deterministic_class,

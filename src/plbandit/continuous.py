@@ -28,7 +28,6 @@ import numpy as np
 
 from .csc import CostMatrix, PointwiseArgminOracle
 from .model import (
-    CHUNK_RECORDS,
     INTEGER,
     NUMBER,
     PMF_ATOL,
@@ -36,12 +35,9 @@ from .model import (
     ClassStats,
     DatasetError,
     MassPolicy,
-    SupportError,
     _check_pmf,
     _frozen,
-    _json_texts,
     _leading_rows,
-    checked_metadata,
     context_fault,
     first_fault,
     header_count,
@@ -52,6 +48,7 @@ from .model import (
     read_header,
     set_column,
     set_num_contexts,
+    write_records,
 )
 
 # Closed-window membership tolerance: grid points sitting exactly on a window
@@ -156,16 +153,6 @@ class PiecewiseConstant:
             raise ValueError("integration bounds out of order")
         return float(self._overlaps(lo, hi) @ self.values)
 
-    def reciprocal_integral(self, lo: float, hi: float) -> float:
-        """Exact integral of 1/f over [lo, hi]; every overlapped piece must be positive."""
-        if not (0.0 <= lo <= hi <= 1.0):
-            raise ValueError("integration window must satisfy 0 <= lo <= hi <= 1")
-        overlaps = self._overlaps(lo, hi)
-        touched = overlaps > 0
-        if (self.values[touched] <= PROPENSITY_FLOOR).any():
-            raise SupportError("zero-density piece inside the integration window")
-        return float((overlaps[touched] / self.values[touched]).sum())
-
 
 class PiecewiseConstantDensity(PiecewiseConstant):
     """A strictly positive piecewise-constant density integrating to 1 on [0, 1]."""
@@ -220,11 +207,9 @@ def pc_product_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
     return float((fv * gv * lengths).sum())
 
 
-def pc_ratio_integral(f: PiecewiseConstant, g: PiecewiseConstant) -> float:
-    """Exact integral of f / g over [0, 1]; g must stay above the propensity floor."""
+def pc_ratio_integral(f: PiecewiseConstant, g: PiecewiseConstantDensity) -> float:
+    """Exact integral of f / g over [0, 1]; a density stays above the propensity floor."""
     fv, gv, lengths = _merged_pieces(f, g)
-    if (gv <= PROPENSITY_FLOOR).any():
-        raise SupportError("zero-density piece in the ratio integrand")
     return float((fv / gv * lengths).sum())
 
 
@@ -424,9 +409,10 @@ def build_modified_costs_continuous(
 
     The beta part is one row per logging density: a (K, pieces)
     window-overlap matrix divided by the piece values, summed per window. That
-    is `reciprocal_integral` for every window at once, with the same rounding
-    for densities of fewer than 8 pieces (numpy sums shorter rows
-    sequentially), so windows that tie exactly still tie and the oracle's
+    is the integral of 1/mu over every window at once, as the per-record
+    `reciprocal_integral` of tests/continuous_reference.py takes it, with the
+    same rounding for densities of fewer than 8 pieces (numpy sums shorter
+    rows sequentially), so windows that tie exactly still tie and the oracle's
     lowest-index rule picks the same grid point as a per-record build.
 
     The grid-policy-weighted average of these costs equals the density-side
@@ -549,36 +535,23 @@ def h_grid(m: int) -> list[float]:
 # JSONL files for continuous logged data.
 
 
+# A continuous record's fields, which both the loader and the writer use (see model.read_columns).
+_CONTINUOUS_FIELDS = [("context.id", INTEGER), ("action", NUMBER), ("loss", NUMBER), ("density", INTEGER)]
+
+
 def save_continuous_dataset_jsonl(
     dataset: ContinuousLoggedDataset, path: str | Path, metadata: dict | None = None
 ) -> None:
-    """As save_dataset_jsonl. The header lists each distinct density text once, in first-occurrence
-    order of dataset.densities, under `densities`; a record's `density` is its position there."""
-    header: dict = {"action_space": "unit_interval"}
-    if dataset.num_contexts is not None:
-        header["num_contexts"] = dataset.num_contexts
-    header |= checked_metadata(metadata)
+    """As save_dataset_jsonl, by _CONTINUOUS_FIELDS. The header lists each distinct density text once, in
+    first-occurrence order of dataset.densities, under `densities`; a record's `density` is its position there."""
     distinct: dict[str, int] = {}
     texts = [json.dumps(d.to_json(), sort_keys=True) for d in dataset.densities]
-    positions = [str(distinct.setdefault(text, len(distinct))) for text in texts]
-    header["densities"] = list(map(json.loads, distinct))
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for lo in range(0, dataset.n, CHUNK_RECORDS):
-            rows = slice(lo, lo + CHUNK_RECORDS)
-            fh.writelines(
-                f'{{"action": {a}, "context": {{"id": {c}}}, "density": {g}, "loss": {loss}}}\n'
-                for a, c, g, loss in zip(
-                    _json_texts(dataset.actions[rows]),
-                    dataset.context_ids[rows].tolist(),
-                    map(positions.__getitem__, dataset.density_index[rows].tolist()),
-                    _json_texts(dataset.losses[rows]),
-                )
-            )
-
-
-# A continuous record's fields (see model.read_columns).
-_CONTINUOUS_FIELDS = [("context.id", INTEGER), ("action", NUMBER), ("loss", NUMBER), ("density", INTEGER)]
+    positions = np.array([distinct.setdefault(text, len(distinct)) for text in texts], dtype=np.int64)
+    header: dict = {"action_space": "unit_interval", "densities": list(map(json.loads, distinct))}
+    if dataset.num_contexts is not None:
+        header["num_contexts"] = dataset.num_contexts
+    columns = [dataset.context_ids, dataset.actions, dataset.losses, positions[dataset.density_index]]
+    write_records(path, header, metadata, _CONTINUOUS_FIELDS, columns)
 
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:

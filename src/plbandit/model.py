@@ -40,10 +40,6 @@ PROPENSITY_FLOOR = 1e-12
 PMF_ATOL = 1e-9
 
 
-class SupportError(ValueError):
-    """A propensity or density required by an importance weight is (near) zero."""
-
-
 class DatasetError(ValueError):
     """A logged dataset is malformed: an array of the wrong rank or length, or a record it may not hold."""
 
@@ -563,7 +559,7 @@ def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities
     ids = np.asarray(context_ids, dtype=np.int64)
     mu_rows = np.asarray(propensities, dtype=float)
     if np.any(mu_rows <= PROPENSITY_FLOOR):
-        raise SupportError("logging policy has a zero propensity on the given contexts")
+        raise ValueError("logging policy has a zero propensity on the given contexts")
     # Dividing by mu > 0 is monotone, so the largest ratio is the largest
     # member pmf over mu.
     top = policy_class.pmf_max(int(ids.max()) + 1)[ids]
@@ -577,96 +573,124 @@ def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities
 
 # ---------------------------------------------------------------------------
 # Dataset files: JSON Lines with a one-line header. Records cross the file
-# boundary as numpy columns, a bounded chunk at a time: both loaders read them
-# through read_columns, by a field list of (dotted key, kind) pairs.
+# boundary as numpy columns, a bounded chunk at a time, by a field list of
+# (dotted key, kind) pairs: both loaders read them through read_columns, and
+# both writers write them through write_records, by the same list.
 
 # Bytes of record lines the loaders parse per json.loads call.
 CHUNK_BYTES = 1 << 18
 # Records the writer formats per writelines call.
 CHUNK_RECORDS = 4096
 
+# Field kinds of a record layout, a list of (dotted key, kind) pairs: a JSON
+# integer that fits an int64, a JSON number, or (an int w) a list of exactly
+# w JSON numbers.
+INTEGER, NUMBER = "integer", "number"
+
 
 def _json_texts(values: np.ndarray) -> list[str]:
     """JSON text of each float of a 1-D array, or of each row of a 2-D one as a
     list, exactly as json.dumps writes it; a log holds finite floats only.
+    write_records formats each NUMBER field and each list field through it.
 
     The shortest-repr conversion is the slow step, and logged columns repeat
     few values (one pmf per context, 0/1 losses), so each distinct value or
-    row is converted once. Values are keyed by their bits: 0.0 == -0.0.
+    row is converted once. Values are keyed by their bits: 0.0 == -0.0. When
+    no value repeats (a continuous log's actions), each is converted in place.
     """
     bits = np.ascontiguousarray(values).view(np.int64).tolist()
     if values.ndim == 2:
         bits = list(map(tuple, bits))
-    distinct = list(dict.fromkeys(bits))
+    distinct = list(set(bits))
+    if len(distinct) == len(bits):
+        return list(map(repr, values.tolist()))
     decoded = np.array(distinct, dtype=np.int64).view(np.float64).tolist()
     text = dict(zip(distinct, map(repr, decoded)))
     return list(map(text.__getitem__, bits))
+
+
+def _field_texts(bits: np.ndarray, kind) -> list[str]:
+    """The JSON text of each row of one field's int64 bit columns, each distinct value converted once."""
+    if kind == INTEGER:
+        values = bits[:, 0].tolist()
+        text = {value: str(value) for value in set(values)}
+        return list(map(text.__getitem__, values))
+    return _json_texts(bits.view(np.float64)[:, 0] if kind == NUMBER else bits.view(np.float64))
+
+
+def _line_pieces(keys: list[str]) -> tuple[list[str], list[int]]:
+    """The constant text around the fields of a record line, as
+    json.dumps(record, sort_keys=True) writes a record with these dotted keys,
+    and the fields in the order it writes them: sorted by their key parts,
+    which keeps the keys of one nested object together."""
+    tree: dict = {}
+    for key in keys:
+        *parents, leaf = key.split(".")
+        functools.reduce(lambda node, part: node.setdefault(part, {}), parents, tree)[leaf] = "\0"
+    pieces = json.dumps(tree, sort_keys=True).split(json.dumps("\0"))
+    pieces[-1] += "\n"
+    return pieces, sorted(range(len(keys)), key=lambda i: keys[i].split("."))
 
 
 # Header keys the dataset writers set themselves, so metadata may not hold them.
 FORMAT_KEYS = ("action_space", "densities", "num_actions", "num_contexts")
 
 
-def checked_metadata(metadata: dict | None) -> dict:
-    """A writer's metadata for its header; ValueError naming a key the format writes."""
+def write_records(path: str | Path, header: dict, metadata: dict | None, fields: list, columns: list) -> None:
+    """Write `{"header": header | metadata}`, then one line per record: row i
+    of each field's column (an (n,) array, or (n, w) for a list of w) at its
+    dotted key, byte-identical to json.dumps(record, sort_keys=True).
+
+    Metadata holding a key the format writes (FORMAT_KEYS) raises ValueError,
+    and a header json cannot encode TypeError, before the file is opened.
+    Records are written CHUNK_RECORDS at a time: a chunk's rows are keyed by
+    the int64 bits of their columns, and only its distinct rows, in
+    first-seen order, are formatted, a field at a time by its kind. A
+    simulated discrete log has few (one propensity row per context, 0/1
+    losses); when no row repeats, as in a continuous log, the lines are
+    written in order, with no gather.
+    """
     metadata = metadata or {}
     for key in FORMAT_KEYS:
         if key in metadata:
             raise ValueError(f"metadata key '{key}' is a header key the dataset format writes")
-    return metadata
+    head = json.dumps({"header": header | metadata}, sort_keys=True) + "\n"
+    pieces, order = _line_pieces([key for key, _ in fields])
+    constants = [itertools.repeat(piece) for piece in pieces]
+    bits = [(c[:, None] if c.ndim == 1 else c).view(np.int64) for c in columns]
+    ends = [0, *itertools.accumulate(b.shape[1] for b in bits)]
+    with open(path, "w") as fh:
+        fh.write(head)
+        for lo in range(0, len(bits[0]), CHUNK_RECORDS):
+            block = np.hstack([b[lo : lo + CHUNK_RECORDS] for b in bits])
+            keys = block.view(np.dtype((np.void, block.shape[1] * 8))).ravel().tolist()
+            distinct = dict.fromkeys(keys)
+            repeats = len(distinct) < len(keys)
+            if repeats:
+                block = np.frombuffer(b"".join(distinct), dtype=np.int64).reshape(len(distinct), -1)
+            texts = [_field_texts(block[:, ends[i] : ends[i + 1]], fields[i][1]) for i in order]
+            lines = map("".join, zip(*itertools.chain.from_iterable(zip(constants, texts)), constants[-1]))
+            fh.writelines(map(dict(zip(distinct, lines)).__getitem__, keys) if repeats else lines)
+
+
+def _discrete_fields(width: int | None, num_actions: int) -> list:
+    """The field list of a discrete record: context.id (width None), or
+    context.features of `width`; action; loss; propensities of num_actions."""
+    context = ("context.id", INTEGER) if width is None else ("context.features", width)
+    return [context, ("action", INTEGER), ("loss", NUMBER), ("propensities", num_actions)]
 
 
 def save_dataset_jsonl(dataset: LoggedDataset, path: str | Path, metadata: dict | None = None) -> None:
-    """Write `{"header": {"num_actions": ...}}` then one record object per line.
-    `metadata` adds keys to the header; one the format writes itself (FORMAT_KEYS)
-    raises ValueError before the file is opened.
-
-    Each record line is byte-identical to json.dumps(record, sort_keys=True).
-    Records are written a chunk at a time. A
-    chunk's records are keyed by the bits of their row (context id or
-    features, action, loss, propensities), and only its distinct rows, in
-    first-seen order, are formatted from columns: a simulated log has few
-    (one propensity row per context, 0/1 losses).
-    """
+    """Write `{"header": {"num_actions": ...}}` then one record object per line,
+    by write_records and the discrete field list the loader reads. `metadata`
+    adds keys to the header; one the format writes itself (FORMAT_KEYS)
+    raises ValueError before the file is opened."""
     header = {"num_actions": dataset.num_actions}
     if dataset.num_contexts is not None:
         header["num_contexts"] = dataset.num_contexts
-    header |= checked_metadata(metadata)
-    if dataset.context_ids is not None:
-        contexts = dataset.context_ids[:, None]
-    else:
-        contexts = dataset.context_features.view(np.int64)
-    width = contexts.shape[1]
-    with open(path, "w") as fh:
-        fh.write(json.dumps({"header": header}, sort_keys=True) + "\n")
-        for lo in range(0, dataset.n, CHUNK_RECORDS):
-            rows = slice(lo, lo + CHUNK_RECORDS)
-            block = np.hstack(
-                [
-                    contexts[rows],
-                    dataset.actions[rows, None],
-                    dataset.losses[rows, None].view(np.int64),
-                    dataset.propensities[rows].view(np.int64),
-                ]
-            )
-            keys = block.view(np.dtype((np.void, block.shape[1] * 8))).ravel().tolist()
-            number: dict[bytes, int] = {}
-            inverse = [number.setdefault(key, len(number)) for key in keys]
-            distinct = np.frombuffer(b"".join(number), dtype=np.int64).reshape(len(number), -1)
-            if dataset.context_ids is not None:
-                texts = [f'{{"id": {c}}}' for c in distinct[:, 0].tolist()]
-            else:
-                texts = [f'{{"features": {f}}}' for f in _json_texts(distinct[:, :width].view(np.float64))]
-            lines = [
-                f'{{"action": {a}, "context": {c}, "loss": {loss}, "propensities": {p}}}\n'
-                for a, c, loss, p in zip(
-                    distinct[:, width].tolist(),
-                    texts,
-                    _json_texts(distinct[:, width + 1].view(np.float64)),
-                    _json_texts(distinct[:, width + 2 :].view(np.float64)),
-                )
-            ]
-            fh.writelines(map(lines.__getitem__, inverse))
+    contexts = dataset.context_ids if dataset.context_ids is not None else dataset.context_features
+    fields = _discrete_fields(None if contexts.ndim == 1 else contexts.shape[1], dataset.num_actions)
+    write_records(path, header, metadata, fields, [contexts, dataset.actions, dataset.losses, dataset.propensities])
 
 
 def load_json(path: str | Path):
@@ -854,10 +878,6 @@ def missing_field(record, keys: Sequence[str]) -> str | None:
     return None
 
 
-# Field kinds of a record layout, a list of (dotted key, kind) pairs: a JSON
-# integer that fits an int64, a JSON number, or (an int w) a list of exactly
-# w JSON numbers.
-INTEGER, NUMBER = "integer", "number"
 _NUMBER_TYPES = {int, float}
 
 
@@ -979,10 +999,7 @@ def _discrete_layout(first, num_actions: int):
     a record with an id is finite, and one with features and no id is not."""
     ctx = first.get("context") if type(first) is dict else None
     features = type(ctx) is dict and "features" in ctx and "id" not in ctx
-    if features:
-        context = ("context.features", len(ctx["features"]) if type(ctx["features"]) is list else 0)
-    else:
-        context = ("context.id", INTEGER)
+    width = (len(ctx["features"]) if type(ctx["features"]) is list else 0) if features else None
 
     def rule(record) -> str | None:
         ctx = record.get("context") if type(record) is dict else None
@@ -990,7 +1007,7 @@ def _discrete_layout(first, num_actions: int):
             return "records mix finite and feature contexts"
         return None
 
-    return [context, ("action", INTEGER), ("loss", NUMBER), ("propensities", num_actions)], rule
+    return _discrete_fields(width, num_actions), rule
 
 
 def load_dataset_jsonl(path: str | Path) -> LoggedDataset:

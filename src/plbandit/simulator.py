@@ -420,9 +420,8 @@ def save_environment(env, path: str | Path, metadata: dict | None = None) -> Non
         }
     if metadata:
         spec["metadata"] = metadata
-    with open(path, "w") as fh:
-        json.dump(spec, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    # Encoded before the file is opened: a value json cannot encode leaves the file as it was.
+    Path(path).write_text(json.dumps(spec, sort_keys=True, indent=1) + "\n")
 
 
 def load_environment(path: str | Path):

@@ -5,7 +5,13 @@ draws logs per context in arrays; these references re-derive everything
 record by record from the scalar primitives (`reciprocal_integral`,
 `value_at`, `surrogate_set`, `SmoothedDensityPolicy.density`,
 `pc_ratio_integral`, scalar `rng.random()` draws), so tests can compare the
-grouped code against them.
+grouped code against them. `reciprocal_integral`, the integral of 1/f over
+one window, is defined here: the library takes it for every window at once.
+
+`reference_load_continuous` reads a log one line at a time. The writer has
+no twin here: `model.write_records` writes both log kinds by the field list
+their loaders read, and tests compare its lines with
+`json.dumps(record, sort_keys=True)` directly.
 
 The per-piece and per-bin code that the library replaced with one array
 operation per context is kept here verbatim (renamed): the greedy
@@ -30,11 +36,23 @@ from plbandit.continuous import (
     pc_ratio_integral,
     surrogate_set,
 )
+from plbandit.model import PROPENSITY_FLOOR
 from plbandit.simulator import _ratio_linear_integral, make_rng
 
 
 def logging_density(dataset, i):
     return dataset.densities[dataset.density_index[i]]
+
+
+def reciprocal_integral(f, lo, hi):
+    """Exact integral of 1/f over [lo, hi]; every overlapped piece must be positive."""
+    if not (0.0 <= lo <= hi <= 1.0):
+        raise ValueError("integration window must satisfy 0 <= lo <= hi <= 1")
+    overlaps = f._overlaps(lo, hi)
+    touched = overlaps > 0
+    if (f.values[touched] <= PROPENSITY_FLOOR).any():
+        raise ValueError("zero-density piece inside the integration window")
+    return float((overlaps[touched] / f.values[touched]).sum())
 
 
 def reference_costs(dataset, grid, h, beta):
@@ -46,7 +64,7 @@ def reference_costs(dataset, grid, h, beta):
     for i in range(dataset.n):
         mu, a = logging_density(dataset, i), float(dataset.actions[i])
         for j in range(grid.k):
-            costs[i, j] = beta / h_eff[j] * mu.reciprocal_integral(lo[j], hi[j])
+            costs[i, j] = beta / h_eff[j] * reciprocal_integral(mu, lo[j], hi[j])
         idx = surrogate_set(a, grid, h)
         costs[i, idx] += dataset.losses[i] / (h_eff[idx] * mu.value_at(a))
     return costs

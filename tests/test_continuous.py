@@ -37,9 +37,10 @@ from plbandit.continuous import (
     validate_continuous_dataset,
 )
 from plbandit.estimators import oracle_inequality_bound, oracle_inequality_bound_tuned
-from plbandit.model import CHUNK_BYTES, DatasetError, SupportError
+from plbandit.model import CHUNK_BYTES, DatasetError
 
 from continuous_reference import (
+    reciprocal_integral,
     reference_costs,
     reference_dedupe_breaks,
     reference_density_pieces,
@@ -181,24 +182,24 @@ class TestDiscretize:
 
 class TestInverseDensityIntegral:
     def test_uniform(self):
-        assert UNIFORM.reciprocal_integral(0.2, 0.7) == pytest.approx(0.5)
+        assert reciprocal_integral(UNIFORM, 0.2, 0.7) == pytest.approx(0.5)
 
     def test_two_pieces(self):
         mu = PiecewiseConstantDensity(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([1.5, 0.5]))
-        assert mu.reciprocal_integral(0.25, 0.75) == pytest.approx(2.0 / 3.0)
+        assert reciprocal_integral(mu, 0.25, 0.75) == pytest.approx(2.0 / 3.0)
 
     def test_empty_window(self):
-        assert UNIFORM.reciprocal_integral(0.4, 0.4) == 0.0
+        assert reciprocal_integral(UNIFORM, 0.4, 0.4) == 0.0
 
     @pytest.mark.parametrize("lo, hi", [(0.6, 0.4), (-0.1, 0.5), (0.5, 1.1)])
     def test_window_outside_unit_interval_rejected(self, lo, hi):
         with pytest.raises(ValueError, match="0 <= lo <= hi <= 1"):
-            UNIFORM.reciprocal_integral(lo, hi)
+            reciprocal_integral(UNIFORM, lo, hi)
 
     def test_zero_piece_rejected(self):
         bad = PiecewiseConstant(breaks=np.array([0.0, 0.5, 1.0]), values=np.array([2.0, 0.0]))
-        with pytest.raises(SupportError):
-            bad.reciprocal_integral(0.4, 0.6)
+        with pytest.raises(ValueError, match="zero-density piece inside the integration window"):
+            reciprocal_integral(bad, 0.4, 0.6)
 
 
 class TestModifiedCostsContinuous:
@@ -394,8 +395,9 @@ class TestContinuousDatasetIO:
         path = tmp_path / "cont.jsonl"
         save_continuous_dataset_jsonl(data, path, metadata={"seed": 212})
         loaded = load_continuous_dataset_jsonl(path)
-        assert np.array_equal(loaded.actions, data.actions)
-        assert np.array_equal(loaded.context_ids, data.context_ids)
+        for name in ("context_ids", "actions", "losses", "density_index"):
+            a, b = getattr(loaded, name), getattr(data, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         for da, db in zip(logged_densities(loaded), logged_densities(data)):
             assert np.array_equal(da.breaks, db.breaks)
             assert np.array_equal(da.values, db.values)
@@ -412,6 +414,16 @@ class TestContinuousDatasetIO:
         if len(set(texts)) == len(texts):  # distinct densities: the file keeps their numbers
             assert loaded.density_index.tolist() == data.density_index.tolist()
             assert [json.dumps(d.to_json(), sort_keys=True) for d in loaded.densities] == texts
+
+    def test_unencodable_metadata_leaves_the_file(self, tmp_path):
+        # A numpy integer is not JSON: the header is encoded before the file is opened.
+        data = simulator.generate_logs(simulator.random_continuous_environment(211, 3), 12, seed=212)
+        path = tmp_path / "cont.jsonl"
+        save_continuous_dataset_jsonl(data, path, metadata={"seed": 212})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_continuous_dataset_jsonl(data, path, metadata={"x": np.int64(3)})
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("key", ["action_space", "densities", "num_actions", "num_contexts"])
     def test_metadata_may_not_overwrite_a_format_key(self, tmp_path, key):
@@ -870,26 +882,31 @@ class TestLoaderInterning:
         bad_losses=st.dictionaries(
             st.integers(0, 11), st.sampled_from([-0.1, 7.0, float("inf"), float("nan"), -0.0, 5e-324, 1.0])
         ),
+        pool=st.none() | st.lists(st.integers(0, 2), min_size=12, max_size=12),
+        chunk=st.sampled_from([1, 2, 3, 4096]),
     )
-    def test_saved_lines_equal_json_dumps(self, case, bad_actions, bad_losses):
+    def test_saved_lines_equal_json_dumps(self, case, bad_actions, bad_losses, pool, chunk):
         data, _, _, _ = case
-        actions, losses = data.actions.copy(), data.losses.copy()
+        # With a pool, each record copies one of the first three: records repeat, in a chunk too.
+        rows = np.arange(data.n) if pool is None else np.array(pool[: data.n]) % data.n
+        fields = dict(context_ids=data.context_ids[rows], densities=data.densities, density_index=data.density_index[rows])
+        actions, losses = data.actions[rows], data.losses[rows]
         for i, value in bad_actions.items():
             actions[i % data.n] = value
         for i, value in bad_losses.items():
             losses[i % data.n] = value
-        fields = dict(context_ids=data.context_ids, densities=data.densities, density_index=data.density_index)
         # The constructor rejects an action or a loss outside [0, 1]; -0.0 is kept and saved.
         out_of_range = [i for i, (a, loss) in enumerate(zip(actions, losses)) if not (0 <= a <= 1 and 0 <= loss <= 1)]
         if out_of_range:
             with pytest.raises(DatasetError, match=rf"out of \[0, ?1\] at record {out_of_range[0]}$"):
                 ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
-            actions[out_of_range] = data.actions[out_of_range]
-            losses[out_of_range] = data.losses[out_of_range]
+            actions[out_of_range] = data.actions[rows[out_of_range]]
+            losses[out_of_range] = data.losses[rows[out_of_range]]
         data = ContinuousLoggedDataset(actions=actions, losses=losses, **fields)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "data.jsonl"
-            save_continuous_dataset_jsonl(data, path, metadata={"seed": 3})
+            with mock.patch.object(model, "CHUNK_RECORDS", chunk):
+                save_continuous_dataset_jsonl(data, path, metadata={"seed": 3})
             lines = path.read_text().splitlines()
         # The header lists each distinct density text once, in first-occurrence order.
         texts = [

@@ -161,6 +161,16 @@ class TestSaveMatchesReference:
             save_dataset_jsonl(data, tmp_path / "d.jsonl", metadata={"seed": 0, key: 5})
         assert not (tmp_path / "d.jsonl").exists()
 
+    def test_unencodable_metadata_leaves_the_file(self, tmp_path):
+        # A numpy integer is not JSON: the header is encoded before the file is opened.
+        data = simulator.generate_logs(simulator.random_environment(0, 4, 3), 20, seed=0)
+        path = tmp_path / "d.jsonl"
+        save_dataset_jsonl(data, path, metadata={"seed": 0})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_dataset_jsonl(data, path, metadata={"x": np.int64(3)})
+        assert path.read_bytes() == before
+
     def test_edge_floats_written_as_json_does(self, tmp_path):
         values = np.array(EDGE_FLOATS)
         data = LoggedDataset(

@@ -17,7 +17,6 @@ from plbandit.model import (
     LinearCostPolicy,
     LoggedDataset,
     PolicyClass,
-    SupportError,
     TabularPolicy,
     _check_pmf,
     class_stats,
@@ -162,7 +161,7 @@ class TestClassStats:
 
     def test_zero_propensity_rejected(self):
         pclass = PolicyClass.from_members([TabularPolicy(np.array([[0.5, 0.5]]))])
-        with pytest.raises(SupportError):
+        with pytest.raises(ValueError, match="^logging policy has a zero propensity on the given contexts$"):
             class_stats(pclass, np.array([0]), np.array([[1.0, 0.0]]))
 
     def test_every_logged_row_counts(self):

@@ -254,6 +254,16 @@ class TestEnvironmentFiles:
         assert np.allclose(loaded.mu_table, env.mu_table)
         assert loaded.bernoulli_noise == env.bernoulli_noise
 
+    @pytest.mark.parametrize("env", [simulator.random_environment(51, 3, 3), simulator.random_continuous_environment(52, 2)])
+    def test_unencodable_metadata_leaves_the_file(self, tmp_path, env):
+        # A numpy integer seed is not JSON: the spec is encoded before the file is opened.
+        path = tmp_path / "env.json"
+        save_environment(env, path, metadata={"seed": 51})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            save_environment(env, path, metadata={"seed": np.int64(3)})
+        assert path.read_bytes() == before
+
     def test_continuous_round_trip(self, tmp_path):
         env = simulator.random_continuous_environment(52, 2)
         path = tmp_path / "env.json"
