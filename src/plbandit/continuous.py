@@ -556,12 +556,15 @@ def save_continuous_dataset_jsonl(
 
 def load_continuous_dataset_jsonl(path: str | Path) -> ContinuousLoggedDataset:
     """Load a continuous dataset as `load_dataset_jsonl` does, by _CONTINUOUS_FIELDS, once each header
-    density is built; the constructor judges each record's `density`, an index into the header's list, too."""
+    density is built; the constructor judges each record's `density`, an index into the header's list, too.
+    A header without that list that marks a discrete log (num_actions) is named as one."""
     densities = []
     with open_dataset(path) as fh:
         header = read_header(fh, path)
         num_contexts = header_count(header, "num_contexts", path)
         if type(header.get("densities")) is not list:
+            if "num_actions" in header:
+                raise DatasetError(f"{path}: a discrete log (header key 'num_actions'), not a continuous one")
             raise DatasetError(f"{path}: header lacks a list of densities")
         for g, entry in enumerate(header["densities"]):
             try:

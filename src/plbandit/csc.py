@@ -219,7 +219,7 @@ def _member_values(dataset: LoggedDataset, beta: float, policy_class: PolicyClas
     cells, n = _logged_cells(dataset), dataset.n
     logged = dataset.propensities.take(cells)
     finite = dataset.context_ids is not None
-    tables = policy_class.tables(dataset.num_contexts) if finite else None
+    tables = policy_class.tables(dataset.num_contexts, dataset.num_actions) if finite else None
     step = max(1, _BLOCK_CELLS // dataset.propensities.size)
     values = []
     for lo in range(0, policy_class.size, step):

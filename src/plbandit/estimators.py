@@ -54,8 +54,6 @@ class BoundReport:
 def ipw_terms(policy: MassPolicy, dataset: LoggedDataset) -> np.ndarray:
     """Per-record importance-weighted losses pi(a_i|x_i)/mu(a_i|x_i) * loss_i."""
     rows = policy.pmf_rows(dataset)
-    if rows.shape != dataset.propensities.shape:
-        raise ValueError(f"policy has {rows.shape[1]} actions, the dataset {dataset.num_actions}")
     cells = _logged_cells(dataset)
     return rows.take(cells) / dataset.propensities.take(cells) * dataset.losses
 
@@ -75,7 +73,7 @@ def ipw_risk(policy: MassPolicy, dataset: LoggedDataset) -> float:
     """
     if dataset.context_ids is None:
         return float(np.mean(ipw_terms(policy, dataset)))
-    table = policy.pmf_table(dataset.num_contexts)
+    table = policy.checked_table(dataset.num_contexts, dataset.num_actions)
     return float(np.vdot(table, dataset.ipw_sums) / dataset.n)
 
 
@@ -88,7 +86,7 @@ def pseudo_loss(policy: MassPolicy, dataset: LoggedDataset) -> float:
     """
     if dataset.context_ids is None:
         return float(np.mean(pl_terms(policy, dataset)))
-    table = policy.pmf_table(dataset.num_contexts)
+    table = policy.checked_table(dataset.num_contexts, dataset.num_actions)
     return float(np.vdot(table, dataset.pl_sums) / dataset.n)
 
 
@@ -108,7 +106,7 @@ def penalized_objective(policy: MassPolicy, dataset: LoggedDataset, beta: float)
 def _env_tables(policy: MassPolicy, env) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not hasattr(env, "loss_means"):
         raise ValueError("exact quantities need a finite discrete-action environment")
-    return env.context_dist, policy.pmf_table(env.num_contexts), env.mu_table
+    return env.context_dist, policy.checked_table(env.num_contexts, env.num_actions), env.mu_table
 
 
 def exact_pl(policy: MassPolicy, env) -> float:

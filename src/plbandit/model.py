@@ -44,6 +44,11 @@ class DatasetError(ValueError):
     """A logged dataset is malformed: an array of the wrong rank or length, or a record it may not hold."""
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _out_of_range(name: str, value, upper: int) -> str:
     return f"{name} {int(value)} out of range [0, {upper})"
 
@@ -65,27 +70,41 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def check_num_actions(policy_actions: int, num_actions: int) -> None:
+    """The rule wherever a policy's pmfs meet rows, an environment or a cost table of num_actions
+    actions: ValueError naming both counts, where numpy would broadcast a one-action table silently."""
+    if policy_actions != num_actions:
+        raise ValueError(f"policy has {policy_actions} actions, {num_actions} needed")
+
+
 class MassPolicy(ABC):
     """A policy producing a probability mass function over actions per context.
 
-    A finite-context policy is its (X, A) table: `pmf_rows` indexes
-    `pmf_table` by context id, and policy classes stack the tables of their
-    members.
+    A finite-context policy is its (X, A) table: `pmf_rows` and every
+    estimator read `checked_table`, and policy classes stack the tables of
+    their members.
     """
 
     @abstractmethod
     def pmf_table(self, num_contexts: int) -> np.ndarray:
         """Pmf at every context id in [0, num_contexts), as a (num_contexts, num_actions) array."""
 
+    def checked_table(self, num_contexts: int, num_actions: int) -> np.ndarray:
+        """pmf_table(num_contexts), read against data or an environment of num_actions actions (check_num_actions)."""
+        table = self.pmf_table(num_contexts)
+        check_num_actions(table.shape[1], num_actions)
+        return table
+
     def pmf_rows(self, rows) -> np.ndarray:
         """Pmf at every row's context, as an (n, num_actions) array.
 
         `rows` is a LoggedDataset or a CostMatrix: anything carrying
-        `context_ids` (with `num_contexts`) or `context_features` per row.
+        `num_actions` and `context_ids` (with `num_contexts`) or
+        `context_features` per row.
         """
         if rows.context_ids is None:
             raise ValueError(f"{type(self).__name__} needs finite contexts")
-        return self.pmf_table(rows.num_contexts)[rows.context_ids]
+        return self.checked_table(rows.num_contexts, rows.num_actions)[rows.context_ids]
 
 
 def _leading_rows(table: np.ndarray, num_contexts: int) -> np.ndarray:
@@ -128,16 +147,26 @@ class TabularPolicy(MassPolicy):
 class DeterministicPolicy(MassPolicy):
     """One action per context id; the pmf is the indicator of `assignment`.
 
-    The pmf supremum of any such policy is 1 and the infimum is 0.
+    Each action, and num_actions (>= 1), must be an integer (is_integer: a
+    numpy integer too, a bool not), each action in [0, num_actions); both are
+    kept as ints. The pmf supremum of any such policy is 1 and the infimum is 0.
     """
 
     assignment: tuple[int, ...]
     num_actions: int
 
     def __post_init__(self):
-        if any(a < 0 or a >= self.num_actions for a in self.assignment):
-            raise ValueError("assignment actions out of range")
-        object.__setattr__(self, "assignment", tuple(int(a) for a in self.assignment))
+        k = self.num_actions
+        if not is_integer(k) or k < 1:
+            raise ValueError(f"num_actions must be an integer >= 1, not {k!r}")
+        # One pass keeps each action that is an integer in range; an entry it drops is named after.
+        assignment = tuple(int(a) for a in self.assignment if is_integer(a) and 0 <= a < k)
+        if len(assignment) < len(self.assignment):
+            bad = next(a for a in self.assignment if not (is_integer(a) and 0 <= a < k))
+            problem = "actions out of range" if is_integer(bad) else f"action {bad!r} is not an integer"
+            raise ValueError(f"assignment {problem}")
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "num_actions", int(k))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -181,6 +210,7 @@ class LinearCostPolicy(MassPolicy):
     def pmf_rows(self, rows) -> np.ndarray:
         if rows.context_features is None:
             raise ValueError("linear cost policy needs feature contexts")
+        check_num_actions(self.num_actions, rows.num_actions)
         if rows.context_features.shape[1] != len(self.weights):
             raise ValueError(f"policy weights have {len(self.weights)} rows for {rows.context_features.shape[1]} features")
         chosen = np.argmin(self.scores(rows.context_features), axis=1)
@@ -218,8 +248,8 @@ class PolicyClass:
     """
 
     members: Sequence[MassPolicy]
-    # num_contexts -> the stacked member tables; see tables().
-    _stacks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (num_contexts, num_actions) -> the stacked member tables; see tables().
+    _stacks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -233,25 +263,25 @@ class PolicyClass:
     def size(self) -> int:
         return len(self.members)
 
-    def tables(self, num_contexts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """The pmf_table(num_contexts) of every member, or of members lo..hi-1,
-        as a read-only (members, X, A) array.
+    def tables(self, num_contexts: int, num_actions: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """The checked_table(num_contexts, num_actions) of every member, or of
+        members lo..hi-1, as a read-only (members, X, A) array.
 
-        The first call for a num_contexts stacks every member's table, and
-        the class keeps that stack for as long as it lives: 8*size*X*A bytes
-        per num_contexts. Every later call, a range of members included, is
-        a view of it and calls no pmf_table.
+        The first call for a (num_contexts, num_actions) stacks every
+        member's table, and the class keeps that stack for as long as it
+        lives: 8*size*X*A bytes per pair. Every later call, a range of
+        members included, is a view of it and calls no pmf_table.
         """
-        stack = self._stacks.get(num_contexts)
+        stack = self._stacks.get((num_contexts, num_actions))
         if stack is None:
-            stack = np.stack([m.pmf_table(num_contexts) for m in self.members])
+            stack = np.stack([m.checked_table(num_contexts, num_actions) for m in self.members])
             stack.setflags(write=False)
-            self._stacks[num_contexts] = stack
+            self._stacks[num_contexts, num_actions] = stack
         return stack[lo:hi]
 
-    def pmf_max(self, num_contexts: int) -> np.ndarray:
+    def pmf_max(self, num_contexts: int, num_actions: int) -> np.ndarray:
         """The largest pmf any member gives each (context, action), as an (X, A) array."""
-        return self.tables(num_contexts).max(axis=0)
+        return self.tables(num_contexts, num_actions).max(axis=0)
 
     def member_sums(self, weights: np.ndarray, rows) -> np.ndarray:
         """sum_i sum_a pi(a|x_i) * weights[i, a] for every member pi, as a (size,) array.
@@ -274,7 +304,7 @@ class PolicyClass:
         # stay exact.
         return np.concatenate(
             [
-                np.einsum("cxa,xa->c", self.tables(rows.num_contexts, lo, lo + step), summed)
+                np.einsum("cxa,xa->c", self.tables(rows.num_contexts, weights.shape[1], lo, lo + step), summed)
                 for lo in range(0, self.size, step)
             ]
         )
@@ -314,23 +344,26 @@ class _DeterministicClass(PolicyClass):
     """All deterministic maps: a member picks each context's action freely, so some
     member puts pmf 1 on every (context, action) and the minimizer is per context."""
 
-    def tables(self, num_contexts: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+    def tables(self, num_contexts: int, num_actions: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
         """The stacked member tables in closed form, without decoding a member:
         row x of the unravelled member indices holds context x's action for
         every member of the range, in member order."""
+        check_num_actions(self.members.num_actions, num_actions)
         members = range(self.size)[lo:hi]
         digits = self.members.digits
         actions = np.unravel_index(np.arange(members.start, members.stop), digits)
         assignments = _leading_rows(np.array(actions), num_contexts)
-        return np.eye(self.members.num_actions)[assignments.T]
+        return np.eye(num_actions)[assignments.T]
 
-    def pmf_max(self, num_contexts: int) -> np.ndarray:
-        return _leading_rows(np.ones((len(self.members.digits), self.members.num_actions)), num_contexts)
+    def pmf_max(self, num_contexts: int, num_actions: int) -> np.ndarray:
+        check_num_actions(self.members.num_actions, num_actions)
+        return _leading_rows(np.ones((len(self.members.digits), num_actions)), num_contexts)
 
     def argmin(self, weights: np.ndarray, rows) -> MassPolicy:
         """The least-sum action at each context, the lowest on ties: the lowest-index minimizer."""
         if rows.context_ids is None:
             raise ValueError("all deterministic maps need finite contexts")
+        check_num_actions(self.members.num_actions, weights.shape[1])
         digits = self.members.digits
         check_index_range("context id", rows.context_ids, len(digits))
         summed = context_sums(weights, rows.context_ids, len(digits))
@@ -439,7 +472,7 @@ def set_num_contexts(dataset) -> None:
     count = dataset.num_contexts
     if count is None:
         return
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
+    if not is_integer(count) or count < 1:
         raise DatasetError(f"num_contexts must be an integer >= 1, not {count!r}")
     object.__setattr__(dataset, "num_contexts", int(count))
 
@@ -558,11 +591,13 @@ def class_stats(policy_class: PolicyClass, context_ids: np.ndarray, propensities
     """
     ids = np.asarray(context_ids, dtype=np.int64)
     mu_rows = np.asarray(propensities, dtype=float)
+    if mu_rows.ndim != 2 or len(mu_rows) != len(ids):
+        raise ValueError(f"{len(ids)} context ids need as many propensity rows, not an array of shape {mu_rows.shape}")
     if np.any(mu_rows <= PROPENSITY_FLOOR):
         raise ValueError("logging policy has a zero propensity on the given contexts")
     # Dividing by mu > 0 is monotone, so the largest ratio is the largest
     # member pmf over mu.
-    top = policy_class.pmf_max(int(ids.max()) + 1)[ids]
+    top = policy_class.pmf_max(int(ids.max()) + 1, mu_rows.shape[1])[ids]
     return ClassStats(
         pmf_sup=float(top.max()),
         mu_pmf_inf=float(mu_rows.min()),
@@ -1018,12 +1053,16 @@ def load_dataset_jsonl(path: str | Path) -> LoggedDataset:
     propensities of num_actions) up to the first record it cannot read.
     LoggedDataset (with the header's num_contexts) then judges every record
     before it, and `judged` raises DatasetError naming the file and the first
-    bad record.
+    bad record. A header without num_actions that marks a continuous log
+    (action_space "unit_interval") is named as one.
     """
     with open_dataset(path) as fh:
         header = read_header(fh, path)
         num_actions = header_count(header, "num_actions", path)
         if num_actions is None:
+            if header.get("action_space") == "unit_interval":
+                kind = "a continuous log (header action_space 'unit_interval')"
+                raise DatasetError(f"{path}: {kind}, not a discrete one")
             raise DatasetError(f"{path}: header lacks key 'num_actions'")
         num_contexts = header_count(header, "num_contexts", path)
         columns, problem = read_columns(fh, lambda first: _discrete_layout(first, num_actions))

@@ -211,7 +211,7 @@ def exact_risk(policy, env) -> float:
         for x in range(env.num_contexts):
             total += env.context_dist[x] * pc_product_integral(policy.density_pieces(x), env.loss_fns[x])
         return total
-    table = policy.pmf_table(env.num_contexts)
+    table = policy.checked_table(env.num_contexts, env.num_actions)
     return float(env.context_dist @ (table * env.loss_means).sum(axis=1))
 
 

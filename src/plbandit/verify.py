@@ -377,7 +377,7 @@ def check_ucb_coverage(cfg: VerifyConfig) -> CheckResult:
     counts = _replicate_counts(cfg, 7)
     ipw_sums, pl_sums = _replicate_sums(cfg.env, counts)
     slack = estimators.confidence_slack(stats, cfg.n, cfg.alpha, beta).value
-    tables = pclass.tables(cfg.env.num_contexts)
+    tables = pclass.tables(cfg.env.num_contexts, cfg.env.num_actions)
     # (members, reps) arrays; ucb_risk's sum, in its order: ipw_risk + beta * pseudo_loss, then the slack.
     ipw, pl = _scores(tables, ipw_sums, cfg.n), _scores(tables, pl_sums, cfg.n)
     ucbs = ipw + beta * pl + slack

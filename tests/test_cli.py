@@ -744,6 +744,34 @@ class TestContinuousLoaderErrors:
         assert "env.json: values is not a 1-D array of JSON numbers" in capsys.readouterr().err
 
 
+class TestWrongLogKind:
+    """A command given a log of the other kind exits 2 saying which kind its header marks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--beta", 0.1, "--out", "m"],
+            ["evaluate", "--beta", 0.1, "--policy", "p.json"],
+            ["sweep", "--beta-grid", "0.1,1", "--out", "s.csv"],
+        ],
+        ids=["train", "evaluate", "sweep"],
+    )
+    def test_continuous_log_to_a_discrete_command(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        cont.save_continuous_dataset_jsonl(CLEAN_CONTINUOUS, "c.jsonl")
+        Path("p.json").write_text(json.dumps({"type": "deterministic", "assignment": [0, 0, 0], "num_actions": 2}))
+        assert run(*argv, "--dataset", "c.jsonl") == 2
+        message = "c.jsonl: a continuous log (header action_space 'unit_interval'), not a discrete one"
+        assert message in capsys.readouterr().err
+        assert not Path("m.policy.json").exists() and not Path("s.csv").exists()
+
+    def test_discrete_log_to_the_bandwidth_sweep(self, tmp_path, capsys):
+        save_dataset_jsonl(CLEAN_DATASET, tmp_path / "d.jsonl")
+        assert run("sweep", "--dataset", tmp_path / "d.jsonl", "--h-grid-m", 2, "--out", tmp_path / "s.csv") == 2
+        assert "d.jsonl: a discrete log (header key 'num_actions'), not a continuous one" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+
 class TestEnvShape:
     @pytest.fixture
     def files(self, tmp_path):

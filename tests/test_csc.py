@@ -237,7 +237,7 @@ class TestExactTies:
             return built[-1]
 
         monkeypatch.setattr(cli, "deterministic_class", recording_class)
-        monkeypatch.setattr(model._DeterministicClass, "tables", lambda self, x: pytest.fail("tables() on train"))
+        monkeypatch.setattr(model._DeterministicClass, "tables", lambda *args: pytest.fail("tables() on train"))
         argv = ["train", "--dataset", tmp_path / "d.jsonl", "--beta", 0.1, "--alpha", 0.05]
         assert cli.main([str(a) for a in argv + ["--env", tmp_path / "env.json", "--out", tmp_path / "m"]]) == 0
         assert len(built) == 1 and built[0].size == 4096

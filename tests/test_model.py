@@ -26,7 +26,7 @@ from plbandit.model import (
     save_dataset_jsonl,
     validate_dataset,
 )
-from plbandit import csc, model, simulator
+from plbandit import csc, estimators, model, simulator
 
 from discrete_reference import reference_pmf_table, reference_tables
 
@@ -143,6 +143,13 @@ class TestClassStats:
         assert stats.mu_pmf_inf == 0.5
         assert stats.weight_ratio_sup == 1.0
         assert stats.mismatch == 1.0
+
+    @pytest.mark.parametrize("propensities", [[0.5, 0.5], [[0.5, 0.5]], [[0.5, 0.5]] * 3])
+    def test_one_propensity_row_per_context_id(self, propensities):
+        # Numpy would broadcast a single row, or a 1-D pmf, against the two ids.
+        pclass = PolicyClass.from_members([TabularPolicy(np.full((2, 2), 0.5))])
+        with pytest.raises(ValueError, match=r"^2 context ids need as many propensity rows, not an array of shape"):
+            class_stats(pclass, np.array([0, 1]), np.array(propensities))
 
     def test_deterministic_vs_skewed_logging(self):
         pclass = PolicyClass.from_members([DeterministicPolicy(assignment=(1,), num_actions=2)])
@@ -299,6 +306,29 @@ class TestPolicies:
         with pytest.raises(ValueError):
             LinearCostPolicy(weights=np.eye(2), intercepts=np.zeros(2)).pmf_table(1)
 
+    @pytest.mark.parametrize(
+        "assignment, num_actions, message",
+        [
+            ((0.7, 1.9), 2, "assignment action 0.7 is not an integer"),
+            ((0, 1.0), 2, "assignment action 1.0 is not an integer"),
+            ((True, 0), 2, "assignment action True is not an integer"),
+            ((0, np.bool_(True)), 2, f"assignment action {np.bool_(True)!r} is not an integer"),
+            ((0, 1), 2.0, "num_actions must be an integer >= 1, not 2.0"),
+            ((0, 1), True, "num_actions must be an integer >= 1, not True"),
+            ((), 0, "num_actions must be an integer >= 1, not 0"),
+            ((0, 2), 2, "assignment actions out of range"),
+        ],
+    )
+    def test_deterministic_policy_rejects_a_non_integer(self, assignment, num_actions, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DeterministicPolicy(assignment=assignment, num_actions=num_actions)
+
+    def test_deterministic_policy_keeps_numpy_integers_as_ints(self):
+        policy = DeterministicPolicy(assignment=(np.int64(2), np.uint8(0)), num_actions=np.int32(3))
+        assert policy.assignment == (2, 0) and policy.num_actions == 3
+        assert {type(a) for a in policy.assignment} == {int} and type(policy.num_actions) is int
+        assert policy == DeterministicPolicy(assignment=(2, 0), num_actions=3)
+
     def test_pmf_rows_index_the_table(self):
         data = simulator.generate_logs(simulator.random_environment((7, 0), 3, 3), 20, seed=8)
         policy = simulator.random_policy((7, 1), 3, 3)
@@ -307,11 +337,11 @@ class TestPolicies:
     def test_class_tables_stack_member_tables(self):
         members = [simulator.random_policy((9, j), 3, 2) for j in range(4)] + [TabularPolicy(np.full((3, 2), 0.5))]
         pclass = PolicyClass.from_members(members)
-        tables = pclass.tables(3)
+        tables = pclass.tables(3, 2)
         assert tables.shape == (5, 3, 2)
         for table, member in zip(tables, members):
             assert np.array_equal(table, member.pmf_table(3))
-        assert np.array_equal(pclass.tables(2), tables[:, :2])
+        assert np.array_equal(pclass.tables(2, 2), tables[:, :2])
 
     @given(assignment=st.lists(st.integers(0, 4), min_size=1, max_size=6), extra=st.integers(0, 2))
     def test_deterministic_pmf_table_is_its_kept_one_hot_table(self, assignment, extra):
@@ -336,7 +366,7 @@ class TestPolicies:
         for cls in (TabularPolicy, DeterministicPolicy):
             monkeypatch.setattr(cls, "pmf_table", lambda self, x, f=cls.pmf_table: calls.append(x) or f(self, x))
         assert csc.EnumerationOracle().solve(costs, pclass) is first
-        stack, block = pclass.tables(3), pclass.tables(3, 2, 9)
+        stack, block = pclass.tables(3, 2), pclass.tables(3, 2, 2, 9)
         assert calls == []
         assert not stack.flags.writeable and not block.flags.writeable
         assert np.shares_memory(stack, block)
@@ -351,14 +381,14 @@ class TestPolicies:
         for num_contexts, num_actions in itertools.product(range(1, 5), repeat=2):
             for leading in range(1, num_contexts + 1):
                 pclass = deterministic_class(num_contexts, num_actions)
-                tables = pclass.tables(leading)
+                tables = pclass.tables(leading, num_actions)
                 assert not pclass.members._decoded
                 stacked = np.stack([member.pmf_table(leading) for member in pclass.members])
                 assert tables.dtype == stacked.dtype and tables.tobytes() == stacked.tobytes()
                 assert tables.shape == (num_actions**num_contexts, leading, num_actions)
             message = f"policy covers {num_contexts} contexts, {num_contexts + 1} needed"
             with pytest.raises(ValueError, match=message):
-                pclass.tables(num_contexts + 1)
+                pclass.tables(num_contexts + 1, num_actions)
             with pytest.raises(ValueError, match=message):
                 pclass.members[0].pmf_table(num_contexts + 1)
 
@@ -389,7 +419,7 @@ class TestPolicies:
             assert pclass.member_sums(weights, rows).tobytes() == expected.tobytes()
             assert explicit.member_sums(weights, rows).tobytes() == expected[members].tobytes()
         lo, hi = sorted(rng.integers(0, pclass.size + 1, size=2))
-        assert pclass.tables(num_contexts, lo, hi).tobytes() == tables[lo:hi].tobytes()
+        assert pclass.tables(num_contexts, num_actions, lo, hi).tobytes() == tables[lo:hi].tobytes()
 
     def test_deterministic_class_statistics_are_closed_form(self):
         # Some member puts pmf 1 on every (context, action), so pmf_sup is 1 and
@@ -398,7 +428,7 @@ class TestPolicies:
         props = np.array([[0.25, 0.75], [0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.6, 0.4]])
         pclass = deterministic_class(3, 2)
         explicit = PolicyClass.from_members(pclass.members)
-        assert np.array_equal(pclass.pmf_max(3), explicit.pmf_max(3))
+        assert np.array_equal(pclass.pmf_max(3, 2), explicit.pmf_max(3, 2))
         assert class_stats(pclass, ids, props) == class_stats(explicit, ids, props)
         assert class_stats(pclass, ids, props) == ClassStats(1.0, 0.1, 10.0, 8)
         with pytest.raises(ValueError, match="policy covers 3 contexts, 4 needed"):
@@ -447,6 +477,55 @@ class TestPolicies:
         for i in (64, -65):
             with pytest.raises(IndexError):
                 members[i]
+
+
+# The demo environment (4 contexts, 3 actions), a log of it and its cost rows.
+DEMO = simulator.random_environment((0, 101), 4, 3)
+DEMO_DATA = simulator.generate_logs(DEMO, 50, seed=1)
+DEMO_COSTS = csc.build_modified_costs(DEMO_DATA, 0.1)
+DEMO_STATS = class_stats(deterministic_class(4, 3), np.arange(4), DEMO.mu_table)
+
+
+class TestActionCountRule:
+    """A policy or class of another number of actions than the rows, environment
+    or cost table it is read against raises ValueError naming both counts."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, c: simulator.exact_risk(p, DEMO),
+            lambda p, c: estimators.exact_pl(p, DEMO),
+            lambda p, c: estimators.exact_variance(p, DEMO),
+            lambda p, c: estimators.ipw_risk(p, DEMO_DATA),
+            lambda p, c: estimators.pseudo_loss(p, DEMO_DATA),
+            lambda p, c: estimators.penalized_objective(p, DEMO_DATA, 0.1),
+            lambda p, c: csc.average_cost(p, DEMO_COSTS),
+            lambda p, c: c.member_sums(DEMO_COSTS.costs, DEMO_COSTS),
+            lambda p, c: csc.EnumerationOracle().solve(DEMO_COSTS, c),
+            lambda p, c: class_stats(c, np.arange(4), DEMO.mu_table),
+            lambda p, c: estimators.beta_candidates(c, DEMO_DATA, DEMO_STATS, 0.05),
+            lambda p, c: csc.brute_force_argmin(DEMO_DATA, 0.1, c),
+        ],
+        ids=[
+            "exact_risk", "exact_pl", "exact_variance", "ipw_risk", "pseudo_loss", "penalized_objective",
+            "average_cost", "member_sums", "enumeration_solve", "class_stats", "beta_candidates", "brute_force_argmin",
+        ],
+    )
+    def test_another_action_count_raises(self, call):
+        for width in (1, 2, 4):
+            policy = TabularPolicy(np.full((4, width), 1 / width))
+            for pclass in (PolicyClass.from_members([policy, policy]), deterministic_class(4, width)):
+                with pytest.raises(ValueError, match=f"^policy has {width} actions, 3 needed$"):
+                    call(policy, pclass)
+
+    def test_linear_policy_feature_rows(self):
+        data = LoggedDataset(
+            actions=np.array([0, 2]), losses=np.ones(2), propensities=np.full((2, 3), 1 / 3),
+            context_features=np.zeros((2, 2)),
+        )
+        policy = LinearCostPolicy(weights=np.zeros((2, 2)), intercepts=np.zeros(2))
+        with pytest.raises(ValueError, match="^policy has 2 actions, 3 needed$"):
+            estimators.pseudo_loss(policy, data)
 
 
 class TestDatasetIndexRanges:

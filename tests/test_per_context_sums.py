@@ -238,7 +238,7 @@ def test_ipw_terms_rejects_a_policy_of_another_width(width):
     data = LoggedDataset(
         actions=np.array([0, 2]), losses=np.ones(2), propensities=np.full((2, 3), 1 / 3), context_ids=np.zeros(2)
     )
-    with pytest.raises(ValueError, match=f"policy has {width} actions, the dataset 3"):
+    with pytest.raises(ValueError, match=f"policy has {width} actions, 3 needed"):
         ipw_terms(TabularPolicy(np.full((1, width), 1 / width)), data)
 
 

@@ -364,7 +364,7 @@ class TestDiscreteReduction:
         # The brute force reads the explicit class's member stack, as the explicit
         # path does; the closed-form all-det solve and the pointwise argmin do not.
         tables = PolicyClass.tables
-        monkeypatch.setattr(PolicyClass, "tables", lambda self, x, lo=0, hi=None: tables(self, x)[::-1][lo:hi])
+        monkeypatch.setattr(PolicyClass, "tables", lambda self, x, a, lo=0, hi=None: tables(self, x, a)[::-1][lo:hi])
         result = verify.check_discrete_reduction(verify.VerifyConfig(env=ENVS["demo"](0)))
         assert not result.passed and result.details["paths"] == ["enumeration", "pointwise"]
 
