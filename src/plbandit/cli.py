@@ -56,7 +56,7 @@ def _resolve_env(spec: str, seed: int):
     if spec == "demo-continuous":
         return simulator.random_continuous_environment((seed, 202), num_contexts=3)
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"unknown environment '{spec}' (builtin names: {', '.join(BUILTIN_ENVS)})")
     return simulator.load_environment(path)
 
@@ -109,9 +109,7 @@ def _read_policy(obj, source: str, dataset: LoggedDataset):
     scores; a malformed or mismatched policy is a UsageError naming `source`."""
     try:
         policy = _policy_from_json(obj)
-        if policy.num_actions != dataset.num_actions:
-            raise ValueError(f"policy has {policy.num_actions} actions, the dataset has {dataset.num_actions}")
-        policy.pmf_rows(dataset)  # raises unless the policy covers every record's context
+        policy.pmf_rows(dataset)  # raises unless the policy scores every record, with the dataset's action count
     except KeyError as err:
         raise UsageError(f"{source}: missing key {err}") from None
     except (TypeError, ValueError) as err:
@@ -128,7 +126,7 @@ def _load_policy_class(spec: str, dataset: LoggedDataset) -> PolicyClass:
         except ValueError as err:
             raise UsageError(f"{err}; supply an explicit class file") from None
     path = Path(spec)
-    if not path.exists():
+    if not path.is_file():
         raise UsageError(f"policy class '{spec}' is neither 'all-det' nor a file")
     obj = load_json(path)
     if not isinstance(obj, dict) or not isinstance(obj.get("policies"), list) or not obj["policies"]:
@@ -233,11 +231,12 @@ def _training_setup(args, betas: list[float]):
     --alpha or a --class file with an oracle that takes no class, --alpha
     with a zero beta (the slack divides by beta) or on feature contexts, and
     --oracle argmin on feature contexts or regression on finite ones. An
-    unset sweep --class, --oracle or --ridge means all-det, enum or 1e-6."""
-    oracle_name, policy_class = args.oracle or "enum", args.policy_class or "all-det"
-    if oracle_name != "enum" and (args.alpha is not None or policy_class != "all-det"):
+    unset --class, --oracle or --ridge means all-det, enum or 1e-6; the
+    oracle's name is set on `args`, where train's metrics read it."""
+    args.oracle, policy_class = args.oracle or "enum", args.policy_class or "all-det"
+    if args.oracle != "enum" and (args.alpha is not None or policy_class != "all-det"):
         flag = "--alpha" if args.alpha is not None else "--class"
-        raise UsageError(f"{flag} needs --oracle enum; --oracle {oracle_name} takes no policy class")
+        raise UsageError(f"{flag} needs --oracle enum; --oracle {args.oracle} takes no policy class")
     if args.alpha is not None and 0.0 in betas:
         given = "--beta 0" if args.command == "train" else "a 0 in --beta-grid"
         raise UsageError(f"--alpha needs beta > 0, not {given}: the ucb_risk slack divides by beta")
@@ -245,12 +244,12 @@ def _training_setup(args, betas: list[float]):
     finite = dataset.context_ids is not None
     if args.alpha is not None and not finite:
         raise UsageError(f"--alpha needs finite contexts; {args.dataset} has feature contexts")
-    if oracle_name == "argmin" and not finite:
+    if args.oracle == "argmin" and not finite:
         raise UsageError(f"--oracle argmin needs finite contexts; {args.dataset} has feature contexts")
-    if oracle_name == "regression" and finite:
+    if args.oracle == "regression" and finite:
         raise UsageError(f"--oracle regression needs feature contexts; {args.dataset} has finite contexts")
-    pclass = _load_policy_class(policy_class, dataset) if oracle_name == "enum" else None
-    oracle = _make_oracle(oracle_name, 1e-6 if args.ridge is None else args.ridge)
+    pclass = _load_policy_class(policy_class, dataset) if args.oracle == "enum" else None
+    oracle = _make_oracle(args.oracle, 1e-6 if args.ridge is None else args.ridge)
     env = _dataset_env(args.env, args.seed, args.dataset, dataset)
     stats = None
     if args.alpha is not None:
@@ -367,28 +366,29 @@ def cmd_verify(args) -> int:
 # before the command loads anything.
 
 
-def _number(text: str) -> float:
-    """The float `text` spells, or nan if it spells none."""
-    try:
-        return float(text)
-    except ValueError:
-        return math.nan
+def _ranged(parse, holds, rule: str):
+    """A flag type: parse(text) if that holds; else, or when parse raises
+    ValueError, ArgumentTypeError "must be {rule}, not '{text}'"."""
+
+    def flag_type(text: str):
+        try:
+            value = parse(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, not '{text}'")
+
+    return flag_type
 
 
-def _nonnegative(text: str) -> float:
-    """--beta, --ridge and each --beta-grid entry: a finite number >= 0."""
-    value = _number(text)
-    if not 0.0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, not '{text}'")
-    return value
-
-
-def _alpha(text: str) -> float:
-    """--alpha: a number strictly between 0 and 1."""
-    value = _number(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be a number strictly between 0 and 1, not '{text}'")
-    return value
+# --beta, --ridge and each --beta-grid entry; --alpha; --k, --h-grid-m and --n;
+# verify --reps; every --seed (the seeds numpy's generators accept).
+_nonnegative = _ranged(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_alpha = _ranged(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+_positive_int = _ranged(int, lambda v: v >= 1, "an integer >= 1")
+_reps = _ranged(_positive_int, lambda v: v <= 2**32, "at most 2**32")
+_seed = _ranged(int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _beta_grid(text: str) -> list[float]:
@@ -396,36 +396,6 @@ def _beta_grid(text: str) -> list[float]:
     if not values:
         raise argparse.ArgumentTypeError("needs at least one beta")
     return values
-
-
-def _positive_int(text: str) -> int:
-    """--k, --h-grid-m, --n and --reps: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not '{text}'")
-    return value
-
-
-def _reps(text: str) -> int:
-    """verify --reps: an integer in [1, 2**32]."""
-    value = _positive_int(text)
-    if value > 2**32:
-        raise argparse.ArgumentTypeError(f"must be at most 2**32, not '{text}'")
-    return value
-
-
-def _seed(text: str) -> int:
-    """Every --seed: an integer >= 0, the seeds numpy's generators accept."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, not '{text}'")
-    return value
 
 
 # One function per command adds its flags and its handler to its subparser.
@@ -443,9 +413,9 @@ def _generate_flags(gen: argparse.ArgumentParser) -> None:
 
 def _train_flags(train: argparse.ArgumentParser) -> None:
     train.add_argument("--dataset", required=True)
-    train.add_argument("--class", dest="policy_class", default="all-det")
-    train.add_argument("--oracle", choices=["enum", "argmin", "regression"], default="enum")
-    train.add_argument("--ridge", type=_nonnegative, default=1e-6)
+    train.add_argument("--class", dest="policy_class")
+    train.add_argument("--oracle", choices=["enum", "argmin", "regression"])
+    train.add_argument("--ridge", type=_nonnegative)
     train.add_argument("--beta", type=_nonnegative, required=True)
     train.add_argument("--alpha", type=_alpha, default=None)
     train.add_argument("--env", default=None, help="adds exact risk to the metrics")
@@ -521,15 +491,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def _check_paths(args) -> None:
-    """The --dataset and --policy files must exist, and every file a command
-    writes lies in the directory of its --out path or prefix, which must exist
-    too, before the command does any work. `generate` and `train` append
+    """The --dataset and --policy paths must be files, and every file a command
+    writes lies in the directory of its --out path or prefix, which must exist,
+    before the command does any work. `generate` and `train` append
     suffixes to --out, so it needs a file-name part; the other commands write
     --out itself, so it must not be a directory."""
     for flag in ("dataset", "policy"):
         path = getattr(args, flag, None)
-        if path is not None and not os.path.exists(path):
-            raise UsageError(f"--{flag} {path} does not exist")
+        if path is not None and not os.path.isfile(path):
+            raise UsageError(f"--{flag} {path} {'is not a file' if os.path.exists(path) else 'does not exist'}")
     command, out = args.command, args.out
     directory = os.path.dirname(out or "") or "."
     if not os.path.isdir(directory):

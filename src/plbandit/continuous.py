@@ -40,14 +40,13 @@ from .model import (
     _leading_rows,
     context_fault,
     first_fault,
+    frame_records,
     header_count,
     judged,
     number_array,
     open_dataset,
     read_columns,
     read_header,
-    set_column,
-    set_num_contexts,
     write_records,
 )
 
@@ -312,9 +311,9 @@ class ContinuousLoggedDataset:
     """Logged records with actions in [0, 1]: record i was logged under the
     density `densities[density_index[i]]`.
 
-    The constructor rejects an array of the wrong rank, a num_contexts that
-    set_num_contexts refuses, a density that is not a PiecewiseConstantDensity
-    and the record validate_continuous_dataset names.
+    The constructor (model.frame_records) rejects an array of the wrong rank,
+    a bad num_contexts, and the density or record validate_continuous_dataset
+    names.
 
     Every integral of the reduction depends on a record only through its
     logging density, so the estimators work once per density, not per record.
@@ -328,26 +327,9 @@ class ContinuousLoggedDataset:
     num_contexts: int | None = None
 
     def __post_init__(self):
-        set_column(self, "context_ids", np.int64)
-        n = len(set_column(self, "actions", float))
-        set_column(self, "losses", float)
-        set_column(self, "density_index", np.int64)
         object.__setattr__(self, "densities", tuple(self.densities))
-        set_num_contexts(self)
-        if n < 1:
-            raise DatasetError("dataset must contain at least one record")
-        if {len(self.context_ids), len(self.losses), len(self.density_index)} != {n}:
-            raise DatasetError("dataset arrays are not aligned")
-        for g, density in enumerate(self.densities):
-            if not isinstance(density, PiecewiseConstantDensity):
-                users = np.flatnonzero(self.density_index == g)
-                where = f" at record {users[0]}" if len(users) else ", which no record uses"
-                raise DatasetError(f"density {g} is not a PiecewiseConstantDensity{where}")
-        report = validate_continuous_dataset(self)
-        if report:
-            raise DatasetError(report[0])
-        if self.num_contexts is None:
-            object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
+        columns = [("context_ids", np.int64, 1), ("actions", float, 1), ("losses", float, 1)]
+        frame_records(self, [*columns, ("density_index", np.int64, 1)], validate_continuous_dataset)
 
     @property
     def n(self) -> int:
@@ -390,7 +372,13 @@ def _record_fault(context_ids, actions, losses, index, num_densities, num_contex
 
 
 def validate_continuous_dataset(dataset: ContinuousLoggedDataset) -> list[str]:
-    """ContinuousLoggedDataset's record check: [] or the message it raises, _record_fault's."""
+    """ContinuousLoggedDataset's density and record check: [] or the message it
+    raises, for the first density that is not a PiecewiseConstantDensity, else _record_fault's."""
+    for g, density in enumerate(dataset.densities):
+        if not isinstance(density, PiecewiseConstantDensity):
+            users = np.flatnonzero(dataset.density_index == g)
+            where = f" at record {users[0]}" if len(users) else ", which no record uses"
+            return [f"density {g} is not a PiecewiseConstantDensity{where}"]
     arrays = (dataset.context_ids, dataset.actions, dataset.losses, dataset.density_index)
     fault = _record_fault(*arrays, len(dataset.densities), dataset.num_contexts)
     return [] if fault is None else [f"{fault[1]} at record {fault[0]}"]

@@ -466,25 +466,36 @@ def _record_fault(contexts, actions, losses, p, num_contexts) -> tuple[int, str]
     )
 
 
-def set_num_contexts(dataset) -> None:
-    """Keep a dataset's num_contexts as an int; DatasetError unless it is None or
-    an integer >= 1 (a numpy integer too, a bool not)."""
+def frame_records(dataset, columns: list, validate) -> None:
+    """The constructor preamble of both log kinds. Each (name, dtype, ndim) of
+    `columns`, in order, becomes a read-only C-ordered copy (C order: the flat
+    index of _logged_cells names cell (i, a_i)), or DatasetError for another
+    rank or for propensity rows with no column. Then DatasetError for a
+    num_contexts that is neither None nor an integer >= 1 (a numpy integer
+    too, a bool not; it is kept as an int), for no actions, for columns of
+    unequal length, and with the first message of validate(dataset). A log
+    of context ids without num_contexts then gets max id + 1."""
+    for name, dtype, ndim in columns:
+        array = _frozen(np.asarray(getattr(dataset, name), dtype=dtype, order="C"))
+        if array.ndim != ndim:
+            raise DatasetError(f"{name} must be {ndim}-D, not of shape {array.shape}")
+        if name == "propensities" and array.shape[1] < 1:
+            raise DatasetError(f"propensities must have at least one column, not shape {array.shape}")
+        object.__setattr__(dataset, name, array)
     count = dataset.num_contexts
-    if count is None:
-        return
-    if not is_integer(count) or count < 1:
-        raise DatasetError(f"num_contexts must be an integer >= 1, not {count!r}")
-    object.__setattr__(dataset, "num_contexts", int(count))
-
-
-def set_column(dataset, name: str, dtype, ndim: int = 1) -> np.ndarray:
-    """Set a dataset's field to a read-only C-ordered copy of dtype (C order: the flat index of
-    _logged_cells names cell (i, a_i)), and return it; DatasetError unless it has `ndim` axes."""
-    array = _frozen(np.asarray(getattr(dataset, name), dtype=dtype, order="C"))
-    if array.ndim != ndim:
-        raise DatasetError(f"{name} must be {ndim}-D, not of shape {array.shape}")
-    object.__setattr__(dataset, name, array)
-    return array
+    if count is not None:
+        if not is_integer(count) or count < 1:
+            raise DatasetError(f"num_contexts must be an integer >= 1, not {count!r}")
+        object.__setattr__(dataset, "num_contexts", int(count))
+    if len(dataset.actions) < 1:
+        raise DatasetError("dataset must contain at least one record")
+    if len({len(getattr(dataset, name)) for name, _, _ in columns}) > 1:
+        raise DatasetError("dataset arrays are not aligned")
+    report = validate(dataset)
+    if report:
+        raise DatasetError(report[0])
+    if count is None and dataset.context_ids is not None:
+        object.__setattr__(dataset, "num_contexts", int(dataset.context_ids.max()) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,10 +504,10 @@ class LoggedDataset:
 
     Exactly one of `context_ids` / `context_features` is set. `num_contexts`,
     the finite-context table size, defaults to max id + 1. The constructor
-    rejects an array of the wrong rank, propensity rows with no column, a
-    num_contexts that set_num_contexts refuses and the record validate_dataset
-    names, so every loss is in [0, 1], every 1/mu term is defined and nothing
-    checks the records again.
+    (frame_records) rejects an array of the wrong rank, propensity rows with
+    no column, a bad num_contexts and the record validate_dataset names, so
+    every loss is in [0, 1], every 1/mu term is defined and nothing checks
+    the records again.
 
     A finite-context dataset also carries `ipw_sums` and `pl_sums`, the two
     (num_contexts, A) tables that the estimators contract with a policy's
@@ -511,26 +522,11 @@ class LoggedDataset:
     num_contexts: int | None = None
 
     def __post_init__(self):
-        n = len(set_column(self, "actions", np.int64))
-        set_column(self, "losses", float)
-        if set_column(self, "propensities", float, 2).shape[1] < 1:
-            raise DatasetError(f"propensities must have at least one column, not shape {self.propensities.shape}")
-        set_num_contexts(self)
         if (self.context_ids is None) == (self.context_features is None):
             raise DatasetError("dataset needs exactly one of context_ids / context_features")
-        if self.context_ids is not None:
-            contexts = set_column(self, "context_ids", np.int64)
-        else:
-            contexts = set_column(self, "context_features", float, 2)
-        if n < 1:
-            raise DatasetError("dataset must contain at least one record")
-        if {len(self.propensities), len(self.losses), len(contexts)} != {n}:
-            raise DatasetError("dataset arrays are not aligned")
-        report = validate_dataset(self)
-        if report:
-            raise DatasetError(report[0])
-        if self.context_ids is not None and self.num_contexts is None:
-            object.__setattr__(self, "num_contexts", int(self.context_ids.max()) + 1)
+        contexts = ("context_ids", np.int64, 1) if self.context_features is None else ("context_features", float, 2)
+        columns = [("actions", np.int64, 1), ("losses", float, 1), ("propensities", float, 2), contexts]
+        frame_records(self, columns, validate_dataset)
 
     @property
     def n(self) -> int:

@@ -331,16 +331,18 @@ def random_policy(seed_or_rng, num_contexts: int, num_actions: int, min_mass: fl
     return TabularPolicy(raw / raw.sum(axis=1, keepdims=True))
 
 
+# random_environment's logging policy adds MIN_PROPENSITY * num_actions to each
+# raw uniform (random_policy's min_mass), so every propensity exceeds
+# MIN_PROPENSITY / (1 + MIN_PROPENSITY * num_actions).
+MIN_PROPENSITY = 0.05
+
+
 def random_environment(
-    seed_or_rng,
-    num_contexts: int,
-    num_actions: int,
-    min_propensity: float = 0.05,
-    bernoulli_noise: bool = True,
+    seed_or_rng, num_contexts: int, num_actions: int, bernoulli_noise: bool = True
 ) -> SyntheticEnvironment:
     rng = make_rng(seed_or_rng)
     dist = 0.2 + rng.random(num_contexts)
-    mu = random_policy(rng, num_contexts, num_actions, min_mass=min_propensity * num_actions)
+    mu = random_policy(rng, num_contexts, num_actions, min_mass=MIN_PROPENSITY * num_actions)
     return SyntheticEnvironment(
         context_dist=dist / dist.sum(),
         loss_means=rng.random((num_contexts, num_actions)),

@@ -208,8 +208,8 @@ def _variance_gaps(num_contexts: int, num_actions: int, uniforms: np.ndarray) ->
     dist = 0.2 + uniforms[:, :x]
     dist = dist / dist.sum(axis=1, keepdims=True)
     raw_mu, means, raw_pi = uniforms[:, x:].reshape(len(uniforms), 3, x, a).transpose(1, 0, 2, 3)
-    # random_environment's min_propensity * num_actions, added as random_policy adds min_mass.
-    mu = 0.05 * a + raw_mu
+    # random_environment's MIN_PROPENSITY * num_actions, added as random_policy adds min_mass.
+    mu = simulator.MIN_PROPENSITY * a + raw_mu
     mu = mu / mu.sum(axis=2, keepdims=True)
     pi = raw_pi / raw_pi.sum(axis=2, keepdims=True)
 
@@ -512,17 +512,7 @@ def run_verification(cfg: VerifyConfig) -> dict:
         "reps": cfg.reps,
         "seed": cfg.seed,
         "checks": [
-            {"name": r.name, "passed": bool(r.passed), "seconds": t, "details": _jsonable(r.details)}
+            {"name": r.name, "passed": bool(r.passed), "seconds": t, "details": r.details}
             for r, t in zip(results, seconds)
         ],
     }
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    return value

@@ -211,6 +211,7 @@ class TestAllDetSize:
         )
         metrics = json.loads((tmp_path / "m.metrics.json").read_text())
         assert metrics["slack"] == estimators.confidence_slack(stats, data.n, 0.05, 0.1).as_dict()
+        assert metrics["oracle"] == "enum"  # unset --oracle
 
     def test_class_beyond_a_member_index_exits_two(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"
@@ -823,7 +824,7 @@ class TestMalformedPolicyFiles:
             ("class", {"members": [VALID]}, "policy.json: needs a non-empty list under key 'policies'"),
             ("policy", {**VALID, "assignment": [0, 1, 2, 5]}, "policy.json: assignment actions out of range"),
             ("policy", {**VALID, "assignment": [0, 1]}, "policy.json: policy covers 2 contexts, 4 needed"),
-            ("policy", {"type": "tabular", "table": [[0.5, 0.5]] * 4}, "policy has 2 actions, the dataset has 3"),
+            ("policy", {"type": "tabular", "table": [[0.5, 0.5]] * 4}, "policy.json: policy has 2 actions, 3 needed"),
             ("class", {"policies": [VALID, {**VALID, "assignment": [9]}]}, "policy.json: policy 1: assignment"),
             ("class", {"policies": [VALID, {"type": "tabular"}]}, "policy.json: policy 1: missing key 'table'"),
             ("policy", '{"type": ', "policy.json: invalid JSON"),
@@ -1286,47 +1287,47 @@ class TestFlagValues:
         "verify": ["verify", "--env", "demo", "--reps", "5", "--n", "50"],
     }
 
-    @pytest.mark.parametrize(
-        "command, flag, value",
-        [
-            ("train", "--beta", "nan"),
-            ("train", "--beta", "inf"),
-            ("train", "--beta", "1e400"),
-            ("train", "--beta", "-1"),
-            ("evaluate", "--beta", "nan"),
-            ("evaluate", "--beta", "inf"),
-            ("evaluate", "--beta", "-1"),
-            ("continuous sweep", "--beta", "nan"),
-            ("continuous sweep", "--beta", "-inf"),
-            ("continuous sweep", "--beta", "-1"),
-            ("discrete sweep", "--beta-grid", "-0.1,0.1"),
-            ("discrete sweep", "--beta-grid", "0.1,nan"),
-            ("discrete sweep", "--beta-grid", "0.1,1e400"),
-            ("discrete sweep", "--beta-grid", "0.1,x"),
-            ("discrete sweep", "--beta-grid", ","),
-            ("continuous sweep", "--h-grid-m", "0"),
-            ("continuous sweep", "--k", "0"),
-            ("continuous sweep", "--k", "-2"),
-            ("train", "--ridge", "-1"),
-            ("train", "--ridge", "nan"),
-            ("discrete sweep", "--ridge", "-1"),
-            ("train", "--alpha", "nan"),
-            ("train", "--alpha", "1"),
-            ("train", "--alpha", "x"),
-            ("continuous sweep", "--alpha", "2"),
-            ("continuous sweep", "--alpha", "nan"),
-            ("discrete sweep", "--alpha", "0"),
-            ("discrete sweep", "--alpha", "-0.5"),
-            ("verify", "--alpha", "inf"),
-            ("verify", "--reps", "0"),
-            ("verify", "--reps", "-3"),
-            ("verify", "--reps", "4294967297"),
-            ("verify", "--n", "0"),
-            ("verify", "--alpha", "1.5"),
-            ("verify", "--alpha", "0"),
-        ],
-    )
-    def test_exits_two_naming_the_flag(self, generated, monkeypatch, capsys, command, flag, value):
+    # (command, flag, value, the message after "argument {flag}: ")
+    CASES = [
+        ("train", "--beta", "nan", "must be a finite number >= 0, not 'nan'"),
+        ("train", "--beta", "inf", "must be a finite number >= 0, not 'inf'"),
+        ("train", "--beta", "1e400", "must be a finite number >= 0, not '1e400'"),
+        ("train", "--beta", "-1", "must be a finite number >= 0, not '-1'"),
+        ("evaluate", "--beta", "nan", "must be a finite number >= 0, not 'nan'"),
+        ("evaluate", "--beta", "inf", "must be a finite number >= 0, not 'inf'"),
+        ("evaluate", "--beta", "-1", "must be a finite number >= 0, not '-1'"),
+        ("continuous sweep", "--beta", "nan", "must be a finite number >= 0, not 'nan'"),
+        ("continuous sweep", "--beta", "-inf", "must be a finite number >= 0, not '-inf'"),
+        ("continuous sweep", "--beta", "-1", "must be a finite number >= 0, not '-1'"),
+        ("discrete sweep", "--beta-grid", "-0.1,0.1", "must be a finite number >= 0, not '-0.1'"),
+        ("discrete sweep", "--beta-grid", "0.1,nan", "must be a finite number >= 0, not 'nan'"),
+        ("discrete sweep", "--beta-grid", "0.1,1e400", "must be a finite number >= 0, not '1e400'"),
+        ("discrete sweep", "--beta-grid", "0.1,x", "must be a finite number >= 0, not 'x'"),
+        ("discrete sweep", "--beta-grid", ",", "needs at least one beta"),
+        ("continuous sweep", "--h-grid-m", "0", "must be an integer >= 1, not '0'"),
+        ("continuous sweep", "--k", "0", "must be an integer >= 1, not '0'"),
+        ("continuous sweep", "--k", "-2", "must be an integer >= 1, not '-2'"),
+        ("train", "--ridge", "-1", "must be a finite number >= 0, not '-1'"),
+        ("train", "--ridge", "nan", "must be a finite number >= 0, not 'nan'"),
+        ("discrete sweep", "--ridge", "-1", "must be a finite number >= 0, not '-1'"),
+        ("train", "--alpha", "nan", "must be a number strictly between 0 and 1, not 'nan'"),
+        ("train", "--alpha", "1", "must be a number strictly between 0 and 1, not '1'"),
+        ("train", "--alpha", "x", "must be a number strictly between 0 and 1, not 'x'"),
+        ("continuous sweep", "--alpha", "2", "must be a number strictly between 0 and 1, not '2'"),
+        ("continuous sweep", "--alpha", "nan", "must be a number strictly between 0 and 1, not 'nan'"),
+        ("discrete sweep", "--alpha", "0", "must be a number strictly between 0 and 1, not '0'"),
+        ("discrete sweep", "--alpha", "-0.5", "must be a number strictly between 0 and 1, not '-0.5'"),
+        ("verify", "--alpha", "inf", "must be a number strictly between 0 and 1, not 'inf'"),
+        ("verify", "--reps", "0", "must be an integer >= 1, not '0'"),
+        ("verify", "--reps", "-3", "must be an integer >= 1, not '-3'"),
+        ("verify", "--reps", "4294967297", "must be at most 2**32, not '4294967297'"),
+        ("verify", "--n", "0", "must be an integer >= 1, not '0'"),
+        ("verify", "--alpha", "1.5", "must be a number strictly between 0 and 1, not '1.5'"),
+        ("verify", "--alpha", "0", "must be a number strictly between 0 and 1, not '0'"),
+    ]
+
+    @pytest.mark.parametrize("command, flag, value, message", CASES, ids=["-".join(case[:3]) for case in CASES])
+    def test_exits_two_naming_the_flag(self, generated, monkeypatch, capsys, command, flag, value, message):
         def reached(*args, **kwargs):
             raise AssertionError("a file was loaded or a check ran before the flags were checked")
 
@@ -1337,7 +1338,7 @@ class TestFlagValues:
         with pytest.raises(SystemExit) as exc:
             run(*argv, f"{flag}={value}")
         assert exc.value.code == 2
-        assert f"argument {flag}: " in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
     def test_zero_beta_is_accepted(self, generated):
         tmp_path, dataset_path, _ = generated
@@ -1400,15 +1401,14 @@ class TestCrossFlagUsage:
 
 
 class TestMissingInputFile:
-    @pytest.mark.parametrize(
-        "command, argv, flag",
-        [
-            ("train", ["--dataset", "{m}", "--beta", 0.1, "--out", "{o}"], "--dataset"),
-            ("evaluate", ["--dataset", "{m}", "--policy", "{d}", "--beta", 0.1], "--dataset"),
-            ("evaluate", ["--dataset", "{d}", "--policy", "{m}", "--beta", 0.1], "--policy"),
-            ("sweep", ["--dataset", "{m}", "--beta-grid", "0.1", "--out", "{o}"], "--dataset"),
-        ],
-    )
+    CASES = [
+        ("train", ["--dataset", "{m}", "--beta", 0.1, "--out", "{o}"], "--dataset"),
+        ("evaluate", ["--dataset", "{m}", "--policy", "{d}", "--beta", 0.1], "--dataset"),
+        ("evaluate", ["--dataset", "{d}", "--policy", "{m}", "--beta", 0.1], "--policy"),
+        ("sweep", ["--dataset", "{m}", "--beta-grid", "0.1", "--out", "{o}"], "--dataset"),
+    ]
+
+    @pytest.mark.parametrize("command, argv, flag", CASES)
     def test_exits_two_naming_the_flag_and_path(self, generated, monkeypatch, capsys, command, argv, flag):
         monkeypatch.setattr(verify, "run_verification", lambda cfg: pytest.fail("verify ran"))
         tmp_path, dataset_path, _ = generated
@@ -1416,6 +1416,28 @@ class TestMissingInputFile:
         values = {"{m}": missing, "{d}": dataset_path, "{o}": tmp_path / "out"}
         assert run(command, *[values.get(a, a) for a in argv]) == 2
         assert f"error: {flag} {missing} does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, argv, flag", CASES)
+    def test_directory_exits_two_naming_the_flag_and_path(self, generated, capsys, command, argv, flag):
+        # Before, each command opened the directory and exited 1 with "[Errno 21] Is a directory".
+        tmp_path, dataset_path, _ = generated
+        values = {"{m}": tmp_path, "{d}": dataset_path, "{o}": tmp_path / "out"}
+        assert run(command, *[values.get(a, a) for a in argv]) == 2
+        assert f"error: {flag} {tmp_path} is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["train", "--dataset", "{d}", "--beta", 0.1, "--class", "{m}", "--out", "{o}"], "policy class '{m}' is neither"),
+            (["generate", "--env", "{m}", "--n", 10, "--seed", 0, "--out", "{o}"], "unknown environment '{m}'"),
+        ],
+        ids=["--class", "--env"],
+    )
+    def test_directory_as_class_or_env_exits_two(self, generated, capsys, argv, message):
+        tmp_path, dataset_path, _ = generated
+        values = {"{m}": tmp_path, "{d}": dataset_path, "{o}": tmp_path / "out"}
+        assert run(*[values.get(a, a) for a in argv]) == 2
+        assert f"error: {message.format(m=tmp_path)}" in capsys.readouterr().err
 
 
 class TestVerify:
